@@ -50,7 +50,6 @@ def main() -> None:
                 tset,
                 visibility=args.visibility,
                 target=target,
-                seed=seed,
             )
             fids.append(result.fidelity_vs_target)
         fids = np.array(fids)

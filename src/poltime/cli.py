@@ -351,7 +351,6 @@ def cmd_tomography(cfg: ExperimentConfig, out_dir: Path, timestamp: bool, noisel
         tset,
         visibility=bundle.visibility_hat,
         target=cfg.encoded,
-        seed=cfg.seed,
     )
     boot = tomography.bootstrap_errors(
         bundle.counts,

@@ -22,7 +22,6 @@ import json
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import constants
 from scipy import optimize
 
 from . import hilbert
@@ -33,7 +32,7 @@ from .hilbert import (
     Wavepacket,
 )
 
-SPEED_OF_LIGHT = constants.c
+SPEED_OF_LIGHT = 299_792_458.0  # m/s, exact by the SI definition of the metre
 DEFAULT_CRYSTAL_LENGTH = 4e-3  # meters
 
 CRYSTAL_DELAY_RTOL = 1e-6

@@ -14,10 +14,12 @@ product set weights operator-space directions unevenly (design singular
 values 0.22 to 2.28), and at an equal count budget its bootstrap fidelity
 spread on `phi_plus` is nearly twice that of the unbiased set.
 
-Reconstruction is by penalized-free maximum likelihood over the Cholesky
-cone: rho = T^dag T / tr(T^dag T) with T lower triangular, maximizing a
-Poisson likelihood in the raw counts.  Linear inversion is kept as the
-unconstrained baseline and as a starting point.
+Reconstruction is by maximum likelihood: the Poisson likelihood of the raw
+counts is convex in rho, and one accelerated projected-gradient solver over
+the unit-trace PSD matrices (Shang, Zhang and Ng, PRA 95, 062336, 2017)
+fits a single count set or a whole stack of bootstrap replicas to a stated
+duality-gap tolerance.  Linear inversion is kept as the unconstrained
+baseline and as the starting point.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from . import experiment, hilbert, hom, optics
 from .hilbert import DensityMatrix, PhotonState, TimeBinLattice, Wavepacket
@@ -34,12 +35,15 @@ POLARIZATION_SET = ("h", "v", "p", "r")
 BIN_SET = ("0", "t", "+", "x")
 
 _DIM = 4
-_LOWER_PAIRS = ((1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2))
 _Q_FLOOR = 1e-12
+_GAP_TOL = 1e-9  # Frank-Wolfe duality gap of a fit, in deviance units
+_MAX_ITER = 5000
+_STEP_GROWTH = 1.25
 
 
 class ReconstructionError(RuntimeError):
-    """Maximum-likelihood search failed to converge."""
+    """A likelihood fit missed its optimality tolerance within the iteration
+    cap; `best_nll` is the negative log likelihood it reached."""
 
     def __init__(self, message: str, best_nll: float = np.nan):
         super().__init__(message)
@@ -236,14 +240,19 @@ def linear_inversion(p_values, tset: TomographySet) -> tuple[np.ndarray, bool]:
     p = np.asarray(p_values, dtype=float)
     if p.shape != (len(tset.members),):
         raise ValueError(f"expected {len(tset.members)} projection values")
-    a = design_matrix(tset)
-    x, _, rank, _ = np.linalg.lstsq(a, p, rcond=None)
-    if rank < a.shape[1]:
-        raise ValueError("tomography set does not span the operator space")
-    rho = np.einsum("m,mab->ab", x, _HERM_BASIS)
-    rho = 0.5 * (rho + rho.conj().T)
+    rho = _inversion(p[None], tset)[0]
     negative = bool(np.linalg.eigvalsh(rho).min() < -hilbert.EIGENVALUE_TOL)
     return rho, negative
+
+
+def _inversion(p: np.ndarray, tset: TomographySet) -> np.ndarray:
+    """Least-squares Hermitian matrices for a (B, members) stack of values."""
+    a = design_matrix(tset)
+    x, _, rank, _ = np.linalg.lstsq(a, p.T, rcond=None)
+    if rank < a.shape[1]:
+        raise ValueError("tomography set does not span the operator space")
+    rho = np.einsum("mb,mij->bij", x, _HERM_BASIS)
+    return 0.5 * (rho + rho.conj().transpose(0, 2, 1))
 
 
 def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
@@ -294,73 +303,110 @@ def random_density_matrix(dim: int, rng: np.random.Generator) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _t_matrix(params: np.ndarray) -> np.ndarray:
-    t = np.zeros((_DIM, _DIM), dtype=complex)
-    t[np.arange(_DIM), np.arange(_DIM)] = params[:_DIM]
-    for k, (i, j) in enumerate(_LOWER_PAIRS):
-        t[i, j] = params[_DIM + 2 * k] + 1j * params[_DIM + 2 * k + 1]
-    return t
+def _project(mats: np.ndarray) -> np.ndarray:
+    """Nearest unit-trace PSD matrices in Frobenius norm, for a (B, d, d) stack.
+
+    The eigenvalues are projected onto the probability simplex and the
+    eigenvectors kept.
+    """
+    evals, evecs = np.linalg.eigh(mats)
+    desc = evals[:, ::-1]
+    excess = np.cumsum(desc, axis=1) - 1.0
+    k = np.arange(1, evals.shape[1] + 1)
+    rank = np.count_nonzero(desc - excess / k > 0.0, axis=1)
+    shift = np.take_along_axis(excess, rank[:, None] - 1, axis=1) / rank[:, None]
+    weights = np.clip(evals - shift, 0.0, None)
+    return (evecs * weights[:, None, :]) @ evecs.conj().transpose(0, 2, 1)
 
 
-def _params_from_rho(rho: np.ndarray) -> np.ndarray:
-    """Lower-triangular parametrization with T^dag T = rho (UL Cholesky)."""
-    flip = np.eye(_DIM)[::-1]
-    chol = np.linalg.cholesky(flip @ rho @ flip)
-    t = (flip @ chol @ flip).conj().T  # lower triangular
-    params = np.empty(16)
-    params[:_DIM] = t.diagonal().real
-    for k, (i, j) in enumerate(_LOWER_PAIRS):
-        params[_DIM + 2 * k] = t[i, j].real
-        params[_DIM + 2 * k + 1] = t[i, j].imag
-    return params
+def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Real Frobenius inner products Re tr(a^dag b) of two stacks."""
+    return np.real(np.sum(a.conj() * b, axis=(1, 2)))
 
 
-def _rho_from_params(params: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    t = _t_matrix(params)
-    s = t.conj().T @ t
-    tr = float(np.trace(s).real)
-    if tr <= 0.0:
-        return np.eye(_DIM, dtype=complex) / _DIM, t, 0.0
-    return s / tr, t, tr
+def _fit(
+    n: np.ndarray, baseline: np.ndarray, tset: TomographySet, visibility: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Maximum-likelihood states for a stack of count sets, n and baseline (B, M).
+
+    Minimizes each row's Poisson deviance sum[mu - n - n log(mu / n)], with
+    mu = N max(1 - V tr(P rho), _Q_FLOOR), over unit-trace PSD matrices by
+    accelerated projected gradient: Nesterov momentum, reset whenever the
+    deviance rises, from the projected linear inversion.  Every row keeps its
+    own step and momentum.  A row stops once its Frank-Wolfe gap
+    Re tr(G rho) - lambda_min(G), G the gradient, is at most _GAP_TOL; the
+    gap bounds the distance to the optimal deviance.
+
+    Returns (rho (B, 4, 4), deviance, gap, iterations), each per row;
+    iterations counts the steps tried, rejected ones included.
+    """
+    projs = projector_stack(tset)
+    reads = projs.transpose(0, 2, 1).reshape(len(projs), -1)  # tr(P rho)
+    spans = projs.reshape(len(projs), -1)
+    # Zero-count terms reduce to mu: n log(mu / n) -> 0.
+    n_safe = np.where(n > 0, n, 1.0)
+
+    def deviance_and_grad(rho, rows):
+        expect = np.real(rho.reshape(-1, _DIM * _DIM) @ reads.T)
+        q = np.clip(1.0 - visibility * expect, _Q_FLOOR, None)
+        mu = baseline[rows] * q
+        dev = np.sum(mu - n[rows] - n[rows] * np.log(mu / n_safe[rows]), axis=1)
+        weights = -visibility * (baseline[rows] - n[rows] / q)
+        return dev, (weights @ spans).reshape(rho.shape), q
+
+    def gap(rho, grad):
+        return _inner(grad, rho) - np.linalg.eigvalsh(grad)[:, 0]
+
+    rows = np.arange(len(n))
+    p_hat = np.clip((1.0 - n / baseline) / visibility, 0.0, 1.0)
+    x = _project(_inversion(p_hat, tset))
+    f_x, g_y, q = deviance_and_grad(x, rows)
+    gaps = gap(x, g_y)
+    y = x.copy()
+    momentum = np.ones(len(n))
+    # Inverse of a bound on the deviance's curvature at the start.
+    step = 1.0 / np.maximum(visibility**2 * np.sum(n / q**2, axis=1), 1.0)
+    iterations = np.zeros(len(n), dtype=int)
+    for _ in range(_MAX_ITER):
+        act = rows[gaps > _GAP_TOL]
+        if act.size == 0:
+            break
+        iterations[act] += 1
+        s = step[act]
+        x_new = _project(y[act] - s[:, None, None] * g_y[act])
+        f_new, g_new, _ = deviance_and_grad(x_new, act)
+        d = x_new - y[act]
+        # Curvature test on gradients: deviance differences cancel to
+        # rounding near the optimum, long before the gap is small.
+        ok = _inner(g_new - g_y[act], d) <= _inner(d, d) / s
+        step[act[~ok]] *= 0.5
+        acc = act[ok]
+        x_new, f_new, g_new = x_new[ok], f_new[ok], g_new[ok]
+        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * momentum[acc] ** 2))
+        restart = f_new > f_x[acc]
+        beta = np.where(restart, 0.0, (momentum[acc] - 1.0) / t_next)
+        momentum[acc] = np.where(restart, 1.0, t_next)
+        y_new = x_new + beta[:, None, None] * (x_new - x[acc])
+        x[acc], f_x[acc] = x_new, f_new
+        gaps[acc] = gap(x_new, g_new)
+        y[acc], g_y[acc] = y_new, deviance_and_grad(y_new, acc)[1]
+        step[acc] *= _STEP_GROWTH
+    return x, f_x, gaps, iterations
 
 
-def _nll_and_grad(
-    params: np.ndarray,
-    projs_t: np.ndarray,
-    n_counts: np.ndarray,
-    baselines: np.ndarray,
-    vis: float,
-):
-    rho, t, tr = _rho_from_params(params)
-    if tr <= 0.0:
-        return 1e300, np.zeros_like(params)
-    expect = np.real(np.einsum("iab,ab->i", projs_t, rho))
-    q = np.clip(1.0 - vis * expect, _Q_FLOOR, None)
-    rates = baselines * q
-    nll = float(np.sum(rates - n_counts * np.log(rates)))
-
-    w = baselines - n_counts / q  # d nll / d q_i
-    g_rho = -vis * np.einsum("i,iab->ab", w, projs_t)  # Hermitian
-    # Chain through rho = S / tr(S), S = T^dag T.
-    g_s = g_rho / tr - (np.real(np.sum(g_rho * (t.conj().T @ t))) / tr**2) * np.eye(
-        _DIM
-    )
-    m = g_s.conj() @ t.conj().T
-    grad = np.empty_like(params)
-    grad[:_DIM] = 2.0 * np.real(m.diagonal())
-    for k, (i, j) in enumerate(_LOWER_PAIRS):
-        grad[_DIM + 2 * k] = 2.0 * np.real(m[j, i])
-        grad[_DIM + 2 * k + 1] = -2.0 * np.imag(m[j, i])
-    return nll, grad
-
-
-def _unpack_counts(counts) -> tuple[np.ndarray, np.ndarray]:
+def _unpack_counts(
+    counts, tset: TomographySet, visibility: float
+) -> tuple[np.ndarray, np.ndarray]:
     arr = np.asarray(counts, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValueError("counts must be a sequence of (n_i, N_i) pairs")
     n, baseline = arr[:, 0], arr[:, 1]
     if np.any(n < 0) or np.any(baseline <= 0):
         raise ValueError("counts must be nonnegative and baselines positive")
+    if n.shape != (len(tset.members),):
+        raise ValueError(f"expected counts for {len(tset.members)} projections")
+    if not 0.0 < visibility <= 1.0:
+        raise ValueError("visibility must lie in (0, 1]")
     return n, baseline
 
 
@@ -370,8 +416,6 @@ class TomographyResult:
     nll: float
     iterations: int
     fidelity_vs_target: float | None = None
-    fidelity_std: float | None = None
-    bootstrap_replicas: int = 0
 
 
 def mle_reconstruct(
@@ -380,85 +424,30 @@ def mle_reconstruct(
     visibility: float = 1.0,
     target=None,
     seed: int = 0,
-    restarts: int = 3,
-    objective_tol: float = 1e-10,
 ) -> TomographyResult:
     """Maximum-likelihood density matrix from per-projection (n_i, N_i) counts.
 
-    The Poisson log likelihood of the dip counts is minimized over the
-    Cholesky cone from several starts: the maximally mixed state, the
-    (projected) linear-inversion solution, and seeded random points.  The
-    result is deterministic for fixed inputs and seed.
+    The Poisson likelihood of the dip counts is convex in rho, so one
+    projected-gradient descent from the projected linear inversion reaches
+    the optimum: it stops once the duality gap, an upper bound on the
+    deviance still to gain, is at most 1e-9, and raises ReconstructionError
+    if the iteration cap comes first.  The fit has no random element;
+    `seed` is accepted for compatibility and does not affect the result.
     """
-    if restarts < 3:
-        raise ValueError("mle_reconstruct needs at least 3 restarts")
-    n, baseline = _unpack_counts(counts)
-    if n.shape != (len(tset.members),):
-        raise ValueError(f"expected counts for {len(tset.members)} projections")
-    if not 0.0 < visibility <= 1.0:
-        raise ValueError("visibility must lie in (0, 1]")
-
-    projs = projector_stack(tset)
-    projs_t = projs.transpose(0, 2, 1)  # trace(P rho) = sum(P^T * rho)
-
-    starts = [_params_from_rho(np.eye(_DIM, dtype=complex) / _DIM)]
-    p_hat = np.clip((1.0 - n / baseline) / visibility, 0.0, 1.0)
-    rho_li, _ = linear_inversion(p_hat, tset)
-    evals, evecs = np.linalg.eigh(rho_li)
-    # Floor keeps the Cholesky well defined without displacing the start
-    # measurably; zero eigenvalues stay effectively on the boundary.
-    evals = np.clip(evals, 1e-10, None)
-    rho_li_psd = (evecs * evals) @ evecs.conj().T
-    rho_li_psd /= np.trace(rho_li_psd).real
-    starts.append(_params_from_rho(rho_li_psd))
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-    for _ in range(restarts - 2):
-        starts.append(rng.normal(scale=0.5, size=16))
-
-    opts = {
-        "ftol": min(objective_tol, 1e-12) * 1e-3,
-        "gtol": 1e-11,
-        "maxiter": 2000,
-    }
-    best = None
-    total_nit = 0
-    for x0 in starts:
-        res = optimize.minimize(
-            _nll_and_grad,
-            x0,
-            args=(projs_t, n, baseline, visibility),
-            jac=True,
-            method="L-BFGS-B",
-            options=opts,
-        )
-        total_nit += int(res.nit)
-        if res.success and (best is None or res.fun < best.fun):
-            best = res
-    if best is None:
+    n, baseline = _unpack_counts(counts, tset, visibility)
+    rho, deviance, gap, iterations = _fit(n[None], baseline[None], tset, visibility)
+    # sum(mu - n log mu) = deviance + sum(n - n log n)
+    nll = float(deviance[0] + np.sum(n - n * np.log(np.where(n > 0, n, 1.0))))
+    if not gap[0] <= _GAP_TOL:
         raise ReconstructionError(
-            "likelihood search failed from every start", best_nll=np.nan
+            f"likelihood fit stopped at duality gap {gap[0]:.3g}", best_nll=nll
         )
-    # A restart from the winner resets the Hessian memory and typically
-    # buys back the last orders of magnitude near the PSD boundary.
-    polish = optimize.minimize(
-        _nll_and_grad,
-        best.x,
-        args=(projs_t, n, baseline, visibility),
-        jac=True,
-        method="L-BFGS-B",
-        options=opts,
-    )
-    total_nit += int(polish.nit)
-    if polish.success and polish.fun <= best.fun:
-        best = polish
-
-    rho, _, _ = _rho_from_params(best.x)
-    rho_dm = DensityMatrix(rho_to_full(rho, tset), tset.lattice, tset.packet)
-    fid = None if target is None else fidelity(rho, target)
+    rho_dm = DensityMatrix(rho_to_full(rho[0], tset), tset.lattice, tset.packet)
+    fid = None if target is None else fidelity(rho[0], target)
     return TomographyResult(
         rho_hat=rho_dm,
-        nll=float(best.fun),
-        iterations=total_nit,
+        nll=nll,
+        iterations=int(iterations[0]),
         fidelity_vs_target=fid,
     )
 
@@ -496,51 +485,37 @@ def bootstrap_errors(
     target,
     replicas: int = 100,
     seed: int = 0,
-    restarts: int = 3,
 ) -> BootstrapResult:
     """Parametric bootstrap of the reconstruction.
 
-    Each replica redraws n_i* ~ Poisson(n_i) at the observed counts and
-    reruns the full likelihood search.  Failed replicas are dropped; more
-    than 10 percent of them failing is an error.
+    Each replica redraws n_i* ~ Poisson(n_i) at the observed counts from
+    its own stream `experiment.point_rng(seed, r)`; all replicas are then
+    fitted together by the same solver as `mle_reconstruct`.  Replicas that
+    miss its optimality tolerance are dropped; more than 10 percent of them
+    failing is an error.
     """
     if replicas < 2:
         raise ValueError("bootstrap needs at least 2 replicas")
-    n, baseline = _unpack_counts(counts)
-    fids = []
-    rhos = []
-    dropped = 0
-    for r in range(replicas):
-        rng = experiment.point_rng(seed, r)
-        n_star = rng.poisson(n).astype(float)
-        counts_star = np.stack([n_star, baseline], axis=1)
-        try:
-            res = mle_reconstruct(
-                counts_star,
-                tset,
-                visibility=visibility,
-                target=target,
-                seed=experiment.derive_seed(seed, r),
-                restarts=restarts,
-            )
-        except ReconstructionError:
-            dropped += 1
-            continue
-        fids.append(res.fidelity_vs_target)
-        rhos.append(logical_rho(res))
+    n, baseline = _unpack_counts(counts, tset, visibility)
+    n_star = np.array(
+        [experiment.point_rng(seed, r).poisson(n) for r in range(replicas)], dtype=float
+    )
+    baselines = np.broadcast_to(baseline, n_star.shape)
+    rhos, _, gaps, _ = _fit(n_star, baselines, tset, visibility)
+    rhos = rhos[gaps <= _GAP_TOL]
+    dropped = replicas - len(rhos)
     if dropped > 0.1 * replicas:
         raise ReconstructionError(
             f"{dropped} of {replicas} bootstrap replicas failed to converge"
         )
-    fids_arr = np.array(fids)
-    rho_arr = np.array(rhos)
+    fids = np.array([fidelity(rho, target) for rho in rhos])
     return BootstrapResult(
-        fidelity_std=float(np.std(fids_arr, ddof=1)),
-        rho_real_std=np.std(rho_arr.real, axis=0, ddof=1),
-        rho_imag_std=np.std(rho_arr.imag, axis=0, ddof=1),
-        replicas_used=len(fids),
+        fidelity_std=float(np.std(fids, ddof=1)),
+        rho_real_std=np.std(rhos.real, axis=0, ddof=1),
+        rho_imag_std=np.std(rhos.imag, axis=0, ddof=1),
+        replicas_used=len(rhos),
         replicas_dropped=dropped,
-        fidelities=fids_arr,
+        fidelities=fids,
     )
 
 

@@ -49,6 +49,19 @@ def trace_distance(a, b):
     return 0.5 * float(np.abs(np.linalg.eigvalsh(a - b)).sum())
 
 
+def duality_gap(rho, counts, tset, visibility):
+    """Frank-Wolfe gap Re tr(G rho) - lambda_min(G) of the Poisson deviance
+    at rho, G its gradient.  It bounds how far the deviance is above its
+    minimum over density matrices."""
+    n, big_n = counts[:, 0], counts[:, 1]
+    projs = projector_stack(tset)
+    q = 1.0 - visibility * np.real(np.einsum("iab,ba->i", projs, rho))
+    # d/dq of N q - n - n log(N q / n) is N - n / q; zero counts leave N.
+    slope = big_n - np.divide(n, q, out=np.zeros_like(n), where=n > 0)
+    grad = -visibility * np.einsum("i,iab->ab", slope, projs)
+    return float(np.real(np.trace(grad @ rho)) - np.linalg.eigvalsh(grad)[0])
+
+
 # ---------------------------------------------------------------------------
 # Tomography set
 # ---------------------------------------------------------------------------
@@ -267,8 +280,6 @@ def test_mle_is_deterministic(lattice, packet, tset):
 def test_mle_input_validation(tset):
     good = exact_counts(np.eye(4) / 4, tset)
     with pytest.raises(ValueError):
-        mle_reconstruct(good, tset, restarts=2)
-    with pytest.raises(ValueError):
         mle_reconstruct(good, tset, visibility=0.0)
     with pytest.raises(ValueError):
         mle_reconstruct(good[:10], tset)
@@ -276,6 +287,46 @@ def test_mle_input_validation(tset):
     bad[0, 1] = 0.0
     with pytest.raises(ValueError):
         mle_reconstruct(bad, tset)
+
+
+@pytest.mark.parametrize("visibility, baseline", [(0.94, 1000.0), (1.0, 100.0)])
+def test_mle_meets_duality_gap_tolerance(visibility, baseline, lattice, packet, tset):
+    """Every fit is within 1e-9 of the optimal deviance, judged from the
+    returned state and the counts alone."""
+    zero_dips = 0
+    for seed in range(12):
+        name = ("phi_plus", "p_plus", "rl_bell")[seed % 3]
+        target = hilbert.named_state(name, lattice, packet)
+        bundle = simulate_counts(
+            target,
+            tset,
+            baseline,
+            visibility=visibility,
+            master_seed=seed,
+            delays=compact_delays(),
+            calibrate=False,
+        )
+        zero_dips += int(np.sum(bundle.counts[:, 0] == 0))
+        result = mle_reconstruct(bundle.counts, tset, visibility=visibility)
+        rho = logical_rho(result)
+        assert duality_gap(rho, bundle.counts, tset, visibility) <= 1e-9
+    if visibility == 1.0:
+        assert zero_dips > 0  # the likelihood's boundary case is covered
+
+
+def test_mle_reports_the_nll_of_a_fit_that_misses_tolerance(
+    monkeypatch, lattice, packet, tset
+):
+    target = hilbert.named_state("phi_plus", lattice, packet)
+    bundle = simulate_counts(
+        target, tset, 1000.0, visibility=0.94, delays=compact_delays(), calibrate=False
+    )
+    monkeypatch.setattr(tomography, "_MAX_ITER", 1)
+    with pytest.raises(ReconstructionError) as err:
+        mle_reconstruct(bundle.counts, tset, visibility=0.94)
+    assert np.isfinite(err.value.best_nll)
+    with pytest.raises(ReconstructionError, match="bootstrap replicas failed"):
+        bootstrap_errors(bundle.counts, tset, 0.94, target, replicas=10)
 
 
 def test_more_counts_reconstruct_better(lattice, packet, tset):
@@ -323,6 +374,31 @@ def test_bootstrap_is_deterministic_and_nonzero(lattice, packet, tset):
     assert a.replicas_used == 20
     assert a.replicas_dropped == 0
     assert a.rho_real_std.shape == (4, 4)
+
+
+def test_bootstrap_replicas_match_single_fits(lattice, packet, tset):
+    """Replicas fitted together as one stack agree with fitting each
+    resampled count set on its own: no state leaks between replicas."""
+    target = hilbert.named_state("phi_plus", lattice, packet)
+    counts = simulate_counts(
+        target,
+        tset,
+        1000.0,
+        visibility=0.94,
+        master_seed=2,
+        delays=compact_delays(),
+        calibrate=False,
+    ).counts
+    boot = bootstrap_errors(counts, tset, 0.94, target, replicas=12, seed=5)
+    singles = []
+    for r in range(12):
+        n_star = experiment.point_rng(5, r).poisson(counts[:, 0]).astype(float)
+        res = mle_reconstruct(
+            np.stack([n_star, counts[:, 1]], axis=1), tset, 0.94, target=target
+        )
+        singles.append(res.fidelity_vs_target)
+    assert boot.replicas_dropped == 0
+    np.testing.assert_allclose(boot.fidelities, singles, rtol=0.0, atol=1e-6)
 
 
 def test_bootstrap_requires_replicas(tset, lattice, packet):
