@@ -403,7 +403,7 @@ def cmd_oracle_check(cfg: ExperimentConfig, triples: int) -> int:
         enc, anc = random_state(), random_state()
         delay = float(rng.uniform(-2.0, 2.0) * lattice.tau)
         vis = float(rng.uniform(0.5, 1.0))
-        fast = hom.coincidence_ratio(enc, anc, delay, vis).ratio
+        fast = hom.coincidence_ratio(enc, anc, delay, vis)
         slow = hom.fock_oracle_ratio(enc, anc, delay, vis)
         worst = max(worst, abs(fast - slow))
     print(f"oracle check: {triples} triples, max |deviation| = {worst:.3e}")

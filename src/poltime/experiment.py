@@ -1,10 +1,11 @@
 """Synthetic photon-counting runs of dip scans.
 
 A scan steps the ancilla delay across a grid and records Poisson-distributed
-coincidence counts with expectation N0 * R(delta).  Counts are drawn from a
-counter-based generator keyed by (scan seed, point index), so any subset of
-points can be evaluated in any order, or in parallel, without changing the
-outcome.
+coincidence counts with expectation N0 * R(delta).  Each point's count comes
+from the counter-based stream point_rng(scan seed, point index), so any
+subset of points can be evaluated in any order, or in parallel, without
+changing the outcome.  Sampling draws those streams through one Philox whose
+state is reset to each point's key, which reproduces point_rng draw for draw.
 
 The long-delay plateau of a trace estimates N0; dip depths are read at the
 lags 0 and +-tau.  A scan of a single-bin ancilla yields two projections
@@ -32,9 +33,43 @@ def derive_seed(master_seed: int, stream_index: int) -> int:
 
 
 def point_rng(seed: int, point_index: int) -> np.random.Generator:
-    """Counter-based generator for one scan point."""
+    """Counter-based generator for one scan point: Philox keyed by
+    (seed, point_index), counter at zero.  This defines the count stream;
+    sampling draws it through _keyed_poisson, which reproduces it draw for
+    draw."""
     key = np.array([int(seed), int(point_index)], dtype=_U64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def _keyed_poisson(seed: int, means) -> np.ndarray:
+    """Poisson draws keyed by (seed, index): equal by definition to
+
+        np.array([point_rng(seed, i).poisson(m) for i, m in enumerate(means)],
+                 dtype=float)
+
+    but one Philox is reset to the fresh state of key (seed, i) before each
+    draw, instead of building a generator per index, which costs several
+    times more (a new Philox also seeds an unused SeedSequence from OS
+    entropy).
+    """
+    key = np.array([int(seed), 0], dtype=_U64)
+    zeros = np.zeros(4, dtype=_U64)
+    fresh = {
+        "bit_generator": "Philox",
+        "state": {"counter": zeros, "key": key},
+        "buffer": zeros,
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    bit_gen = np.random.Philox(key=key)
+    rng = np.random.Generator(bit_gen)
+    draws = []
+    for i, m in enumerate(means):
+        key[1] = i
+        bit_gen.state = fresh
+        draws.append(rng.poisson(m))
+    return np.array(draws, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -141,8 +176,10 @@ def sample_scan(
 ) -> ScanTrace:
     """Run one scan of the encoded state against the ancilla.
 
-    Counts are Poisson samples around N0 * R(delta), or the exact expectation
-    in noiseless mode.  Identical inputs always give identical traces.
+    The model ratios come from one hom.scan_trace call over the whole grid.
+    Counts are Poisson samples around N0 * R(delta), point i drawn from
+    point_rng(config.seed, i), or the exact expectation in noiseless mode.
+    Identical inputs always give identical traces.
     """
     tau = ancilla.lattice.tau
     sigma = ancilla.packet.sigma_t
@@ -152,17 +189,12 @@ def sample_scan(
             f"delay grid must reach past +-{reach:.3e} s to expose the baseline"
         )
 
-    points = hom.scan_trace(encoded, ancilla, config.delays, config.visibility)
-    expected = config.baseline_counts * np.array([p.ratio for p in points])
+    ratios = hom.scan_trace(encoded, ancilla, config.delays, config.visibility)
+    expected = config.baseline_counts * ratios
     if noiseless:
         counts = expected.copy()
     else:
-        counts = np.array(
-            [
-                float(point_rng(config.seed, i).poisson(mu))
-                for i, mu in enumerate(expected)
-            ]
-        )
+        counts = _keyed_poisson(config.seed, expected)
     return ScanTrace(
         delays=config.delays,
         counts=counts,

@@ -489,7 +489,8 @@ def bootstrap_errors(
     """Parametric bootstrap of the reconstruction.
 
     Each replica redraws n_i* ~ Poisson(n_i) at the observed counts from
-    its own stream `experiment.point_rng(seed, r)`; all replicas are then
+    its own stream `experiment.point_rng(seed, r)`, drawn through the same
+    keyed-Poisson helper as the scan counts; all replicas are then
     fitted together by the same solver as `mle_reconstruct`.  Replicas that
     miss its optimality tolerance are dropped; more than 10 percent of them
     failing is an error.
@@ -497,9 +498,7 @@ def bootstrap_errors(
     if replicas < 2:
         raise ValueError("bootstrap needs at least 2 replicas")
     n, baseline = _unpack_counts(counts, tset, visibility)
-    n_star = np.array(
-        [experiment.point_rng(seed, r).poisson(n) for r in range(replicas)], dtype=float
-    )
+    n_star = experiment._keyed_poisson(seed, [n] * replicas)
     baselines = np.broadcast_to(baseline, n_star.shape)
     rhos, _, gaps, _ = _fit(n_star, baselines, tset, visibility)
     rhos = rhos[gaps <= _GAP_TOL]

@@ -123,7 +123,7 @@ def test_interference_model_matches_fock_oracle():
         enc = random_pure(rng, lattice, packet)
         anc = random_pure(rng, lattice, packet)
         delay = float(rng.uniform(-2, 2)) * TAU
-        fast = hom.coincidence_ratio(enc, anc, delay, 1.0).ratio
+        fast = hom.coincidence_ratio(enc, anc, delay, 1.0)
         slow = hom.fock_oracle_ratio(enc, anc, delay, 1.0)
         worst = max(worst, abs(fast - slow))
     elapsed = time.perf_counter() - t0
@@ -147,9 +147,7 @@ def test_dip_scan_structures(lattice):
     grid = experiment.default_delay_grid(TAU)
 
     def ratios(encoded, ancilla):
-        return np.array(
-            [p.ratio for p in hom.scan_trace(encoded, ancilla, grid, 1.0)]
-        )
+        return hom.scan_trace(encoded, ancilla, grid, 1.0)
 
     def at(values, delay):
         return values[int(np.argmin(np.abs(grid - delay)))]
@@ -409,12 +407,12 @@ def test_invariant_property_sweeps(lattice, packet):
         b = random_pure(rng, lattice, packet)
         delay = float(rng.uniform(-2, 2)) * TAU
         v = float(rng.uniform(0, 1))
-        r = hom.coincidence_ratio(a, b, delay, v).ratio
+        r = hom.coincidence_ratio(a, b, delay, v)
         worst_bound = max(worst_bound, max(-r, r - 1.0))
-        r_density = hom.coincidence_ratio(hilbert.to_density(a), b, delay, v).ratio
+        r_density = hom.coincidence_ratio(hilbert.to_density(a), b, delay, v)
         worst_agree = max(worst_agree, abs(r - r_density))
         worst_swap = max(
-            worst_swap, abs(r - hom.coincidence_ratio(b, a, -delay, v).ratio)
+            worst_swap, abs(r - hom.coincidence_ratio(b, a, -delay, v))
         )
     if worst_bound > 0.0:
         failures.append("ratio bounds")
@@ -434,10 +432,10 @@ def test_invariant_property_sweeps(lattice, packet):
         )
         anc = random_pure(rng, lattice, packet)
         delay = float(rng.uniform(-2, 2)) * TAU
-        r_blend = hom.coincidence_ratio(blend, anc, delay, 1.0).ratio
-        r_mix = lam * hom.coincidence_ratio(rho1, anc, delay, 1.0).ratio + (
+        r_blend = hom.coincidence_ratio(blend, anc, delay, 1.0)
+        r_mix = lam * hom.coincidence_ratio(rho1, anc, delay, 1.0) + (
             1.0 - lam
-        ) * hom.coincidence_ratio(rho2, anc, delay, 1.0).ratio
+        ) * hom.coincidence_ratio(rho2, anc, delay, 1.0)
         worst_lin = max(worst_lin, abs(r_blend - r_mix))
     if worst_lin > 1e-12:
         failures.append("linearity in the mixed state")

@@ -129,9 +129,7 @@ def test_mean_ratio_converges_to_model(lattice, packet):
     encoded = hilbert.named_state("phi_plus", lattice, packet)
     ancilla = hilbert.product_state("p", "+", lattice, packet)
     cfg = make_config(baseline_points=8)
-    model = np.array(
-        [p.ratio for p in hom.scan_trace(encoded, ancilla, cfg.delays, 1.0)]
-    )
+    model = hom.scan_trace(encoded, ancilla, cfg.delays, 1.0)
     n_seeds = 1000
     ratios = np.empty((n_seeds, cfg.delays.size))
     for seed in range(n_seeds):
@@ -258,9 +256,7 @@ def test_noiseless_projections_match_state_overlaps(lattice, packet, tset, rng):
         trace = sample_scan(rho, member.state, make_config(), noiseless=True)
         readings = extract_projections(trace, occupied_bins(member.state))
         expectation = hom.coincidence_ratio(rho, member.state, 0.0, 1.0)
-        assert readings[0].p_hat == pytest.approx(
-            expectation.overlap_probability, abs=1e-9
-        )
+        assert readings[0].p_hat == pytest.approx(1.0 - expectation, abs=1e-9)
 
 
 def test_requested_lag_must_sit_on_grid(lattice, packet):
@@ -301,6 +297,25 @@ def test_seed_derivation_is_stable_and_distinct():
     a = point_rng(3, 4).poisson(100.0, size=5)
     b = point_rng(3, 4).poisson(100.0, size=5)
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("baseline", [6.0, 1000.0])
+@pytest.mark.parametrize("visibility", [1.0, 0.94])
+def test_counts_follow_the_keyed_point_streams(lattice, packet, baseline, visibility):
+    """Means from 0 (full dip) up to the baseline, on both sides of numpy's
+    small-mean/large-mean Poisson switch."""
+    phi = hilbert.named_state("phi_plus", lattice, packet)
+    cfg = ScanConfig(
+        delays=default_delay_grid(TAU),
+        baseline_counts=baseline,
+        seed=11,
+        visibility=visibility,
+    )
+    trace = sample_scan(phi, phi, cfg)
+    reference = [
+        point_rng(cfg.seed, i).poisson(mu) for i, mu in enumerate(trace.expected)
+    ]
+    assert np.array_equal(trace.counts, np.array(reference, dtype=float))
 
 
 def test_trace_csv_roundtrip(tmp_path, lattice, packet):

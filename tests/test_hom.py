@@ -14,12 +14,11 @@ from scipy import integrate
 from poltime import hilbert, hom
 from poltime.hilbert import PhotonState, TimeBinLattice, Wavepacket, to_density
 from poltime.hom import (
-    ProjectionResult,
-    VisibilityModel,
     coincidence_ratio,
     envelope_overlap,
     fock_oracle_ratio,
     scan_trace,
+    shifted_ancilla_vector,
     state_overlap_at_delay,
 )
 
@@ -117,12 +116,12 @@ def test_overlap_requires_shared_envelope(lattice, packet):
 
 def test_full_dip_for_identical_states(lattice, packet):
     phi = hilbert.named_state("phi_plus", lattice, packet)
-    assert coincidence_ratio(phi, phi, 0.0, 1.0).ratio == pytest.approx(0.0, abs=1e-9)
+    assert coincidence_ratio(phi, phi, 0.0, 1.0) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_dip_depth_scales_with_visibility(lattice, packet):
     phi = hilbert.named_state("phi_plus", lattice, packet)
-    assert coincidence_ratio(phi, phi, 0.0, 0.94).ratio == pytest.approx(0.06, abs=1e-9)
+    assert coincidence_ratio(phi, phi, 0.0, 0.94) == pytest.approx(0.06, abs=1e-9)
 
 
 def test_classical_mixture_gives_half_dip(lattice, packet):
@@ -131,14 +130,15 @@ def test_classical_mixture_gives_half_dip(lattice, packet):
     mix = hilbert.DensityMatrix(
         0.5 * to_density(h0).matrix + 0.5 * to_density(v0).matrix, lattice, packet
     )
-    assert coincidence_ratio(mix, h0, 0.0, 1.0).ratio == pytest.approx(0.5, abs=1e-9)
+    assert coincidence_ratio(mix, h0, 0.0, 1.0) == pytest.approx(0.5, abs=1e-9)
 
 
-def test_visibility_model_validation():
+def test_visibility_model_validation(lattice, packet):
+    phi = hilbert.named_state("phi_plus", lattice, packet)
     with pytest.raises(ValueError):
-        VisibilityModel(1.2)
+        coincidence_ratio(phi, phi, 0.0, 1.2)
     with pytest.raises(ValueError):
-        ProjectionResult(delay=0.0, overlap_probability=0.4, ratio=0.7)
+        fock_oracle_ratio(phi, phi, 0.0, 1.2)
 
 
 @given(seed=st.integers(0, 2**32 - 1), delay_frac=st.floats(-2.0, 2.0), v=st.floats(0.0, 1.0))
@@ -150,9 +150,9 @@ def test_ratio_bounds_and_swap_symmetry(seed, delay_frac, v):
     a = random_pure(rng, lattice, packet)
     b = random_pure(rng, lattice, packet)
     delay = delay_frac * TAU
-    r_ab = coincidence_ratio(a, b, delay, v).ratio
+    r_ab = coincidence_ratio(a, b, delay, v)
     assert 0.0 <= r_ab <= 1.0
-    r_ba = coincidence_ratio(b, a, -delay, v).ratio
+    r_ba = coincidence_ratio(b, a, -delay, v)
     assert r_ab == pytest.approx(r_ba, abs=1e-12)
 
 
@@ -165,8 +165,8 @@ def test_pure_and_rank_one_density_agree(seed):
     a = random_pure(rng, lattice, packet)
     b = random_pure(rng, lattice, packet)
     delay = float(rng.uniform(-2, 2)) * TAU
-    pure = coincidence_ratio(a, b, delay, 1.0).ratio
-    mixed = coincidence_ratio(to_density(a), b, delay, 1.0).ratio
+    pure = coincidence_ratio(a, b, delay, 1.0)
+    mixed = coincidence_ratio(to_density(a), b, delay, 1.0)
     assert pure == pytest.approx(mixed, abs=1e-12)
 
 
@@ -183,10 +183,10 @@ def test_ratio_is_linear_in_the_mixed_state(seed, lam):
     )
     anc = random_pure(rng, lattice, packet)
     delay = float(rng.uniform(-2, 2)) * TAU
-    r_blend = coincidence_ratio(blend, anc, delay, 1.0).ratio
-    r_parts = lam * coincidence_ratio(rho1, anc, delay, 1.0).ratio + (
+    r_blend = coincidence_ratio(blend, anc, delay, 1.0)
+    r_parts = lam * coincidence_ratio(rho1, anc, delay, 1.0) + (
         1 - lam
-    ) * coincidence_ratio(rho2, anc, delay, 1.0).ratio
+    ) * coincidence_ratio(rho2, anc, delay, 1.0)
     assert r_blend == pytest.approx(r_parts, abs=1e-12)
 
 
@@ -200,8 +200,8 @@ def grid():
 
 
 def ratio_at(points, delay):
-    i = int(np.argmin([abs(p.delay - delay) for p in points]))
-    return points[i].ratio
+    i = int(np.argmin(np.abs(grid() - delay)))
+    return points[i]
 
 
 def test_scan_single_central_dip(lattice, packet):
@@ -216,7 +216,7 @@ def test_scan_flat_for_orthogonal_bells(lattice, packet):
     plus = hilbert.named_state("phi_plus", lattice, packet)
     minus = hilbert.named_state("phi_minus", lattice, packet)
     points = scan_trace(plus, minus, grid(), 1.0)
-    assert min(p.ratio for p in points) >= 1.0 - 1e-6
+    assert min(points) >= 1.0 - 1e-6
 
 
 def test_scan_side_dips_for_shifted_superpositions(lattice):
@@ -241,12 +241,54 @@ def test_scan_rejects_empty_grid(lattice, packet):
         scan_trace(phi, phi, [], 1.0)
 
 
+def pointwise_ratios(encoded, ancilla, delays, v):
+    """The one-delay overlap formulas, evaluated one delay at a time."""
+    out = []
+    for d in delays:
+        g = shifted_ancilla_vector(ancilla, float(d), encoded.bin_count)
+        if isinstance(encoded, hilbert.DensityMatrix):
+            raw = np.real(np.vdot(g, encoded.matrix @ g))
+        else:
+            raw = abs(np.vdot(encoded.amplitudes, g)) ** 2
+        out.append(1.0 - v * np.clip(raw, 0.0, 1.0))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("v", [1.0, 0.94])
+@pytest.mark.parametrize("mixed", [False, True])
+@pytest.mark.parametrize("enc_bins,anc_bins", [(2, 2), (3, 3), (2, 3), (3, 2)])
+def test_scan_trace_equals_pointwise_formula_bit_for_bit(enc_bins, anc_bins, mixed, v):
+    rng = np.random.default_rng(100 * enc_bins + 10 * anc_bins + mixed)
+    packet = Wavepacket(TAU / 10)
+    enc_lattice = TimeBinLattice(enc_bins, TAU)
+    anc_lattice = TimeBinLattice(anc_bins, TAU)
+    encoded = random_pure(rng, enc_lattice, packet)
+    if mixed:
+        other = random_pure(rng, enc_lattice, packet)
+        encoded = hilbert.DensityMatrix(
+            0.3 * to_density(encoded).matrix + 0.7 * to_density(other).matrix,
+            enc_lattice,
+            packet,
+        )
+    ancillas = [
+        random_pure(rng, anc_lattice, packet),
+        hilbert.product_state("r", "0", anc_lattice, packet),
+        hilbert.product_state("p", "t", anc_lattice, packet),
+    ]
+    delays = np.concatenate([grid(), np.sort(rng.uniform(-3, 3, 40)) * TAU])
+    for anc in ancillas:
+        expected = pointwise_ratios(encoded, anc, delays, v)
+        assert np.array_equal(scan_trace(encoded, anc, delays, v), expected)
+        assert np.array_equal(scan_trace(encoded, anc, delays[200:201], v), expected[200:201])
+        assert coincidence_ratio(encoded, anc, delays[-1], v) == expected[-1]
+
+
 def dip_full_width_at_half_depth(sigma):
     lattice = TimeBinLattice(2, TAU)
     packet = Wavepacket(sigma)
     phi = hilbert.named_state("phi_plus", lattice, packet)
     delays = np.linspace(-6 * sigma, 6 * sigma, 4001)
-    ratios = np.array([coincidence_ratio(phi, phi, d, 1.0).ratio for d in delays])
+    ratios = np.array([coincidence_ratio(phi, phi, d, 1.0) for d in delays])
     above = ratios >= 0.5
     # linear interpolation at the two half-depth crossings
     left = np.argmax(~above)
@@ -305,7 +347,7 @@ def test_oracle_agrees_with_closed_form(bins):
         anc = random_pure(rng, lattice, packet)
         delay = float(rng.uniform(-2, 2)) * TAU
         v = float(rng.uniform(0.5, 1.0))
-        fast = coincidence_ratio(enc, anc, delay, v).ratio
+        fast = coincidence_ratio(enc, anc, delay, v)
         slow = fock_oracle_ratio(enc, anc, delay, v)
         worst = max(worst, abs(fast - slow))
     assert worst <= 1e-9
@@ -323,7 +365,7 @@ def test_oracle_gap_stays_small_for_broad_envelopes():
         enc = random_pure(rng, lattice, packet)
         anc = random_pure(rng, lattice, packet)
         delay = float(rng.uniform(-2, 2)) * TAU
-        fast = coincidence_ratio(enc, anc, delay, 1.0).ratio
+        fast = coincidence_ratio(enc, anc, delay, 1.0)
         slow = fock_oracle_ratio(enc, anc, delay, 1.0)
         worst = max(worst, abs(fast - slow))
     assert worst <= 1e-5
