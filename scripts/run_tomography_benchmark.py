@@ -28,7 +28,7 @@ def main() -> None:
 
     lattice = hilbert.TimeBinLattice(bin_count=2, tau=args.tau)
     packet = hilbert.Wavepacket(sigma_t=args.sigma_t)
-    tset = tomography.default_tomography_set(lattice, packet, with_plans=False)
+    tset = tomography.default_tomography_set(lattice, packet)
     delays = experiment.compact_delay_grid(args.tau, args.sigma_t)
 
     for name in TARGETS:

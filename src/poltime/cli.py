@@ -155,15 +155,15 @@ def load_config(path: str | None, seed_override: int | None = None) -> Experimen
 def resolve_config(raw: dict, seed_override: int | None = None) -> ExperimentConfig:
     problems: list[str] = []
 
-    def positive(key, default):
-        val = raw.get(key, default)
+    def positive(key, default, source=raw):
+        val = source.get(key, default)
         try:
             val = float(val)
         except (TypeError, ValueError):
             problems.append(f"{key}: must be a number")
             return default
-        if val <= 0:
-            problems.append(f"{key}: must be positive")
+        if not 0 < val < np.inf:
+            problems.append(f"{key}: must be positive and finite")
             return default
         return val
 
@@ -199,10 +199,8 @@ def resolve_config(raw: dict, seed_override: int | None = None) -> ExperimentCon
     if not isinstance(grid, dict):
         problems.append("grid: must be an object with half_span_s / step_s")
         grid = {}
-    half_span = float(grid.get("half_span_s", DEFAULT_HALF_SPAN_S))
-    step = float(grid.get("step_s", DEFAULT_STEP_S))
-    if half_span <= 0 or step <= 0:
-        problems.append("grid: half_span_s and step_s must be positive")
+    half_span = positive("half_span_s", DEFAULT_HALF_SPAN_S, grid)
+    step = positive("step_s", DEFAULT_STEP_S, grid)
 
     seed = raw.get("seed", 0)
     if seed_override is not None:
@@ -336,7 +334,7 @@ def cmd_scan(cfg: ExperimentConfig, out_dir: Path, timestamp: bool, noiseless: b
 
 
 def cmd_tomography(cfg: ExperimentConfig, out_dir: Path, timestamp: bool, noiseless: bool) -> int:
-    tset = tomography.default_tomography_set(cfg.lattice, cfg.packet, with_plans=False)
+    tset = tomography.default_tomography_set(cfg.lattice, cfg.packet)
     bundle = tomography.simulate_counts(
         cfg.encoded,
         tset,
@@ -381,8 +379,8 @@ def cmd_tomography(cfg: ExperimentConfig, out_dir: Path, timestamp: bool, noisel
     _write_matrix_csv(out_dir / "rho_imag.csv", rho.imag)
 
     rows = ["label,p_hat,dip_counts,baseline_counts"]
-    for member, (n_i, big_n), p in zip(tset.members, bundle.counts, bundle.p_hat):
-        rows.append(f"{member.label},{p:.17g},{n_i:.17g},{big_n:.17g}")
+    for label, (n_i, big_n), p in zip(tset.labels(), bundle.counts, bundle.p_hat):
+        rows.append(f"{label},{p:.17g},{n_i:.17g},{big_n:.17g}")
     (out_dir / "projections.csv").write_text("\n".join(rows) + "\n")
     return EXIT_OK
 

@@ -227,7 +227,11 @@ def ratio_estimates(trace: ScanTrace) -> np.ndarray:
     return trace.counts / estimate_baseline(trace)
 
 
-def _index_at(trace: ScanTrace, target: float) -> int:
+def index_at_lag(trace: ScanTrace, lag: int) -> int:
+    """Grid index of the point sitting on lag * tau, where the dip of that
+    lag is read.  Raises ValueError if no grid point lies within
+    GRID_MATCH_RTOL * tau of it."""
+    target = lag * trace.tau
     i = int(np.argmin(np.abs(trace.delays - target)))
     if abs(trace.delays[i] - target) > GRID_MATCH_RTOL * trace.tau:
         raise ValueError(f"delay grid does not contain the lag {target:.3e} s")
@@ -237,7 +241,7 @@ def _index_at(trace: ScanTrace, target: float) -> int:
 def ratio_at_lag(trace: ScanTrace, lag: int) -> float:
     """R_hat at the grid point sitting on lag*tau."""
     n0 = estimate_baseline(trace)
-    return float(trace.counts[_index_at(trace, lag * trace.tau)] / n0)
+    return float(trace.counts[index_at_lag(trace, lag)] / n0)
 
 
 def extract_projections(
@@ -260,7 +264,7 @@ def extract_projections(
     n0 = estimate_baseline(trace)
     out = []
     for lag in lags:
-        i = _index_at(trace, lag * trace.tau)
+        i = index_at_lag(trace, lag)
         p_hat = 1.0 - trace.counts[i] / n0
         out.append(
             ProjectionReading(
@@ -273,7 +277,7 @@ def extract_projections(
 def estimate_visibility(trace: ScanTrace) -> float:
     """1 - R_hat(0); calibrates v from a scan of two identical states."""
     n0 = estimate_baseline(trace)
-    i = _index_at(trace, 0.0)
+    i = index_at_lag(trace, 0)
     return float(np.clip(1.0 - trace.counts[i] / n0, 0.0, 1.0))
 
 

@@ -22,7 +22,6 @@ import json
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import optimize
 
 from . import hilbert
 from .hilbert import (
@@ -426,6 +425,8 @@ def _numeric_candidates(
 ) -> list[_Candidate]:
     """Best-effort search over plate angles for targets outside the closed-form
     classes.  Deterministic for a given seed."""
+    # Imported here: scipy.optimize costs about 0.4 s, and only this fallback uses it.
+    from scipy import optimize
 
     layouts = []
     if template.pre_plates and template.post_plates and template.crystal:

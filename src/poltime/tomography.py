@@ -2,8 +2,10 @@
 
 Each member of a tomography set is a rank-1 projector |psi_i><psi_i| whose
 dip depth estimates p_i = <psi_i| rho |psi_i>.  A scan prepares one member
-as the ancilla and reads it at zero delay; a scan whose ancilla occupies a
-single bin also reads the bin-shifted projector at delay +-tau.
+as the ancilla.  The set's readings table says which dip reads which
+projector: one (scan, lag, member) triple per dip, so every scan reads its
+own ancilla at lag 0, and a scan whose ancilla occupies a single bin can
+also read the bin-shifted projector at lag +-1 (delay +-tau).
 
 The default set is the complete set of mutually unbiased two-qubit bases
 (Wootters and Fields, Ann. Phys. 191, 363, 1989; Adamson and Steinberg,
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import experiment, hilbert, hom, optics
+from . import experiment, hilbert
 from .hilbert import DensityMatrix, PhotonState, TimeBinLattice, Wavepacket
 
 POLARIZATION_SET = ("h", "v", "p", "r")
@@ -51,75 +53,27 @@ class ReconstructionError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class TomographyMember:
-    """One projector of the set and where its dip depth is read.
+class TomographySet:
+    """Projectors, scans and the readings table that links them.
 
-    `readings` lists every (scan index, lag) pair that measures this
-    projector; a zero-lag reading, if there is one, comes first.
+    `members` are the (label, state) pairs in fit order.  Scan j prepares
+    member `scans[j]` as its ancilla.  `readings` has one (scan, lag,
+    member) triple per dip read, in scan order: the count of that scan at
+    delay lag * tau, with the scan's baseline, estimates that member's
+    projector.  A member read by several scans pools their counts.
     """
 
-    label: str
-    state: PhotonState
-    plan: optics.PreparationPlan | None
-    readings: tuple[tuple[int, int], ...]
-
-
-@dataclass(frozen=True)
-class ScanEntry:
-    """One physical scan: which ancilla to prepare, which members it feeds."""
-
-    ancilla_label: str
-    ancilla: PhotonState
-    readings: tuple[tuple[int, int], ...]  # (member index, lag)
-
-
-@dataclass(frozen=True)
-class TomographySet:
-    members: tuple[TomographyMember, ...]
-    scans: tuple[ScanEntry, ...]
+    members: tuple[tuple[str, PhotonState], ...]
+    scans: tuple[int, ...]
+    readings: tuple[tuple[int, int, int], ...]
     lattice: TimeBinLattice
     packet: Wavepacket
 
     def states(self) -> list[PhotonState]:
-        return [m.state for m in self.members]
+        return [state for _, state in self.members]
 
     def labels(self) -> list[str]:
-        return [m.label for m in self.members]
-
-
-def _build_set(
-    states: list[tuple[str, PhotonState]],
-    schedule: list[tuple[int, tuple[tuple[int, int], ...]]],
-    lattice: TimeBinLattice,
-    packet: Wavepacket,
-    with_plans: bool,
-) -> TomographySet:
-    """Assemble a set from labelled member states and a scan schedule.
-
-    `schedule` lists one (ancilla member index, readings) pair per scan,
-    where readings are (member index, lag) pairs.
-    """
-    member_reads: list[list[tuple[int, int]]] = [[] for _ in states]
-    for j, (_, reads) in enumerate(schedule):
-        for member_index, lag in reads:
-            member_reads[member_index].append((j, lag))
-    for reads in member_reads:  # zero-lag reading first
-        reads.sort(key=lambda sl: sl[1] != 0)
-
-    members = tuple(
-        TomographyMember(
-            label,
-            state,
-            optics.compile_preparation(state) if with_plans else None,
-            tuple(reads),
-        )
-        for (label, state), reads in zip(states, member_reads)
-    )
-    scans = tuple(
-        ScanEntry(members[i].label, members[i].state, tuple(reads))
-        for i, reads in schedule
-    )
-    return TomographySet(members, scans, lattice, packet)
+        return [label for label, _ in self.members]
 
 
 def product_tomography_set(
@@ -127,28 +81,28 @@ def product_tomography_set(
     packet: Wavepacket,
     with_plans: bool = True,
 ) -> TomographySet:
-    """The paper's 16-state product set with its scan schedule.
+    """The paper's 16-state product set with its readings table.
 
     Members are {h, v, p, r} x {0, t, +, x}.  Member i doubles as the
-    ancilla of scan i.  Single-bin scans carry a second reading: the bin-0
-    scan reads its tau partner at lag +1 and the tau scan reads the bin-0
-    partner at lag -1 (the shift must land on the logical lattice), so
-    those projectors are sampled twice.
+    ancilla of scan i and is read there at lag 0.  Single-bin scans read a
+    second projector: the bin-0 scan reads its tau partner at lag +1 and
+    the tau scan reads the bin-0 partner at lag -1 (the shift must land on
+    the logical lattice), so those projectors are sampled twice.
+    `with_plans` is accepted for compatibility and has no effect; compile
+    preparations with `optics.compile_preparation(state)`.
     """
-    states = []
-    schedule = []
+    members, readings = [], []
     for pol in POLARIZATION_SET:
         for b in BIN_SET:
-            i = len(states)
-            states.append((pol + b, hilbert.product_state(pol, b, lattice, packet)))
+            i = len(members)
+            members.append((pol + b, hilbert.product_state(pol, b, lattice, packet)))
+            readings.append((i, 0, i))
             if b == "0":
-                reads = ((i, 0), (i + 1, 1))
+                readings.append((i, 1, i + 1))
             elif b == "t":
-                reads = ((i, 0), (i - 1, -1))
-            else:
-                reads = ((i, 0),)
-            schedule.append((i, reads))
-    return _build_set(states, schedule, lattice, packet, with_plans)
+                readings.append((i, -1, i - 1))
+    scans = tuple(range(len(members)))
+    return TomographySet(tuple(members), scans, tuple(readings), lattice, packet)
 
 
 def default_tomography_set(
@@ -166,16 +120,17 @@ def default_tomography_set(
     (a0 + s i bt) / sqrt(2) with {a, b} = {p, m} or {r, l} and s = +-1,
     labelled like "p0+imt".  Every member is exactly encodable.
 
-    The schedule has 18 scans.  The h0 scan reads h0 at lag 0 and ht at lag
-    +1; the v0 scan reads v0 and vt the same way.  Every other member has its
-    own scan, read at lag 0.  The projectors form a tight frame: every
-    traceless direction of the operator space is weighted alike.
+    The readings table has 18 scans.  Scan 0 prepares h0 and reads h0 at lag
+    0 and ht at lag +1; scan 1 reads v0 and vt the same way.  Every other
+    member has its own scan, read at lag 0.  The projectors form a tight
+    frame: every traceless direction of the operator space is weighted
+    alike.  `with_plans` is accepted for compatibility and has no effect.
     """
-    states = []
+    members = []
     for pols, bins in (("hv", "0t"), ("pm", "+-"), ("rl", "xd")):
         for pol in pols:
             for b in bins:
-                states.append((pol + b, hilbert.product_state(pol, b, lattice, packet)))
+                members.append((pol + b, hilbert.product_state(pol, b, lattice, packet)))
     for pair in ("pm", "rl"):
         for a, b in (pair, pair[::-1]):
             for sign in (1, -1):
@@ -183,10 +138,11 @@ def default_tomography_set(
                 c1 = sign * 1j * hilbert.POLARIZATION_VECTORS[b]
                 vec = np.stack([c0, c1], axis=1).reshape(-1) / np.sqrt(2.0)
                 label = f"{a}0{'+' if sign > 0 else '-'}i{b}t"
-                states.append((label, hilbert.from_logical(vec, lattice, packet)))
-    schedule = [(0, ((0, 0), (1, 1))), (2, ((2, 0), (3, 1)))]
-    schedule += [(i, ((i, 0),)) for i in range(4, len(states))]
-    return _build_set(states, schedule, lattice, packet, with_plans)
+                members.append((label, hilbert.from_logical(vec, lattice, packet)))
+    scans = (0, 2, *range(4, len(members)))
+    readings = ((0, 0, 0), (0, 1, 1), (1, 0, 2), (1, 1, 3))
+    readings += tuple((j, 0, scans[j]) for j in range(2, len(scans)))
+    return TomographySet(tuple(members), scans, readings, lattice, packet)
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +174,7 @@ _HERM_BASIS = _hermitian_basis()
 
 def projector_stack(tset: TomographySet) -> np.ndarray:
     """Rank-1 projectors of all members on the logical subspace, (members, 4, 4)."""
-    vecs = [hilbert.logical_vector(m.state) for m in tset.members]
+    vecs = [hilbert.logical_vector(state) for state in tset.states()]
     return np.array([np.outer(v, v.conj()) for v in vecs])
 
 
@@ -543,11 +499,14 @@ def simulate_counts(
     noiseless: bool = False,
     calibrate: bool = True,
 ) -> CountsBundle:
-    """Run the scan schedule against an encoded state and collect counts.
+    """Run every scan of the set against an encoded state and pool its readings.
 
+    Scan j uses stream j + 1 and its baseline is estimated once from its
+    plateau.  Each (scan, lag, member) reading of the set adds the scan's
+    count at lag * tau and that baseline to the member's (n_i, N_i) pair.
     The interference visibility is calibrated from a scan of the encoded
-    state against itself (stream 0); scheduled scans use streams 1..len.
-    Mixed encoded states skip calibration and trust the configured value.
+    state against itself (stream 0); mixed encoded states skip calibration
+    and trust the configured value.
     """
     if delays is None:
         delays = experiment.default_delay_grid(tset.lattice.tau)
@@ -564,28 +523,22 @@ def simulate_counts(
     else:
         v_hat = visibility
 
-    n_members = len(tset.members)
-    counts = np.zeros((n_members, 2))
     traces = []
-    for j, entry in enumerate(tset.scans):
+    for j, ancilla in enumerate(tset.scans):
         cfg = experiment.ScanConfig(
             delays=delays,
             baseline_counts=baseline_counts,
             seed=experiment.derive_seed(master_seed, j + 1),
             visibility=visibility,
         )
-        trace = experiment.sample_scan(encoded, entry.ancilla, cfg, noiseless)
-        traces.append(trace)
-        n0 = experiment.estimate_baseline(trace)
-        readings = experiment.extract_projections(
-            trace, experiment.occupied_bins(entry.ancilla)
-        )
-        by_lag = {r.lag: r for r in readings}
-        for member_index, lag in entry.readings:
-            reading = by_lag[lag]
-            i = int(np.argmin(np.abs(trace.delays - reading.delay)))
-            # Pooled Poisson streams stay Poisson: sum dips, sum baselines.
-            counts[member_index] += (trace.counts[i], n0)
+        _, state = tset.members[ancilla]
+        traces.append(experiment.sample_scan(encoded, state, cfg, noiseless))
+    baselines = [experiment.estimate_baseline(trace) for trace in traces]
+    counts = np.zeros((len(tset.members), 2))
+    for j, lag, member in tset.readings:
+        dip = traces[j].counts[experiment.index_at_lag(traces[j], lag)]
+        # Pooled Poisson streams stay Poisson: sum dips, sum baselines.
+        counts[member] += (dip, baselines[j])
     p_hat = np.clip(1.0 - counts[:, 0] / counts[:, 1], 0.0, 1.0)
     return CountsBundle(
         counts=counts, p_hat=p_hat, visibility_hat=v_hat, traces=tuple(traces)

@@ -21,14 +21,14 @@ def packet():
 
 @pytest.fixture(scope="session")
 def tset(lattice, packet):
-    """Default tomography set without preparation plans (fast to build)."""
-    return tomography.default_tomography_set(lattice, packet, with_plans=False)
+    """Default tomography set: 20 mutually unbiased projectors, 18 scans."""
+    return tomography.default_tomography_set(lattice, packet)
 
 
 @pytest.fixture(scope="session")
 def product_tset(lattice, packet):
-    """The paper's 16-member product set, without preparation plans."""
-    return tomography.product_tomography_set(lattice, packet, with_plans=False)
+    """The paper's 16-member product set."""
+    return tomography.product_tomography_set(lattice, packet)
 
 
 @pytest.fixture()

@@ -97,11 +97,26 @@ def test_defaults_resolve_without_a_config_file():
 def test_config_problems_are_collected():
     with pytest.raises(ConfigError) as err:
         resolve_config(
-            {"tau_s": -1.0, "visibility": 2.0, "replicas": 1, "bins": 1}
+            {
+                "tau_s": -1.0,
+                "visibility": 2.0,
+                "replicas": 1,
+                "bins": 1,
+                "grid": {"half_span_s": None, "step_s": "abc"},
+            }
         )
     text = str(err.value)
-    for needle in ("tau_s", "visibility", "replicas", "bins"):
+    for needle in ("tau_s", "visibility", "replicas", "bins", "half_span_s", "step_s"):
         assert needle in text
+
+
+@pytest.mark.parametrize(
+    "grid", [{"step_s": "abc"}, {"half_span_s": None}, {"half_span_s": "inf"}]
+)
+def test_bad_grid_numbers_are_config_errors(tmp_path, capsys, grid):
+    path = write_config(tmp_path, grid=grid)
+    assert cli.main(["scan", "--config", path, "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
 
 
 def test_sigma_and_bandwidth_are_mutually_exclusive():
@@ -120,6 +135,18 @@ def test_unknown_state_name_is_a_config_error(tmp_path, capsys):
     path = write_config(tmp_path, encoded_target="bogus")
     assert cli.main(["prepare", "--config", path]) == EXIT_CONFIG
     assert "unknown state name" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    """Only the preparation compiler's numeric fallback needs scipy.optimize,
+    so importing the command line must not load it."""
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, poltime.cli; print('scipy.optimize' in sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_malformed_json_is_a_config_error(tmp_path, capsys):

@@ -252,10 +252,10 @@ def test_noiseless_projections_match_state_overlaps(lattice, packet, tset, rng):
     rho = hilbert.DensityMatrix(
         tomography.rho_to_full(rho_logical, tset), lattice, packet
     )
-    for member in tset.members:
-        trace = sample_scan(rho, member.state, make_config(), noiseless=True)
-        readings = extract_projections(trace, occupied_bins(member.state))
-        expectation = hom.coincidence_ratio(rho, member.state, 0.0, 1.0)
+    for state in tset.states():
+        trace = sample_scan(rho, state, make_config(), noiseless=True)
+        readings = extract_projections(trace, occupied_bins(state))
+        expectation = hom.coincidence_ratio(rho, state, 0.0, 1.0)
         assert readings[0].p_hat == pytest.approx(1.0 - expectation, abs=1e-9)
 
 

@@ -1,0 +1,32 @@
+"""Smoke runs of the command-line scripts under `scripts/` at tiny sizes."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_script(name, *args):
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=300,
+    )
+
+
+def test_tomography_benchmark_script_runs():
+    proc = run_script("run_tomography_benchmark.py", "--seeds", "2", "--replicas", "2")
+    assert proc.returncode == 0, proc.stderr
+    assert "median F" in proc.stdout
+
+
+def test_dip_scan_script_writes_its_traces(tmp_path):
+    proc = run_script("run_dip_scans.py", "--out", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "dip_depths.json").is_file()
+    assert len(list(tmp_path.glob("*.csv"))) == 4

@@ -6,7 +6,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from poltime import experiment, hilbert, tomography
+from poltime import experiment, hilbert, optics, tomography
 from poltime.hilbert import DensityMatrix, TimeBinLattice, Wavepacket
 from poltime.tomography import (
     CountsBundle,
@@ -79,16 +79,30 @@ def test_design_matrix_is_well_conditioned(product_tset):
     assert sv.max() == pytest.approx(DESIGN_SMAX, abs=1e-12)
 
 
+def member_readings(tset, member):
+    """(scan, lag) pairs of the readings table that read one member, the
+    zero-lag reading first."""
+    reads = [(j, lag) for j, lag, m in tset.readings if m == member]
+    return sorted(reads, key=lambda read: read[1] != 0)
+
+
+def scan_readings(tset, scan):
+    """(member, lag) pairs of the readings table taken from one scan."""
+    return [(m, lag) for j, lag, m in tset.readings if j == scan]
+
+
 def test_scan_schedule_shares_single_bin_scans(product_tset):
-    for i, member in enumerate(product_tset.members):
-        assert member.readings[0] == (i, 0)  # own scan at zero delay first
-        bin_code = member.label[1:]
+    labels = product_tset.labels()
+    for i, label in enumerate(labels):
+        reads = member_readings(product_tset, i)
+        assert reads[0] == (i, 0)  # own scan at zero delay first
+        bin_code = label[1:]
         expected_reads = 2 if bin_code in ("0", "t") else 1
-        assert len(member.readings) == expected_reads
-    for i, scan in enumerate(product_tset.scans):
-        assert scan.ancilla_label == product_tset.members[i].label
-        lags = [lag for _, lag in scan.readings]
-        bin_code = scan.ancilla_label[1:]
+        assert len(reads) == expected_reads
+    for i, ancilla in enumerate(product_tset.scans):
+        assert labels[ancilla] == labels[i]
+        lags = [lag for _, lag in scan_readings(product_tset, i)]
+        bin_code = labels[ancilla][1:]
         if bin_code == "0":
             assert lags == [0, 1]
         elif bin_code == "t":
@@ -118,26 +132,26 @@ def test_default_design_matrix_is_a_tight_frame(tset):
 
 def test_default_schedule_reads_computational_basis_in_two_scans(tset):
     assert len(tset.scans) == 18
-    h0, v0 = tset.scans[0], tset.scans[1]
-    assert (h0.ancilla_label, h0.readings) == ("h0", ((0, 0), (1, 1)))
-    assert (v0.ancilla_label, v0.readings) == ("v0", ((2, 0), (3, 1)))
-    for j, scan in enumerate(tset.scans[2:], start=2):
-        assert scan.ancilla_label == tset.members[j + 2].label
-        assert scan.readings == ((j + 2, 0),)
-    assert [m.readings for m in tset.members[:4]] == [
-        ((0, 0),),
-        ((0, 1),),
-        ((1, 0),),
-        ((1, 1),),
+    labels = tset.labels()
+    assert (labels[tset.scans[0]], scan_readings(tset, 0)) == ("h0", [(0, 0), (1, 1)])
+    assert (labels[tset.scans[1]], scan_readings(tset, 1)) == ("v0", [(2, 0), (3, 1)])
+    for j in range(2, len(tset.scans)):
+        assert labels[tset.scans[j]] == labels[j + 2]
+        assert scan_readings(tset, j) == [(j + 2, 0)]
+    assert [member_readings(tset, i) for i in range(4)] == [
+        [(0, 0)],
+        [(0, 1)],
+        [(1, 0)],
+        [(1, 1)],
     ]
 
 
-def test_every_member_has_an_exact_preparation_plan(lattice, packet):
-    planned = default_tomography_set(lattice, packet, with_plans=True)
-    for member in planned.members:
-        assert member.plan is not None
-        assert member.plan.exactly_encodable
-        assert member.plan.predicted_fidelity >= 1.0 - 1e-9
+def test_every_member_has_an_exact_preparation_plan(tset):
+    for state in tset.states():
+        plan = optics.compile_preparation(state)
+        assert plan is not None
+        assert plan.exactly_encodable
+        assert plan.predicted_fidelity >= 1.0 - 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -425,8 +439,8 @@ def test_simulated_counts_pool_shared_scans(lattice, packet, product_tset):
     )
     assert isinstance(bundle, CountsBundle)
     assert bundle.counts.shape == (16, 2)
-    for member, (_, big_n) in zip(product_tset.members, bundle.counts):
-        expected_scans = 2 if member.label[1:] in ("0", "t") else 1
+    for label, (_, big_n) in zip(product_tset.labels(), bundle.counts):
+        expected_scans = 2 if label[1:] in ("0", "t") else 1
         assert big_n == pytest.approx(expected_scans * 1000.0, rel=1e-9)
 
 
@@ -440,12 +454,37 @@ def test_simulated_counts_read_each_default_member_once(lattice, packet, tset):
     assert len(bundle.traces) == 18
 
 
+@pytest.mark.parametrize("set_fixture", ["tset", "product_tset"])
+def test_simulated_counts_follow_the_readings_table(set_fixture, request, lattice, packet):
+    """Pooled counts are the readings table applied to the scan traces, and
+    the table reads the lags the standalone readout rule would."""
+    tset = request.getfixturevalue(set_fixture)
+    enc = hilbert.named_state("phi_plus", lattice, packet)
+    bundle = simulate_counts(
+        enc, tset, 1000.0, visibility=0.94, master_seed=4, delays=compact_delays()
+    )
+    traces = bundle.traces
+    assert len(traces) == len(tset.scans)
+    expected = np.zeros((len(tset.members), 2))
+    for j, lag, member in tset.readings:
+        dip = traces[j].counts[experiment.index_at_lag(traces[j], lag)]
+        expected[member] += (dip, experiment.estimate_baseline(traces[j]))
+    np.testing.assert_array_equal(bundle.counts, expected)
+    states = tset.states()
+    for j, ancilla in enumerate(tset.scans):
+        lags = [lag for _, lag in scan_readings(tset, j)]
+        rule = experiment.extract_projections(
+            traces[j], experiment.occupied_bins(states[ancilla])
+        )
+        assert lags == [r.lag for r in rule]
+
+
 @pytest.mark.parametrize("visibility", [1.0, 0.94])
 def test_noiseless_dip_depths_match_projector_expectations(visibility, lattice):
     # Narrow envelope: at sigma = tau/10 adjacent-bin tails shift the dip
     # depths by a few 1e-6, which would swamp the 1e-9 identity below.
     packet = Wavepacket(TAU / 16)
-    tset = default_tomography_set(lattice, packet, with_plans=False)
+    tset = default_tomography_set(lattice, packet)
     enc = hilbert.named_state("rl_bell", lattice, packet)
     vec = hilbert.logical_vector(enc)
     expect = np.real(
