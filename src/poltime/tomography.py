@@ -76,19 +76,14 @@ class TomographySet:
         return [label for label, _ in self.members]
 
 
-def product_tomography_set(
-    lattice: TimeBinLattice,
-    packet: Wavepacket,
-    with_plans: bool = True,
-) -> TomographySet:
+def product_tomography_set(lattice: TimeBinLattice, packet: Wavepacket) -> TomographySet:
     """The paper's 16-state product set with its readings table.
 
     Members are {h, v, p, r} x {0, t, +, x}.  Member i doubles as the
     ancilla of scan i and is read there at lag 0.  Single-bin scans read a
     second projector: the bin-0 scan reads its tau partner at lag +1 and
     the tau scan reads the bin-0 partner at lag -1 (the shift must land on
-    the logical lattice), so those projectors are sampled twice.
-    `with_plans` is accepted for compatibility and has no effect; compile
+    the logical lattice), so those projectors are sampled twice.  Compile
     preparations with `optics.compile_preparation(state)`.
     """
     members, readings = [], []
