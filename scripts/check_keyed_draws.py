@@ -1,0 +1,71 @@
+#!/usr/bin/env python3
+"""Check the array Poisson draws against their definition, draw for draw.
+
+Every scan count is defined as `experiment.point_rng(seed, i).poisson(mean)`;
+`experiment._keyed_poisson` computes the same counts in array code.  This
+script draws N counts both ways and exits 1 on any mismatch.  The means cover
+every regime of numpy's sampler: 0, the multiplication method below 10, both
+sides of the switch at 10, transformed rejection from 60 to 1e4 (drawn
+log-uniformly) and 1e7.  The rows' seeds include 0 and 2**64 - 1.
+
+numpy does not promise that Generator streams stay the same across its
+versions, so rerun this after upgrading numpy:
+
+    PYTHONPATH=src python scripts/check_keyed_draws.py --draws 1000000
+"""
+
+import argparse
+import sys
+import time
+
+import numpy as np
+
+from poltime import experiment
+
+ROWS = 20
+FIXED_MEANS = (0.0, 1e-3, 5.0, np.nextafter(10.0, 0.0), 10.0, np.nextafter(10.0, 20.0), 1e7)
+
+
+def row_means(rng: np.random.Generator, points: int) -> np.ndarray:
+    """Means of one row: every fourth point takes the fixed means in turn,
+    the others are log-uniform in [60, 1e4]."""
+    means = np.exp(rng.uniform(np.log(60.0), np.log(1e4), size=points))
+    means[::4] = np.resize(np.array(FIXED_MEANS), means[::4].size)
+    return means
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--draws", type=int, default=10**6)
+    args = ap.parse_args()
+    if args.draws < ROWS:
+        ap.error(f"--draws must be at least {ROWS}")
+
+    rng = np.random.default_rng(20260)
+    seeds = [0, 2**64 - 1, *(experiment.derive_seed(1, r) for r in range(ROWS - 2))]
+    points = args.draws // ROWS
+    mismatches = 0
+    t0 = time.perf_counter()
+    # One row per call keeps the arrays at O(points).
+    for seed in seeds:
+        means = row_means(rng, points)
+        got = experiment._keyed_poisson([seed], means[None])[0]
+        for i, mean in enumerate(means):
+            want = experiment.point_rng(seed, i).poisson(mean)
+            if got[i] != want:
+                mismatches += 1
+                if mismatches <= 10:
+                    print(
+                        f"mismatch: seed {seed} point {i} mean {float(mean)!r}: "
+                        f"{got[i]} != {want}"
+                    )
+    dt = time.perf_counter() - t0
+    print(
+        f"{ROWS * points} draws checked, {mismatches} mismatches, "
+        f"numpy {np.__version__} ({dt:.1f} s)"
+    )
+    return 1 if mismatches else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

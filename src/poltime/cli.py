@@ -34,6 +34,10 @@ DEFAULT_BASELINE_COUNTS = 1000.0
 DEFAULT_HALF_SPAN_S = 8e-12
 DEFAULT_STEP_S = 5e-14
 DEFAULT_REPLICAS = 100
+# Size caps: every scan of a run is drawn and held as one (scans, points)
+# block, and the bootstrap as one (replicas, members) stack.
+MAX_GRID_POINTS = 100_001
+MAX_REPLICAS = 10_000
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -201,6 +205,8 @@ def resolve_config(raw: dict, seed_override: int | None = None) -> ExperimentCon
         grid = {}
     half_span = positive("half_span_s", DEFAULT_HALF_SPAN_S, grid)
     step = positive("step_s", DEFAULT_STEP_S, grid)
+    if not 2 * np.round(half_span / step) + 1 <= MAX_GRID_POINTS:
+        problems.append(f"grid: more than {MAX_GRID_POINTS} delay points")
 
     seed = raw.get("seed", 0)
     if seed_override is not None:
@@ -209,8 +215,8 @@ def resolve_config(raw: dict, seed_override: int | None = None) -> ExperimentCon
         problems.append("seed: must be a nonnegative integer")
         seed = 0
     replicas = raw.get("replicas", DEFAULT_REPLICAS)
-    if not isinstance(replicas, int) or replicas < 2:
-        problems.append("replicas: must be an integer >= 2")
+    if not isinstance(replicas, int) or not 2 <= replicas <= MAX_REPLICAS:
+        problems.append(f"replicas: must be an integer from 2 to {MAX_REPLICAS}")
         replicas = DEFAULT_REPLICAS
 
     if problems:
@@ -344,12 +350,6 @@ def cmd_tomography(cfg: ExperimentConfig, out_dir: Path, timestamp: bool, noisel
         delays=cfg.delays(),
         noiseless=noiseless,
     )
-    result = tomography.mle_reconstruct(
-        bundle.counts,
-        tset,
-        visibility=bundle.visibility_hat,
-        target=cfg.encoded,
-    )
     boot = tomography.bootstrap_errors(
         bundle.counts,
         tset,
@@ -358,6 +358,7 @@ def cmd_tomography(cfg: ExperimentConfig, out_dir: Path, timestamp: bool, noisel
         replicas=cfg.replicas,
         seed=cfg.seed,
     )
+    result = boot.estimate
     rho = tomography.logical_rho(result)
 
     payload = {

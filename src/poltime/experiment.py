@@ -4,8 +4,11 @@ A scan steps the ancilla delay across a grid and records Poisson-distributed
 coincidence counts with expectation N0 * R(delta).  Each point's count comes
 from the counter-based stream point_rng(scan seed, point index), so any
 subset of points can be evaluated in any order, or in parallel, without
-changing the outcome.  Sampling draws those streams through one Philox whose
-state is reset to each point's key, which reproduces point_rng draw for draw.
+changing the outcome.  Sampling draws every count of one or many scans in a
+single array pass over those keys (_keyed_poisson): the first Philox block of
+every key and the log-free first test of numpy's Poisson sampler run in exact
+array code, and the rest go to numpy's own sampler.  Either way each count is
+the one point_rng gives, bit for bit.
 
 The long-delay plateau of a trace estimates N0; dip depths are read at the
 lags 0 and +-tau.  A scan of a single-bin ancilla yields two projections
@@ -24,6 +27,13 @@ from .hilbert import DensityMatrix, PhotonState
 BASELINE_EXCLUSION_SIGMAS = 12.0
 GRID_MATCH_RTOL = 1e-6
 _U64 = np.uint64
+_LO32 = 0xFFFFFFFF
+# Philox4x64-10 multipliers and Weyl key increments (Random123).
+_PHILOX_M0, _PHILOX_M1 = 0xD2E7470EE14C6C93, 0xCA5A826395121157
+_PHILOX_W0, _PHILOX_W1 = 0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B
+_PHILOX_ROUNDS = 10
+_TO_UNIT = 1.0 / 9007199254740992.0  # numpy's next_double: (x >> 11) * 2**-53
+_PTRS_MAX = 2.0**53  # larger means go to numpy's sampler, which bounds them
 
 
 def derive_seed(master_seed: int, stream_index: int) -> int:
@@ -41,23 +51,20 @@ def point_rng(seed: int, point_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _keyed_poisson(seed: int, means) -> np.ndarray:
-    """Poisson draws keyed by (seed, index): equal by definition to
-
-        np.array([point_rng(seed, i).poisson(m) for i, m in enumerate(means)],
-                 dtype=float)
-
-    but one Philox is reset to the fresh state of key (seed, i) before each
-    draw, instead of building a generator per index, which costs several
-    times more (a new Philox also seeds an unused SeedSequence from OS
-    entropy).
+def _reset_draws(keys, means) -> list:
+    """rng.poisson(m) for each ((seed, index), m) pair, drawn by one Philox
+    whose state is reset to the fresh state of key (seed, index) before each
+    draw: equal to point_rng(seed, index).poisson(m), but a new generator per
+    key costs several times more (a new Philox also seeds an unused
+    SeedSequence from OS entropy).  m may be an array, drawn in sequence
+    from the one key.
     """
-    key = np.array([int(seed), 0], dtype=_U64)
-    zeros = np.zeros(4, dtype=_U64)
+    # The state setter reads Python ints faster than numpy scalars.
+    key = [0, 0]
     fresh = {
         "bit_generator": "Philox",
-        "state": {"counter": zeros, "key": key},
-        "buffer": zeros,
+        "state": {"counter": [0, 0, 0, 0], "key": key},
+        "buffer": [0, 0, 0, 0],
         "buffer_pos": 4,
         "has_uint32": 0,
         "uinteger": 0,
@@ -65,11 +72,83 @@ def _keyed_poisson(seed: int, means) -> np.ndarray:
     bit_gen = np.random.Philox(key=key)
     rng = np.random.Generator(bit_gen)
     draws = []
-    for i, m in enumerate(means):
-        key[1] = i
+    for (seed, index), m in zip(keys, means):
+        key[0], key[1] = int(seed), int(index)
         bit_gen.state = fresh
         draws.append(rng.poisson(m))
-    return np.array(draws, dtype=float)
+    return draws
+
+
+def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low 64-bit words of the 128-bit products m * x, exactly:
+    the high word is assembled from products of 32-bit halves, which fit
+    in uint64."""
+    m_lo, m_hi = _U64(m & _LO32), _U64(m >> 32)
+    x_lo, x_hi = x & _U64(_LO32), x >> _U64(32)
+    t = m_hi * x_lo + ((m_lo * x_lo) >> _U64(32))
+    w = (t & _U64(_LO32)) + m_lo * x_hi
+    return m_hi * x_hi + (t >> _U64(32)) + (w >> _U64(32)), _U64(m) * x
+
+
+def _philox_first_block(seeds: np.ndarray, indices: np.ndarray) -> list[np.ndarray]:
+    """The four words of Philox4x64-10 at counter 1 for keys (seeds[j],
+    indices[j]): the first block a fresh numpy Philox with that key emits
+    (Salmon et al., SC'11)."""
+    k0, k1 = seeds.copy(), indices.copy()
+    zeros = np.zeros(seeds.shape, dtype=_U64)
+    c = [zeros + _U64(1), zeros, zeros, zeros]
+    for r in range(_PHILOX_ROUNDS):
+        if r:
+            k0 += _U64(_PHILOX_W0)
+            k1 += _U64(_PHILOX_W1)
+        hi0, lo0 = _mulhilo(_PHILOX_M0, c[0])
+        hi1, lo1 = _mulhilo(_PHILOX_M1, c[2])
+        c = [hi1 ^ c[1] ^ k0, lo1, hi0 ^ c[3] ^ k1, lo0]
+    return c
+
+
+def _keyed_poisson(seeds, means) -> np.ndarray:
+    """Poisson draws keyed by (seed of the row, point index): for means of
+    shape (rows, points), point i of row r equals, by construction,
+
+        float(point_rng(seeds[r], i).poisson(means[r, i]))
+
+    numpy draws Poisson(lam >= 10) by transformed rejection, PTRS (Hoermann,
+    1993), whose first candidate takes the first two doubles of the stream.
+    Here those come from the first Philox block of every key, computed in
+    exact uint64 array code, and PTRS's first acceptance test runs without
+    any log or exp: for 10 <= lam it accepts about two thirds of the
+    points.  numpy's C sampler evaluates the same expression with scalar
+    SSE2 multiply, add, divide, sqrt and floor and no fused multiply-add, so
+    the element-wise IEEE operations here give the same bits.  Every other
+    point (lam < 10, a rejected first candidate, NaN, negative or huge
+    means) is drawn by numpy's own sampler from its reset key, so every
+    count is exact and bad means raise numpy's own ValueError.
+    scripts/check_keyed_draws.py compares the two over 10^6 draws; numpy
+    does not promise stable Generator streams, so rerun it after an upgrade.
+    """
+    means = np.asarray(means, dtype=float)
+    seeds = np.array([int(s) for s in seeds], dtype=_U64)
+    if means.ndim != 2 or means.shape[0] != seeds.size:
+        raise ValueError("means must be (rows, points) with one seed per row")
+    out = np.empty(means.shape)
+    rows, cols = np.nonzero((means >= 10.0) & (means <= _PTRS_MAX))
+    lam = means[rows, cols]
+    w0, w1, _, _ = _philox_first_block(seeds[rows], cols.astype(_U64))
+    u = (w0 >> _U64(11)) * _TO_UNIT - 0.5
+    v = (w1 >> _U64(11)) * _TO_UNIT
+    b = 0.931 + 2.53 * np.sqrt(lam)
+    a = -0.059 + 0.02483 * b
+    us = 0.5 - np.abs(u)
+    k = np.floor((2.0 * a / us + b) * u + lam + 0.43)
+    accept = (us >= 0.07) & (v <= 0.9277 - 3.6224 / (b - 2.0))
+    out[rows[accept], cols[accept]] = k[accept]
+    rest = np.ones(means.shape, dtype=bool)
+    rest[rows[accept], cols[accept]] = False
+    rows, cols = np.nonzero(rest)
+    keys = zip(seeds[rows].tolist(), cols.tolist())
+    out[rows, cols] = _reset_draws(keys, means[rows, cols].tolist())
+    return out
 
 
 @dataclass(frozen=True)
@@ -168,43 +247,58 @@ def compact_delay_grid(
     return np.array(grid, dtype=float)
 
 
+def sample_scans(runs, noiseless: bool = False) -> list[ScanTrace]:
+    """Run several scans on grids of one length, one (encoded, ancilla,
+    config) triple each.
+
+    Every scan's expectation N0 * R(delta) comes first, from one
+    hom.scan_trace call over its grid; then the counts of all scans are
+    drawn in one _keyed_poisson call, point i of a scan from
+    point_rng(config.seed, i), or set to the exact expectation in noiseless
+    mode.  So each trace equals the one its scan gives alone, and identical
+    inputs always give identical traces.  Raises ValueError if a grid does
+    not reach the baseline plateau on both sides.
+    """
+    runs = list(runs)
+    expected = []
+    for encoded, ancilla, cfg in runs:
+        tau, sigma = ancilla.lattice.tau, ancilla.packet.sigma_t
+        reach = 2 * tau + BASELINE_EXCLUSION_SIGMAS * sigma
+        if cfg.delays[-1] < reach or cfg.delays[0] > -reach:
+            raise ValueError(
+                f"delay grid must reach past +-{reach:.3e} s to expose the baseline"
+            )
+        ratios = hom.scan_trace(encoded, ancilla, cfg.delays, cfg.visibility)
+        expected.append(cfg.baseline_counts * ratios)
+    expected = np.array(expected)
+    if noiseless:
+        counts = expected.copy()
+    else:
+        counts = _keyed_poisson([cfg.seed for _, _, cfg in runs], expected)
+    return [
+        ScanTrace(
+            delays=cfg.delays,
+            counts=counts[j],
+            expected=expected[j],
+            config=cfg,
+            tau=ancilla.lattice.tau,
+            sigma_t=ancilla.packet.sigma_t,
+            n_bins=max(encoded.bin_count, ancilla.bin_count),
+            noiseless=noiseless,
+        )
+        for j, (encoded, ancilla, cfg) in enumerate(runs)
+    ]
+
+
 def sample_scan(
     encoded: PhotonState | DensityMatrix,
     ancilla: PhotonState,
     config: ScanConfig,
     noiseless: bool = False,
 ) -> ScanTrace:
-    """Run one scan of the encoded state against the ancilla.
-
-    The model ratios come from one hom.scan_trace call over the whole grid.
-    Counts are Poisson samples around N0 * R(delta), point i drawn from
-    point_rng(config.seed, i), or the exact expectation in noiseless mode.
-    Identical inputs always give identical traces.
-    """
-    tau = ancilla.lattice.tau
-    sigma = ancilla.packet.sigma_t
-    reach = 2 * tau + BASELINE_EXCLUSION_SIGMAS * sigma
-    if config.delays[-1] < reach or config.delays[0] > -reach:
-        raise ValueError(
-            f"delay grid must reach past +-{reach:.3e} s to expose the baseline"
-        )
-
-    ratios = hom.scan_trace(encoded, ancilla, config.delays, config.visibility)
-    expected = config.baseline_counts * ratios
-    if noiseless:
-        counts = expected.copy()
-    else:
-        counts = _keyed_poisson(config.seed, expected)
-    return ScanTrace(
-        delays=config.delays,
-        counts=counts,
-        expected=expected,
-        config=config,
-        tau=tau,
-        sigma_t=sigma,
-        n_bins=max(encoded.bin_count, ancilla.bin_count),
-        noiseless=noiseless,
-    )
+    """Run one scan of the encoded state against the ancilla: the one-row
+    case of sample_scans."""
+    return sample_scans([(encoded, ancilla, config)], noiseless)[0]
 
 
 def baseline_mask(trace: ScanTrace) -> np.ndarray:

@@ -19,13 +19,17 @@ spread on `phi_plus` is nearly twice that of the unbiased set.
 Reconstruction is by maximum likelihood: the Poisson likelihood of the raw
 counts is convex in rho, and one accelerated projected-gradient solver over
 the unit-trace PSD matrices (Shang, Zhang and Ng, PRA 95, 062336, 2017)
-fits a single count set or a whole stack of bootstrap replicas to a stated
-duality-gap tolerance.  Linear inversion is kept as the unconstrained
-baseline and as the starting point.
+fits a single count set or a whole stack of count sets to a stated
+duality-gap tolerance.  `bootstrap_errors` fits the observed counts as row 0
+of its stack of bootstrap replicas and returns that row as the point
+estimate, so a run with error bars is one solve; `mle_reconstruct` fits one
+count set alone.  Linear inversion is kept as the unconstrained baseline
+and as the starting point.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -177,7 +181,10 @@ def design_matrix(tset: TomographySet) -> np.ndarray:
     """Real matrix mapping Hermitian-basis coordinates to projector
     expectations.  Its smallest singular value measures informational
     completeness of the set."""
-    projs = projector_stack(tset)
+    return _design(projector_stack(tset))
+
+
+def _design(projs: np.ndarray) -> np.ndarray:
     return np.real(np.einsum("iab,mba->im", projs, _HERM_BASIS))
 
 
@@ -191,14 +198,15 @@ def linear_inversion(p_values, tset: TomographySet) -> tuple[np.ndarray, bool]:
     p = np.asarray(p_values, dtype=float)
     if p.shape != (len(tset.members),):
         raise ValueError(f"expected {len(tset.members)} projection values")
-    rho = _inversion(p[None], tset)[0]
+    rho = _inversion(p[None], projector_stack(tset))[0]
     negative = bool(np.linalg.eigvalsh(rho).min() < -hilbert.EIGENVALUE_TOL)
     return rho, negative
 
 
-def _inversion(p: np.ndarray, tset: TomographySet) -> np.ndarray:
-    """Least-squares Hermitian matrices for a (B, members) stack of values."""
-    a = design_matrix(tset)
+def _inversion(p: np.ndarray, projs: np.ndarray) -> np.ndarray:
+    """Least-squares Hermitian matrices for a (B, members) stack of values
+    of the projectors `projs`."""
+    a = _design(projs)
     x, _, rank, _ = np.linalg.lstsq(a, p.T, rcond=None)
     if rank < a.shape[1]:
         raise ValueError("tomography set does not span the operator space")
@@ -265,14 +273,15 @@ def _project(mats: np.ndarray) -> np.ndarray:
     excess = np.cumsum(desc, axis=1) - 1.0
     k = np.arange(1, evals.shape[1] + 1)
     rank = np.count_nonzero(desc - excess / k > 0.0, axis=1)
-    shift = np.take_along_axis(excess, rank[:, None] - 1, axis=1) / rank[:, None]
-    weights = np.clip(evals - shift, 0.0, None)
+    shift = excess[np.arange(len(rank)), rank - 1] / rank
+    weights = np.maximum(evals - shift[:, None], 0.0)
     return (evecs * weights[:, None, :]) @ evecs.conj().transpose(0, 2, 1)
 
 
 def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Real Frobenius inner products Re tr(a^dag b) of two stacks."""
-    return np.real(np.sum(a.conj() * b, axis=(1, 2)))
+    """Real Frobenius inner products Re tr(a^dag b) of two stacks: the sum
+    of Re a Re b + Im a Im b, taken over real views."""
+    return np.einsum("bij,bij->b", a.view(float), b.view(float))
 
 
 def _fit(
@@ -297,20 +306,26 @@ def _fit(
     # Zero-count terms reduce to mu: n log(mu / n) -> 0.
     n_safe = np.where(n > 0, n, 1.0)
 
-    def deviance_and_grad(rho, rows):
+    def dip_ratio(rho):
         expect = np.real(rho.reshape(-1, _DIM * _DIM) @ reads.T)
-        q = np.clip(1.0 - visibility * expect, _Q_FLOOR, None)
+        return np.maximum(1.0 - visibility * expect, _Q_FLOOR)
+
+    def gradient(rho, q, rows):
+        weights = -visibility * (baseline[rows] - n[rows] / q)
+        return (weights @ spans).reshape(rho.shape)
+
+    def deviance_and_grad(rho, rows):
+        q = dip_ratio(rho)
         mu = baseline[rows] * q
         dev = np.sum(mu - n[rows] - n[rows] * np.log(mu / n_safe[rows]), axis=1)
-        weights = -visibility * (baseline[rows] - n[rows] / q)
-        return dev, (weights @ spans).reshape(rho.shape), q
+        return dev, gradient(rho, q, rows), q
 
     def gap(rho, grad):
         return _inner(grad, rho) - np.linalg.eigvalsh(grad)[:, 0]
 
     rows = np.arange(len(n))
     p_hat = np.clip((1.0 - n / baseline) / visibility, 0.0, 1.0)
-    x = _project(_inversion(p_hat, tset))
+    x = _project(_inversion(p_hat, projs))
     f_x, g_y, q = deviance_and_grad(x, rows)
     gaps = gap(x, g_y)
     y = x.copy()
@@ -330,9 +345,11 @@ def _fit(
         # Curvature test on gradients: deviance differences cancel to
         # rounding near the optimum, long before the gap is small.
         ok = _inner(g_new - g_y[act], d) <= _inner(d, d) / s
-        step[act[~ok]] *= 0.5
-        acc = act[ok]
-        x_new, f_new, g_new = x_new[ok], f_new[ok], g_new[ok]
+        acc = act
+        if not ok.all():
+            step[act[~ok]] *= 0.5
+            acc = act[ok]
+            x_new, f_new, g_new = x_new[ok], f_new[ok], g_new[ok]
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * momentum[acc] ** 2))
         restart = f_new > f_x[acc]
         beta = np.where(restart, 0.0, (momentum[acc] - 1.0) / t_next)
@@ -340,7 +357,7 @@ def _fit(
         y_new = x_new + beta[:, None, None] * (x_new - x[acc])
         x[acc], f_x[acc] = x_new, f_new
         gaps[acc] = gap(x_new, g_new)
-        y[acc], g_y[acc] = y_new, deviance_and_grad(y_new, acc)[1]
+        y[acc], g_y[acc] = y_new, gradient(y_new, dip_ratio(y_new), acc)
         step[acc] *= _STEP_GROWTH
     return x, f_x, gaps, iterations
 
@@ -386,7 +403,13 @@ def mle_reconstruct(
     `seed` is accepted for compatibility and does not affect the result.
     """
     n, baseline = _unpack_counts(counts, tset, visibility)
-    rho, deviance, gap, iterations = _fit(n[None], baseline[None], tset, visibility)
+    return _result(n, _fit(n[None], baseline[None], tset, visibility), tset, target)
+
+
+def _result(n: np.ndarray, fit, tset: TomographySet, target) -> TomographyResult:
+    """The TomographyResult of row 0 of a _fit of the counts n; raises
+    ReconstructionError if that row missed the duality-gap tolerance."""
+    rho, deviance, gap, iterations = fit
     # sum(mu - n log mu) = deviance + sum(n - n log n)
     nll = float(deviance[0] + np.sum(n - n * np.log(np.where(n > 0, n, 1.0))))
     if not gap[0] <= _GAP_TOL:
@@ -421,6 +444,7 @@ def logical_rho(result: TomographyResult) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BootstrapResult:
+    estimate: TomographyResult
     fidelity_std: float
     rho_real_std: np.ndarray
     rho_imag_std: np.ndarray
@@ -437,29 +461,35 @@ def bootstrap_errors(
     replicas: int = 100,
     seed: int = 0,
 ) -> BootstrapResult:
-    """Parametric bootstrap of the reconstruction.
+    """Maximum-likelihood reconstruction with a parametric bootstrap.
 
     Each replica redraws n_i* ~ Poisson(n_i) at the observed counts from
-    its own stream `experiment.point_rng(seed, r)`, drawn through the same
-    keyed-Poisson helper as the scan counts; all replicas are then
-    fitted together by the same solver as `mle_reconstruct`.  Replicas that
-    miss its optimality tolerance are dropped; more than 10 percent of them
-    failing is an error.
+    its own stream `experiment.point_rng(seed, r)`, through the same
+    keyed reset as the scan counts' fallback draws.  The observed counts,
+    as row 0, and all replicas are then fitted in one call of the solver of
+    `mle_reconstruct`, and `estimate` is row 0's result, built as
+    `mle_reconstruct` builds it (it raises ReconstructionError the same
+    way).  Replicas that miss the optimality tolerance are dropped; more
+    than 10 percent of them failing is an error, checked first.
     """
     if replicas < 2:
         raise ValueError("bootstrap needs at least 2 replicas")
     n, baseline = _unpack_counts(counts, tset, visibility)
-    n_star = experiment._keyed_poisson(seed, [n] * replicas)
-    baselines = np.broadcast_to(baseline, n_star.shape)
-    rhos, _, gaps, _ = _fit(n_star, baselines, tset, visibility)
-    rhos = rhos[gaps <= _GAP_TOL]
+    keys = ((seed, r) for r in range(replicas))
+    n_star = experiment._reset_draws(keys, itertools.repeat(n, replicas))
+    stack = np.array([n, *n_star], dtype=float)
+    fit = _fit(stack, np.broadcast_to(baseline, stack.shape), tset, visibility)
+    rhos, _, gaps, _ = fit
+    rhos = rhos[1:][gaps[1:] <= _GAP_TOL]
     dropped = replicas - len(rhos)
     if dropped > 0.1 * replicas:
         raise ReconstructionError(
             f"{dropped} of {replicas} bootstrap replicas failed to converge"
         )
+    estimate = _result(n, fit, tset, target)
     fids = np.array([fidelity(rho, target) for rho in rhos])
     return BootstrapResult(
+        estimate=estimate,
         fidelity_std=float(np.std(fids, ddof=1)),
         rho_real_std=np.std(rhos.real, axis=0, ddof=1),
         rho_imag_std=np.std(rhos.imag, axis=0, ddof=1),
@@ -496,38 +526,38 @@ def simulate_counts(
 ) -> CountsBundle:
     """Run every scan of the set against an encoded state and pool its readings.
 
-    Scan j uses stream j + 1 and its baseline is estimated once from its
-    plateau.  Each (scan, lag, member) reading of the set adds the scan's
-    count at lag * tau and that baseline to the member's (n_i, N_i) pair.
-    The interference visibility is calibrated from a scan of the encoded
-    state against itself (stream 0); mixed encoded states skip calibration
-    and trust the configured value.
+    Scan j uses stream j + 1.  The interference visibility is calibrated
+    from a scan of the encoded state against itself (stream 0); mixed
+    encoded states skip calibration and trust the configured value.  All
+    scans, the calibration scan included, go through one
+    `experiment.sample_scans` call, so their counts are one keyed draw, and
+    each trace equals `sample_scan` of its scan alone.  Each scan's
+    baseline is estimated once from its plateau, and each (scan, lag,
+    member) reading of the set adds the scan's count at lag * tau and that
+    baseline to the member's (n_i, N_i) pair.
     """
     if delays is None:
         delays = experiment.default_delay_grid(tset.lattice.tau)
 
-    if calibrate and isinstance(encoded, PhotonState):
-        cal_cfg = experiment.ScanConfig(
+    def config(stream):
+        return experiment.ScanConfig(
             delays=delays,
             baseline_counts=baseline_counts,
-            seed=experiment.derive_seed(master_seed, 0),
+            seed=experiment.derive_seed(master_seed, stream),
             visibility=visibility,
         )
-        cal_trace = experiment.sample_scan(encoded, encoded, cal_cfg, noiseless)
-        v_hat = experiment.estimate_visibility(cal_trace)
+
+    calibrated = calibrate and isinstance(encoded, PhotonState)
+    runs = [(encoded, encoded, config(0))] if calibrated else []
+    runs += [
+        (encoded, tset.members[ancilla][1], config(j + 1))
+        for j, ancilla in enumerate(tset.scans)
+    ]
+    traces = experiment.sample_scans(runs, noiseless)
+    if calibrated:
+        v_hat = experiment.estimate_visibility(traces.pop(0))
     else:
         v_hat = visibility
-
-    traces = []
-    for j, ancilla in enumerate(tset.scans):
-        cfg = experiment.ScanConfig(
-            delays=delays,
-            baseline_counts=baseline_counts,
-            seed=experiment.derive_seed(master_seed, j + 1),
-            visibility=visibility,
-        )
-        _, state = tset.members[ancilla]
-        traces.append(experiment.sample_scan(encoded, state, cfg, noiseless))
     baselines = [experiment.estimate_baseline(trace) for trace in traces]
     counts = np.zeros((len(tset.members), 2))
     for j, lag, member in tset.readings:

@@ -5,6 +5,7 @@ numerical Fourier transform of the filter's spectral amplitude."""
 import json
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from poltime.cli import (
     EXIT_BEST_EFFORT,
     EXIT_CONFIG,
     EXIT_OK,
+    MAX_GRID_POINTS,
+    MAX_REPLICAS,
     ConfigError,
     bandwidth_to_sigma,
     load_config,
@@ -117,6 +120,27 @@ def test_bad_grid_numbers_are_config_errors(tmp_path, capsys, grid):
     path = write_config(tmp_path, grid=grid)
     assert cli.main(["scan", "--config", path, "--out", str(tmp_path)]) == EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [{"grid": {"half_span_s": 1e-9, "step_s": 1e-16}}, {"replicas": 10**9}],
+)
+def test_oversized_runs_are_config_errors(tmp_path, capsys, overrides):
+    path = write_config(tmp_path, **overrides)
+    start = time.perf_counter()
+    code = cli.main(["tomography", "--config", path, "--out", str(tmp_path)])
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+
+
+def test_size_caps_are_inclusive():
+    half_points = (MAX_GRID_POINTS - 1) // 2
+    grid = {"half_span_s": half_points * 1e-13, "step_s": 1e-13}
+    cfg = resolve_config({"grid": grid, "replicas": MAX_REPLICAS})
+    assert cfg.delays().size == MAX_GRID_POINTS
+    assert cfg.replicas == MAX_REPLICAS
 
 
 def test_sigma_and_bandwidth_are_mutually_exclusive():

@@ -318,6 +318,34 @@ def test_counts_follow_the_keyed_point_streams(lattice, packet, baseline, visibi
     assert np.array_equal(trace.counts, np.array(reference, dtype=float))
 
 
+def test_keyed_poisson_equals_point_rng_draw_for_draw():
+    """The array draws against their definition: about 2e4 draws over every
+    regime of numpy's Poisson sampler (zero, multiplication below 10, both
+    sides of the switch at 10, transformed rejection, huge means)."""
+    fixed = [0.0, 1e-3, np.nextafter(10.0, 0.0), 10.0, np.nextafter(10.0, 20.0), 1e7]
+    rng = np.random.default_rng(6)
+    seeds = [0, 2**64 - 1, 1, 2**63, *rng.integers(2, 2**62, size=6).tolist()]
+    means = np.exp(rng.uniform(np.log(60.0), np.log(1e4), size=(len(seeds), 2000)))
+    means[:, ::3] = np.resize(fixed, means[:, ::3].size).reshape(len(seeds), -1)
+    got = experiment._keyed_poisson(seeds, means)
+    want = [
+        [point_rng(seed, i).poisson(mu) for i, mu in enumerate(row)]
+        for seed, row in zip(seeds, means)
+    ]
+    assert np.array_equal(got, np.array(want, dtype=float))
+
+
+@pytest.mark.parametrize("bad", [np.nan, -1.0, 1e300])
+def test_keyed_poisson_raises_numpys_errors(bad):
+    means = np.full((2, 50), 500.0)
+    means[1, 20] = bad
+    with pytest.raises(ValueError) as theirs:
+        point_rng(7, 20).poisson(bad)
+    with pytest.raises(ValueError) as ours:
+        experiment._keyed_poisson([3, 7], means)
+    assert str(ours.value) == str(theirs.value)
+
+
 def test_trace_csv_roundtrip(tmp_path, lattice, packet):
     phi = hilbert.named_state("phi_plus", lattice, packet)
     trace = sample_scan(phi, phi, make_config(seed=9))

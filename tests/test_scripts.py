@@ -30,3 +30,9 @@ def test_dip_scan_script_writes_its_traces(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "dip_depths.json").is_file()
     assert len(list(tmp_path.glob("*.csv"))) == 4
+
+
+def test_keyed_draw_check_passes():
+    proc = run_script("check_keyed_draws.py", "--draws", "20000")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "20000 draws checked, 0 mismatches" in proc.stdout

@@ -415,6 +415,29 @@ def test_bootstrap_replicas_match_single_fits(lattice, packet, tset):
     np.testing.assert_allclose(boot.fidelities, singles, rtol=0.0, atol=1e-6)
 
 
+def test_bootstrap_estimate_matches_mle_reconstruct(lattice, packet, tset):
+    """The point estimate fitted as row 0 of the replica stack is the fit
+    mle_reconstruct makes on its own."""
+    target = hilbert.named_state("phi_plus", lattice, packet)
+    for seed in (0, 1, 2):
+        counts = simulate_counts(
+            target,
+            tset,
+            1000.0,
+            visibility=0.94,
+            master_seed=seed,
+            delays=compact_delays(),
+            calibrate=False,
+        ).counts
+        single = mle_reconstruct(counts, tset, 0.94, target=target)
+        est = bootstrap_errors(counts, tset, 0.94, target, replicas=5, seed=seed).estimate
+        assert trace_distance(logical_rho(est), logical_rho(single)) <= 1e-6
+        assert est.nll == pytest.approx(single.nll, rel=0.0, abs=1e-6)
+        assert est.fidelity_vs_target == pytest.approx(
+            single.fidelity_vs_target, rel=0.0, abs=1e-6
+        )
+
+
 def test_bootstrap_requires_replicas(tset, lattice, packet):
     target = hilbert.named_state("p_plus", lattice, packet)
     counts = exact_counts(np.eye(4) / 4, tset)
@@ -477,6 +500,52 @@ def test_simulated_counts_follow_the_readings_table(set_fixture, request, lattic
             traces[j], experiment.occupied_bins(states[ancilla])
         )
         assert lags == [r.lag for r in rule]
+
+
+@pytest.mark.parametrize("calibrate", [True, False])
+@pytest.mark.parametrize("encoded_kind", ["pure", "mixed"])
+@pytest.mark.parametrize("set_fixture", ["tset", "product_tset"])
+def test_simulated_counts_equal_per_scan_samples(
+    set_fixture, encoded_kind, calibrate, request, lattice, packet
+):
+    """All scans drawn in one block give the traces each scan gives alone."""
+    tset = request.getfixturevalue(set_fixture)
+    if encoded_kind == "pure":
+        enc = hilbert.named_state("phi_plus", lattice, packet)
+    else:
+        rho = random_density_matrix(4, np.random.default_rng(3))
+        enc = DensityMatrix(rho_to_full(rho, tset), lattice, packet)
+    master = 8
+    bundle = simulate_counts(
+        enc,
+        tset,
+        1000.0,
+        visibility=0.94,
+        master_seed=master,
+        delays=compact_delays(),
+        calibrate=calibrate,
+    )
+
+    def alone(ancilla, stream):
+        cfg = experiment.ScanConfig(
+            delays=compact_delays(),
+            baseline_counts=1000.0,
+            seed=experiment.derive_seed(master, stream),
+            visibility=0.94,
+        )
+        return experiment.sample_scan(enc, ancilla, cfg)
+
+    states = tset.states()
+    assert len(bundle.traces) == len(tset.scans)
+    for j, ancilla in enumerate(tset.scans):
+        trace = alone(states[ancilla], j + 1)
+        assert trace.config.seed == bundle.traces[j].config.seed
+        assert np.array_equal(trace.counts, bundle.traces[j].counts)
+        assert np.array_equal(trace.expected, bundle.traces[j].expected)
+    if calibrate and encoded_kind == "pure":
+        assert bundle.visibility_hat == experiment.estimate_visibility(alone(enc, 0))
+    else:
+        assert bundle.visibility_hat == 0.94
 
 
 @pytest.mark.parametrize("visibility", [1.0, 0.94])
