@@ -211,8 +211,9 @@ def resolve_config(raw: dict, seed_override: int | None = None) -> ExperimentCon
     seed = raw.get("seed", 0)
     if seed_override is not None:
         seed = seed_override
-    if not isinstance(seed, int) or seed < 0:
-        problems.append("seed: must be a nonnegative integer")
+    # Seeds key Philox generators, whose keys are unsigned 64-bit words.
+    if not isinstance(seed, int) or not 0 <= seed < 2**64:
+        problems.append("seed: must be an integer from 0 to 2**64 - 1")
         seed = 0
     replicas = raw.get("replicas", DEFAULT_REPLICAS)
     if not isinstance(replicas, int) or not 2 <= replicas <= MAX_REPLICAS:
@@ -388,6 +389,8 @@ def cmd_tomography(cfg: ExperimentConfig, out_dir: Path, timestamp: bool, noisel
 
 def cmd_oracle_check(cfg: ExperimentConfig, triples: int) -> int:
     """Compare the closed-form coincidence ratio with the Fock enumeration."""
+    if triples < 1:
+        raise ConfigError("--triples: must be at least 1")
     rng = np.random.default_rng(cfg.seed)
     worst = 0.0
     for k in range(triples):
@@ -454,7 +457,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse has already printed the help text or the usage error.
+        return EXIT_OK if exc.code == 0 else EXIT_CONFIG
     try:
         cfg = load_config(args.config, args.seed)
     except ConfigError as exc:

@@ -26,6 +26,7 @@ from .hilbert import DensityMatrix, PhotonState
 
 BASELINE_EXCLUSION_SIGMAS = 12.0
 GRID_MATCH_RTOL = 1e-6
+_OCCUPIED_TOL = 1e-12  # bin amplitude norm below which a bin counts as empty
 _U64 = np.uint64
 _LO32 = 0xFFFFFFFF
 # Philox4x64-10 multipliers and Weyl key increments (Random123).
@@ -375,11 +376,11 @@ def estimate_visibility(trace: ScanTrace) -> float:
     return float(np.clip(1.0 - trace.counts[i] / n0, 0.0, 1.0))
 
 
-def occupied_bins(state: PhotonState, atol: float = 1e-12) -> frozenset[int]:
+def occupied_bins(state: PhotonState) -> frozenset[int]:
     """Bins holding any amplitude, for scheduling shifted readings."""
     mat = state.as_matrix()
     col_norms = np.linalg.norm(mat, axis=0)
-    return frozenset(int(i) for i in np.nonzero(col_norms > atol)[0])
+    return frozenset(int(i) for i in np.nonzero(col_norms > _OCCUPIED_TOL)[0])
 
 
 def write_trace_csv(trace: ScanTrace, path) -> None:

@@ -144,10 +144,6 @@ class PhotonState:
         return self.lattice.tau
 
     @property
-    def dim(self) -> int:
-        return 2 * self.lattice.bin_count
-
-    @property
     def norm_squared(self) -> float:
         return float(np.vdot(self.amplitudes, self.amplitudes).real)
 
@@ -231,20 +227,11 @@ class DensityMatrix:
         return self.lattice.tau
 
     @property
-    def dim(self) -> int:
-        return 2 * self.lattice.bin_count
-
-    @property
     def trace(self) -> float:
         return float(np.trace(self.matrix).real)
 
     def purity(self) -> float:
         return float(np.trace(self.matrix @ self.matrix).real)
-
-
-def same_arena(a, b) -> bool:
-    """True when two states share lattice and wavepacket parameters."""
-    return a.lattice == b.lattice and a.packet == b.packet
 
 
 def _require_same_arena(a, b) -> None:
@@ -294,7 +281,7 @@ def partial_trace_time(rho: DensityMatrix) -> np.ndarray:
     return np.einsum("akbk->ab", blocks)
 
 
-def logical_vector(state: PhotonState, atol: float = SUPPORT_TOL) -> np.ndarray:
+def logical_vector(state: PhotonState) -> np.ndarray:
     """Amplitudes on the two-bin logical subspace, order (h0, ht, v0, vt).
 
     Raises if the state leaks outside bins 0 and 1.
@@ -302,7 +289,7 @@ def logical_vector(state: PhotonState, atol: float = SUPPORT_TOL) -> np.ndarray:
     mat = state.as_matrix()
     if state.bin_count > 2:
         leak = np.abs(mat[:, 2:]).max()
-        if leak > atol:
+        if leak > SUPPORT_TOL:
             raise ValueError(
                 f"state has amplitude {leak:.3e} outside the two-bin logical subspace"
             )

@@ -142,7 +142,6 @@ def fock_oracle_ratio(
     ancilla: PhotonState,
     delay: float,
     vis: float = 1.0,
-    mode_cap: int = _MODE_CAP,
 ) -> float:
     """Coincidence ratio from an explicit two-photon Fock computation.
 
@@ -157,9 +156,9 @@ def fock_oracle_ratio(
     _require_shared_envelope(encoded, ancilla)
     v = _check_visibility(vis)
     for state in (encoded, ancilla):
-        if 2 * state.bin_count > mode_cap:
+        if 2 * state.bin_count > _MODE_CAP:
             raise ValueError(
-                f"state needs {2 * state.bin_count} modes, above the cap {mode_cap}"
+                f"state needs {2 * state.bin_count} modes, above the cap {_MODE_CAP}"
             )
 
     tau = encoded.lattice.tau

@@ -7,7 +7,7 @@ for a polarizer.  A birefringent crystal delays the V component by an
 integer number of lattice spacings (slow axis along V); the lattice grows
 when amplitude is pushed past the last bin.
 
-compile_preparation searches the element template
+compile_preparation searches the fixed preparation bench
 
     QWP - HWP - CRYSTAL - [POL] - HWP - QWP
 
@@ -19,7 +19,7 @@ numerical search otherwise.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,6 +38,7 @@ CRYSTAL_DELAY_RTOL = 1e-6
 EXACT_PLAN_TOL = 1e-9
 _PRUNE_TOL = 1e-12
 _CLASS_TOL = 1e-9
+_RESTARTS = 5  # random starts per layout in the numerical fallback
 # Survival this far below the input norm is rounding residue of the Jones
 # product (entries like cos(pi/2) ~ 1e-16), not a physical transmission.
 ANNIHILATION_RTOL = 1e-24
@@ -271,20 +272,6 @@ def apply_gate(state: PhotonState) -> PhotonState:
 
 
 @dataclass(frozen=True)
-class PrepTemplate:
-    """Which slots of the preparation bench are available."""
-
-    pre_plates: bool = True
-    crystal: bool = True
-    polarizer: bool = True
-    post_plates: bool = True
-    crystal_length: float = DEFAULT_CRYSTAL_LENGTH
-
-
-DEFAULT_TEMPLATE = PrepTemplate()
-
-
-@dataclass(frozen=True)
 class PreparationPlan:
     """Element settings that turn the fixed source state into a target."""
 
@@ -415,61 +402,40 @@ def _equal_pol_class_elements(
     return _plates_to_state_pre(xi) + [crystal, Polarizer(theta_p)] + post
 
 
+def _bench_elements(angles, crystal: BirefringentCrystal) -> list[OpticalElement]:
+    """Bench layout for an angle vector: 2 angles set the input plates only,
+    4 add the crystal and the output plates, 5 also the polarizer."""
+    q_in, h_in, *rest = angles
+    els: list[OpticalElement] = [QuarterWavePlate(q_in), HalfWavePlate(h_in)]
+    if rest:
+        *pol, h_out, q_out = rest
+        els += [crystal, *map(Polarizer, pol)]
+        els += [HalfWavePlate(h_out), QuarterWavePlate(q_out)]
+    return els
+
+
 def _numeric_candidates(
     source: PhotonState,
     target_vec: np.ndarray,
-    template: PrepTemplate,
     crystal: BirefringentCrystal,
     seed: int,
-    restarts: int,
 ) -> list[_Candidate]:
     """Best-effort search over plate angles for targets outside the closed-form
     classes.  Deterministic for a given seed."""
     # Imported here: scipy.optimize costs about 0.4 s, and only this fallback uses it.
     from scipy import optimize
 
-    layouts = []
-    if template.pre_plates and template.post_plates and template.crystal:
-        layouts.append(("general", False))
-        if template.polarizer:
-            layouts.append(("general", True))
-    if template.pre_plates or template.post_plates:
-        layouts.append(("plates_only", False))
+    def objective(angles):
+        cand = _Candidate(_bench_elements(angles, crystal), "general")
+        _evaluate(cand, source, target_vec)
+        return -cand.fidelity
 
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     out: list[_Candidate] = []
-    for layout, with_pol in layouts:
-        if layout == "general":
-            n_angles = 5 if with_pol else 4
-
-            def build(angles, with_pol=with_pol):
-                els: list[OpticalElement] = [
-                    QuarterWavePlate(angles[0]),
-                    HalfWavePlate(angles[1]),
-                    crystal,
-                ]
-                k = 2
-                if with_pol:
-                    els.append(Polarizer(angles[k]))
-                    k += 1
-                els.append(HalfWavePlate(angles[k]))
-                els.append(QuarterWavePlate(angles[k + 1]))
-                return els
-
-        else:
-            n_angles = 2
-
-            def build(angles, with_pol=False):
-                return [QuarterWavePlate(angles[0]), HalfWavePlate(angles[1])]
-
-        def objective(angles):
-            cand = _Candidate(build(angles), "general")
-            _evaluate(cand, source, target_vec)
-            return -cand.fidelity
-
+    for n_angles in (4, 5, 2):
         best_x, best_f = None, np.inf
         starts = [np.zeros(n_angles)] + [
-            rng.uniform(0.0, np.pi, size=n_angles) for _ in range(restarts)
+            rng.uniform(0.0, np.pi, size=n_angles) for _ in range(_RESTARTS)
         ]
         for x0 in starts:
             res = optimize.minimize(
@@ -480,16 +446,11 @@ def _numeric_candidates(
             )
             if res.fun < best_f:
                 best_x, best_f = res.x, res.fun
-        out.append(_Candidate(build(best_x), "general"))
+        out.append(_Candidate(_bench_elements(best_x, crystal), "general"))
     return out
 
 
-def compile_preparation(
-    target: PhotonState,
-    template: PrepTemplate | None = None,
-    seed: int = 0,
-    restarts: int = 5,
-) -> PreparationPlan:
+def compile_preparation(target: PhotonState, seed: int = 0) -> PreparationPlan:
     """Find element settings preparing the target from the |h,0> source.
 
     Closed-form settings cover single-bin states, orthogonal-polarization
@@ -500,17 +461,13 @@ def compile_preparation(
     Among plans of equal fidelity the one with fewer elements wins, then the
     one with the smaller total plate angle.
     """
-    if template is None:
-        template = DEFAULT_TEMPLATE
-    if restarts < 5:
-        raise ValueError("numerical fallback needs at least 5 restarts")
     if abs(target.norm_squared - 1.0) > hilbert.NORM_TOL:
         raise ValueError("compile_preparation expects a unit-norm target")
 
     logical = hilbert.logical_vector(target)  # raises on support outside bins 0, 1
     lattice, packet = target.lattice, target.packet
     source = hilbert.basis_state("h", 0, lattice, packet)
-    crystal = crystal_with_delay(lattice.tau, template.crystal_length)
+    crystal = crystal_with_delay(lattice.tau)
     target_vec = np.zeros(2 * lattice.bin_count, dtype=complex)
     target_vec.reshape(2, -1)[:, :2] = logical.reshape(2, 2)
 
@@ -520,38 +477,30 @@ def compile_preparation(
 
     candidates: list[_Candidate] = []
 
-    if n1 <= _CLASS_TOL and template.pre_plates:
-        candidates.append(
-            _Candidate(_plates_to_state_pre(c0 / n0), "single_bin")
+    # A unit-norm target has amplitude in at least one of the two bins.
+    if n1 <= _CLASS_TOL:
+        candidates.append(_Candidate(_plates_to_state_pre(c0 / n0), "single_bin"))
+    elif n0 <= _CLASS_TOL:
+        els = (
+            _plates_to_state_pre(np.array([0.0, 1.0], dtype=complex))
+            + [crystal]
+            + _plates_from_linear_post(c1 / n1, np.pi / 2)
         )
-    if n0 <= _CLASS_TOL and template.crystal:
-        els: list[OpticalElement] = []
-        if template.pre_plates:
-            els += _plates_to_state_pre(np.array([0.0, 1.0], dtype=complex))
-        els.append(crystal)
-        if template.post_plates:
-            els += _plates_from_linear_post(c1 / n1, np.pi / 2)
         candidates.append(_Candidate(els, "single_bin"))
-
-    if n0 > _CLASS_TOL and n1 > _CLASS_TOL and template.crystal:
+    else:
         chi0, chi1 = c0 / n0, c1 / n1
         cross = abs(np.vdot(chi0, chi1))
-        if abs(c0[1]) <= _CLASS_TOL and abs(c1[0]) <= _CLASS_TOL and template.pre_plates:
+        if abs(c0[1]) <= _CLASS_TOL and abs(c1[0]) <= _CLASS_TOL:
             # Already of the form a|h,0> + b|v,tau>: pre plates plus crystal.
             xi = np.array([c0[0], c1[1]])
             candidates.append(
                 _Candidate(_plates_to_state_pre(xi) + [crystal], "orthogonal")
             )
-        if cross <= _CLASS_TOL and template.pre_plates and template.post_plates:
+        if cross <= _CLASS_TOL:
             candidates.append(
                 _Candidate(_orthogonal_class_elements(c0, c1, crystal), "orthogonal")
             )
-        if (
-            cross >= 1.0 - _CLASS_TOL
-            and template.polarizer
-            and template.pre_plates
-            and template.post_plates
-        ):
+        if cross >= 1.0 - _CLASS_TOL:
             candidates.append(
                 _Candidate(
                     _equal_pol_class_elements(c0, c1, crystal), "equal_polarization"
@@ -564,16 +513,11 @@ def compile_preparation(
 
     best = max((c.fidelity for c in candidates), default=0.0)
     if best < 1.0 - EXACT_PLAN_TOL:
-        numeric = _numeric_candidates(
-            source, target_vec, template, crystal, seed, restarts
-        )
+        numeric = _numeric_candidates(source, target_vec, crystal, seed)
         for cand in numeric:
             cand.elements = _prune_identity_elements(cand.elements, source)
             _evaluate(cand, source, target_vec)
         candidates += numeric
-
-    if not candidates:
-        raise ValueError("template leaves no usable preparation slots")
 
     best = max(c.fidelity for c in candidates)
     contenders = [c for c in candidates if c.fidelity >= best - EXACT_PLAN_TOL]

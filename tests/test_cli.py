@@ -180,6 +180,45 @@ def test_malformed_json_is_a_config_error(tmp_path, capsys):
     assert "config" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv", [["tomography", "--bogus"], ["scan", "--seed", "x"], ["frobnicate"], []]
+)
+def test_usage_errors_are_config_errors(capsys, argv):
+    assert cli.main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "usage: poltime" in err
+    assert "error:" in err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["scan", "--help"]])
+def test_help_exits_ok(capsys, argv):
+    assert cli.main(argv) == EXIT_OK
+    assert "usage: poltime" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("triples", ["0", "-5"])
+def test_oracle_check_needs_a_triple(tmp_path, capsys, triples):
+    argv = ["oracle-check", "--triples", triples, "--out", str(tmp_path)]
+    assert cli.main(argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "config error: --triples" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["prepare", "scan", "tomography"])
+def test_seeds_past_64_bits_are_config_errors(tmp_path, capsys, command):
+    # Outside the closed-form classes, so prepare would seed the numeric search.
+    target = [[1, 0], [0.7, 0], [0, 0], [0.7141, 0.01]]
+    path = write_config(tmp_path, encoded_target=target)
+    argv = [command, "--config", path, "--seed", str(2**64), "--out", str(tmp_path)]
+    assert cli.main(argv) == EXIT_CONFIG
+    assert "config error: seed" in capsys.readouterr().err
+
+
+def test_largest_seed_resolves():
+    assert resolve_config({"seed": 2**64 - 1}).seed == 2**64 - 1
+
+
 # ---------------------------------------------------------------------------
 # prepare
 # ---------------------------------------------------------------------------

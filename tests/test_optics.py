@@ -272,16 +272,46 @@ def test_compile_named_targets_roundtrip(name, lattice, packet):
     assert fidelity_to(plan, target) >= 1.0 - 1e-9
 
 
+# Non-orthogonal, unequal polarizations across the two bins sit outside
+# every closed-form class; the search reports its best effort.
+UNREACHABLE = np.array([1.0, 0.7, 0.0, 0.714142842854285], dtype=complex)
+UNREACHABLE /= np.linalg.norm(UNREACHABLE)
+
+
 def test_compile_flags_unreachable_target(lattice, packet):
-    # Non-orthogonal, unequal polarizations across the two bins sit outside
-    # every closed-form class; the search reports its best effort.
-    vec = np.array([1.0, 0.7, 0.0, 0.714142842854285], dtype=complex)
-    vec /= np.linalg.norm(vec)
-    target = hilbert.from_logical(vec, lattice, packet)
+    target = hilbert.from_logical(UNREACHABLE, lattice, packet)
     plan = compile_preparation(target)
     assert not plan.exactly_encodable
     assert plan.predicted_fidelity < 1.0 - 1e-9
     assert plan.predicted_fidelity > 0.5
+
+
+@pytest.mark.parametrize(
+    "name, expected",
+    [
+        ("h0", "single_bin"),  # compiles to the empty pipeline
+        ("r0", "single_bin"),
+        ("pt", "single_bin"),  # crystal branch: all amplitude in the late bin
+        ("rt", "single_bin"),
+        ("phi_plus", "orthogonal"),
+        ("rl_bell", "orthogonal"),
+        ("p+", "equal_polarization"),
+        ("rx", "equal_polarization"),
+        (None, "general"),
+    ],
+)
+def test_compile_reports_target_class(name, expected, lattice, packet):
+    if name is None:
+        target = hilbert.from_logical(UNREACHABLE, lattice, packet)
+    else:
+        target = hilbert.named_state(name, lattice, packet)
+    plan = compile_preparation(target)
+    assert plan.target_class == expected
+    assert plan.exactly_encodable == (name is not None)
+    if name == "h0":
+        assert len(plan.pipeline) == 0
+    if name is not None:
+        assert fidelity_to(plan, target) >= 1.0 - 1e-9
 
 
 def test_compile_rejects_unnormalized(lattice, packet):
