@@ -4,10 +4,13 @@ Subpackages in dependency order: `hilbert` (states on the bin lattice),
 `optics` (Jones elements, crystals, preparation compiler), `hom`
 (two-photon interference projections), `experiment` (Poisson scan
 synthesis and estimation), `tomography` (reconstruction from mutually
-unbiased or product projection sets), `cli`.
+unbiased or product projection sets), `cli`.  `cli` loads on first use,
+so `python -m poltime.cli` does not find it already imported.
 """
 
-from . import cli, experiment, hilbert, hom, optics, tomography
+import importlib
+
+from . import experiment, hilbert, hom, optics, tomography
 from .hilbert import (
     DensityMatrix,
     PhotonState,
@@ -31,6 +34,13 @@ from .tomography import (
 )
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    if name == "cli":
+        return importlib.import_module(".cli", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "DensityMatrix",

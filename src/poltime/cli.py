@@ -156,14 +156,27 @@ def load_config(path: str | None, seed_override: int | None = None) -> Experimen
     return resolve_config(raw, seed_override)
 
 
+def _number(val) -> float | None:
+    """The float value of a config number, or None.  JSON true and false
+    are not numbers, although Python's bool is an int."""
+    if isinstance(val, bool):
+        return None
+    try:
+        return float(val)
+    except (TypeError, ValueError):
+        return None
+
+
+def _is_int(val) -> bool:
+    return isinstance(val, int) and not isinstance(val, bool)
+
+
 def resolve_config(raw: dict, seed_override: int | None = None) -> ExperimentConfig:
     problems: list[str] = []
 
     def positive(key, default, source=raw):
-        val = source.get(key, default)
-        try:
-            val = float(val)
-        except (TypeError, ValueError):
+        val = _number(source.get(key, default))
+        if val is None:
             problems.append(f"{key}: must be a number")
             return default
         if not 0 < val < np.inf:
@@ -173,7 +186,7 @@ def resolve_config(raw: dict, seed_override: int | None = None) -> ExperimentCon
 
     tau = positive("tau_s", DEFAULT_TAU_S)
     bins = raw.get("bins", DEFAULT_BINS)
-    if not isinstance(bins, int) or bins < 2:
+    if not _is_int(bins) or bins < 2:
         problems.append("bins: must be an integer >= 2")
         bins = DEFAULT_BINS
 
@@ -189,14 +202,12 @@ def resolve_config(raw: dict, seed_override: int | None = None) -> ExperimentCon
         wavelength = positive("wavelength_nm", DEFAULT_WAVELENGTH_NM)
         sigma_t = bandwidth_to_sigma(bandwidth, wavelength)
 
-    visibility = raw.get("visibility", DEFAULT_VISIBILITY)
-    try:
-        visibility = float(visibility)
-        if not 0.0 <= visibility <= 1.0:
-            problems.append("visibility: must lie in [0, 1]")
-    except (TypeError, ValueError):
+    visibility = _number(raw.get("visibility", DEFAULT_VISIBILITY))
+    if visibility is None:
         problems.append("visibility: must be a number")
         visibility = DEFAULT_VISIBILITY
+    elif not 0.0 <= visibility <= 1.0:
+        problems.append("visibility: must lie in [0, 1]")
 
     baseline = positive("baseline_counts", DEFAULT_BASELINE_COUNTS)
     grid = raw.get("grid", {})
@@ -212,11 +223,11 @@ def resolve_config(raw: dict, seed_override: int | None = None) -> ExperimentCon
     if seed_override is not None:
         seed = seed_override
     # Seeds key Philox generators, whose keys are unsigned 64-bit words.
-    if not isinstance(seed, int) or not 0 <= seed < 2**64:
+    if not _is_int(seed) or not 0 <= seed < 2**64:
         problems.append("seed: must be an integer from 0 to 2**64 - 1")
         seed = 0
     replicas = raw.get("replicas", DEFAULT_REPLICAS)
-    if not isinstance(replicas, int) or not 2 <= replicas <= MAX_REPLICAS:
+    if not _is_int(replicas) or not 2 <= replicas <= MAX_REPLICAS:
         problems.append(f"replicas: must be an integer from 2 to {MAX_REPLICAS}")
         replicas = DEFAULT_REPLICAS
 

@@ -173,6 +173,26 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
     assert proc.stdout.strip() == "False"
 
 
+def test_module_entry_point_runs_without_warnings():
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "poltime.cli", "--help"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "usage: poltime" in proc.stdout
+
+
+def test_package_import_loads_the_cli_on_first_use():
+    code = (
+        "import sys, poltime; print('poltime.cli' in sys.modules); "
+        "print(poltime.cli.main is sys.modules['poltime.cli'].main)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True"]
+
+
 def test_malformed_json_is_a_config_error(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
@@ -213,6 +233,30 @@ def test_seeds_past_64_bits_are_config_errors(tmp_path, capsys, command):
     argv = [command, "--config", path, "--seed", str(2**64), "--out", str(tmp_path)]
     assert cli.main(argv) == EXIT_CONFIG
     assert "config error: seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "overrides, key",
+    [
+        ({"seed": True}, "seed"),
+        ({"visibility": True}, "visibility"),
+        ({"tau_s": True}, "tau_s"),
+        ({"sigma_t_s": True}, "sigma_t_s"),
+        ({"bandwidth_nm": True}, "bandwidth_nm"),
+        ({"wavelength_nm": True}, "wavelength_nm"),
+        ({"baseline_counts": True}, "baseline_counts"),
+        ({"grid": {"half_span_s": True}}, "half_span_s"),
+        ({"grid": {"step_s": True}}, "step_s"),
+        ({"bins": True}, "bins"),
+        ({"replicas": True}, "replicas"),
+    ],
+)
+def test_json_booleans_are_not_numbers(tmp_path, capsys, overrides, key):
+    path = write_config(tmp_path, **overrides)
+    argv = ["tomography", "--config", path, "--out", str(tmp_path)]
+    assert cli.main(argv) == EXIT_CONFIG
+    assert f"config error: {key}:" in capsys.readouterr().err
+    assert not (tmp_path / "result.json").exists()
 
 
 def test_largest_seed_resolves():

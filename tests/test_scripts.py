@@ -36,3 +36,9 @@ def test_keyed_draw_check_passes():
     proc = run_script("check_keyed_draws.py", "--draws", "20000")
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "20000 draws checked, 0 mismatches" in proc.stdout
+
+
+def test_fit_stress_check_runs():
+    proc = run_script("check_fit_stress.py", "--truths", "1", "--max-exponent", "2")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "108 of 108 rows converged, 0 failed at N0 <= 1e6" in proc.stdout
