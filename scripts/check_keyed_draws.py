@@ -2,11 +2,14 @@
 """Check the array Poisson draws against their definition, draw for draw.
 
 Every scan count is defined as `experiment.point_rng(seed, i).poisson(mean)`;
-`experiment._keyed_poisson` computes the same counts in array code.  This
-script draws N counts both ways and exits 1 on any mismatch.  The means cover
-every regime of numpy's sampler: 0, the multiplication method below 10, both
-sides of the switch at 10, transformed rejection from 60 to 1e4 (drawn
-log-uniformly) and 1e7.  The rows' seeds include 0 and 2**64 - 1.
+`experiment._keyed_poisson` computes the same counts in array code and
+leaves the rest to numpy's sampler (`experiment._reset_draws`).  This script
+draws N counts both ways and exits 1 on any mismatch.  The means cover every
+regime of numpy's sampler: 0, the multiplication method below 10, both sides
+of the switch at 10, transformed rejection from 10 to 60 and from 60 to 1e4
+(each drawn log-uniformly) and 1e7.  The rows' seeds include 0 and
+2**64 - 1.  It also reports the share of the points at mean >= 10 that
+reached numpy's sampler, counted by wrapping `_reset_draws` here.
 
 numpy does not promise that Generator streams stay the same across its
 versions, so rerun this after upgrading numpy:
@@ -27,11 +30,26 @@ FIXED_MEANS = (0.0, 1e-3, 5.0, np.nextafter(10.0, 0.0), 10.0, np.nextafter(10.0,
 
 
 def row_means(rng: np.random.Generator, points: int) -> np.ndarray:
-    """Means of one row: every fourth point takes the fixed means in turn,
-    the others are log-uniform in [60, 1e4]."""
+    """Means of one row: points 0, 4, 8, ... take the fixed means in turn,
+    the odd points are log-uniform in [10, 60), the rest in [60, 1e4]."""
     means = np.exp(rng.uniform(np.log(60.0), np.log(1e4), size=points))
+    means[1::2] = np.exp(rng.uniform(np.log(10.0), np.log(60.0), size=means[1::2].size))
     means[::4] = np.resize(np.array(FIXED_MEANS), means[::4].size)
     return means
+
+
+def count_fallback() -> list:
+    """Wrap experiment._reset_draws so that it adds the number of points at
+    mean >= 10 it draws to counter[0]; returns the counter."""
+    counter = [0]
+    reset = experiment._reset_draws
+
+    def counting(keys, means):
+        counter[0] += sum(1 for m in means if m >= 10.0)
+        return reset(keys, means)
+
+    experiment._reset_draws = counting
+    return counter
 
 
 def main() -> int:
@@ -45,11 +63,13 @@ def main() -> int:
     seeds = [0, 2**64 - 1, *(experiment.derive_seed(1, r) for r in range(ROWS - 2))]
     points = args.draws // ROWS
     mismatches = 0
+    fallback, ptrs_points = count_fallback(), 0
     t0 = time.perf_counter()
     # One row per call keeps the arrays at O(points).
     for seed in seeds:
         means = row_means(rng, points)
         got = experiment._keyed_poisson([seed], means[None])[0]
+        ptrs_points += int(np.count_nonzero(means >= 10.0))
         for i, mean in enumerate(means):
             want = experiment.point_rng(seed, i).poisson(mean)
             if got[i] != want:
@@ -62,6 +82,8 @@ def main() -> int:
     dt = time.perf_counter() - t0
     print(
         f"{ROWS * points} draws checked, {mismatches} mismatches, "
+        f"{fallback[0]} of {ptrs_points} at mean >= 10 "
+        f"({fallback[0] / ptrs_points:.2%}) left to numpy's sampler, "
         f"numpy {np.__version__} ({dt:.1f} s)"
     )
     return 1 if mismatches else 0

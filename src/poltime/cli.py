@@ -289,7 +289,10 @@ def _write_json(path: Path, payload: dict, timestamp: bool) -> None:
     if timestamp:
         payload = dict(payload)
         payload["generated_at"] = _dt.datetime.now(_dt.timezone.utc).isoformat()
-    path.write_text(json.dumps(_json_ready(payload), indent=2, sort_keys=True) + "\n")
+    # NaN and Infinity are not JSON: a value that would need them raises
+    # ValueError before the file is written.
+    text = json.dumps(_json_ready(payload), indent=2, sort_keys=True, allow_nan=False)
+    path.write_text(text + "\n")
 
 
 def _complex_matrix_json(mat: np.ndarray) -> list:

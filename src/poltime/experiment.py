@@ -5,10 +5,15 @@ coincidence counts with expectation N0 * R(delta).  Each point's count comes
 from the counter-based stream point_rng(scan seed, point index), so any
 subset of points can be evaluated in any order, or in parallel, without
 changing the outcome.  Sampling draws every count of one or many scans in a
-single array pass over those keys (_keyed_poisson): the first Philox block of
-every key and the log-free first test of numpy's Poisson sampler run in exact
-array code, and the rest go to numpy's own sampler.  Either way each count is
-the one point_rng gives, bit for bit.
+single array pass over those keys (_keyed_poisson).  It computes the first
+Philox block of every key in exact array code and settles most points there
+with numpy's transformed-rejection (PTRS) sampler, by these routes in turn:
+the first candidate's quick test; its reject rules and log test, the log
+test only outside a guard band of 1e-9 of its terms' magnitudes, which
+covers any last-bit difference between np.log and libm's log; the second
+candidate, from the same block, by the same tests; and numpy's own sampler
+from the point's reset key for the rest.  Either way each count is the one
+point_rng gives, bit for bit.
 
 The long-delay plateau of a trace estimates N0; dip depths are read at the
 lags 0 and +-tau.  A scan of a single-bin ancilla yields two projections
@@ -28,13 +33,24 @@ BASELINE_EXCLUSION_SIGMAS = 12.0
 GRID_MATCH_RTOL = 1e-6
 _OCCUPIED_TOL = 1e-12  # bin amplitude norm below which a bin counts as empty
 _U64 = np.uint64
-_LO32 = 0xFFFFFFFF
-# Philox4x64-10 multipliers and Weyl key increments (Random123).
-_PHILOX_M0, _PHILOX_M1 = 0xD2E7470EE14C6C93, 0xCA5A826395121157
-_PHILOX_W0, _PHILOX_W1 = 0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B
+_LO32, _SHIFT32 = _U64(0xFFFFFFFF), _U64(32)
+# Philox4x64-10 (Random123) as two lanes, (2, 1) columns: the multipliers
+# of words 0 and 2, and the Weyl increments of key words 0 and 1.
+_PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=_U64)
+_PHILOX_W = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], dtype=_U64)
+_PHILOX_M_LO, _PHILOX_M_HI = _PHILOX_M & _LO32, _PHILOX_M >> _SHIFT32
 _PHILOX_ROUNDS = 10
 _TO_UNIT = 1.0 / 9007199254740992.0  # numpy's next_double: (x >> 11) * 2**-53
 _PTRS_MAX = 2.0**53  # larger means go to numpy's sampler, which bounds them
+# numpy's random_loggam: the Stirling series a[0..9] and log(2 pi).
+_LOGGAM_A = (
+    8.333333333333333e-02, -2.777777777777778e-03, 7.936507936507937e-04,
+    -5.952380952380952e-04, 8.417508417508418e-04, -1.917526917526918e-03,
+    6.410256410256410e-03, -2.955065359477124e-02, 1.796443723688307e-01,
+    -1.39243221690590e00,
+)
+_LG2PI = 1.8378770664093453
+_LOG_TEST_BAND = 1e-9  # relative guard band of the PTRS log test
 
 
 def derive_seed(master_seed: int, stream_index: int) -> int:
@@ -80,32 +96,76 @@ def _reset_draws(keys, means) -> list:
     return draws
 
 
-def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """High and low 64-bit words of the 128-bit products m * x, exactly:
-    the high word is assembled from products of 32-bit halves, which fit
-    in uint64."""
-    m_lo, m_hi = _U64(m & _LO32), _U64(m >> 32)
-    x_lo, x_hi = x & _U64(_LO32), x >> _U64(32)
-    t = m_hi * x_lo + ((m_lo * x_lo) >> _U64(32))
-    w = (t & _U64(_LO32)) + m_lo * x_hi
-    return m_hi * x_hi + (t >> _U64(32)) + (w >> _U64(32)), _U64(m) * x
+def _philox_first_block(seeds: np.ndarray, indices: np.ndarray) -> tuple:
+    """The four words of Philox4x64-10 at counter (1, 0, 0, 0) for keys
+    (seeds[j], indices[j]): the first block a fresh numpy Philox with that
+    key emits (Salmon et al., SC'11).  Words 0 and 2 go through the two
+    multiply lanes as one (2, n) array x, words 1 and 3 as y, and the key
+    words are stacked the same way.  Round 0 is folded: at this counter it
+    yields (k0, 0, k1, M0).  The high words of the 128-bit products are
+    assembled from products of 32-bit halves, which fit in uint64."""
+    key = np.stack([seeds, indices])
+    x, y = key, np.array([[0], [_PHILOX_M[0, 0]]], dtype=_U64)
+    for _ in range(_PHILOX_ROUNDS - 1):
+        key = key + _PHILOX_W
+        x_lo, x_hi = x & _LO32, x >> _SHIFT32
+        t = _PHILOX_M_HI * x_lo + ((_PHILOX_M_LO * x_lo) >> _SHIFT32)
+        w = (t & _LO32) + _PHILOX_M_LO * x_hi
+        hi = _PHILOX_M_HI * x_hi + (t >> _SHIFT32) + (w >> _SHIFT32)
+        x, y = hi[::-1] ^ y ^ key, (_PHILOX_M * x)[::-1]
+    return x[0], y[0], x[1], y[1]
 
 
-def _philox_first_block(seeds: np.ndarray, indices: np.ndarray) -> list[np.ndarray]:
-    """The four words of Philox4x64-10 at counter 1 for keys (seeds[j],
-    indices[j]): the first block a fresh numpy Philox with that key emits
-    (Salmon et al., SC'11)."""
-    k0, k1 = seeds.copy(), indices.copy()
-    zeros = np.zeros(seeds.shape, dtype=_U64)
-    c = [zeros + _U64(1), zeros, zeros, zeros]
-    for r in range(_PHILOX_ROUNDS):
-        if r:
-            k0 += _U64(_PHILOX_W0)
-            k1 += _U64(_PHILOX_W1)
-        hi0, lo0 = _mulhilo(_PHILOX_M0, c[0])
-        hi1, lo1 = _mulhilo(_PHILOX_M1, c[2])
-        c = [hi1 ^ c[1] ^ k0, lo1, hi0 ^ c[3] ^ k1, lo0]
-    return c
+def _ptrs_candidate(lam, word_u, word_v) -> tuple:
+    """One PTRS candidate per point, from the uint64 words that numpy turns
+    into its doubles U + 0.5 and V: the candidate k, and the masks of the
+    points where numpy accepts it and where numpy rejects it.  A point in
+    neither is left to numpy's sampler.
+
+    numpy's quick test and reject rules use only multiply, add, divide,
+    sqrt, floor and compares, which give the same bits here.  Its log test
+
+        log(V) + log(invalpha) - log(a / us**2 + b)
+            <= -lam + k log(lam) - loggam(k + 1)
+
+    runs here with numpy's random_loggam for k >= 6, where it has no
+    recurrence: the same Horner terms in the same order.  np.log may differ
+    from libm's log by an ulp or two, and every other operation is the same,
+    so each side differs from numpy's own by at most about ten ulps of S,
+    the sum of the magnitudes of the terms: below 1e-14 S.  The test is
+    settled here only where |lhs - rhs| > _LOG_TEST_BAND * S = 1e-9 S, some
+    10**5 times that bound.  k < 6, V = 0 and points inside the band stay
+    undecided.
+    """
+    u = (word_u >> _U64(11)) * _TO_UNIT - 0.5
+    v = (word_v >> _U64(11)) * _TO_UNIT
+    b = 0.931 + 2.53 * np.sqrt(lam)
+    a = -0.059 + 0.02483 * b
+    us = 0.5 - np.abs(u)
+    k = np.floor((2.0 * a / us + b) * u + lam + 0.43)
+    accept = (us >= 0.07) & (v <= 0.9277 - 3.6224 / (b - 2.0))
+    reject = ~accept & ((k < 0.0) | ((us < 0.013) & (v > us)))
+    i = np.flatnonzero(~accept & ~reject & (k >= 6.0) & (v > 0.0))
+    lam, b, kk, x = lam[i], b[i], k[i], k[i] + 1.0
+    log_v = np.log(v[i])
+    log_ia = np.log(1.1239 + 1.1328 / (b - 3.4))
+    log_h = np.log(a[i] / (us[i] * us[i]) + b)
+    x2 = (1.0 / x) * (1.0 / x)
+    gl0 = _LOGGAM_A[9]
+    for coef in _LOGGAM_A[8::-1]:
+        gl0 = gl0 * x2 + coef
+    log_x = np.log(x)
+    k_loglam = kk * np.log(lam)
+    lhs = log_v + log_ia - log_h
+    rhs = -lam + k_loglam - (gl0 / x + 0.5 * _LG2PI + (x - 0.5) * log_x - x)
+    scale = (
+        np.abs(log_v) + np.abs(log_ia) + np.abs(log_h) + lam + np.abs(k_loglam)
+        + np.abs(gl0 / x) + 0.5 * _LG2PI + (x - 0.5) * log_x + x
+    )
+    sure = np.abs(lhs - rhs) > _LOG_TEST_BAND * scale
+    accept[i] = sure & (lhs <= rhs)
+    reject[i] = sure & (lhs > rhs)
+    return k, accept, reject
 
 
 def _keyed_poisson(seeds, means) -> np.ndarray:
@@ -115,18 +175,25 @@ def _keyed_poisson(seeds, means) -> np.ndarray:
         float(point_rng(seeds[r], i).poisson(means[r, i]))
 
     numpy draws Poisson(lam >= 10) by transformed rejection, PTRS (Hoermann,
-    1993), whose first candidate takes the first two doubles of the stream.
-    Here those come from the first Philox block of every key, computed in
-    exact uint64 array code, and PTRS's first acceptance test runs without
-    any log or exp: for 10 <= lam it accepts about two thirds of the
-    points.  numpy's C sampler evaluates the same expression with scalar
-    SSE2 multiply, add, divide, sqrt and floor and no fused multiply-add, so
-    the element-wise IEEE operations here give the same bits.  Every other
-    point (lam < 10, a rejected first candidate, NaN, negative or huge
-    means) is drawn by numpy's own sampler from its reset key, so every
-    count is exact and bad means raise numpy's own ValueError.
-    scripts/check_keyed_draws.py compares the two over 10^6 draws; numpy
-    does not promise stable Generator streams, so rerun it after an upgrade.
+    1993), whose candidates take the stream's doubles two at a time; the
+    first Philox block of every key, computed here in exact uint64 array
+    code, holds the first two candidates.  Each point goes down these routes
+    in order, all in array code except the last:
+
+    1. the first candidate's quick test, which accepts about 3/4 of points;
+    2. its reject rules and its log test, settled outside a guard band
+       (_ptrs_candidate gives the band's derivation);
+    3. if the first candidate is rejected, the second candidate (words 2
+       and 3 of the block) through the same quick test, rules and log test;
+    4. numpy's own sampler from the point's reset key, for everything else:
+       lam < 10, NaN, negative or huge means, candidates below 6, log tests
+       inside the band and points that reject both candidates.  Bad means
+       thus raise numpy's own ValueError.
+
+    On the CLI's default grid about 1.5% of the points at 10 <= lam reach
+    route 4, and when none do its generator is never built.  scripts/check_keyed_draws.py compares the two
+    over 10^6 draws; numpy does not promise stable Generator streams, so
+    rerun it after an upgrade.
     """
     means = np.asarray(means, dtype=float)
     seeds = np.array([int(s) for s in seeds], dtype=_U64)
@@ -135,20 +202,17 @@ def _keyed_poisson(seeds, means) -> np.ndarray:
     out = np.empty(means.shape)
     rows, cols = np.nonzero((means >= 10.0) & (means <= _PTRS_MAX))
     lam = means[rows, cols]
-    w0, w1, _, _ = _philox_first_block(seeds[rows], cols.astype(_U64))
-    u = (w0 >> _U64(11)) * _TO_UNIT - 0.5
-    v = (w1 >> _U64(11)) * _TO_UNIT
-    b = 0.931 + 2.53 * np.sqrt(lam)
-    a = -0.059 + 0.02483 * b
-    us = 0.5 - np.abs(u)
-    k = np.floor((2.0 * a / us + b) * u + lam + 0.43)
-    accept = (us >= 0.07) & (v <= 0.9277 - 3.6224 / (b - 2.0))
+    w0, w1, w2, w3 = _philox_first_block(seeds[rows], cols.astype(_U64))
+    k, accept, reject = _ptrs_candidate(lam, w0, w1)
+    j = np.flatnonzero(reject)
+    k[j], accept[j], _ = _ptrs_candidate(lam[j], w2[j], w3[j])
     out[rows[accept], cols[accept]] = k[accept]
     rest = np.ones(means.shape, dtype=bool)
     rest[rows[accept], cols[accept]] = False
     rows, cols = np.nonzero(rest)
-    keys = zip(seeds[rows].tolist(), cols.tolist())
-    out[rows, cols] = _reset_draws(keys, means[rows, cols].tolist())
+    if rows.size:
+        keys = zip(seeds[rows].tolist(), cols.tolist())
+        out[rows, cols] = _reset_draws(keys, means[rows, cols].tolist())
     return out
 
 
@@ -310,11 +374,15 @@ def baseline_mask(trace: ScanTrace) -> np.ndarray:
 
 
 def estimate_baseline(trace: ScanTrace) -> float:
-    """Mean counts over the long-delay plateau; estimates N0."""
+    """Mean counts over the long-delay plateau; estimates N0.  Raises
+    ValueError if the plateau holds no points or no counts."""
     mask = baseline_mask(trace)
     if not mask.any():
         raise ValueError("no baseline points: grid lies entirely inside dip regions")
-    return float(trace.counts[mask].mean())
+    n0 = float(trace.counts[mask].mean())
+    if not n0 > 0:
+        raise ValueError("no counts on the baseline plateau: baseline_counts is too small")
+    return n0
 
 
 def ratio_estimates(trace: ScanTrace) -> np.ndarray:

@@ -6,6 +6,7 @@ import json
 import subprocess
 import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -133,6 +134,30 @@ def test_oversized_runs_are_config_errors(tmp_path, capsys, overrides):
     assert time.perf_counter() - start < 1.0
     assert code == EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["scan", "tomography"])
+def test_empty_baseline_plateau_is_a_config_error(tmp_path, capsys, command):
+    """A plateau that records no counts cannot estimate N0: one config
+    error naming baseline_counts, no warning and no artifact with NaN."""
+    path = write_config(tmp_path, baseline_counts=1e-3)
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main([command, "--config", path, "--out", str(out)])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("config error:") and "baseline_counts" in err[0]
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_json_artifacts_refuse_non_finite_numbers(tmp_path, bad):
+    path = tmp_path / "summary.json"
+    with pytest.raises(ValueError):
+        cli._write_json(path, {"baseline": np.float64(bad)}, timestamp=False)
+    assert not path.exists()
 
 
 def test_size_caps_are_inclusive():

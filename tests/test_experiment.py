@@ -335,6 +335,72 @@ def test_keyed_poisson_equals_point_rng_draw_for_draw():
     assert np.array_equal(got, np.array(want, dtype=float))
 
 
+def point_rng_draws(seeds, means):
+    rows = [
+        [point_rng(seed, i).poisson(mu) for i, mu in enumerate(row)]
+        for seed, row in zip(seeds, means)
+    ]
+    return np.array(rows, dtype=float)
+
+
+def spy_on_reset_draws(monkeypatch):
+    """Replace experiment._reset_draws by a wrapper that records the keys of
+    the points it draws."""
+    reached = []
+    reset = experiment._reset_draws
+
+    def recording(keys, means):
+        keys = list(keys)
+        reached.extend(keys)
+        return reset(keys, means)
+
+    monkeypatch.setattr(experiment, "_reset_draws", recording)
+    return reached
+
+
+def test_keyed_poisson_routes_equal_point_rng(monkeypatch):
+    """Every array route against its definition, where numpy's transformed
+    rejection runs: means log-uniform over [10, 60), where candidates below
+    6 and the us < 0.013 reject rule occur, and over [60, 1e6].  The log
+    test's guard band as shipped, at 0 (array code settles every log test)
+    and at infinity (every log test falls back to numpy's sampler)."""
+    rng = np.random.default_rng(31)
+    seeds = [0, 2**64 - 1, *rng.integers(1, 2**63, size=4).tolist()]
+    low = np.exp(rng.uniform(np.log(10.0), np.log(60.0), size=(len(seeds), 1500)))
+    high = np.exp(rng.uniform(np.log(60.0), np.log(1e6), size=(len(seeds), 1500)))
+    means = np.concatenate([low, high], axis=1)
+    want = point_rng_draws(seeds, means)
+    shipped = experiment._LOG_TEST_BAND
+    fallback = {}
+    for band in (shipped, 0.0, np.inf):
+        monkeypatch.setattr(experiment, "_LOG_TEST_BAND", band)
+        reached = spy_on_reset_draws(monkeypatch)
+        assert np.array_equal(experiment._keyed_poisson(seeds, means), want)
+        fallback[band] = len(reached)
+        monkeypatch.undo()
+    assert fallback[0.0] <= fallback[shipped] < fallback[np.inf]
+
+
+def test_keyed_poisson_without_fallback_points_builds_no_generator(monkeypatch):
+    """A block whose points all settle in array code never calls
+    _reset_draws: the block is the prefix of columns before the first
+    point that falls back."""
+    rng = np.random.default_rng(32)
+    seeds = [5, 2**64 - 1]
+    means = np.exp(rng.uniform(np.log(10.0), np.log(1e6), size=(2, 200)))
+    reached = spy_on_reset_draws(monkeypatch)
+    experiment._keyed_poisson(seeds, means)
+    width = min(index for _, index in reached)
+    assert width > 0
+
+    def unreachable(keys, means):
+        raise AssertionError("the fallback sampler was called")
+
+    monkeypatch.setattr(experiment, "_reset_draws", unreachable)
+    block = means[:, :width]
+    assert np.array_equal(experiment._keyed_poisson(seeds, block), point_rng_draws(seeds, block))
+
+
 @pytest.mark.parametrize("bad", [np.nan, -1.0, 1e300])
 def test_keyed_poisson_raises_numpys_errors(bad):
     means = np.full((2, 50), 500.0)

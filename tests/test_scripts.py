@@ -35,7 +35,8 @@ def test_dip_scan_script_writes_its_traces(tmp_path):
 def test_keyed_draw_check_passes():
     proc = run_script("check_keyed_draws.py", "--draws", "20000")
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "20000 draws checked, 0 mismatches" in proc.stdout
+    assert "20000 draws checked, 0 mismatches, " in proc.stdout
+    assert "at mean >= 10" in proc.stdout and "left to numpy's sampler" in proc.stdout
 
 
 def test_fit_stress_check_runs():
