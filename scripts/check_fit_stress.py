@@ -44,7 +44,7 @@ def truths(per_kind: int, rng: np.random.Generator) -> list[np.ndarray]:
 
 
 def stacks(per_kind: int, max_exponent: int):
-    """Yield (N0, fitted V, n, baseline, tset) for each fit stack,
+    """Yield (N0, fitted V, n, baseline, projectors) for each fit stack,
     with one row per truth and true visibility whose clipped mis-set V is
     the fitted one."""
     lattice = hilbert.TimeBinLattice(bin_count=2, tau=TAU)
@@ -68,7 +68,7 @@ def stacks(per_kind: int, max_exponent: int):
                     by_fit.setdefault(v_fit, []).append(n)
             for v_fit, rows in by_fit.items():
                 n = np.concatenate(rows)
-                yield n0, v_fit, n, np.full_like(n, n0), tset
+                yield n0, v_fit, n, np.full_like(n, n0), projs
 
 
 def main() -> int:
@@ -81,8 +81,8 @@ def main() -> int:
 
     table: dict[float, list[int]] = {}
     t0 = time.perf_counter()
-    for n0, v_fit, n, baseline, tset in stacks(args.truths, args.max_exponent):
-        _, _, gaps, iterations = tomography._fit(n, baseline, tset, v_fit)
+    for n0, v_fit, n, baseline, projs in stacks(args.truths, args.max_exponent):
+        _, _, gaps, iterations = tomography._fit(n, baseline, projs, v_fit)
         ok = gaps <= tomography._GAP_TOL
         row = table.setdefault(n0, [0, 0, 0])
         row[0] += len(n)

@@ -35,9 +35,11 @@ DEFAULT_HALF_SPAN_S = 8e-12
 DEFAULT_STEP_S = 5e-14
 DEFAULT_REPLICAS = 100
 # Size caps: every scan of a run is drawn and held as one (scans, points)
-# block, and the bootstrap as one (replicas, members) stack.
+# block, the bootstrap as one (replicas, members) stack, and the scan
+# model as (points, bins, bins) arrays.
 MAX_GRID_POINTS = 100_001
 MAX_REPLICAS = 10_000
+MAX_BINS = 8
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -135,11 +137,17 @@ def _resolve_state(value, lattice, packet, field, problems) -> tuple[str, Photon
         problems.append(f"{field}: explicit amplitudes need 4 logical entries")
         return "custom", None
     vec = np.array(pairs)
-    norm = np.linalg.norm(vec)
-    if norm <= 0:
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(vec)
+    if not np.all(np.isfinite(vec)):
+        problems.append(f"{field}: amplitudes must be finite")
+    elif not vec.any():
         problems.append(f"{field}: amplitudes are all zero")
-        return "custom", None
-    return "custom", hilbert.from_logical(vec / norm, lattice, packet)
+    elif not 0 < norm < np.inf:
+        problems.append(f"{field}: amplitude magnitudes cannot be normalized")
+    else:
+        return "custom", hilbert.from_logical(vec / norm, lattice, packet)
+    return "custom", None
 
 
 def load_config(path: str | None, seed_override: int | None = None) -> ExperimentConfig:
@@ -167,12 +175,18 @@ def _number(val) -> float | None:
         return None
 
 
+# The keys resolve_config reads; any other key is a config error.
+_KEYS = {"tau_s", "bins", "sigma_t_s", "bandwidth_nm", "wavelength_nm", "visibility", "seed"}
+_KEYS |= {"baseline_counts", "grid", "replicas", "encoded_target", "ancilla"}
+_GRID_KEYS = {"half_span_s", "step_s"}
+
+
 def _is_int(val) -> bool:
     return isinstance(val, int) and not isinstance(val, bool)
 
 
 def resolve_config(raw: dict, seed_override: int | None = None) -> ExperimentConfig:
-    problems: list[str] = []
+    problems = [f"{key}: unknown config key" for key in raw if key not in _KEYS]
 
     def positive(key, default, source=raw):
         val = _number(source.get(key, default))
@@ -186,8 +200,8 @@ def resolve_config(raw: dict, seed_override: int | None = None) -> ExperimentCon
 
     tau = positive("tau_s", DEFAULT_TAU_S)
     bins = raw.get("bins", DEFAULT_BINS)
-    if not _is_int(bins) or bins < 2:
-        problems.append("bins: must be an integer >= 2")
+    if not _is_int(bins) or not 2 <= bins <= MAX_BINS:
+        problems.append(f"bins: must be an integer from 2 to {MAX_BINS}")
         bins = DEFAULT_BINS
 
     has_sigma = "sigma_t_s" in raw
@@ -214,6 +228,7 @@ def resolve_config(raw: dict, seed_override: int | None = None) -> ExperimentCon
     if not isinstance(grid, dict):
         problems.append("grid: must be an object with half_span_s / step_s")
         grid = {}
+    problems += [f"grid.{key}: unknown config key" for key in grid if key not in _GRID_KEYS]
     half_span = positive("half_span_s", DEFAULT_HALF_SPAN_S, grid)
     step = positive("step_s", DEFAULT_STEP_S, grid)
     if not 2 * np.round(half_span / step) + 1 <= MAX_GRID_POINTS:
@@ -273,25 +288,16 @@ def resolve_config(raw: dict, seed_override: int | None = None) -> ExperimentCon
 # ---------------------------------------------------------------------------
 
 
-def _json_ready(obj):
-    if isinstance(obj, dict):
-        return {k: _json_ready(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_ready(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return _json_ready(obj.tolist())
-    return obj
-
-
 def _write_json(path: Path, payload: dict, timestamp: bool) -> None:
     if timestamp:
         payload = dict(payload)
         payload["generated_at"] = _dt.datetime.now(_dt.timezone.utc).isoformat()
-    # NaN and Infinity are not JSON: a value that would need them raises
-    # ValueError before the file is written.
-    text = json.dumps(_json_ready(payload), indent=2, sort_keys=True, allow_nan=False)
+    # numpy arrays and scalars serialize through tolist().  NaN and Infinity
+    # are not JSON: a value that would need them raises ValueError before
+    # the file is written.
+    text = json.dumps(
+        payload, indent=2, sort_keys=True, allow_nan=False, default=lambda o: o.tolist()
+    )
     path.write_text(text + "\n")
 
 
@@ -337,15 +343,15 @@ def cmd_scan(cfg: ExperimentConfig, out_dir: Path, timestamp: bool, noiseless: b
     experiment.write_trace_csv(trace, out_dir / "trace.csv")
 
     baseline = experiment.estimate_baseline(trace)
-    r_zero = experiment.ratio_at_lag(trace, 0)
-    dip_depths = {
-        str(lag): float(np.clip(1.0 - experiment.ratio_at_lag(trace, lag), 0.0, 1.0))
+    ratio = {
+        lag: float(trace.counts[experiment.index_at_lag(trace, lag)] / baseline)
         for lag in (-1, 0, 1)
     }
+    dip_depths = {str(lag): float(np.clip(1.0 - r, 0.0, 1.0)) for lag, r in ratio.items()}
     summary = {
         "baseline": baseline,
-        "r_hat_zero": r_zero,
-        "visibility_hat": float(np.clip(1.0 - r_zero, 0.0, 1.0)),
+        "r_hat_zero": ratio[0],
+        "visibility_hat": dip_depths["0"],
         "dip_depths": dip_depths,
         "noiseless": noiseless,
         "resolved_config": cfg.echo(),
@@ -365,6 +371,11 @@ def cmd_tomography(cfg: ExperimentConfig, out_dir: Path, timestamp: bool, noisel
         delays=cfg.delays(),
         noiseless=noiseless,
     )
+    if not bundle.visibility_hat > 0:
+        raise ConfigError(
+            "visibility_hat: the calibration scan shows no dip; "
+            "raise visibility or baseline_counts"
+        )
     boot = tomography.bootstrap_errors(
         bundle.counts,
         tset,
@@ -374,7 +385,7 @@ def cmd_tomography(cfg: ExperimentConfig, out_dir: Path, timestamp: bool, noisel
         seed=cfg.seed,
     )
     result = boot.estimate
-    rho = tomography.logical_rho(result)
+    rho = result.rho_hat
 
     payload = {
         "rho": _complex_matrix_json(rho),

@@ -270,7 +270,6 @@ class ProjectionReading:
     """Dip depth read at one lag of a trace: p_hat = 1 - R_hat."""
 
     lag: int
-    delay: float
     p_hat: float
 
 
@@ -385,11 +384,6 @@ def estimate_baseline(trace: ScanTrace) -> float:
     return n0
 
 
-def ratio_estimates(trace: ScanTrace) -> np.ndarray:
-    """R_hat per grid point: counts normalized by the estimated baseline."""
-    return trace.counts / estimate_baseline(trace)
-
-
 def index_at_lag(trace: ScanTrace, lag: int) -> int:
     """Grid index of the point sitting on lag * tau, where the dip of that
     lag is read.  Raises ValueError if no grid point lies within
@@ -399,12 +393,6 @@ def index_at_lag(trace: ScanTrace, lag: int) -> int:
     if abs(trace.delays[i] - target) > GRID_MATCH_RTOL * trace.tau:
         raise ValueError(f"delay grid does not contain the lag {target:.3e} s")
     return i
-
-
-def ratio_at_lag(trace: ScanTrace, lag: int) -> float:
-    """R_hat at the grid point sitting on lag*tau."""
-    n0 = estimate_baseline(trace)
-    return float(trace.counts[index_at_lag(trace, lag)] / n0)
 
 
 def extract_projections(
@@ -429,11 +417,7 @@ def extract_projections(
     for lag in lags:
         i = index_at_lag(trace, lag)
         p_hat = 1.0 - trace.counts[i] / n0
-        out.append(
-            ProjectionReading(
-                lag=lag, delay=float(trace.delays[i]), p_hat=float(np.clip(p_hat, 0.0, 1.0))
-            )
-        )
+        out.append(ProjectionReading(lag=lag, p_hat=float(np.clip(p_hat, 0.0, 1.0))))
     return out
 
 
@@ -453,8 +437,8 @@ def occupied_bins(state: PhotonState) -> frozenset[int]:
 
 def write_trace_csv(trace: ScanTrace, path) -> None:
     """CSV with header delay_s,counts,R_hat.  Stable byte-for-byte for
-    identical traces."""
-    r = ratio_estimates(trace)
+    identical traces.  R_hat is the count over the estimated baseline."""
+    r = trace.counts / estimate_baseline(trace)
     with open(path, "w", encoding="utf-8") as f:
         f.write("delay_s,counts,R_hat\n")
         for d, c, rh in zip(trace.delays, trace.counts, r):

@@ -74,8 +74,6 @@ class TomographySet:
     members: tuple[tuple[str, PhotonState], ...]
     scans: tuple[int, ...]
     readings: tuple[tuple[int, int, int], ...]
-    lattice: TimeBinLattice
-    packet: Wavepacket
 
     def states(self) -> list[PhotonState]:
         return [state for _, state in self.members]
@@ -105,7 +103,7 @@ def product_tomography_set(lattice: TimeBinLattice, packet: Wavepacket) -> Tomog
             elif b == "t":
                 readings.append((i, -1, i - 1))
     scans = tuple(range(len(members)))
-    return TomographySet(tuple(members), scans, tuple(readings), lattice, packet)
+    return TomographySet(tuple(members), scans, tuple(readings))
 
 
 def default_tomography_set(
@@ -145,7 +143,7 @@ def default_tomography_set(
     scans = (0, 2, *range(4, len(members)))
     readings = ((0, 0, 0), (0, 1, 1), (1, 0, 2), (1, 1, 3))
     readings += tuple((j, 0, scans[j]) for j in range(2, len(scans)))
-    return TomographySet(tuple(members), scans, readings, lattice, packet)
+    return TomographySet(tuple(members), scans, readings)
 
 
 # ---------------------------------------------------------------------------
@@ -229,30 +227,27 @@ def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
 
 
 def _coerce_matrix(state) -> np.ndarray:
-    if isinstance(state, DensityMatrix):
-        return state.matrix
-    mat = np.asarray(state, dtype=complex)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError("expected a square density matrix")
-    return mat
+    return state.matrix if isinstance(state, DensityMatrix) else np.asarray(state, dtype=complex)
 
 
 def fidelity(rho, target) -> float:
     """State fidelity of a reconstruction against a pure or mixed target.
 
-    Pure target: <psi|rho|psi>.  Mixed target: (tr sqrt(sqrt(rho) sigma
+    Pure target (a PhotonState or a vector): <psi|rho|psi>.  Mixed target
+    (a DensityMatrix or a matrix of rho's shape): (tr sqrt(sqrt(rho) sigma
     sqrt(rho)))^2, symmetric in its arguments.
     """
     rho_m = _coerce_matrix(rho)
     if isinstance(target, PhotonState):
-        vec = hilbert.logical_vector(target)
-    else:
-        arr = np.asarray(target, dtype=complex)
-        vec = arr if arr.ndim == 1 else None
-    if vec is not None:
-        n2 = float(np.vdot(vec, vec).real)
-        return float(np.real(np.vdot(vec, rho_m @ vec)) / n2)
+        target = hilbert.logical_vector(target)
     sigma = _coerce_matrix(target)
+    if sigma.ndim == 1:
+        n2 = float(np.vdot(sigma, sigma).real)
+        return float(np.real(np.vdot(sigma, rho_m @ sigma)) / n2)
+    if sigma.shape != rho_m.shape:
+        raise ValueError(
+            f"target of shape {sigma.shape} does not match the estimate's {rho_m.shape}"
+        )
     sr = _psd_sqrt(rho_m)
     evals = np.linalg.eigvalsh(sr @ sigma @ sr)
     return float(np.sum(np.sqrt(np.clip(evals, 0.0, None))) ** 2)
@@ -293,9 +288,10 @@ def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _fit(
-    n: np.ndarray, baseline: np.ndarray, tset: TomographySet, visibility: float
+    n: np.ndarray, baseline: np.ndarray, projs: np.ndarray, visibility: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Maximum-likelihood states for a stack of count sets, n and baseline (B, M).
+    """Maximum-likelihood states for a stack of count sets, n and baseline (B, M),
+    of the (M, 4, 4) projector stack `projs`.
 
     Minimizes each row's Poisson deviance sum[mu - n - n log(mu / n)], with
     mu = N max(1 - V tr(P rho), _Q_FLOOR), over unit-trace PSD matrices by
@@ -313,7 +309,6 @@ def _fit(
     Returns (rho (B, 4, 4), deviance, gap, iterations), each per row;
     iterations counts the steps tried, rejected ones included.
     """
-    projs = projector_stack(tset)
     # On the float view (B, 32) of a (B, 4, 4) stack, V tr(P rho) is one
     # real matmul with `read`, and the gradient's sum over P one with `span`.
     flat = projs.view(float).reshape(len(projs), -1)
@@ -402,7 +397,7 @@ def _unpack_counts(
 
 @dataclass(frozen=True)
 class TomographyResult:
-    rho_hat: DensityMatrix
+    rho_hat: np.ndarray  # 4x4 logical estimate, exactly Hermitian
     nll: float
     iterations: int
     fidelity_vs_target: float | None = None
@@ -432,10 +427,11 @@ def mle_reconstruct(
     after the iteration cap.  Pure-state fits at those counts converge.
     """
     n, baseline = _unpack_counts(counts, tset, visibility)
-    return _result(n, _fit(n[None], baseline[None], tset, visibility), tset, target)
+    fit = _fit(n[None], baseline[None], projector_stack(tset), visibility)
+    return _result(n, fit, target)
 
 
-def _result(n: np.ndarray, fit, tset: TomographySet, target) -> TomographyResult:
+def _result(n: np.ndarray, fit, target) -> TomographyResult:
     """The TomographyResult of row 0 of a _fit of the counts n; raises
     ReconstructionError if that row missed the duality-gap tolerance."""
     rho, deviance, gap, iterations = fit
@@ -445,30 +441,18 @@ def _result(n: np.ndarray, fit, tset: TomographySet, target) -> TomographyResult
         raise ReconstructionError(
             f"likelihood fit stopped at duality gap {gap[0]:.3g}", best_nll=nll
         )
-    rho_dm = DensityMatrix(rho_to_full(rho[0], tset), tset.lattice, tset.packet)
     fid = None if target is None else fidelity(rho[0], target)
     return TomographyResult(
-        rho_hat=rho_dm,
+        rho_hat=0.5 * (rho[0] + rho[0].conj().T),
         nll=nll,
         iterations=int(iterations[0]),
         fidelity_vs_target=fid,
     )
 
 
-def rho_to_full(rho_logical: np.ndarray, tset: TomographySet) -> np.ndarray:
-    """Embed a 4x4 logical matrix into the full lattice index space."""
-    n = tset.lattice.bin_count
-    full = np.zeros((2 * n, 2 * n), dtype=complex)
-    idx = np.array([0, 1, n, n + 1])
-    full[np.ix_(idx, idx)] = rho_logical
-    return full
-
-
 def logical_rho(result: TomographyResult) -> np.ndarray:
-    """4x4 logical block of a reconstruction."""
-    n = result.rho_hat.bin_count
-    idx = np.array([0, 1, n, n + 1])
-    return result.rho_hat.matrix[np.ix_(idx, idx)]
+    """The 4x4 estimate of a reconstruction, `result.rho_hat`."""
+    return result.rho_hat
 
 
 @dataclass(frozen=True)
@@ -507,7 +491,8 @@ def bootstrap_errors(
     keys = ((seed, r) for r in range(replicas))
     n_star = experiment._reset_draws(keys, itertools.repeat(n, replicas))
     stack = np.array([n, *n_star], dtype=float)
-    fit = _fit(stack, np.broadcast_to(baseline, stack.shape), tset, visibility)
+    projs = projector_stack(tset)
+    fit = _fit(stack, np.broadcast_to(baseline, stack.shape), projs, visibility)
     rhos, _, gaps, _ = fit
     rhos = rhos[1:][gaps[1:] <= _GAP_TOL]
     dropped = replicas - len(rhos)
@@ -515,7 +500,7 @@ def bootstrap_errors(
         raise ReconstructionError(
             f"{dropped} of {replicas} bootstrap replicas failed to converge"
         )
-    estimate = _result(n, fit, tset, target)
+    estimate = _result(n, fit, target)
     fids = np.array([fidelity(rho, target) for rho in rhos])
     return BootstrapResult(
         estimate=estimate,
@@ -549,7 +534,8 @@ def simulate_counts(
     baseline_counts: float,
     visibility: float = 1.0,
     master_seed: int = 0,
-    delays=None,
+    *,
+    delays,
     noiseless: bool = False,
     calibrate: bool = True,
 ) -> CountsBundle:
@@ -563,10 +549,9 @@ def simulate_counts(
     each trace equals `sample_scan` of its scan alone.  Each scan's
     baseline is estimated once from its plateau, and each (scan, lag,
     member) reading of the set adds the scan's count at lag * tau and that
-    baseline to the member's (n_i, N_i) pair.
+    baseline to the member's (n_i, N_i) pair.  Every scan steps over the
+    grid `delays`.
     """
-    if delays is None:
-        delays = experiment.default_delay_grid(tset.lattice.tau)
 
     def config(stream):
         return experiment.ScanConfig(
@@ -583,10 +568,7 @@ def simulate_counts(
         for j, ancilla in enumerate(tset.scans)
     ]
     traces = experiment.sample_scans(runs, noiseless)
-    if calibrated:
-        v_hat = experiment.estimate_visibility(traces.pop(0))
-    else:
-        v_hat = visibility
+    v_hat = experiment.estimate_visibility(traces.pop(0)) if calibrated else visibility
     baselines = [experiment.estimate_baseline(trace) for trace in traces]
     counts = np.zeros((len(tset.members), 2))
     for j, lag, member in tset.readings:

@@ -16,6 +16,7 @@ from poltime.cli import (
     EXIT_BEST_EFFORT,
     EXIT_CONFIG,
     EXIT_OK,
+    MAX_BINS,
     MAX_GRID_POINTS,
     MAX_REPLICAS,
     ConfigError,
@@ -166,6 +167,72 @@ def test_size_caps_are_inclusive():
     cfg = resolve_config({"grid": grid, "replicas": MAX_REPLICAS})
     assert cfg.delays().size == MAX_GRID_POINTS
     assert cfg.replicas == MAX_REPLICAS
+
+
+def test_bins_are_capped(tmp_path, capsys):
+    assert resolve_config({"bins": MAX_BINS}).lattice.bin_count == MAX_BINS
+    with pytest.raises(ConfigError, match="bins"):
+        resolve_config({"bins": MAX_BINS + 1})
+    path = write_config(tmp_path, bins=100_000)
+    assert cli.main(["tomography", "--config", path, "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: bins:")
+
+
+def test_unknown_config_keys_are_reported_together():
+    with pytest.raises(ConfigError) as err:
+        resolve_config({"visiblity": 0.5, "grid": {"stepp_s": 1e-13}})
+    assert len(err.value.problems) == 2
+    assert "visiblity" in err.value.problems[0]
+    assert "stepp_s" in err.value.problems[1]
+
+
+def test_benchmark_configs_resolve():
+    """Every key the benchmark harness writes is a known one."""
+    resolve_config({"encoded_target": "phi_plus", "visibility": 0.94, "baseline_counts": 1e3})
+    resolve_config(
+        {
+            "encoded_target": "rl_bell",
+            "visibility": 0.94,
+            "baseline_counts": 1000.0,
+            "replicas": 10,
+            "seed": 5,
+            "grid": {"half_span_s": 8e-12, "step_s": 2e-13},
+        }
+    )
+
+
+@pytest.mark.parametrize(
+    "amps, reason",
+    [
+        ([[np.nan, 0], [1, 0], [0, 0], [0, 0]], "finite"),
+        ([[np.inf, 0], [1, 0], [0, 0], [0, 0]], "finite"),
+        ([[1e308, 0], [1e308, 0], [0, 0], [0, 0]], "cannot be normalized"),
+        ([[1e-320, 0], [0, 0], [0, 0], [0, 0]], "cannot be normalized"),
+    ],
+)
+@pytest.mark.parametrize("field", ["encoded_target", "ancilla"])
+def test_unusable_amplitudes_are_config_errors(tmp_path, capsys, field, amps, reason):
+    other = "ancilla" if field == "encoded_target" else "encoded_target"
+    path = write_config(tmp_path, **{field: amps, other: "h0"})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["scan", "--config", path, "--out", str(tmp_path / "out")])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"config error: {field}:") and reason in err[0]
+
+
+def test_calibration_without_a_dip_is_a_config_error(tmp_path, capsys):
+    """A self-scan too weak to show a dip clips visibility_hat to 0: a config
+    error naming it, not the configured visibility."""
+    path = write_config(tmp_path, visibility=0.05, seed=11, replicas=2)
+    out = tmp_path / "out"
+    assert cli.main(["tomography", "--config", path, "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("config error: visibility_hat:")
+    assert not (out / "result.json").exists()
 
 
 def test_sigma_and_bandwidth_are_mutually_exclusive():

@@ -149,7 +149,7 @@ def test_fit_matches_reference_solver(set_fixture, visibility, n0, request):
     n[5, -2:] = 0.0
     baseline = np.full_like(n, n0)
 
-    rho, deviance, gap, _ = tomography._fit(n, baseline, tset, visibility)
+    rho, deviance, gap, _ = tomography._fit(n, baseline, projs, visibility)
     rho_ref, deviance_ref, gap_ref, _ = reference_fit(n, baseline, tset, visibility)
 
     assert np.all(gap <= _GAP_TOL) and np.all(gap_ref <= _GAP_TOL)

@@ -20,7 +20,6 @@ from poltime.tomography import (
     mle_reconstruct,
     projector_stack,
     random_density_matrix,
-    rho_to_full,
     simulate_counts,
 )
 
@@ -232,6 +231,18 @@ def test_fidelity_mixed_symmetry(rng):
     assert 0.0 <= fidelity(a, b) <= 1.0
 
 
+def test_fidelity_takes_density_matrix_targets(lattice, packet, rng):
+    rho = random_density_matrix(4, rng)
+    sigma = DensityMatrix(random_density_matrix(4, rng), lattice, packet)
+    assert fidelity(rho, DensityMatrix(rho, lattice, packet)) == pytest.approx(
+        fidelity(rho, rho), abs=1e-12
+    )
+    assert fidelity(rho, sigma) == fidelity(rho, sigma.matrix)
+    wide = TimeBinLattice(bin_count=3, tau=TAU)
+    with pytest.raises(ValueError, match=r"\(6, 6\).*\(4, 4\)"):
+        fidelity(rho, DensityMatrix(np.eye(6) / 6, wide, packet))
+
+
 def test_random_density_matrices_are_states(rng):
     for _ in range(50):
         rho = random_density_matrix(4, rng)
@@ -280,6 +291,24 @@ def test_mle_output_is_physical_under_noise(lattice, packet, tset):
         np.testing.assert_allclose(rho, rho.conj().T, atol=1e-12)
 
 
+@pytest.mark.parametrize("name", ["phi_plus", "p_plus", "rl_bell", "mixed"])
+def test_estimate_is_a_density_matrix(name, lattice, packet, tset):
+    """The 4x4 estimate is exactly Hermitian, PSD and of unit trace."""
+    if name == "mixed":
+        rho = random_density_matrix(4, np.random.default_rng(9))
+        enc = DensityMatrix(rho, lattice, packet)
+    else:
+        enc = hilbert.named_state(name, lattice, packet)
+    bundle = simulate_counts(
+        enc, tset, 1000.0, visibility=0.94, master_seed=7, delays=compact_delays()
+    )
+    rho_hat = mle_reconstruct(bundle.counts, tset, bundle.visibility_hat).rho_hat
+    assert rho_hat.shape == (4, 4)
+    assert np.array_equal(rho_hat, rho_hat.conj().T)
+    assert np.linalg.eigvalsh(rho_hat).min() >= -1e-10
+    assert abs(np.trace(rho_hat).real - 1.0) <= 1e-12
+
+
 def test_mle_is_deterministic(lattice, packet, tset):
     enc = hilbert.named_state("p_plus", lattice, packet)
     bundle = simulate_counts(
@@ -287,7 +316,7 @@ def test_mle_is_deterministic(lattice, packet, tset):
     )
     a = mle_reconstruct(bundle.counts, tset, seed=11)
     b = mle_reconstruct(bundle.counts, tset, seed=11)
-    assert np.array_equal(a.rho_hat.matrix, b.rho_hat.matrix)
+    assert np.array_equal(a.rho_hat, b.rho_hat)
     assert a.nll == b.nll
 
 
@@ -438,6 +467,22 @@ def test_bootstrap_estimate_matches_mle_reconstruct(lattice, packet, tset):
         )
 
 
+def test_fits_take_density_matrix_targets(lattice, packet, tset, rng):
+    """A DensityMatrix target gives the fidelities its matrix gives."""
+    sigma = DensityMatrix(random_density_matrix(4, rng), lattice, packet)
+    counts = simulate_counts(
+        sigma, tset, 1000.0, visibility=0.94, master_seed=6, delays=compact_delays()
+    ).counts
+    by_state = mle_reconstruct(counts, tset, 0.94, target=sigma)
+    by_matrix = mle_reconstruct(counts, tset, 0.94, target=sigma.matrix)
+    assert by_state.fidelity_vs_target == by_matrix.fidelity_vs_target
+    boot_state = bootstrap_errors(counts, tset, 0.94, sigma, replicas=5, seed=6)
+    boot_matrix = bootstrap_errors(counts, tset, 0.94, sigma.matrix, replicas=5, seed=6)
+    assert boot_state.estimate.fidelity_vs_target == boot_matrix.estimate.fidelity_vs_target
+    np.testing.assert_array_equal(boot_state.fidelities, boot_matrix.fidelities)
+    assert boot_state.fidelity_std == boot_matrix.fidelity_std
+
+
 def test_bootstrap_requires_replicas(tset, lattice, packet):
     target = hilbert.named_state("p_plus", lattice, packet)
     counts = exact_counts(np.eye(4) / 4, tset)
@@ -514,7 +559,7 @@ def test_simulated_counts_equal_per_scan_samples(
         enc = hilbert.named_state("phi_plus", lattice, packet)
     else:
         rho = random_density_matrix(4, np.random.default_rng(3))
-        enc = DensityMatrix(rho_to_full(rho, tset), lattice, packet)
+        enc = DensityMatrix(rho, lattice, packet)
     master = 8
     bundle = simulate_counts(
         enc,
@@ -573,7 +618,7 @@ def test_noiseless_dip_depths_match_projector_expectations(visibility, lattice):
 
 
 def test_calibration_passthrough_for_mixed_states(lattice, packet, tset):
-    mixed = DensityMatrix(rho_to_full(np.eye(4) / 4, tset), lattice, packet)
+    mixed = DensityMatrix(np.eye(4) / 4, lattice, packet)
     bundle = simulate_counts(
         mixed, tset, 500.0, visibility=0.9, master_seed=1, delays=compact_delays()
     )
@@ -596,9 +641,3 @@ def test_end_to_end_noisy_reconstruction_regime(lattice, packet, tset):
     assert result.fidelity_vs_target > 0.85
     assert result.iterations > 0
 
-
-def test_rho_embedding_roundtrip(tset, rng):
-    rho = random_density_matrix(4, rng)
-    full = rho_to_full(rho, tset)
-    assert full.shape == (4, 4)  # two bins: logical space is the whole space
-    np.testing.assert_allclose(full, rho)
