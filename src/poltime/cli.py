@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import datetime as _dt
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -94,9 +95,18 @@ class ExperimentConfig:
     wavelength_nm: float | None
 
     def delays(self) -> np.ndarray:
-        return experiment.default_delay_grid(
-            self.lattice.tau, half_span=self.half_span_s, step=self.step_s
-        )
+        """The scan grid; a config error unless it reaches the baseline
+        plateau beyond every dip."""
+        tau, bins = self.lattice.tau, self.lattice.bin_count
+        grid = experiment.default_delay_grid(tau, half_span=self.half_span_s, step=self.step_s)
+        sigmas = experiment.BASELINE_EXCLUSION_SIGMAS
+        need = (bins - 1) * tau + sigmas * self.packet.sigma_t
+        if not grid[-1] > need:
+            raise ConfigError(
+                f"bins: {bins} bins need grid.half_span_s above (bins - 1) tau + {sigmas:g} "
+                f"sigma_t = {need:.4g} s, got {self.half_span_s:.4g} s"
+            )
+        return grid
 
     def echo(self) -> dict:
         return {
@@ -255,12 +265,13 @@ def resolve_config(raw: dict, seed_override: int | None = None) -> ExperimentCon
     encoded_label, encoded = _resolve_state(
         raw.get("encoded_target", "phi_plus"), lattice, packet, "encoded_target", problems
     )
-    ancilla_raw = raw.get("ancilla", raw.get("encoded_target", "phi_plus"))
-    if ancilla_raw == "tomography":
+    if "ancilla" not in raw:
+        ancilla_label, ancilla = encoded_label, encoded
+    elif raw["ancilla"] == "tomography":
         ancilla_label, ancilla = "tomography", None
     else:
         ancilla_label, ancilla = _resolve_state(
-            ancilla_raw, lattice, packet, "ancilla", problems
+            raw["ancilla"], lattice, packet, "ancilla", problems
         )
     if problems:
         raise ConfigError(problems)
@@ -445,7 +456,10 @@ def cmd_oracle_check(cfg: ExperimentConfig, triples: int) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parse_args keeps no
+    state between calls."""
     parser = argparse.ArgumentParser(
         prog="poltime",
         description="Polarization + time-bin photon encoding: simulate and reconstruct.",

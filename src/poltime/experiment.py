@@ -4,7 +4,9 @@ A scan steps the ancilla delay across a grid and records Poisson-distributed
 coincidence counts with expectation N0 * R(delta).  Each point's count comes
 from the counter-based stream point_rng(scan seed, point index), so any
 subset of points can be evaluated in any order, or in parallel, without
-changing the outcome.  Sampling draws every count of one or many scans in a
+changing the outcome.  sample_scans runs the scans of one encoded state
+against many ancillas on one grid, at one baseline and visibility: their
+expectations are one hom.scan_traces block, and every count is drawn in a
 single array pass over those keys (_keyed_poisson).  It computes the first
 Philox block of every key in exact array code and settles most points there
 with numpy's transformed-rejection (PTRS) sampler, by these routes in turn:
@@ -15,9 +17,10 @@ candidate, from the same block, by the same tests; and numpy's own sampler
 from the point's reset key for the rest.  Either way each count is the one
 point_rng gives, bit for bit.
 
-The long-delay plateau of a trace estimates N0; dip depths are read at the
-lags 0 and +-tau.  A scan of a single-bin ancilla yields two projections
-(the unshifted and the bin-shifted one) from the same trace.
+The long-delay plateau of a trace estimates N0; plateau_means takes it for
+a whole (scans, points) block of counts through one mask.  Dip depths are
+read at the lags 0 and +-tau.  A scan of a single-bin ancilla yields two
+projections (the unshifted and the bin-shifted one) from the same trace.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hom
-from .hilbert import DensityMatrix, PhotonState
+from .hilbert import PhotonState
 
 BASELINE_EXCLUSION_SIGMAS = 12.0
 GRID_MATCH_RTOL = 1e-6
@@ -311,37 +314,34 @@ def compact_delay_grid(
     return np.array(grid, dtype=float)
 
 
-def sample_scans(runs, noiseless: bool = False) -> list[ScanTrace]:
-    """Run several scans on grids of one length, one (encoded, ancilla,
-    config) triple each.
+def sample_scans(
+    encoded, ancillas, seeds, delays, baseline_counts, visibility=1.0, noiseless=False
+) -> list[ScanTrace]:
+    """Scan the encoded state against each ancilla, all on one delay grid at
+    one baseline and visibility, with one seed per scan.
 
-    Every scan's expectation N0 * R(delta) comes first, from one
-    hom.scan_trace call over its grid; then the counts of all scans are
-    drawn in one _keyed_poisson call, point i of a scan from
-    point_rng(config.seed, i), or set to the exact expectation in noiseless
-    mode.  So each trace equals the one its scan gives alone, and identical
-    inputs always give identical traces.  Raises ValueError if a grid does
-    not reach the baseline plateau on both sides.
+    The expectations N0 * R(delta) of every scan come from one
+    hom.scan_traces call; then all counts are drawn in one _keyed_poisson
+    call, point i of a scan from point_rng(its seed, i), or set to the exact
+    expectation in noiseless mode.  So each trace equals the one its scan
+    gives alone, and identical inputs always give identical traces.  Raises
+    ValueError if the grid does not reach the baseline plateau on both sides.
     """
-    runs = list(runs)
-    expected = []
-    for encoded, ancilla, cfg in runs:
-        tau, sigma = ancilla.lattice.tau, ancilla.packet.sigma_t
-        reach = 2 * tau + BASELINE_EXCLUSION_SIGMAS * sigma
-        if cfg.delays[-1] < reach or cfg.delays[0] > -reach:
-            raise ValueError(
-                f"delay grid must reach past +-{reach:.3e} s to expose the baseline"
-            )
-        ratios = hom.scan_trace(encoded, ancilla, cfg.delays, cfg.visibility)
-        expected.append(cfg.baseline_counts * ratios)
-    expected = np.array(expected)
+    configs = [ScanConfig(delays, baseline_counts, seed, visibility) for seed in seeds]
+    grid = configs[0].delays
+    reach = 2 * encoded.lattice.tau + BASELINE_EXCLUSION_SIGMAS * encoded.packet.sigma_t
+    if grid[-1] < reach or grid[0] > -reach:
+        raise ValueError(
+            f"delay grid must reach past +-{reach:.3e} s to expose the baseline"
+        )
+    expected = baseline_counts * hom.scan_traces(encoded, ancillas, grid, visibility)
     if noiseless:
         counts = expected.copy()
     else:
-        counts = _keyed_poisson([cfg.seed for _, _, cfg in runs], expected)
+        counts = _keyed_poisson([cfg.seed for cfg in configs], expected)
     return [
         ScanTrace(
-            delays=cfg.delays,
+            delays=grid,
             counts=counts[j],
             expected=expected[j],
             config=cfg,
@@ -350,19 +350,17 @@ def sample_scans(runs, noiseless: bool = False) -> list[ScanTrace]:
             n_bins=max(encoded.bin_count, ancilla.bin_count),
             noiseless=noiseless,
         )
-        for j, (encoded, ancilla, cfg) in enumerate(runs)
+        for j, (ancilla, cfg) in enumerate(zip(ancillas, configs))
     ]
 
 
-def sample_scan(
-    encoded: PhotonState | DensityMatrix,
-    ancilla: PhotonState,
-    config: ScanConfig,
-    noiseless: bool = False,
-) -> ScanTrace:
-    """Run one scan of the encoded state against the ancilla: the one-row
+def sample_scan(encoded, ancilla, config: ScanConfig, noiseless: bool = False) -> ScanTrace:
+    """Run one scan of the encoded state against the ancilla: the one-scan
     case of sample_scans."""
-    return sample_scans([(encoded, ancilla, config)], noiseless)[0]
+    return sample_scans(
+        encoded, [ancilla], [config.seed], config.delays, config.baseline_counts,
+        config.visibility, noiseless,
+    )[0]
 
 
 def baseline_mask(trace: ScanTrace) -> np.ndarray:
@@ -372,16 +370,21 @@ def baseline_mask(trace: ScanTrace) -> np.ndarray:
     return dist > BASELINE_EXCLUSION_SIGMAS * trace.sigma_t
 
 
-def estimate_baseline(trace: ScanTrace) -> float:
-    """Mean counts over the long-delay plateau; estimates N0.  Raises
-    ValueError if the plateau holds no points or no counts."""
-    mask = baseline_mask(trace)
+def plateau_means(counts: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Mean of each row of a (scans, points) block of counts over the
+    plateau points `mask`; each row's estimate of N0.  Raises ValueError if
+    the plateau holds no points, or a row no counts there."""
     if not mask.any():
         raise ValueError("no baseline points: grid lies entirely inside dip regions")
-    n0 = float(trace.counts[mask].mean())
-    if not n0 > 0:
+    n0 = counts[:, mask].mean(axis=1)
+    if not np.all(n0 > 0):
         raise ValueError("no counts on the baseline plateau: baseline_counts is too small")
     return n0
+
+
+def estimate_baseline(trace: ScanTrace) -> float:
+    """Mean counts over the long-delay plateau of one trace; estimates N0."""
+    return float(plateau_means(trace.counts[None], baseline_mask(trace))[0])
 
 
 def index_at_lag(trace: ScanTrace, lag: int) -> int:

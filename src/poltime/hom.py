@@ -11,8 +11,11 @@ where psi_a(delta) is the ancilla delayed by delta, including the Gaussian
 envelope overlap factors between displaced bins.  Positive delta delays the
 ancilla.
 
-scan_trace evaluates R over a whole delay grid in one batched array pass
-and returns the ratios as an array; coincidence_ratio is its one-delay case.
+scan_traces evaluates R for a stack of ancillas over a whole delay grid in
+one array pass: one envelope table for the grid, one real product for every
+ancilla's shifted vectors, and the overlaps as stacked one-slice products.
+scan_trace is its one-ancilla case and coincidence_ratio its one-delay case;
+every path gives the same bits.
 
 fock_oracle_ratio recomputes R by brute force in the two-photon Fock space
 (explicit beam-splitter expansion over an orthonormalized mode basis) and
@@ -46,9 +49,30 @@ def _require_shared_envelope(encoded, ancilla) -> None:
         raise ValueError("encoded and ancilla must share the wavepacket envelope")
 
 
-def shifted_ancilla_vector(
-    ancilla: PhotonState, delay, target_bin_count: int
-) -> np.ndarray:
+def _shifted_vectors(ancillas, delay, target_bin_count: int) -> np.ndarray:
+    """shifted_ancilla_vector of each of a stack of ancillas on one lattice
+    and packet.  The envelope table env[k, d, j] = envelope_overlap(d +
+    (k - j) tau) is built once and meets the real and imaginary amplitude
+    rows of all the ancillas in one real product, bit for bit one ancilla's
+    complex amps @ env: both run BLAS's multiply-add chain over the bins,
+    which an elementwise sum over them does not reproduce."""
+    first = ancillas[0]
+    bins = first.bin_count
+    d = np.asarray(delay, dtype=float)
+    k = np.arange(bins)[:, None, None]
+    dt = d.reshape(-1, 1) + (k - np.arange(target_bin_count)) * first.lattice.tau
+    env = np.exp(-0.125 * (dt / first.packet.sigma_t) ** 2)
+    amps = np.array([ancilla.as_matrix() for ancilla in ancillas])
+    rows = np.concatenate([amps.real, amps.imag], axis=1).reshape(-1, bins)
+    # (ancillas, re/im, polarization, delays, target bins)
+    prod = (rows @ env.reshape(bins, -1)).reshape(len(amps), 2, 2, d.size, -1)
+    g = np.empty((len(amps), d.size, 2, target_bin_count), dtype=complex)
+    g.real = prod[:, 0].swapaxes(1, 2)
+    g.imag = prod[:, 1].swapaxes(1, 2)
+    return g.reshape((len(amps),) + d.shape + (-1,))
+
+
+def shifted_ancilla_vector(ancilla: PhotonState, delay, target_bin_count: int) -> np.ndarray:
     """Effective amplitudes of the delayed ancilla on a target bin grid.
 
     g[p, j] = sum_k a[p, k] * envelope_overlap(delay + (k - j) tau), so that
@@ -57,15 +81,7 @@ def shifted_ancilla_vector(
     scalar delay gives a vector of length 2 * target_bin_count; an array of
     delays gives one such vector per delay, stacked along a leading axis.
     """
-    tau = ancilla.lattice.tau
-    amps = ancilla.as_matrix()
-    k = np.arange(ancilla.bin_count)
-    j = np.arange(target_bin_count)
-    d = np.asarray(delay, dtype=float)
-    # (..., target_bins, ancilla_bins)
-    dt = d[..., None, None] + (k[None, :] - j[:, None]) * tau
-    env = np.exp(-0.125 * (dt / ancilla.packet.sigma_t) ** 2)
-    return (amps @ np.swapaxes(env, -1, -2)).reshape(d.shape + (-1,))
+    return _shifted_vectors([ancilla], delay, target_bin_count)[0]
 
 
 def state_overlap_at_delay(
@@ -86,30 +102,25 @@ def _check_visibility(vis) -> float:
     return v
 
 
-def scan_trace(
-    encoded: PhotonState | DensityMatrix,
-    ancilla: PhotonState,
-    delays,
-    vis: float = 1.0,
-) -> np.ndarray:
-    """Dip ratio R(delta) over a delay grid, as an array in grid order.
-
-    The encoded input may be pure or mixed; the ancilla is always a prepared
-    pure state.  All delays are evaluated in one pass over the stacked
-    shifted ancilla vectors.  Each overlap is a stack of one-slice products,
-    which run the same BLAS calls as np.vdot and M @ g at one delay, so every
-    point equals the one-delay formula bit for bit; one gemv over the whole
-    stack, or einsum, moves some points by an ulp.  The raw overlap is
-    clamped to [0, 1]: envelope tails between adjacent bins can push the
+def scan_traces(encoded, ancillas, delays, vis: float = 1.0) -> np.ndarray:
+    """Dip ratios R(delta) of a pure or mixed encoded input against each of a
+    stack of prepared ancillas on one lattice, (ancillas, delays) in grid
+    order.  Each overlap is a stack of one-slice products over all (ancilla,
+    delay) pairs, which run the same BLAS calls as np.vdot and M @ g at one
+    delay, so every point equals the one-delay formula bit for bit; one gemv
+    over the stack, or einsum, moves some points by an ulp.  The raw overlap
+    is clamped to [0, 1]: envelope tails between adjacent bins can push the
     bilinear form past 1 by O(envelope_overlap(tau)^2), which is far below
     1e-12 for resolvable bins.
     """
-    _require_shared_envelope(encoded, ancilla)
+    for ancilla in ancillas:
+        _require_shared_envelope(encoded, ancilla)
     v = _check_visibility(vis)
     grid = np.asarray(delays, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("delay grid must be a non-empty 1-d array")
-    g = shifted_ancilla_vector(ancilla, grid, encoded.bin_count)
+    g = _shifted_vectors(ancillas, grid, encoded.bin_count)
+    g = g.reshape(-1, g.shape[-1])
     if isinstance(encoded, DensityMatrix):
         mg = np.matmul(encoded.matrix[None], g[:, :, None])
         raw = np.matmul(g.conj()[:, None, :], mg)[:, 0, 0].real
@@ -118,15 +129,16 @@ def scan_trace(
         z = np.matmul(g[:, None, :], e[None, :, None])[:, 0, 0]
         # abs(z) ** 2 as Python computes it: hypot, then libm pow (not x * x).
         raw = np.float_power(np.hypot(z.real, z.imag), 2.0)
-    return 1.0 - v * np.clip(raw, 0.0, 1.0)
+    return (1.0 - v * np.clip(raw, 0.0, 1.0)).reshape(len(ancillas), grid.size)
 
 
-def coincidence_ratio(
-    encoded: PhotonState | DensityMatrix,
-    ancilla: PhotonState,
-    delay: float,
-    vis: float = 1.0,
-) -> float:
+def scan_trace(encoded, ancilla: PhotonState, delays, vis: float = 1.0) -> np.ndarray:
+    """Dip ratio R(delta) over a delay grid, in grid order: the one-ancilla
+    case of scan_traces."""
+    return scan_traces(encoded, [ancilla], delays, vis)[0]
+
+
+def coincidence_ratio(encoded, ancilla: PhotonState, delay: float, vis: float = 1.0) -> float:
     """Normalized coincidence ratio R(delay) at one delay: the one-point
     case of scan_trace."""
     return float(scan_trace(encoded, ancilla, [delay], vis)[0])

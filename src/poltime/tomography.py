@@ -544,38 +544,35 @@ def simulate_counts(
     Scan j uses stream j + 1.  The interference visibility is calibrated
     from a scan of the encoded state against itself (stream 0); mixed
     encoded states skip calibration and trust the configured value.  All
-    scans, the calibration scan included, go through one
-    `experiment.sample_scans` call, so their counts are one keyed draw, and
-    each trace equals `sample_scan` of its scan alone.  Each scan's
-    baseline is estimated once from its plateau, and each (scan, lag,
-    member) reading of the set adds the scan's count at lag * tau and that
-    baseline to the member's (n_i, N_i) pair.  Every scan steps over the
-    grid `delays`.
+    scans, the calibration scan included, step over the grid `delays` in one
+    `experiment.sample_scans` call, so their expectations are one
+    `hom.scan_traces` block and their counts one keyed draw, and each trace
+    equals `sample_scan` of its scan alone.  One plateau mask gives every
+    scan's baseline from the (scans, points) block of counts, and the lags
+    0 and +-tau are looked up once.  Each (scan, lag, member) reading of
+    the set adds the scan's count at lag * tau and its baseline to the
+    member's (n_i, N_i) pair.
     """
-
-    def config(stream):
-        return experiment.ScanConfig(
-            delays=delays,
-            baseline_counts=baseline_counts,
-            seed=experiment.derive_seed(master_seed, stream),
-            visibility=visibility,
-        )
-
-    calibrated = calibrate and isinstance(encoded, PhotonState)
-    runs = [(encoded, encoded, config(0))] if calibrated else []
-    runs += [
-        (encoded, tset.members[ancilla][1], config(j + 1))
-        for j, ancilla in enumerate(tset.scans)
-    ]
-    traces = experiment.sample_scans(runs, noiseless)
-    v_hat = experiment.estimate_visibility(traces.pop(0)) if calibrated else visibility
-    baselines = [experiment.estimate_baseline(trace) for trace in traces]
-    counts = np.zeros((len(tset.members), 2))
-    for j, lag, member in tset.readings:
-        dip = traces[j].counts[experiment.index_at_lag(traces[j], lag)]
-        # Pooled Poisson streams stay Poisson: sum dips, sum baselines.
-        counts[member] += (dip, baselines[j])
+    # With calibration, row 0 of the block is the self-scan and scan j is row j + 1.
+    cal = int(calibrate and isinstance(encoded, PhotonState))
+    ancillas = [encoded] * cal + [tset.members[ancilla][1] for ancilla in tset.scans]
+    streams = range(1 - cal, len(tset.scans) + 1)
+    seeds = [experiment.derive_seed(master_seed, stream) for stream in streams]
+    traces = experiment.sample_scans(
+        encoded, ancillas, seeds, delays, baseline_counts, visibility, noiseless
+    )
+    block = np.array([trace.counts for trace in traces])
+    baselines = experiment.plateau_means(block, experiment.baseline_mask(traces[0]))
+    scan, lag, member = np.array(tset.readings).T
+    column = {m: experiment.index_at_lag(traces[0], m) for m in {0, *lag.tolist()}}
+    v_hat = visibility
+    if cal:
+        v_hat = float(np.clip(1.0 - block[0, column[0]] / baselines[0], 0.0, 1.0))
+    dips = block[scan + cal, [column[m] for m in lag.tolist()]]
+    # Pooled Poisson streams stay Poisson: sum dips, sum baselines, in reading order.
+    weights = (dips, baselines[scan + cal])
+    counts = np.stack([np.bincount(member, w, len(tset.members)) for w in weights], axis=1)
     p_hat = np.clip(1.0 - counts[:, 0] / counts[:, 1], 0.0, 1.0)
     return CountsBundle(
-        counts=counts, p_hat=p_hat, visibility_hat=v_hat, traces=tuple(traces)
+        counts=counts, p_hat=p_hat, visibility_hat=v_hat, traces=tuple(traces[cal:])
     )

@@ -253,6 +253,71 @@ def test_unknown_state_name_is_a_config_error(tmp_path, capsys):
     assert "unknown state name" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("target", ["bogus", [[1, 0], [0, 0], [0, 0]]])
+def test_bad_encoded_target_is_reported_once(tmp_path, capsys, target):
+    """Without an ancilla key the ancilla is the encoded target itself, so
+    a bad target is one problem, not a second one under `ancilla`."""
+    path = write_config(tmp_path, encoded_target=target)
+    assert cli.main(["prepare", "--config", path, "--out", str(tmp_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("config error: encoded_target:")
+
+
+@pytest.mark.parametrize("command", ["scan", "tomography"])
+def test_bins_beyond_the_grid_name_the_half_span_they_need(tmp_path, capsys, command):
+    """Four bins put the last side dip within 12 sigma_t of the default
+    grid's edge: one config error naming bins, grid.half_span_s and the
+    half span needed, (bins - 1) tau + 12 sigma_t."""
+    path = write_config(tmp_path, bins=4, replicas=2)
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", path, "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    need = 3 * cli.DEFAULT_TAU_S + 12 * bandwidth_to_sigma(3.0, 780.0)
+    assert len(err) == 1
+    assert err[0].startswith("config error: bins:")
+    assert "grid.half_span_s" in err[0] and f"{need:.4g} s" in err[0]
+    assert list(out.iterdir()) == []
+    wide = write_config(tmp_path, bins=4, replicas=2, grid={"half_span_s": 8.5e-12})
+    assert cli.main([command, "--config", wide, "--out", str(out)]) == EXIT_OK
+
+
+def test_calls_in_one_process_match_fresh_processes(tmp_path, capsys, monkeypatch):
+    """The parser is built once per process; no state may leak between
+    calls.  A seed override, a run without one, help and a usage error, in
+    one process, each give the exit code, output and artifacts of a fresh
+    interpreter."""
+    monkeypatch.setenv("COLUMNS", "80")
+    path = write_config(tmp_path, encoded_target="p_plus", replicas=3, seed=5)
+    calls = [
+        ["tomography", "--config", path, "--seed", "9", "--no-timestamp", "--out"],
+        ["tomography", "--config", path, "--no-timestamp", "--out"],
+        ["--help"],
+        ["scan", "--seed", "x"],
+    ]
+    for k, argv in enumerate(calls):
+        runs = []
+        for where in ("inproc", "fresh"):
+            out = tmp_path / f"{where}{k}"
+            args = argv + [str(out)] if argv[-1] == "--out" else argv
+            if where == "inproc":
+                code = cli.main(args)
+                std = capsys.readouterr()
+                stdout, stderr = std.out, std.err
+            else:
+                proc = subprocess.run(
+                    [sys.executable, "-m", "poltime.cli", *args], capture_output=True, text=True
+                )
+                code, stdout, stderr = proc.returncode, proc.stdout, proc.stderr
+            files = {f.name: f.read_bytes() for f in out.iterdir()} if out.exists() else {}
+            runs.append((code, stdout, stderr, files))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == (EXIT_OK if k < 3 else EXIT_CONFIG)
+    assert (tmp_path / "inproc0" / "result.json").read_bytes() != (
+        tmp_path / "inproc1" / "result.json"
+    ).read_bytes()
+
+
 def test_cli_import_leaves_scipy_optimize_unloaded():
     """Only the preparation compiler's numeric fallback needs scipy.optimize,
     so importing the command line must not load it."""
