@@ -12,6 +12,7 @@ from pathlib import Path
 
 from poltime import experiment, hilbert
 
+LAGS = (-1, 0, 1)
 PAIRINGS = [
     ("phi_plus", "phi_plus"),
     ("phi_plus", "phi_minus"),
@@ -50,10 +51,9 @@ def main() -> None:
         trace = experiment.sample_scan(enc, anc, cfg, noiseless=not args.counts)
         stem = f"{enc_name}_vs_{anc_name}".replace("+", "plus").replace("-", "minus")
         experiment.write_trace_csv(trace, out / f"{stem}.csv")
-        n0 = experiment.estimate_baseline(trace)
-        dips = {lag: trace.counts[experiment.index_at_lag(trace, lag)] for lag in (-1, 0, 1)}
+        (n0,), (dips,) = experiment.read_dips([trace], LAGS)
         summary[f"{enc_name} vs {anc_name}"] = {
-            str(lag): round(1.0 - float(n / n0), 6) for lag, n in dips.items()
+            str(lag): round(1.0 - float(n / n0), 6) for lag, n in zip(LAGS, dips)
         }
 
     (out / "dip_depths.json").write_text(json.dumps(summary, indent=2) + "\n")

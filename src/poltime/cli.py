@@ -37,10 +37,12 @@ DEFAULT_STEP_S = 5e-14
 DEFAULT_REPLICAS = 100
 # Size caps: every scan of a run is drawn and held as one (scans, points)
 # block, the bootstrap as one (replicas, members) stack, and the scan
-# model as (points, bins, bins) arrays.
+# model as (points, bins, bins) arrays.  numpy's Poisson sampler refuses
+# means above about 9.2e18; noiseless runs draw too, in the bootstrap.
 MAX_GRID_POINTS = 100_001
 MAX_REPLICAS = 10_000
 MAX_BINS = 8
+MAX_BASELINE_COUNTS = 1e18
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -234,6 +236,8 @@ def resolve_config(raw: dict, seed_override: int | None = None) -> ExperimentCon
         problems.append("visibility: must lie in [0, 1]")
 
     baseline = positive("baseline_counts", DEFAULT_BASELINE_COUNTS)
+    if baseline > MAX_BASELINE_COUNTS:
+        problems.append(f"baseline_counts: must be at most {MAX_BASELINE_COUNTS:g}")
     grid = raw.get("grid", {})
     if not isinstance(grid, dict):
         problems.append("grid: must be an object with half_span_s / step_s")
@@ -344,24 +348,19 @@ def cmd_prepare(cfg: ExperimentConfig, out_dir: Path, timestamp: bool) -> int:
 def cmd_scan(cfg: ExperimentConfig, out_dir: Path, timestamp: bool, noiseless: bool) -> int:
     if cfg.ancilla is None:
         raise ConfigError('ancilla "tomography" belongs to the tomography subcommand')
-    scan_cfg = experiment.ScanConfig(
-        delays=cfg.delays(),
-        baseline_counts=cfg.baseline_counts,
-        seed=cfg.seed,
-        visibility=cfg.visibility,
+    (trace,) = experiment.sample_scans(
+        cfg.encoded, [cfg.ancilla], [cfg.seed], cfg.delays(), cfg.baseline_counts,
+        cfg.visibility, noiseless,
     )
-    trace = experiment.sample_scan(cfg.encoded, cfg.ancilla, scan_cfg, noiseless=noiseless)
     experiment.write_trace_csv(trace, out_dir / "trace.csv")
 
-    baseline = experiment.estimate_baseline(trace)
-    ratio = {
-        lag: float(trace.counts[experiment.index_at_lag(trace, lag)] / baseline)
-        for lag in (-1, 0, 1)
-    }
-    dip_depths = {str(lag): float(np.clip(1.0 - r, 0.0, 1.0)) for lag, r in ratio.items()}
+    lags = (-1, 0, 1)
+    (baseline,), (dips,) = experiment.read_dips([trace], lags)
+    ratio = dips / baseline
+    dip_depths = {str(lag): float(np.clip(1.0 - r, 0.0, 1.0)) for lag, r in zip(lags, ratio)}
     summary = {
-        "baseline": baseline,
-        "r_hat_zero": ratio[0],
+        "baseline": float(baseline),
+        "r_hat_zero": float(ratio[1]),
         "visibility_hat": dip_depths["0"],
         "dip_depths": dip_depths,
         "noiseless": noiseless,
@@ -416,8 +415,9 @@ def cmd_tomography(cfg: ExperimentConfig, out_dir: Path, timestamp: bool, noisel
     _write_matrix_csv(out_dir / "rho_real.csv", rho.real)
     _write_matrix_csv(out_dir / "rho_imag.csv", rho.imag)
 
+    p_hat = np.clip(1.0 - bundle.counts[:, 0] / bundle.counts[:, 1], 0.0, 1.0)
     rows = ["label,p_hat,dip_counts,baseline_counts"]
-    for label, (n_i, big_n), p in zip(tset.labels(), bundle.counts, bundle.p_hat):
+    for label, (n_i, big_n), p in zip(tset.labels(), bundle.counts, p_hat):
         rows.append(f"{label},{p:.17g},{n_i:.17g},{big_n:.17g}")
     (out_dir / "projections.csv").write_text("\n".join(rows) + "\n")
     return EXIT_OK

@@ -17,10 +17,10 @@ candidate, from the same block, by the same tests; and numpy's own sampler
 from the point's reset key for the rest.  Either way each count is the one
 point_rng gives, bit for bit.
 
-The long-delay plateau of a trace estimates N0; plateau_means takes it for
-a whole (scans, points) block of counts through one mask.  Dip depths are
-read at the lags 0 and +-tau.  A scan of a single-bin ancilla yields two
-projections (the unshifted and the bin-shifted one) from the same trace.
+read_dips reads scans on one grid: each one's baseline N0, the mean over
+the long-delay plateau, and its counts at given lags, lag * tau.
+reading_lags says which lags a scan reads; a single-bin ancilla's scan
+yields two projections.
 """
 
 from __future__ import annotations
@@ -239,10 +239,15 @@ class ScanConfig:
         object.__setattr__(self, "delays", delays)
         if not self.baseline_counts > 0:
             raise ValueError("baseline_counts must be positive")
-        if not 0 <= int(self.seed) < 2**64:
-            raise ValueError("seed must fit in an unsigned 64-bit integer")
+        _check_seed(self.seed)
         if not 0.0 <= self.visibility <= 1.0:
             raise ValueError("visibility must lie in [0, 1]")
+
+
+def _check_seed(seed) -> int:
+    if not 0 <= int(seed) < 2**64:
+        raise ValueError("seed must fit in an unsigned 64-bit integer")
+    return int(seed)
 
 
 @dataclass(frozen=True)
@@ -252,7 +257,7 @@ class ScanTrace:
     delays: np.ndarray
     counts: np.ndarray
     expected: np.ndarray
-    config: ScanConfig
+    seed: int
     tau: float
     sigma_t: float
     n_bins: int
@@ -325,10 +330,11 @@ def sample_scans(
     call, point i of a scan from point_rng(its seed, i), or set to the exact
     expectation in noiseless mode.  So each trace equals the one its scan
     gives alone, and identical inputs always give identical traces.  Raises
-    ValueError if the grid does not reach the baseline plateau on both sides.
+    ValueError on a seed, grid, baseline or visibility that ScanConfig would
+    refuse, or a grid that does not reach the baseline plateau on both sides.
     """
-    configs = [ScanConfig(delays, baseline_counts, seed, visibility) for seed in seeds]
-    grid = configs[0].delays
+    grid = ScanConfig(delays, baseline_counts, 0, visibility).delays
+    seeds = [_check_seed(seed) for seed in seeds]
     reach = 2 * encoded.lattice.tau + BASELINE_EXCLUSION_SIGMAS * encoded.packet.sigma_t
     if grid[-1] < reach or grid[0] > -reach:
         raise ValueError(
@@ -338,19 +344,19 @@ def sample_scans(
     if noiseless:
         counts = expected.copy()
     else:
-        counts = _keyed_poisson([cfg.seed for cfg in configs], expected)
+        counts = _keyed_poisson(seeds, expected)
     return [
         ScanTrace(
             delays=grid,
             counts=counts[j],
             expected=expected[j],
-            config=cfg,
+            seed=seed,
             tau=ancilla.lattice.tau,
             sigma_t=ancilla.packet.sigma_t,
             n_bins=max(encoded.bin_count, ancilla.bin_count),
             noiseless=noiseless,
         )
-        for j, (ancilla, cfg) in enumerate(zip(ancillas, configs))
+        for j, (ancilla, seed) in enumerate(zip(ancillas, seeds))
     ]
 
 
@@ -363,72 +369,61 @@ def sample_scan(encoded, ancilla, config: ScanConfig, noiseless: bool = False) -
     )[0]
 
 
-def baseline_mask(trace: ScanTrace) -> np.ndarray:
-    """Points far from every possible dip lag m * tau, |m| < n_bins."""
-    lags = np.arange(-(trace.n_bins - 1), trace.n_bins) * trace.tau
-    dist = np.abs(trace.delays[:, None] - lags[None, :]).min(axis=1)
-    return dist > BASELINE_EXCLUSION_SIGMAS * trace.sigma_t
-
-
-def plateau_means(counts: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Mean of each row of a (scans, points) block of counts over the
-    plateau points `mask`; each row's estimate of N0.  Raises ValueError if
-    the plateau holds no points, or a row no counts there."""
-    if not mask.any():
+def read_dips(traces, lags) -> tuple[np.ndarray, np.ndarray]:
+    """Baselines (S,) and dips (S, len(lags)) of S traces on the first one's
+    grid, tau, sigma_t and bins.  A baseline is the mean count over the
+    points farther than BASELINE_EXCLUSION_SIGMAS * sigma_t from every lag
+    m * tau, |m| < n_bins; dip column k is the count at lags[k] * tau.
+    Raises ValueError if the plateau has no points, a trace no counts there,
+    or no grid point lies within GRID_MATCH_RTOL * tau of a lag.
+    """
+    first = traces[0]
+    delays, tau = first.delays, first.tau
+    block = np.array([trace.counts for trace in traces])
+    dip_lags = np.arange(1 - first.n_bins, first.n_bins) * tau
+    dist = np.abs(delays[:, None] - dip_lags).min(axis=1)
+    plateau = dist > BASELINE_EXCLUSION_SIGMAS * first.sigma_t
+    if not plateau.any():
         raise ValueError("no baseline points: grid lies entirely inside dip regions")
-    n0 = counts[:, mask].mean(axis=1)
-    if not np.all(n0 > 0):
+    baselines = block[:, plateau].mean(axis=1)
+    if not np.all(baselines > 0):
         raise ValueError("no counts on the baseline plateau: baseline_counts is too small")
-    return n0
+    targets = np.asarray(lags, dtype=float) * tau
+    columns = np.abs(delays[:, None] - targets).argmin(axis=0)
+    for target, delay in zip(targets, delays[columns]):
+        if abs(delay - target) > GRID_MATCH_RTOL * tau:
+            raise ValueError(f"delay grid does not contain the lag {target:.3e} s")
+    return baselines, block[:, columns]
 
 
 def estimate_baseline(trace: ScanTrace) -> float:
     """Mean counts over the long-delay plateau of one trace; estimates N0."""
-    return float(plateau_means(trace.counts[None], baseline_mask(trace))[0])
+    return float(read_dips([trace], ())[0][0])
 
 
-def index_at_lag(trace: ScanTrace, lag: int) -> int:
-    """Grid index of the point sitting on lag * tau, where the dip of that
-    lag is read.  Raises ValueError if no grid point lies within
-    GRID_MATCH_RTOL * tau of it."""
-    target = lag * trace.tau
-    i = int(np.argmin(np.abs(trace.delays - target)))
-    if abs(trace.delays[i] - target) > GRID_MATCH_RTOL * trace.tau:
-        raise ValueError(f"delay grid does not contain the lag {target:.3e} s")
-    return i
-
-
-def extract_projections(
-    trace: ScanTrace, ancilla_bins_occupied: frozenset[int] | set[int]
-) -> list[ProjectionReading]:
-    """Projection estimates from one trace.
-
-    Always reads the unshifted lag 0.  A single-bin ancilla also reads the
-    lag that shifts it onto the other logical bin: +tau from bin 0, -tau
-    from bin 1, so one scan feeds two projections.
-    """
-    occupied = frozenset(int(b) for b in ancilla_bins_occupied)
+def reading_lags(occupied) -> tuple[int, ...]:
+    """The lags a scan reads given its ancilla's occupied bins: 0, and the
+    shift onto the other logical bin for a single-bin ancilla, +1 from bin
+    0 or -1 from bin 1."""
+    occupied = frozenset(int(b) for b in occupied)
     if not occupied:
         raise ValueError("ancilla must occupy at least one bin")
-    lags = [0]
-    if occupied == {0}:
-        lags.append(1)
-    elif occupied == {1}:
-        lags.append(-1)
-    n0 = estimate_baseline(trace)
-    out = []
-    for lag in lags:
-        i = index_at_lag(trace, lag)
-        p_hat = 1.0 - trace.counts[i] / n0
-        out.append(ProjectionReading(lag=lag, p_hat=float(np.clip(p_hat, 0.0, 1.0))))
-    return out
+    return {frozenset({0}): (0, 1), frozenset({1}): (0, -1)}.get(occupied, (0,))
+
+
+def extract_projections(trace: ScanTrace, ancilla_bins_occupied) -> list[ProjectionReading]:
+    """Projection estimates from one trace, at the lags of reading_lags, so
+    a single-bin ancilla's scan feeds two projections."""
+    lags = reading_lags(ancilla_bins_occupied)
+    (n0,), (dips,) = read_dips([trace], lags)
+    p_hat = np.clip(1.0 - dips / n0, 0.0, 1.0)
+    return [ProjectionReading(lag=lag, p_hat=float(p)) for lag, p in zip(lags, p_hat)]
 
 
 def estimate_visibility(trace: ScanTrace) -> float:
     """1 - R_hat(0); calibrates v from a scan of two identical states."""
-    n0 = estimate_baseline(trace)
-    i = index_at_lag(trace, 0)
-    return float(np.clip(1.0 - trace.counts[i] / n0, 0.0, 1.0))
+    (n0,), ((dip,),) = read_dips([trace], (0,))
+    return float(np.clip(1.0 - dip / n0, 0.0, 1.0))
 
 
 def occupied_bins(state: PhotonState) -> frozenset[int]:

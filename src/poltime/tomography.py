@@ -3,9 +3,9 @@
 Each member of a tomography set is a rank-1 projector |psi_i><psi_i| whose
 dip depth estimates p_i = <psi_i| rho |psi_i>.  A scan prepares one member
 as the ancilla.  The set's readings table says which dip reads which
-projector: one (scan, lag, member) triple per dip, so every scan reads its
-own ancilla at lag 0, and a scan whose ancilla occupies a single bin can
-also read the bin-shifted projector at lag +-1 (delay +-tau).
+projector: one (scan, lag, member) triple per dip at the lags of
+`experiment.reading_lags`, so every scan reads its own ancilla at lag 0 and
+a single-bin ancilla's scan also the bin-shifted projector at lag +-1.
 
 The default set is the complete set of mutually unbiased two-qubit bases
 (Wootters and Fields, Ann. Phys. 191, 363, 1989; Adamson and Steinberg,
@@ -85,25 +85,25 @@ class TomographySet:
 def product_tomography_set(lattice: TimeBinLattice, packet: Wavepacket) -> TomographySet:
     """The paper's 16-state product set with its readings table.
 
-    Members are {h, v, p, r} x {0, t, +, x}.  Member i doubles as the
-    ancilla of scan i and is read there at lag 0.  Single-bin scans read a
-    second projector: the bin-0 scan reads its tau partner at lag +1 and
-    the tau scan reads the bin-0 partner at lag -1 (the shift must land on
-    the logical lattice), so those projectors are sampled twice.  Compile
-    preparations with `optics.compile_preparation(state)`.
+    Members are {h, v, p, r} x {0, t, +, x}.  Member i is the ancilla of
+    scan i.  The bin-0 and tau scans also read each other's member, at lag
+    +1 and -1, so those projectors are sampled twice.  Compile preparations
+    with `optics.compile_preparation(state)`.
     """
-    members, readings = [], []
-    for pol in POLARIZATION_SET:
-        for b in BIN_SET:
-            i = len(members)
-            members.append((pol + b, hilbert.product_state(pol, b, lattice, packet)))
-            readings.append((i, 0, i))
-            if b == "0":
-                readings.append((i, 1, i + 1))
-            elif b == "t":
-                readings.append((i, -1, i - 1))
+    members = tuple(
+        (pol + b, hilbert.product_state(pol, b, lattice, packet))
+        for pol in POLARIZATION_SET for b in BIN_SET
+    )
     scans = tuple(range(len(members)))
-    return TomographySet(tuple(members), scans, tuple(readings))
+    return TomographySet(members, scans, _readings(members, scans))
+
+
+def _readings(members, scans) -> tuple[tuple[int, int, int], ...]:
+    """The triples (j, lag, scans[j] + lag) for each lag `reading_lags`
+    gives scan j.  Member order must put each bin-0 member directly before
+    its bin-1 (tau) partner, so a shift by +-1 lands on the partner."""
+    lags = [experiment.reading_lags(experiment.occupied_bins(members[m][1])) for m in scans]
+    return tuple((j, lag, m + lag) for j, m in enumerate(scans) for lag in lags[j])
 
 
 def default_tomography_set(
@@ -141,9 +141,7 @@ def default_tomography_set(
                 label = f"{a}0{'+' if sign > 0 else '-'}i{b}t"
                 members.append((label, hilbert.from_logical(vec, lattice, packet)))
     scans = (0, 2, *range(4, len(members)))
-    readings = ((0, 0, 0), (0, 1, 1), (1, 0, 2), (1, 1, 3))
-    readings += tuple((j, 0, scans[j]) for j in range(2, len(scans)))
-    return TomographySet(tuple(members), scans, readings)
+    return TomographySet(tuple(members), scans, _readings(members, scans))
 
 
 # ---------------------------------------------------------------------------
@@ -523,7 +521,6 @@ class CountsBundle:
     """Raw material of one tomography run, in member order."""
 
     counts: np.ndarray  # (members, 2) pairs (n_i, N_i)
-    p_hat: np.ndarray  # (members,) clamped dip depths
     visibility_hat: float
     traces: tuple[experiment.ScanTrace, ...]
 
@@ -544,13 +541,10 @@ def simulate_counts(
     Scan j uses stream j + 1.  The interference visibility is calibrated
     from a scan of the encoded state against itself (stream 0); mixed
     encoded states skip calibration and trust the configured value.  All
-    scans, the calibration scan included, step over the grid `delays` in one
-    `experiment.sample_scans` call, so their expectations are one
-    `hom.scan_traces` block and their counts one keyed draw, and each trace
-    equals `sample_scan` of its scan alone.  One plateau mask gives every
-    scan's baseline from the (scans, points) block of counts, and the lags
-    0 and +-tau are looked up once.  Each (scan, lag, member) reading of
-    the set adds the scan's count at lag * tau and its baseline to the
+    scans, the calibration scan included, are one `experiment.sample_scans`
+    call on the grid `delays`, each trace equal to `sample_scan` of its scan
+    alone, and one `experiment.read_dips` call.  Each (scan, lag, member)
+    reading adds the scan's count at lag * tau and its baseline to the
     member's (n_i, N_i) pair.
     """
     # With calibration, row 0 of the block is the self-scan and scan j is row j + 1.
@@ -561,18 +555,14 @@ def simulate_counts(
     traces = experiment.sample_scans(
         encoded, ancillas, seeds, delays, baseline_counts, visibility, noiseless
     )
-    block = np.array([trace.counts for trace in traces])
-    baselines = experiment.plateau_means(block, experiment.baseline_mask(traces[0]))
     scan, lag, member = np.array(tset.readings).T
-    column = {m: experiment.index_at_lag(traces[0], m) for m in {0, *lag.tolist()}}
+    # Column k of the dips is lags[k]; the last entry of `column` is lag 0.
+    lags, column = np.unique(np.append(lag, 0), return_inverse=True)
+    baselines, dips = experiment.read_dips(traces, lags)
     v_hat = visibility
     if cal:
-        v_hat = float(np.clip(1.0 - block[0, column[0]] / baselines[0], 0.0, 1.0))
-    dips = block[scan + cal, [column[m] for m in lag.tolist()]]
+        v_hat = float(np.clip(1.0 - dips[0, column[-1]] / baselines[0], 0.0, 1.0))
     # Pooled Poisson streams stay Poisson: sum dips, sum baselines, in reading order.
-    weights = (dips, baselines[scan + cal])
+    weights = (dips[scan + cal, column[:-1]], baselines[scan + cal])
     counts = np.stack([np.bincount(member, w, len(tset.members)) for w in weights], axis=1)
-    p_hat = np.clip(1.0 - counts[:, 0] / counts[:, 1], 0.0, 1.0)
-    return CountsBundle(
-        counts=counts, p_hat=p_hat, visibility_hat=v_hat, traces=tuple(traces[cal:])
-    )
+    return CountsBundle(counts=counts, visibility_hat=v_hat, traces=tuple(traces[cal:]))

@@ -2,20 +2,28 @@
 byte-stable reruns.  The bandwidth conversion is cross-checked against a
 numerical Fourier transform of the filter's spectral amplitude."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poltime import cli, hilbert
 from poltime.cli import (
     EXIT_BEST_EFFORT,
     EXIT_CONFIG,
+    EXIT_NUMERICAL,
     EXIT_OK,
+    MAX_BASELINE_COUNTS,
     MAX_BINS,
     MAX_GRID_POINTS,
     MAX_REPLICAS,
@@ -176,6 +184,16 @@ def test_bins_are_capped(tmp_path, capsys):
     path = write_config(tmp_path, bins=100_000)
     assert cli.main(["tomography", "--config", path, "--out", str(tmp_path)]) == EXIT_CONFIG
     assert capsys.readouterr().err.startswith("config error: bins:")
+
+
+@pytest.mark.parametrize("argv", [["scan"], ["tomography", "--noiseless"]])
+def test_baseline_counts_are_capped(tmp_path, capsys, argv):
+    """Means past numpy's Poisson limit are a config error naming the key,
+    also in noiseless runs, whose bootstrap still draws."""
+    assert resolve_config({"baseline_counts": MAX_BASELINE_COUNTS}).baseline_counts == 1e18
+    path = write_config(tmp_path, baseline_counts=1e19)
+    assert cli.main([*argv, "--config", path, "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: baseline_counts: must be at most 1e+18\n"
 
 
 def test_unknown_config_keys_are_reported_together():
@@ -414,6 +432,45 @@ def test_json_booleans_are_not_numbers(tmp_path, capsys, overrides, key):
     assert cli.main(argv) == EXIT_CONFIG
     assert f"config error: {key}:" in capsys.readouterr().err
     assert not (tmp_path / "result.json").exists()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    command=st.sampled_from(["scan", "tomography"]),
+    visibility=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    sigma_per_tau=st.floats(1 / 40, 1 / 2),
+    wide_grid=st.booleans(),
+    log_baseline=st.floats(-3.0, 19.0),
+    bins=st.integers(2, 3),
+    seed=st.integers(0, 2**64 - 1),
+    noiseless=st.booleans(),
+)
+def test_configs_never_end_in_a_traceback(
+    command, visibility, sigma_per_tau, wide_grid, log_baseline, bins, seed, noiseless
+):
+    """Mis-set visibilities, envelopes up to beyond tau/3, grids too narrow
+    for them, empty and huge baselines: every run ends in exit 0, 1 or 3."""
+    tau = cli.DEFAULT_TAU_S
+    sigma = sigma_per_tau * tau
+    half_span = 2 * tau + 12 * sigma + 1e-12 if wide_grid else cli.DEFAULT_HALF_SPAN_S
+    raw = {
+        "visibility": visibility,
+        "sigma_t_s": sigma,
+        "baseline_counts": 10.0**log_baseline,
+        "bins": bins,
+        "seed": seed,
+        "replicas": 2,
+        "grid": {"half_span_s": half_span, "step_s": 2e-13},
+    }
+    stderr = io.StringIO()
+    with tempfile.TemporaryDirectory() as out, contextlib.redirect_stderr(stderr), \
+            warnings.catch_warnings():
+        warnings.simplefilter("ignore", hilbert.ResolvabilityWarning)
+        path = write_config(Path(out), **raw)
+        argv = [command, "--config", path, "--out", out, "--no-timestamp"]
+        code = cli.main(argv + ["--noiseless"] * noiseless)
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL), stderr.getvalue()
+    assert "Traceback" not in stderr.getvalue()
 
 
 def test_largest_seed_resolves():

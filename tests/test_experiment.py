@@ -15,10 +15,12 @@ from poltime.experiment import (
     estimate_baseline,
     estimate_visibility,
     extract_projections,
-    index_at_lag,
     occupied_bins,
     point_rng,
+    read_dips,
+    reading_lags,
     sample_scan,
+    sample_scans,
     write_trace_csv,
 )
 
@@ -67,6 +69,15 @@ def test_scan_config_validation():
         make_config(visibility=1.5)
     with pytest.raises(ValueError):
         ScanConfig(delays=np.linspace(-1, 1, 5), baseline_counts=10, seed=-1)
+
+
+@pytest.mark.parametrize("noiseless", [False, True])
+@pytest.mark.parametrize("bad_seed", [-1, 2**64])
+def test_sample_scans_checks_every_seed(lattice, packet, noiseless, bad_seed):
+    phi = hilbert.named_state("phi_plus", lattice, packet)
+    delays = compact_delay_grid(TAU, SIGMA)
+    with pytest.raises(ValueError, match="seed"):
+        sample_scans(phi, [phi, phi], [0, bad_seed], delays, 100.0, noiseless=noiseless)
 
 
 def test_sample_scan_requires_baseline_reach(lattice, packet):
@@ -165,12 +176,11 @@ def test_poisson_baseline_standard_error(lattice, packet):
 
 def test_estimate_baseline_needs_plateau_points():
     delays = np.linspace(-TAU / 2, TAU / 2, 5)
-    cfg = ScanConfig(delays=delays, baseline_counts=100, seed=0)
     trace = ScanTrace(
         delays=delays,
         counts=np.full(5, 100.0),
         expected=np.full(5, 100.0),
-        config=cfg,
+        seed=0,
         tau=TAU,
         sigma_t=SIGMA,
         n_bins=2,
@@ -226,14 +236,13 @@ def test_two_bin_ancilla_reads_only_zero_lag(lattice, packet):
 
 def test_projection_clamped_to_unit_interval():
     delays = compact_delay_grid(TAU, SIGMA, baseline_points=8)
-    cfg = ScanConfig(delays=delays, baseline_counts=100, seed=0)
     counts = np.full(delays.size, 100.0)
     counts[np.argmin(np.abs(delays))] = 103.0  # upward fluctuation at the dip
     trace = ScanTrace(
         delays=delays,
         counts=counts,
         expected=counts,
-        config=cfg,
+        seed=0,
         tau=TAU,
         sigma_t=SIGMA,
         n_bins=2,
@@ -271,14 +280,40 @@ def test_requested_lag_must_sit_on_grid(lattice, packet):
 def test_ratio_at_lag_reads_dip_structure(lattice, packet):
     phi = hilbert.named_state("phi_plus", lattice, packet)
     trace = sample_scan(phi, phi, make_config(), noiseless=True)
-    n0 = estimate_baseline(trace)
+    (n0,), (dips,) = read_dips([trace], (-1, 0, 1))
+    np.testing.assert_allclose(dips / n0, [1.0, 0.0, 1.0], atol=1e-6)
+    assert dips[1] / n0 == pytest.approx(0.0, abs=1e-9)
 
-    def ratio(lag):
-        return trace.counts[index_at_lag(trace, lag)] / n0
 
-    assert ratio(0) == pytest.approx(0.0, abs=1e-9)
-    assert ratio(1) == pytest.approx(1.0, abs=1e-6)
-    assert ratio(-1) == pytest.approx(1.0, abs=1e-6)
+def test_reading_lags():
+    assert reading_lags({0}) == (0, 1)
+    assert reading_lags(frozenset({1})) == (0, -1)
+    assert reading_lags({0, 1}) == (0,)
+    with pytest.raises(ValueError, match="at least one bin"):
+        reading_lags(set())
+
+
+def test_read_dips_of_many_scans_equals_one_scan_reads(lattice, packet, tset):
+    """One read of S traces gives, bit for bit, each trace's own read, the
+    one-scan readers, and the counts at the grid points on the lags, column
+    by position in `lags`."""
+    phi = hilbert.named_state("phi_plus", lattice, packet)
+    ancillas = tset.states()[:6]
+    delays = make_config().delays
+    traces = sample_scans(phi, ancillas, range(6), delays, 1000.0, 0.94)
+    lags = (1, -1, 0)
+    baselines, dips = read_dips(traces, lags)
+    assert baselines.shape == (6,) and dips.shape == (6, 3)
+    columns = [int(np.argmin(np.abs(delays - lag * TAU))) for lag in lags]
+    for trace, n0, row, ancilla in zip(traces, baselines, dips, ancillas):
+        (one_n0,), (one_row,) = read_dips([trace], lags)
+        assert n0 == one_n0 and np.array_equal(row, one_row)
+        assert np.array_equal(row, trace.counts[columns])
+        assert n0 == estimate_baseline(trace)
+        assert estimate_visibility(trace) == float(np.clip(1.0 - row[2] / n0, 0.0, 1.0))
+        for reading in extract_projections(trace, occupied_bins(ancilla)):
+            dip = row[lags.index(reading.lag)]
+            assert reading.p_hat == float(np.clip(1.0 - dip / n0, 0.0, 1.0))
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ scan of a run became one block, copied verbatim: each scan built its own
 envelope table and took its shifted vectors as the stacked complex product
 `amps @ np.swapaxes(env, -1, -2)`.  `reference_simulate_counts` is the
 per-trace readout of `tomography.simulate_counts` from that time, with each
-count drawn from its own `point_rng`.  The block path must give the same
+count drawn from its own `point_rng` and each baseline from its own plateau
+mask, written out here as it was.  The block path must give the same
 bits, not merely close numbers: an elementwise sum over the ancilla bins in
 place of the product moves some entries by an ulp, and these tests are
 there to catch exactly that.
@@ -48,7 +49,7 @@ def reference_scan_trace(encoded, ancilla, delays, vis=1.0):
 
 def reference_simulate_counts(encoded, tset, baseline_counts, visibility, master_seed,
                               delays, noiseless, calibrate=True):
-    """(counts, p_hat, visibility_hat, trace counts) scan by scan."""
+    """(counts, visibility_hat, trace counts) scan by scan."""
     calibrated = calibrate and isinstance(encoded, PhotonState)
     runs = [(encoded, 0)] if calibrated else []
     runs += [(tset.members[a][1], j + 1) for j, a in enumerate(tset.scans)]
@@ -60,12 +61,16 @@ def reference_simulate_counts(encoded, tset, baseline_counts, visibility, master
             float(experiment.point_rng(seed, i).poisson(m)) for i, m in enumerate(expected)
         ])
         traces.append(experiment.ScanTrace(
-            delays, counts, expected, experiment.ScanConfig(delays, baseline_counts, seed),
-            TAU, encoded.packet.sigma_t, 2, noiseless,
+            delays, counts, expected, seed, TAU, encoded.packet.sigma_t, 2, noiseless,
         ))
 
+    def baseline_mask(trace):
+        lags = np.arange(-(trace.n_bins - 1), trace.n_bins) * trace.tau
+        dist = np.abs(trace.delays[:, None] - lags[None, :]).min(axis=1)
+        return dist > experiment.BASELINE_EXCLUSION_SIGMAS * trace.sigma_t
+
     def baseline(trace):
-        return float(trace.counts[experiment.baseline_mask(trace)].mean())
+        return float(trace.counts[baseline_mask(trace)].mean())
 
     def at(trace, lag):
         return int(np.argmin(np.abs(trace.delays - lag * trace.tau)))
@@ -78,8 +83,7 @@ def reference_simulate_counts(encoded, tset, baseline_counts, visibility, master
     counts = np.zeros((len(tset.members), 2))
     for j, lag, member in tset.readings:
         counts[member] += (traces[j].counts[at(traces[j], lag)], baselines[j])
-    p_hat = np.clip(1.0 - counts[:, 0] / counts[:, 1], 0.0, 1.0)
-    return counts, p_hat, v_hat, [trace.counts for trace in traces]
+    return counts, v_hat, [trace.counts for trace in traces]
 
 
 def random_pure(rng, lattice, packet):
@@ -135,7 +139,7 @@ def test_sampled_scans_equal_per_scan_reference_bit_for_bit():
         assert np.array_equal(trace.expected, expected)
         counts = [experiment.point_rng(seed, i).poisson(m) for i, m in enumerate(expected)]
         assert np.array_equal(trace.counts, counts)
-        assert trace.config.seed == seed
+        assert trace.seed == seed
 
 
 @pytest.mark.parametrize("noiseless", [False, True])
@@ -144,8 +148,8 @@ def test_sampled_scans_equal_per_scan_reference_bit_for_bit():
     tomography.default_tomography_set, tomography.product_tomography_set
 ])
 def test_simulated_counts_equal_per_scan_reference(set_maker, encoded_kind, noiseless):
-    """Counts, baselines, dip depths and the calibrated visibility of the
-    block readout equal the per-trace readout bit for bit."""
+    """Counts, baselines and the calibrated visibility of the block readout
+    equal the per-trace readout bit for bit."""
     lattice, packet = TimeBinLattice(2, TAU), Wavepacket(0.127e-12)
     tset = set_maker(lattice, packet)
     if encoded_kind == "mixed":
@@ -159,10 +163,9 @@ def test_simulated_counts_equal_per_scan_reference(set_maker, encoded_kind, nois
             encoded, tset, 1000.0, visibility=v, master_seed=seed, delays=delays,
             noiseless=noiseless, calibrate=calibrate,
         )
-        counts, p_hat, v_hat, trace_counts = reference_simulate_counts(
+        counts, v_hat, trace_counts = reference_simulate_counts(
             encoded, tset, 1000.0, v, seed, delays, noiseless, calibrate
         )
         assert np.array_equal(bundle.counts, counts)
-        assert np.array_equal(bundle.p_hat, p_hat)
         assert bundle.visibility_hat == v_hat
         assert np.array_equal([t.counts for t in bundle.traces], trace_counts)

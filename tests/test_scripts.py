@@ -1,5 +1,6 @@
 """Smoke runs of the command-line scripts under `scripts/` at tiny sizes."""
 
+import json
 import os
 import subprocess
 import sys
@@ -26,9 +27,15 @@ def test_tomography_benchmark_script_runs():
 
 
 def test_dip_scan_script_writes_its_traces(tmp_path):
+    """The paper's four panels: dip depths at lags -1, 0 and +1."""
     proc = run_script("run_dip_scans.py", "--out", str(tmp_path))
     assert proc.returncode == 0, proc.stderr
-    assert (tmp_path / "dip_depths.json").is_file()
+    assert json.loads((tmp_path / "dip_depths.json").read_text()) == {
+        "phi_plus vs phi_plus": {"-1": 0.0, "0": 1.0, "1": 0.0},
+        "phi_plus vs phi_minus": {"-1": 0.0, "0": 0.0, "1": 0.0},
+        "p+ vs p+": {"-1": 0.25, "0": 1.0, "1": 0.25},
+        "p+ vs p-": {"-1": 0.25, "0": 0.0, "1": 0.25},
+    }
     assert len(list(tmp_path.glob("*.csv"))) == 4
 
 

@@ -6,7 +6,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from poltime import experiment, hilbert, optics, tomography
+from poltime import experiment, hilbert, hom, optics, tomography
 from poltime.hilbert import DensityMatrix, TimeBinLattice, Wavepacket
 from poltime.tomography import (
     CountsBundle,
@@ -34,6 +34,11 @@ DESIGN_SMAX = 2.280776406404415
 
 def compact_delays():
     return experiment.compact_delay_grid(TAU, SIGMA)
+
+
+def dip_depths(counts):
+    """Clamped dip depths 1 - n_i / N_i of pooled (n_i, N_i) counts."""
+    return np.clip(1.0 - counts[:, 0] / counts[:, 1], 0.0, 1.0)
 
 
 def exact_counts(rho_logical, tset, baseline=1000.0, visibility=1.0):
@@ -196,7 +201,7 @@ def test_linear_inversion_flags_unphysical_noise(lattice, packet, tset):
     bundle = simulate_counts(
         enc, tset, 100.0, master_seed=0, delays=compact_delays(), calibrate=False
     )
-    rho, negative = linear_inversion(bundle.p_hat, tset)
+    rho, negative = linear_inversion(dip_depths(bundle.counts), tset)
     assert negative
     assert np.linalg.eigvalsh(rho).min() < 0
     np.testing.assert_allclose(rho, rho.conj().T, atol=1e-12)
@@ -524,8 +529,7 @@ def test_simulated_counts_read_each_default_member_once(lattice, packet, tset):
 
 @pytest.mark.parametrize("set_fixture", ["tset", "product_tset"])
 def test_simulated_counts_follow_the_readings_table(set_fixture, request, lattice, packet):
-    """Pooled counts are the readings table applied to the scan traces, and
-    the table reads the lags the standalone readout rule would."""
+    """Pooled counts are the readings table applied to the scan traces."""
     tset = request.getfixturevalue(set_fixture)
     enc = hilbert.named_state("phi_plus", lattice, packet)
     bundle = simulate_counts(
@@ -535,16 +539,21 @@ def test_simulated_counts_follow_the_readings_table(set_fixture, request, lattic
     assert len(traces) == len(tset.scans)
     expected = np.zeros((len(tset.members), 2))
     for j, lag, member in tset.readings:
-        dip = traces[j].counts[experiment.index_at_lag(traces[j], lag)]
+        dip = traces[j].counts[np.argmin(np.abs(traces[j].delays - lag * TAU))]
         expected[member] += (dip, experiment.estimate_baseline(traces[j]))
     np.testing.assert_array_equal(bundle.counts, expected)
-    states = tset.states()
-    for j, ancilla in enumerate(tset.scans):
-        lags = [lag for _, lag in scan_readings(tset, j)]
-        rule = experiment.extract_projections(
-            traces[j], experiment.occupied_bins(states[ancilla])
-        )
-        assert lags == [r.lag for r in rule]
+
+
+@pytest.mark.parametrize("set_maker", [default_tomography_set, tomography.product_tomography_set])
+def test_every_reading_reads_its_members_projector(set_maker, lattice):
+    """The ancilla of scan j, delayed by lag * tau, is the member the
+    readings table names: its shifted vector g gives the member's projector
+    g g^dag.  A narrow envelope keeps adjacent-bin tails below 1e-12."""
+    tset = set_maker(lattice, Wavepacket(TAU / 16))
+    projs, states = projector_stack(tset), tset.states()
+    for j, lag, member in tset.readings:
+        g = hom.shifted_ancilla_vector(states[tset.scans[j]], lag * TAU, 2)
+        np.testing.assert_allclose(projs[member], np.outer(g, g.conj()), atol=1e-12)
 
 
 @pytest.mark.parametrize("calibrate", [True, False])
@@ -584,7 +593,7 @@ def test_simulated_counts_equal_per_scan_samples(
     assert len(bundle.traces) == len(tset.scans)
     for j, ancilla in enumerate(tset.scans):
         trace = alone(states[ancilla], j + 1)
-        assert trace.config.seed == bundle.traces[j].config.seed
+        assert trace.seed == bundle.traces[j].seed
         assert np.array_equal(trace.counts, bundle.traces[j].counts)
         assert np.array_equal(trace.expected, bundle.traces[j].expected)
     if calibrate and encoded_kind == "pure":
@@ -613,7 +622,7 @@ def test_noiseless_dip_depths_match_projector_expectations(visibility, lattice):
         delays=compact_delays(),
         noiseless=True,
     )
-    np.testing.assert_allclose(bundle.p_hat, visibility * expect, atol=1e-9)
+    np.testing.assert_allclose(dip_depths(bundle.counts), visibility * expect, atol=1e-9)
     assert bundle.visibility_hat == pytest.approx(visibility, abs=1e-9)
 
 
