@@ -101,12 +101,12 @@ class ExperimentConfig:
         plateau beyond every dip."""
         tau, bins = self.lattice.tau, self.lattice.bin_count
         grid = experiment.default_delay_grid(tau, half_span=self.half_span_s, step=self.step_s)
-        sigmas = experiment.BASELINE_EXCLUSION_SIGMAS
-        need = (bins - 1) * tau + sigmas * self.packet.sigma_t
+        need = experiment.plateau_reach(tau, self.packet.sigma_t, bins)
         if not grid[-1] > need:
             raise ConfigError(
-                f"bins: {bins} bins need grid.half_span_s above (bins - 1) tau + {sigmas:g} "
-                f"sigma_t = {need:.4g} s, got {self.half_span_s:.4g} s"
+                f"bins: {bins} bins need grid.half_span_s above (bins - 1) tau + "
+                f"{experiment.BASELINE_EXCLUSION_SIGMAS:g} sigma_t = {need:.4g} s, "
+                f"got {self.half_span_s:.4g} s"
             )
         return grid
 

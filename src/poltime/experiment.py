@@ -319,6 +319,11 @@ def compact_delay_grid(
     return np.array(grid, dtype=float)
 
 
+def plateau_reach(tau: float, sigma_t: float, n_bins: int) -> float:
+    """Delay past which read_dips' plateau starts, (n_bins - 1) tau + 12 sigma_t."""
+    return (n_bins - 1) * tau + BASELINE_EXCLUSION_SIGMAS * sigma_t
+
+
 def sample_scans(
     encoded, ancillas, seeds, delays, baseline_counts, visibility=1.0, noiseless=False
 ) -> list[ScanTrace]:
@@ -331,15 +336,14 @@ def sample_scans(
     expectation in noiseless mode.  So each trace equals the one its scan
     gives alone, and identical inputs always give identical traces.  Raises
     ValueError on a seed, grid, baseline or visibility that ScanConfig would
-    refuse, or a grid that does not reach the baseline plateau on both sides.
+    refuse, or a grid that does not reach past plateau_reach for its states.
     """
     grid = ScanConfig(delays, baseline_counts, 0, visibility).delays
     seeds = [_check_seed(seed) for seed in seeds]
-    reach = 2 * encoded.lattice.tau + BASELINE_EXCLUSION_SIGMAS * encoded.packet.sigma_t
-    if grid[-1] < reach or grid[0] > -reach:
-        raise ValueError(
-            f"delay grid must reach past +-{reach:.3e} s to expose the baseline"
-        )
+    n_bins = max(state.bin_count for state in (encoded, *ancillas))
+    reach = plateau_reach(encoded.lattice.tau, encoded.packet.sigma_t, n_bins)
+    if not (grid[-1] > reach and grid[0] < -reach):
+        raise ValueError(f"delay grid must reach past +-{reach:.3e} s to expose the baseline")
     expected = baseline_counts * hom.scan_traces(encoded, ancillas, grid, visibility)
     if noiseless:
         counts = expected.copy()

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -80,6 +81,13 @@ class TomographySet:
 
     def labels(self) -> list[str]:
         return [label for label, _ in self.members]
+
+    @cached_property
+    def projectors(self) -> np.ndarray:
+        """The members' projectors, read-only and built on first use."""
+        out = np.array([np.outer(v, v.conj()) for v in map(hilbert.logical_vector, self.states())])
+        out.flags.writeable = False
+        return out
 
 
 def product_tomography_set(lattice: TimeBinLattice, packet: Wavepacket) -> TomographySet:
@@ -176,9 +184,8 @@ _TRACELESS = np.eye(_DIM * _DIM) - np.outer(_IDENTITY, _IDENTITY)
 
 
 def projector_stack(tset: TomographySet) -> np.ndarray:
-    """Rank-1 projectors of all members on the logical subspace, (members, 4, 4)."""
-    vecs = [hilbert.logical_vector(state) for state in tset.states()]
-    return np.array([np.outer(v, v.conj()) for v in vecs])
+    """Rank-1 member projectors on the logical subspace, (members, 4, 4), built once per set."""
+    return tset.projectors
 
 
 def design_matrix(tset: TomographySet) -> np.ndarray:
@@ -208,9 +215,11 @@ def linear_inversion(p_values, tset: TomographySet) -> tuple[np.ndarray, bool]:
 
 
 def _inversion(p: np.ndarray, projs: np.ndarray) -> np.ndarray:
-    """Least-squares Hermitian matrices for a (B, members) stack of values
-    of the projectors `projs`."""
-    a = _design(projs)
+    """Least-squares Hermitian matrices for (B, members) values of `projs`."""
+    return _least_squares(p, _design(projs))
+
+
+def _least_squares(p: np.ndarray, a: np.ndarray) -> np.ndarray:
     x, _, rank, _ = np.linalg.lstsq(a, p.T, rcond=None)
     if rank < a.shape[1]:
         raise ValueError("tomography set does not span the operator space")
@@ -271,11 +280,9 @@ def _project(mats: np.ndarray) -> np.ndarray:
     """
     evals, evecs = np.linalg.eigh(mats)
     desc = evals[:, ::-1]
-    excess = np.cumsum(desc, axis=1) - 1.0
-    k = np.arange(1, evals.shape[1] + 1)
-    rank = np.count_nonzero(desc - excess / k > 0.0, axis=1)
-    shift = excess[np.arange(len(rank)), rank - 1] / rank
-    weights = np.maximum(evals - shift[:, None], 0.0)
+    shifts = (desc.cumsum(axis=1) - 1.0) / np.arange(1, evals.shape[1] + 1)
+    rank = (desc > shifts).sum(axis=1)
+    weights = np.maximum(evals - shifts[np.arange(len(rank)), rank - 1, None], 0.0)
     return (evecs * weights[:, None, :]) @ evecs.conj().transpose(0, 2, 1)
 
 
@@ -303,6 +310,9 @@ def _fit(
     15, 715, 2015), so the loop never evaluates the deviance.  A row stops
     once its Frank-Wolfe gap Re tr(G rho) - lambda_min(G), G the gradient,
     is at most _GAP_TOL; the gap bounds the distance to the optimal deviance.
+    A pass over R running rows costs one (R, 4, 4) eigh, one eigvalsh, one
+    (2, R, 32) read and one span product for the gradients at x_new and
+    y_new, four inner products, and merges rows only if it rejects a step.
 
     Returns (rho (B, 4, 4), deviance, gap, iterations), each per row;
     iterations counts the steps tried, rejected ones included.
@@ -314,7 +324,7 @@ def _fit(
     span = -visibility * flat
 
     def dip_ratio(rho):
-        return np.maximum(1.0 - rho.reshape(len(rho), -1).view(float) @ read, _Q_FLOOR)
+        return np.maximum(1.0 - rho.reshape(*rho.shape[:-2], -1).view(float) @ read, _Q_FLOOR)
 
     def gradient(rho, n, big_n):
         slope = big_n - n / dip_ratio(rho)
@@ -324,22 +334,20 @@ def _fit(
         return _inner(grad, rho) - np.linalg.eigvalsh(grad)[:, 0]
 
     p_hat = np.clip((1.0 - n / baseline) / visibility, 0.0, 1.0)
-    x = _project(_inversion(p_hat, projs))
+    a = _design(projs)
+    x = _project(_least_squares(p_hat, a))
     # Curvature V^2 A^T diag(n / q^2) A of the deviance in Hermitian-basis
     # coordinates, A the design matrix with the identity coordinate
     # projected out: steps keep the trace.
-    a = _design(projs) @ _TRACELESS
+    a = a @ _TRACELESS
     q = dip_ratio(x)
     curvature = visibility**2 * (a.T * (n / q**2)[:, None, :]) @ a
     step = 1.0 / np.maximum(np.linalg.eigvalsh(curvature)[:, -1], 1.0)
     g_y = gradient(x, n, baseline)
     gaps = gap(x, g_y)
-    y = x
-    momentum = np.ones(len(n))
+    y, momentum = x, np.ones(len(n))
     rows, n_run, big_n = np.arange(len(n)), n, baseline
-    rho = np.empty_like(x)
-    gap_out = np.empty(len(n))
-    iterations = np.zeros(len(n), dtype=int)
+    rho, gap_out, iterations = np.empty_like(x), np.empty(len(n)), np.zeros(len(n), dtype=int)
     # Every running row tries one step per pass, so a row that stops at
     # pass k took k steps.  The running rows stay compacted.
     for k in range(_MAX_ITER + 1):
@@ -353,23 +361,22 @@ def _fit(
             if rows.size == 0:
                 break
         x_new = _project(y - step[:, None, None] * g_y)
-        g_new = gradient(x_new, n_run, big_n)
-        d = x_new - y
-        # Curvature test on gradients: deviance differences cancel to
-        # rounding near the optimum, long before the gap is small.
-        ok = _inner(g_new - g_y, d) <= _inner(d, d) / step
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * momentum**2))
         dx = x_new - x
         restart = _inner(g_y, dx) > 0.0
         beta = np.where(restart, 0.0, (momentum - 1.0) / t_next)
         y_new = x_new + beta[:, None, None] * dx
-        # A rejected step keeps the row's point, momentum and gradient.
-        kept = ok[:, None, None]
-        x = np.where(kept, x_new, x)
-        y = np.where(kept, y_new, y)
-        g_y = np.where(kept, gradient(y_new, n_run, big_n), g_y)
-        gaps = np.where(ok, gap(x_new, g_new), gaps)
-        momentum = np.where(ok, np.where(restart, 1.0, t_next), momentum)
+        g_new, g_y_new = gradient(np.array((x_new, y_new)), n_run, big_n)
+        d = x_new - y
+        # Curvature test on gradients: deviance differences cancel to
+        # rounding near the optimum, long before the gap is small.
+        ok = _inner(g_new - g_y, d) <= _inner(d, d) / step
+        new = [x_new, y_new, g_y_new, gap(x_new, g_new), np.where(restart, 1.0, t_next)]
+        if not ok.all():
+            # A rejected step keeps the row's point, momentum and gradient.
+            old, kept = (x, y, g_y, gaps, momentum), ok[:, None, None]
+            new = [np.where(kept if now.ndim > 1 else ok, now, was) for now, was in zip(new, old)]
+        x, y, g_y, gaps, momentum = new
         step = step * np.where(ok, _STEP_GROWTH, 0.5)
     mu = baseline * dip_ratio(rho)
     # Zero-count terms reduce to mu: n log(mu / n) -> 0.
@@ -489,8 +496,7 @@ def bootstrap_errors(
     keys = ((seed, r) for r in range(replicas))
     n_star = experiment._reset_draws(keys, itertools.repeat(n, replicas))
     stack = np.array([n, *n_star], dtype=float)
-    projs = projector_stack(tset)
-    fit = _fit(stack, np.broadcast_to(baseline, stack.shape), projs, visibility)
+    fit = _fit(stack, np.broadcast_to(baseline, stack.shape), projector_stack(tset), visibility)
     rhos, _, gaps, _ = fit
     rhos = rhos[1:][gaps[1:] <= _GAP_TOL]
     dropped = replicas - len(rhos)

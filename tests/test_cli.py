@@ -300,6 +300,21 @@ def test_bins_beyond_the_grid_name_the_half_span_they_need(tmp_path, capsys, com
     assert cli.main([command, "--config", wide, "--out", str(out)]) == EXIT_OK
 
 
+@pytest.mark.parametrize("command", ["scan", "tomography"])
+def test_two_bin_grids_need_one_tau_past_the_dips(tmp_path, capsys, command):
+    """Two bins need the grid to reach tau + 12 sigma_t, not 2 tau + 12
+    sigma_t: at sigma_t = 0.4 ps that is 7.1 ps, inside the default 8 ps
+    half span, and the run completes.  At 0.6 ps it is 9.5 ps, and the one
+    config error names grid.half_span_s."""
+    path = write_config(tmp_path, sigma_t_s=4e-13, replicas=2)
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", path, "--out", str(out), "--no-timestamp"]) == EXIT_OK
+    wider = write_config(tmp_path, sigma_t_s=6e-13, replicas=2)
+    assert cli.main([command, "--config", wider, "--out", str(tmp_path / "no")]) == EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "grid.half_span_s" in err[0]
+
+
 def test_calls_in_one_process_match_fresh_processes(tmp_path, capsys, monkeypatch):
     """The parser is built once per process; no state may leak between
     calls.  A seed override, a run without one, help and a usage error, in

@@ -89,6 +89,21 @@ def test_sample_scan_requires_baseline_reach(lattice, packet):
         sample_scan(phi, phi, narrow)
 
 
+def test_sample_scans_reach_is_the_plateau_of_read_dips(lattice, packet):
+    """A two-bin grid must reach past tau + 12 sigma_t, where read_dips'
+    plateau starts: just past it the scan runs and has baseline points; at
+    it, no grid point is on the plateau and the scan is refused."""
+    phi = hilbert.named_state("phi_plus", lattice, packet)
+    reach = experiment.plateau_reach(TAU, SIGMA, 2)
+    assert reach == TAU + 12 * SIGMA
+    grid = np.array([-reach - 1e-14, -TAU, 0.0, TAU, reach + 1e-14])
+    (trace,) = sample_scans(phi, [phi], [0], grid, 1000.0, noiseless=True)
+    baselines, _ = experiment.read_dips([trace], (0,))
+    assert baselines[0] == pytest.approx(1000.0, rel=1e-6)
+    with pytest.raises(ValueError, match="reach past"):
+        sample_scans(phi, [phi], [0], np.array([-reach, -TAU, 0.0, TAU, reach]), 1000.0)
+
+
 # ---------------------------------------------------------------------------
 # Sampling
 # ---------------------------------------------------------------------------

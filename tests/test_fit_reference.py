@@ -16,19 +16,30 @@ whose points differ in fidelity far more than in deviance.  On the unbiased
 set (s_min = 1) that is N0 <= 10; on the product set (s_min = 0.22) it
 includes N0 = 100, where two fits that both meet the gap tolerance were
 seen 1.5e-6 apart in fidelity while their deviances agreed to 7e-10.
+
+`parent_fit` and `parent_project` are `tomography._fit` and
+`tomography._project` as they were before the stacked gradients, the
+merges skipped on fully accepted passes and the cached projector stack,
+copied verbatim but for their names (so `parent_fit` calls
+`parent_project`).  Those changes keep every arithmetic operation, so the
+current solver must return their results bit for bit.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from poltime import hilbert, tomography
+from poltime import experiment, hilbert, tomography
 from poltime.tomography import (
     _DIM,
     _GAP_TOL,
     _MAX_ITER,
     _Q_FLOOR,
     _STEP_GROWTH,
+    _TRACELESS,
     TomographySet,
+    _design,
     _inner,
     _inversion,
     _project,
@@ -162,3 +173,205 @@ def test_fit_matches_reference_solver(set_fixture, visibility, n0, request):
     for r in rho:
         assert abs(np.trace(r).real - 1.0) < 1e-12
         assert np.linalg.eigvalsh(r).min() > -hilbert.EIGENVALUE_TOL
+
+
+# ---------------------------------------------------------------------------
+# Bit for bit against the parent solver
+# ---------------------------------------------------------------------------
+
+
+def parent_project(mats: np.ndarray) -> np.ndarray:
+    """Nearest unit-trace PSD matrices in Frobenius norm, for a (B, d, d) stack.
+
+    The eigenvalues are projected onto the probability simplex and the
+    eigenvectors kept.
+    """
+    evals, evecs = np.linalg.eigh(mats)
+    desc = evals[:, ::-1]
+    excess = np.cumsum(desc, axis=1) - 1.0
+    k = np.arange(1, evals.shape[1] + 1)
+    rank = np.count_nonzero(desc - excess / k > 0.0, axis=1)
+    shift = excess[np.arange(len(rank)), rank - 1] / rank
+    weights = np.maximum(evals - shift[:, None], 0.0)
+    return (evecs * weights[:, None, :]) @ evecs.conj().transpose(0, 2, 1)
+
+
+def parent_fit(
+    n: np.ndarray, baseline: np.ndarray, projs: np.ndarray, visibility: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Maximum-likelihood states for a stack of count sets, n and baseline (B, M),
+    of the (M, 4, 4) projector stack `projs`.
+
+    Minimizes each row's Poisson deviance sum[mu - n - n log(mu / n)], with
+    mu = N max(1 - V tr(P rho), _Q_FLOOR), over unit-trace PSD matrices by
+    accelerated projected gradient from the projected linear inversion.
+    Every row keeps its own step and momentum.  The step starts at the
+    inverse of the deviance's largest curvature along traceless directions
+    there, is halved when a step fails the curvature test and grows by
+    _STEP_GROWTH after each accepted one.  The Nesterov momentum restarts
+    whenever the gradient at the extrapolated point has a positive component
+    along the step just taken (O'Donoghue and Candes, Found. Comput. Math.
+    15, 715, 2015), so the loop never evaluates the deviance.  A row stops
+    once its Frank-Wolfe gap Re tr(G rho) - lambda_min(G), G the gradient,
+    is at most _GAP_TOL; the gap bounds the distance to the optimal deviance.
+
+    Returns (rho (B, 4, 4), deviance, gap, iterations), each per row;
+    iterations counts the steps tried, rejected ones included.
+    """
+    # On the float view (B, 32) of a (B, 4, 4) stack, V tr(P rho) is one
+    # real matmul with `read`, and the gradient's sum over P one with `span`.
+    flat = projs.view(float).reshape(len(projs), -1)
+    read = np.ascontiguousarray(visibility * flat.T)
+    span = -visibility * flat
+
+    def dip_ratio(rho):
+        return np.maximum(1.0 - rho.reshape(len(rho), -1).view(float) @ read, _Q_FLOOR)
+
+    def gradient(rho, n, big_n):
+        slope = big_n - n / dip_ratio(rho)
+        return (slope @ span).view(complex).reshape(rho.shape)
+
+    def gap(rho, grad):
+        return _inner(grad, rho) - np.linalg.eigvalsh(grad)[:, 0]
+
+    p_hat = np.clip((1.0 - n / baseline) / visibility, 0.0, 1.0)
+    x = parent_project(_inversion(p_hat, projs))
+    # Curvature V^2 A^T diag(n / q^2) A of the deviance in Hermitian-basis
+    # coordinates, A the design matrix with the identity coordinate
+    # projected out: steps keep the trace.
+    a = _design(projs) @ _TRACELESS
+    q = dip_ratio(x)
+    curvature = visibility**2 * (a.T * (n / q**2)[:, None, :]) @ a
+    step = 1.0 / np.maximum(np.linalg.eigvalsh(curvature)[:, -1], 1.0)
+    g_y = gradient(x, n, baseline)
+    gaps = gap(x, g_y)
+    y = x
+    momentum = np.ones(len(n))
+    rows, n_run, big_n = np.arange(len(n)), n, baseline
+    rho = np.empty_like(x)
+    gap_out = np.empty(len(n))
+    iterations = np.zeros(len(n), dtype=int)
+    # Every running row tries one step per pass, so a row that stops at
+    # pass k took k steps.  The running rows stay compacted.
+    for k in range(_MAX_ITER + 1):
+        done = (gaps <= _GAP_TOL) | (k == _MAX_ITER)
+        if done.any():
+            out = rows[done]
+            rho[out], gap_out[out], iterations[out] = x[done], gaps[done], k
+            rows, x, y, g_y, gaps, step, momentum, n_run, big_n = (
+                arr[~done] for arr in (rows, x, y, g_y, gaps, step, momentum, n_run, big_n)
+            )
+            if rows.size == 0:
+                break
+        x_new = parent_project(y - step[:, None, None] * g_y)
+        g_new = gradient(x_new, n_run, big_n)
+        d = x_new - y
+        # Curvature test on gradients: deviance differences cancel to
+        # rounding near the optimum, long before the gap is small.
+        ok = _inner(g_new - g_y, d) <= _inner(d, d) / step
+        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * momentum**2))
+        dx = x_new - x
+        restart = _inner(g_y, dx) > 0.0
+        beta = np.where(restart, 0.0, (momentum - 1.0) / t_next)
+        y_new = x_new + beta[:, None, None] * dx
+        # A rejected step keeps the row's point, momentum and gradient.
+        kept = ok[:, None, None]
+        x = np.where(kept, x_new, x)
+        y = np.where(kept, y_new, y)
+        g_y = np.where(kept, gradient(y_new, n_run, big_n), g_y)
+        gaps = np.where(ok, gap(x_new, g_new), gaps)
+        momentum = np.where(ok, np.where(restart, 1.0, t_next), momentum)
+        step = step * np.where(ok, _STEP_GROWTH, 0.5)
+    mu = baseline * dip_ratio(rho)
+    # Zero-count terms reduce to mu: n log(mu / n) -> 0.
+    deviance = np.sum(mu - n - n * np.log(mu / np.where(n > 0, n, 1.0)), axis=1)
+    return rho, deviance, gap_out, iterations
+
+
+# Above 1e6 counts the Ginibre-mixed rows stall at the rounding floor of the
+# gap and would run the full 5000 passes; 400 passes keep those near-
+# tolerance decisions in the pin at a tenth of the cost.
+STALL_CAP = 400
+
+
+def assert_fits_identical(n, baseline, projs, visibility):
+    fit = tomography._fit(n, baseline, projs, visibility)
+    parent = parent_fit(n, baseline, projs, visibility)
+    for name, new, old in zip(("rho", "deviance", "gap", "iterations"), fit, parent):
+        assert np.array_equal(new, old), name
+
+
+@pytest.mark.parametrize("visibility", [1.0, 0.94, 0.8])
+@pytest.mark.parametrize("set_fixture", ["tset", "product_tset"])
+def test_fit_matches_parent_bit_for_bit(set_fixture, visibility, request, monkeypatch):
+    """Four truths, two pure and two mixed, three Poisson count rows each,
+    fitted as one 12-row stack at every N0 from 1 to 1e7."""
+    monkeypatch.setattr(tomography, "_MAX_ITER", STALL_CAP)
+    monkeypatch.setitem(globals(), "_MAX_ITER", STALL_CAP)
+    projs = projector_stack(request.getfixturevalue(set_fixture))
+    rng = np.random.default_rng(int(100 * visibility))
+    truths = np.array([as_matrix(t) for t in truth_stack(rng, 4)])
+    expect = np.repeat(np.real(np.einsum("iab,rba->ri", projs, truths)), 3, axis=0)
+    for n0 in 10.0 ** np.arange(8):
+        n = rng.poisson(n0 * np.clip(1.0 - visibility * expect, 0.0, None)).astype(float)
+        assert_fits_identical(n, np.full_like(n, n0), projs, visibility)
+
+
+def test_bootstrap_stack_matches_parent_bit_for_bit(tset, lattice, packet):
+    """The observed counts of a run and ten replicas, as bootstrap_errors
+    stacks them, with one all-zero row and one with five zero dips."""
+    state = hilbert.named_state("phi_plus", lattice, packet)
+    delays = experiment.compact_delay_grid(lattice.tau, packet.sigma_t)
+    counts = tomography.simulate_counts(
+        state, tset, 1000.0, visibility=0.94, master_seed=5, delays=delays, calibrate=False
+    ).counts
+    n, baseline = counts[:, 0], counts[:, 1]
+    n_star = experiment._reset_draws(((5, r) for r in range(10)), [n] * 10)
+    stack = np.array([n, *n_star], dtype=float)
+    stack[4] = 0.0
+    stack[7, :5] = 0.0
+    assert_fits_identical(stack, np.broadcast_to(baseline, stack.shape), projector_stack(tset), 0.94)
+
+
+def unitaries(rng, count):
+    g = rng.normal(size=(count, _DIM, _DIM)) + 1j * rng.normal(size=(count, _DIM, _DIM))
+    return np.linalg.qr(g)[0]
+
+
+def hermitian_stack(kind, rng, count):
+    """`count` Hermitian matrices of one kind: general, with a repeated
+    eigenvalue, rank 1 at any scale, or already unit-trace PSD (pure or
+    Ginibre-mixed)."""
+    if kind == "mixed":
+        return np.array([tomography.random_density_matrix(_DIM, rng) for _ in range(count)])
+    if kind == "general":
+        g = rng.normal(size=(count, _DIM, _DIM)) + 1j * rng.normal(size=(count, _DIM, _DIM))
+        return rng.uniform(0.05, 3.0) * (g + g.conj().transpose(0, 2, 1))
+    u = unitaries(rng, count)
+    if kind == "repeated":
+        levels = rng.choice([-0.5, -0.25, 0.0, 0.25, 1 / 3, 0.5, 1.0], size=(count, 2))
+        evals = levels[:, [0, 0, 0, 1]] if rng.random() < 0.5 else levels[:, [0, 0, 1, 1]]
+        return (u * evals[:, None, :]) @ u.conj().transpose(0, 2, 1)
+    vecs = u[:, :, 0]
+    scale = rng.uniform(0.1, 3.0, size=(count, 1, 1)) if kind == "rank1" else 1.0
+    return scale * (vecs[:, :, None] * vecs.conj()[:, None, :])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    kind=st.sampled_from(["general", "repeated", "rank1", "pure", "mixed"]),
+    seed=st.integers(0, 2**32 - 1),
+    count=st.integers(1, 12),
+)
+def test_project_matches_rank_indexed_shift(kind, seed, count):
+    """_project picks the simplex shift by the same rank-indexed lookup as
+    the parent, so its projections are bit for bit the parent's; they are
+    unit-trace and PSD.  The shift max_k (S_k - 1) / k is the same number in
+    exact arithmetic but not in floats: it differs in the last bits on
+    unit-trace rank-1 inputs (kind="pure", seed=0, count=3) and on repeated
+    eigenvalues, so it is not used."""
+    mats = hermitian_stack(kind, np.random.default_rng(seed), count)
+    projected = _project(mats)
+    assert np.array_equal(projected, parent_project(mats))
+    assert np.allclose(np.trace(projected, axis1=1, axis2=2), 1.0, rtol=0.0, atol=1e-12)
+    assert np.linalg.eigvalsh(projected).min() > -hilbert.EIGENVALUE_TOL

@@ -158,6 +158,42 @@ def test_every_member_has_an_exact_preparation_plan(tset):
         assert plan.predicted_fidelity >= 1.0 - 1e-9
 
 
+@pytest.mark.parametrize("set_maker", [default_tomography_set, tomography.product_tomography_set])
+def test_projector_stack_is_built_once_per_set(set_maker, lattice, packet, monkeypatch):
+    """The stack is built from the members' logical vectors on first use,
+    equals a fresh outer-product build, refuses writes, and is what linear
+    inversion, the design matrix, the fit and the bootstrap read: none of
+    them builds another."""
+    tset = set_maker(lattice, packet)
+    fresh = np.array(
+        [np.outer(v, v.conj()) for v in map(hilbert.logical_vector, tset.states())]
+    )
+    built = []
+    logical_vector = hilbert.logical_vector
+
+    def counted(state):
+        built.append(state)
+        return logical_vector(state)
+
+    monkeypatch.setattr(hilbert, "logical_vector", counted)
+
+    projs = projector_stack(tset)
+    assert len(built) == len(tset.members)
+    assert np.array_equal(projs, fresh)
+    with pytest.raises(ValueError):
+        projs[0, 0, 0] = 1.0
+    assert projector_stack(tset) is projs
+
+    vec = logical_vector(hilbert.named_state("phi_plus", lattice, packet))
+    counts = exact_counts(np.outer(vec, vec.conj()), tset, visibility=0.94)
+    linear_inversion(dip_depths(counts), tset)
+    design_matrix(tset)
+    mle_reconstruct(counts, tset, visibility=0.94)
+    bootstrap_errors(np.round(counts), tset, 0.94, vec, replicas=3)
+    assert len(built) == len(tset.members)
+    assert np.array_equal(projs, fresh)
+
+
 # ---------------------------------------------------------------------------
 # Linear inversion
 # ---------------------------------------------------------------------------
