@@ -331,7 +331,7 @@ def _write_matrix_csv(path: Path, mat: np.ndarray) -> None:
 
 
 def cmd_prepare(cfg: ExperimentConfig, out_dir: Path, timestamp: bool) -> int:
-    plan = optics.compile_preparation(cfg.encoded, seed=cfg.seed)
+    plan = optics.compile_preparation(cfg.encoded)
     payload = plan.to_json_dict()
     payload["target"] = cfg.encoded_label
     payload["resolved_config"] = cfg.echo()

@@ -307,12 +307,13 @@ def compact_delay_grid(
     baseline_points: int = 40,
     step: float = 5e-14,
 ) -> np.ndarray:
-    """Minimal valid grid: every bin lag plus two long-delay baseline wings.
+    """Minimal valid grid: every bin lag plus two long-delay baseline wings,
+    which start one step past plateau_reach for at least three bins.
 
     Much faster to simulate than the full default grid; used by batch studies.
     """
     lags = [m * tau for m in range(-(n_bins - 1), n_bins)]
-    wing_start = 2 * tau + BASELINE_EXCLUSION_SIGMAS * sigma_t + step
+    wing_start = plateau_reach(tau, sigma_t, max(n_bins, 3)) + step
     half = (baseline_points + 1) // 2
     wings = [wing_start + i * step for i in range(half)]
     grid = sorted(set(lags + wings + [-w for w in wings]))

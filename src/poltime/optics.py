@@ -7,13 +7,14 @@ for a polarizer.  A birefringent crystal delays the V component by an
 integer number of lattice spacings (slow axis along V); the lattice grows
 when amplitude is pushed past the last bin.
 
-compile_preparation searches the fixed preparation bench
+compile_preparation sets the fixed preparation bench
 
     QWP - HWP - CRYSTAL - [POL] - HWP - QWP
 
-for settings that turn |h,0> into a requested two-qubit target, using
-closed-form plate angles for the encodable state classes and a seeded
-numerical search otherwise.
+to turn |h,0> into a requested two-qubit target, all in closed form.  The
+bench reaches two families: c0 orthogonal to c1 without the polarizer, and
+products chi (x) (a|0> + b|tau>) with it.  A target outside both gets the
+best-effort plan for its exact nearest member of either family.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ CRYSTAL_DELAY_RTOL = 1e-6
 EXACT_PLAN_TOL = 1e-9
 _PRUNE_TOL = 1e-12
 _CLASS_TOL = 1e-9
-_RESTARTS = 5  # random starts per layout in the numerical fallback
 # Survival this far below the input norm is rounding residue of the Jones
 # product (entries like cos(pi/2) ~ 1e-16), not a physical transmission.
 ANNIHILATION_RTOL = 1e-24
@@ -50,11 +50,6 @@ def _wrap_angle(theta: float) -> float:
     if t >= np.pi:  # guard against rounding at the boundary
         t -= np.pi
     return t
-
-
-def rotation(theta: float) -> np.ndarray:
-    c, s = np.cos(theta), np.sin(theta)
-    return np.array([[c, -s], [s, c]])
 
 
 @dataclass(frozen=True)
@@ -360,6 +355,8 @@ class _Candidate:
 
 
 def _evaluate(cand: _Candidate, source: PhotonState, target_vec: np.ndarray) -> None:
+    """Drop cand's identity elements, then score it against the target."""
+    cand.elements = _prune_identity_elements(cand.elements, source)
     try:
         out = apply_pipeline(OpticalPipeline(tuple(cand.elements)), source)
     except StateAnnihilatedError:
@@ -402,61 +399,65 @@ def _equal_pol_class_elements(
     return _plates_to_state_pre(xi) + [crystal, Polarizer(theta_p)] + post
 
 
-def _bench_elements(angles, crystal: BirefringentCrystal) -> list[OpticalElement]:
-    """Bench layout for an angle vector: 2 angles set the input plates only,
-    4 add the crystal and the output plates, 5 also the polarizer."""
-    q_in, h_in, *rest = angles
-    els: list[OpticalElement] = [QuarterWavePlate(q_in), HalfWavePlate(h_in)]
-    if rest:
-        *pol, h_out, q_out = rest
-        els += [crystal, *map(Polarizer, pol)]
-        els += [HalfWavePlate(h_out), QuarterWavePlate(q_out)]
-    return els
+def _class_candidates(mat: np.ndarray, crystal: BirefringentCrystal) -> list[_Candidate]:
+    """Closed-form plans for each encodable class the unit-norm logical state
+    [c0 c1] (polarization x bin) is in; none when it is in no class."""
+    c0, c1 = mat[:, 0], mat[:, 1]
+    n0, n1 = np.linalg.norm(c0), np.linalg.norm(c1)
+
+    # A unit-norm state has amplitude in at least one of the two bins.
+    if n1 <= _CLASS_TOL:
+        return [_Candidate(_plates_to_state_pre(c0 / n0), "single_bin")]
+    if n0 <= _CLASS_TOL:
+        els = (
+            _plates_to_state_pre(np.array([0.0, 1.0], dtype=complex))
+            + [crystal]
+            + _plates_from_linear_post(c1 / n1, np.pi / 2)
+        )
+        return [_Candidate(els, "single_bin")]
+
+    candidates: list[_Candidate] = []
+    chi0, chi1 = c0 / n0, c1 / n1
+    cross = abs(np.vdot(chi0, chi1))
+    if abs(c0[1]) <= _CLASS_TOL and abs(c1[0]) <= _CLASS_TOL:
+        # Already of the form a|h,0> + b|v,tau>: pre plates plus crystal.
+        xi = np.array([c0[0], c1[1]])
+        candidates.append(_Candidate(_plates_to_state_pre(xi) + [crystal], "orthogonal"))
+    if cross <= _CLASS_TOL:
+        candidates.append(
+            _Candidate(_orthogonal_class_elements(c0, c1, crystal), "orthogonal")
+        )
+    if cross >= 1.0 - _CLASS_TOL:
+        candidates.append(
+            _Candidate(_equal_pol_class_elements(c0, c1, crystal), "equal_polarization")
+        )
+    return candidates
 
 
-def _numeric_candidates(
-    source: PhotonState,
-    target_vec: np.ndarray,
-    crystal: BirefringentCrystal,
-    seed: int,
-) -> list[_Candidate]:
-    """Best-effort search over plate angles for targets outside the closed-form
-    classes.  Deterministic for a given seed."""
-    # Imported here: scipy.optimize costs about 0.4 s, and only this fallback uses it.
-    from scipy import optimize
+def _nearest_encodable(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The unit-norm states of either bench family nearest to C = [c0 c1].
 
-    def objective(angles):
-        cand = _Candidate(_bench_elements(angles, crystal), "general")
-        _evaluate(cand, source, target_vec)
-        return -cand.fidelity
-
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-    out: list[_Candidate] = []
-    for n_angles in (4, 5, 2):
-        best_x, best_f = None, np.inf
-        starts = [np.zeros(n_angles)] + [
-            rng.uniform(0.0, np.pi, size=n_angles) for _ in range(_RESTARTS)
-        ]
-        for x0 in starts:
-            res = optimize.minimize(
-                objective,
-                x0,
-                method="Nelder-Mead",
-                options={"fatol": 1e-12, "xatol": 1e-10, "maxiter": 4000},
-            )
-            if res.fun < best_f:
-                best_x, best_f = res.x, res.fun
-        out.append(_Candidate(_bench_elements(best_x, crystal), "general"))
-    return out
+    Orthogonal family: the fidelity lambda_max(c0 c0+ - c1 c1+) + |c1|^2 is
+    reached at <u|c0> u|0> + <u'|c1> u'|tau>, u the top eigenvector and u'
+    the other.  Product family: sigma_max(C)^2, reached at the rank-1
+    truncation of C.
+    """
+    c0, c1 = mat[:, 0], mat[:, 1]
+    # eigh sorts ascending: the second eigenvector is the top one.
+    u_perp, u = np.linalg.eigh(np.outer(c0, c0.conj()) - np.outer(c1, c1.conj()))[1].T
+    orthogonal = np.column_stack([np.vdot(u, c0) * u, np.vdot(u_perp, c1) * u_perp])
+    left, _, right = np.linalg.svd(mat)
+    return orthogonal / np.linalg.norm(orthogonal), np.outer(left[:, 0], right[0])
 
 
-def compile_preparation(target: PhotonState, seed: int = 0) -> PreparationPlan:
+def compile_preparation(target: PhotonState) -> PreparationPlan:
     """Find element settings preparing the target from the |h,0> source.
 
     Closed-form settings cover single-bin states, orthogonal-polarization
     two-bin superpositions, and equal-polarization two-bin superpositions
-    (via the heralding polarizer).  Anything else falls back to a seeded
-    numerical search and is flagged as not exactly encodable.
+    (via the heralding polarizer).  Any other target gets the plans for its
+    exact nearest orthogonal and product states, the best fidelity the bench
+    can reach, and is flagged as not exactly encodable (class "general").
 
     Among plans of equal fidelity the one with fewer elements wins, then the
     one with the smaller total plate angle.
@@ -468,56 +469,20 @@ def compile_preparation(target: PhotonState, seed: int = 0) -> PreparationPlan:
     lattice, packet = target.lattice, target.packet
     source = hilbert.basis_state("h", 0, lattice, packet)
     crystal = crystal_with_delay(lattice.tau)
+    mat = logical.reshape(2, 2)
     target_vec = np.zeros(2 * lattice.bin_count, dtype=complex)
-    target_vec.reshape(2, -1)[:, :2] = logical.reshape(2, 2)
+    target_vec.reshape(2, -1)[:, :2] = mat
 
-    c0 = logical.reshape(2, 2)[:, 0]
-    c1 = logical.reshape(2, 2)[:, 1]
-    n0, n1 = np.linalg.norm(c0), np.linalg.norm(c1)
-
-    candidates: list[_Candidate] = []
-
-    # A unit-norm target has amplitude in at least one of the two bins.
-    if n1 <= _CLASS_TOL:
-        candidates.append(_Candidate(_plates_to_state_pre(c0 / n0), "single_bin"))
-    elif n0 <= _CLASS_TOL:
-        els = (
-            _plates_to_state_pre(np.array([0.0, 1.0], dtype=complex))
-            + [crystal]
-            + _plates_from_linear_post(c1 / n1, np.pi / 2)
-        )
-        candidates.append(_Candidate(els, "single_bin"))
-    else:
-        chi0, chi1 = c0 / n0, c1 / n1
-        cross = abs(np.vdot(chi0, chi1))
-        if abs(c0[1]) <= _CLASS_TOL and abs(c1[0]) <= _CLASS_TOL:
-            # Already of the form a|h,0> + b|v,tau>: pre plates plus crystal.
-            xi = np.array([c0[0], c1[1]])
-            candidates.append(
-                _Candidate(_plates_to_state_pre(xi) + [crystal], "orthogonal")
-            )
-        if cross <= _CLASS_TOL:
-            candidates.append(
-                _Candidate(_orthogonal_class_elements(c0, c1, crystal), "orthogonal")
-            )
-        if cross >= 1.0 - _CLASS_TOL:
-            candidates.append(
-                _Candidate(
-                    _equal_pol_class_elements(c0, c1, crystal), "equal_polarization"
-                )
-            )
-
+    candidates = _class_candidates(mat, crystal)
     for cand in candidates:
-        cand.elements = _prune_identity_elements(cand.elements, source)
         _evaluate(cand, source, target_vec)
 
-    best = max((c.fidelity for c in candidates), default=0.0)
-    if best < 1.0 - EXACT_PLAN_TOL:
-        numeric = _numeric_candidates(source, target_vec, crystal, seed)
-        for cand in numeric:
-            cand.elements = _prune_identity_elements(cand.elements, source)
-            _evaluate(cand, source, target_vec)
-        candidates += numeric
+    if max((c.fidelity for c in candidates), default=0.0) < 1.0 - EXACT_PLAN_TOL:
+        for nearest in _nearest_encodable(mat):
+            for cand in _class_candidates(nearest, crystal):
+                cand.target_class = "general"
+                _evaluate(cand, source, target_vec)
+                candidates.append(cand)
 
     best = max(c.fidelity for c in candidates)
     contenders = [c for c in candidates if c.fidelity >= best - EXACT_PLAN_TOL]

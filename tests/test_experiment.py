@@ -104,6 +104,21 @@ def test_sample_scans_reach_is_the_plateau_of_read_dips(lattice, packet):
         sample_scans(phi, [phi], [0], np.array([-reach, -TAU, 0.0, TAU, reach]), 1000.0)
 
 
+@pytest.mark.parametrize("n_bins", [2, 3, 4, 5])
+def test_compact_grid_reaches_the_plateau_for_any_bin_count(packet, n_bins):
+    """The wings start past plateau_reach for the grid's bin count; the 2- and
+    3-bin grids keep their wings at 2 tau + 12 sigma_t + step."""
+    grid = compact_delay_grid(TAU, SIGMA, n_bins=n_bins)
+    state = hilbert.basis_state("h", n_bins - 1, hilbert.TimeBinLattice(n_bins, TAU), packet)
+    (trace,) = sample_scans(state, [state], [0], grid, 1000.0, noiseless=True)
+    np.testing.assert_array_equal(trace.delays, grid)
+    if n_bins <= 3:
+        wings = [2 * TAU + 12 * SIGMA + 5e-14 + i * 5e-14 for i in range(20)]
+        lags = [m * TAU for m in range(1 - n_bins, n_bins)]
+        old = np.array(sorted(set(lags + wings + [-w for w in wings])))
+        np.testing.assert_array_equal(grid, old)
+
+
 # ---------------------------------------------------------------------------
 # Sampling
 # ---------------------------------------------------------------------------

@@ -273,7 +273,7 @@ def test_compile_named_targets_roundtrip(name, lattice, packet):
 
 
 # Non-orthogonal, unequal polarizations across the two bins sit outside
-# every closed-form class; the search reports its best effort.
+# every closed-form class; the compiler reports its best effort.
 UNREACHABLE = np.array([1.0, 0.7, 0.0, 0.714142842854285], dtype=complex)
 UNREACHABLE /= np.linalg.norm(UNREACHABLE)
 
@@ -326,7 +326,29 @@ def test_compile_rejects_unnormalized(lattice, packet):
 
 def test_compile_is_deterministic(lattice, packet):
     target = hilbert.named_state("rl_bell", lattice, packet)
-    a = compile_preparation(target, seed=7)
-    b = compile_preparation(target, seed=7)
+    a = compile_preparation(target)
+    b = compile_preparation(target)
     assert a.pipeline == b.pipeline
     assert a.predicted_fidelity == b.predicted_fidelity
+
+
+def test_best_effort_is_the_nearest_encodable_state(lattice, packet):
+    """Outside the classes the plan reaches the bench's best fidelity: the
+    larger of lambda_max(c0 c0+ - c1 c1+) + |c1|^2 (orthogonal family) and
+    sigma_max(C)^2 (product family), for C = [c0 c1]."""
+    rng = np.random.default_rng(20261018)
+    for _ in range(200):
+        vec = rng.normal(size=4) + 1j * rng.normal(size=4)
+        vec /= np.linalg.norm(vec)
+        target = hilbert.from_logical(vec, lattice, packet)
+        plan = compile_preparation(target)
+        mat = vec.reshape(2, 2)
+        c0, c1 = mat[:, 0], mat[:, 1]
+        orthogonal = np.linalg.eigvalsh(
+            np.outer(c0, c0.conj()) - np.outer(c1, c1.conj())
+        )[-1] + np.vdot(c1, c1).real
+        product = np.linalg.svd(mat, compute_uv=False)[0] ** 2
+        assert plan.predicted_fidelity == pytest.approx(max(orthogonal, product), abs=1e-12)
+        assert fidelity_to(plan, target) == pytest.approx(plan.predicted_fidelity, abs=1e-12)
+        assert not plan.exactly_encodable
+        assert plan.target_class == "general"
