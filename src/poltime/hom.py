@@ -115,6 +115,8 @@ def scan_traces(encoded, ancillas, delays, vis: float = 1.0) -> np.ndarray:
     """
     for ancilla in ancillas:
         _require_shared_envelope(encoded, ancilla)
+    if len({ancilla.bin_count for ancilla in ancillas}) > 1:
+        raise ValueError("ancillas of one scan block must share one bin count")
     v = _check_visibility(vis)
     grid = np.asarray(delays, dtype=float)
     if grid.ndim != 1 or grid.size == 0:

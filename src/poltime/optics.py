@@ -14,7 +14,9 @@ compile_preparation sets the fixed preparation bench
 to turn |h,0> into a requested two-qubit target, all in closed form.  The
 bench reaches two families: c0 orthogonal to c1 without the polarizer, and
 products chi (x) (a|0> + b|tau>) with it.  A target outside both gets the
-best-effort plan for its exact nearest member of either family.
+best-effort plan for its exact nearest member of either family.  Each plan
+is pruned and scored in one walk from the source, which drops elements that
+act as a global phase; a plan that annihilates the photon scores 0.
 """
 
 from __future__ import annotations
@@ -318,25 +320,6 @@ def _plates_from_linear_post(chi: np.ndarray, psi: float = 0.0) -> list[OpticalE
     return [HalfWavePlate(th), QuarterWavePlate(q)]
 
 
-def _prune_identity_elements(
-    elements: list[OpticalElement], source: PhotonState
-) -> list[OpticalElement]:
-    """Drop elements whose action on the running state is a global phase."""
-    kept: list[OpticalElement] = []
-    state = source
-    for el in elements:
-        nxt = element_action(el, state)
-        if nxt.lattice == state.lattice:
-            ip = abs(np.vdot(state.amplitudes, nxt.amplitudes))
-            n_a = np.linalg.norm(state.amplitudes)
-            n_b = np.linalg.norm(nxt.amplitudes)
-            if abs(n_a - n_b) < _PRUNE_TOL and ip >= n_a * n_b - _PRUNE_TOL:
-                continue
-        kept.append(el)
-        state = nxt
-    return kept
-
-
 def _angle_budget(elements) -> float:
     total = 0.0
     for el in elements:
@@ -346,7 +329,7 @@ def _angle_budget(elements) -> float:
     return total
 
 
-@dataclass
+@dataclass(frozen=True)
 class _Candidate:
     elements: list
     target_class: str
@@ -354,21 +337,33 @@ class _Candidate:
     success: float = 0.0
 
 
-def _evaluate(cand: _Candidate, source: PhotonState, target_vec: np.ndarray) -> None:
-    """Drop cand's identity elements, then score it against the target."""
-    cand.elements = _prune_identity_elements(cand.elements, source)
+def _evaluate(cand: _Candidate, source: PhotonState, target_vec: np.ndarray) -> _Candidate:
+    """cand pruned and scored against the target in one walk from the source.
+
+    An element is kept only if its action on the running state is more than
+    a global phase; the walk's last state is the plan's output.  A plan that
+    annihilates the photon scores fidelity and success 0.
+    """
+    kept: list[OpticalElement] = []
+    state, n_a = source, np.sqrt(source.norm_squared)
     try:
-        out = apply_pipeline(OpticalPipeline(tuple(cand.elements)), source)
+        for el in cand.elements:
+            nxt = element_action(el, state)
+            n_b = np.sqrt(nxt.norm_squared)
+            if nxt.lattice == state.lattice and abs(n_a - n_b) < _PRUNE_TOL:
+                if abs(np.vdot(state.amplitudes, nxt.amplitudes)) >= n_a * n_b - _PRUNE_TOL:
+                    continue
+            kept.append(el)
+            state, n_a = nxt, n_b
     except StateAnnihilatedError:
-        cand.fidelity = 0.0
-        cand.success = 0.0
-        return
-    cand.success = out.norm_squared
-    amps = out.amplitudes / np.sqrt(cand.success)
+        return _Candidate(cand.elements, cand.target_class)
+    success = state.norm_squared
+    amps = state.amplitudes / np.sqrt(success)
     padded = np.zeros_like(amps).reshape(2, -1)
     tgt = target_vec.reshape(2, -1)
     padded[:, : tgt.shape[1]] = tgt
-    cand.fidelity = float(abs(np.vdot(padded.reshape(-1), amps)) ** 2)
+    fidelity = float(abs(np.vdot(padded.reshape(-1), amps)) ** 2)
+    return _Candidate(kept, cand.target_class, fidelity, success)
 
 
 def _orthogonal_class_elements(
@@ -473,16 +468,11 @@ def compile_preparation(target: PhotonState) -> PreparationPlan:
     target_vec = np.zeros(2 * lattice.bin_count, dtype=complex)
     target_vec.reshape(2, -1)[:, :2] = mat
 
-    candidates = _class_candidates(mat, crystal)
-    for cand in candidates:
-        _evaluate(cand, source, target_vec)
-
+    candidates = [_evaluate(c, source, target_vec) for c in _class_candidates(mat, crystal)]
     if max((c.fidelity for c in candidates), default=0.0) < 1.0 - EXACT_PLAN_TOL:
         for nearest in _nearest_encodable(mat):
-            for cand in _class_candidates(nearest, crystal):
-                cand.target_class = "general"
-                _evaluate(cand, source, target_vec)
-                candidates.append(cand)
+            for c in _class_candidates(nearest, crystal):
+                candidates.append(_evaluate(_Candidate(c.elements, "general"), source, target_vec))
 
     best = max(c.fidelity for c in candidates)
     contenders = [c for c in candidates if c.fidelity >= best - EXACT_PLAN_TOL]

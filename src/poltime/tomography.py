@@ -209,6 +209,8 @@ def linear_inversion(p_values, tset: TomographySet) -> tuple[np.ndarray, bool]:
     p = np.asarray(p_values, dtype=float)
     if p.shape != (len(tset.members),):
         raise ValueError(f"expected {len(tset.members)} projection values")
+    if not np.all(np.isfinite(p)):
+        raise ValueError("projection values must be finite")
     rho = _inversion(p[None], projector_stack(tset))[0]
     negative = bool(np.linalg.eigvalsh(rho).min() < -hilbert.EIGENVALUE_TOL)
     return rho, negative
@@ -391,6 +393,9 @@ def _unpack_counts(
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValueError("counts must be a sequence of (n_i, N_i) pairs")
     n, baseline = arr[:, 0], arr[:, 1]
+    for name, values in (("dip counts n_i", n), ("baselines N_i", baseline)):
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"{name} must be finite")
     if np.any(n < 0) or np.any(baseline <= 0):
         raise ValueError("counts must be nonnegative and baselines positive")
     if n.shape != (len(tset.members),):

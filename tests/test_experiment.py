@@ -80,6 +80,18 @@ def test_sample_scans_checks_every_seed(lattice, packet, noiseless, bad_seed):
         sample_scans(phi, [phi, phi], [0, bad_seed], delays, 100.0, noiseless=noiseless)
 
 
+@pytest.mark.parametrize("encoded_bins", [2, 3])
+def test_sample_scans_refuse_ancillas_on_mixed_lattices(lattice, packet, encoded_bins):
+    wide = hilbert.TimeBinLattice(3, TAU)
+    encoded = hilbert.named_state("phi_plus", lattice if encoded_bins == 2 else wide, packet)
+    ancillas = [hilbert.named_state("p+", lattice, packet), hilbert.named_state("rx", wide, packet)]
+    delays = compact_delay_grid(TAU, SIGMA, n_bins=3)
+    with pytest.raises(ValueError, match="share one bin count"):
+        sample_scans(encoded, ancillas, [0, 1], delays, 100.0)
+    with pytest.raises(ValueError, match="share one bin count"):
+        hom.scan_traces(encoded, ancillas, delays)
+
+
 def test_sample_scan_requires_baseline_reach(lattice, packet):
     phi = hilbert.named_state("phi_plus", lattice, packet)
     narrow = ScanConfig(

@@ -373,6 +373,35 @@ def test_mle_input_validation(tset):
         mle_reconstruct(bad, tset)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("column, name", [(0, "dip counts"), (1, "baselines")])
+def test_mle_rejects_non_finite_counts(tset, bad, column, name):
+    counts = exact_counts(np.eye(4) / 4, tset)
+    counts[3, column] = bad
+    with pytest.raises(ValueError, match=f"{name} .* must be finite"):
+        mle_reconstruct(counts, tset)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("column, name", [(0, "dip counts"), (1, "baselines")])
+def test_bootstrap_rejects_non_finite_counts(lattice, packet, tset, bad, column, name):
+    counts = np.round(exact_counts(np.eye(4) / 4, tset))
+    counts[3, column] = bad
+    target = hilbert.named_state("phi_plus", lattice, packet)
+    with pytest.raises(ValueError, match=f"{name} .* must be finite"):
+        bootstrap_errors(counts, tset, 1.0, target, replicas=3)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_linear_inversion_rejects_non_finite_values(tset, bad):
+    p = np.full(20, 0.25)
+    p[5] = bad
+    with pytest.raises(ValueError, match="finite"):
+        linear_inversion(p, tset)
+    with pytest.raises(ValueError, match="finite"):
+        linear_inversion(np.full(20, bad), tset)
+
+
 @pytest.mark.parametrize("visibility, baseline", [(0.94, 1000.0), (1.0, 100.0)])
 def test_mle_meets_duality_gap_tolerance(visibility, baseline, lattice, packet, tset):
     """Every fit is within 1e-9 of the optimal deviance, judged from the
