@@ -13,9 +13,11 @@ with numpy's transformed-rejection (PTRS) sampler, by these routes in turn:
 the first candidate's quick test; its reject rules and log test, the log
 test only outside a guard band of 1e-9 of its terms' magnitudes, which
 covers any last-bit difference between np.log and libm's log; the second
-candidate, from the same block, by the same tests; and numpy's own sampler
-from the point's reset key for the rest.  Either way each count is the one
-point_rng gives, bit for bit.
+candidate, from the same block, by the same tests; and numpy's own sampler,
+one generator per thread reset to the point's key, for the rest.  Either
+way each count is the one point_rng gives, bit for bit.  Seeds are integers
+in [0, 2**64): a fractional, NaN or boolean seed raises ValueError instead
+of being truncated.
 
 read_dips reads scans on one grid: each one's baseline N0, the mean over
 the long-delay plateau, and its counts at given lags, lag * tau.
@@ -25,6 +27,7 @@ yields two projections.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +39,9 @@ BASELINE_EXCLUSION_SIGMAS = 12.0
 GRID_MATCH_RTOL = 1e-6
 _OCCUPIED_TOL = 1e-12  # bin amplitude norm below which a bin counts as empty
 _U64 = np.uint64
-_LO32, _SHIFT32 = _U64(0xFFFFFFFF), _U64(32)
+# Shift and mask operands are 0-d arrays: ufuncs take them with less
+# overhead than Python or numpy scalars.
+_LO32, _SHIFT32, _SHIFT11 = (np.array(c, dtype=_U64) for c in (0xFFFFFFFF, 32, 11))
 # Philox4x64-10 (Random123) as two lanes, (2, 1) columns: the multipliers
 # of words 0 and 2, and the Weyl increments of key words 0 and 1.
 _PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=_U64)
@@ -54,11 +59,13 @@ _LOGGAM_A = (
 )
 _LG2PI = 1.8378770664093453
 _LOG_TEST_BAND = 1e-9  # relative guard band of the PTRS log test
+_THREAD = threading.local()  # holds each thread's _reset_draws generator
 
 
 def derive_seed(master_seed: int, stream_index: int) -> int:
-    """Deterministic per-stream seed from a master seed."""
-    ss = np.random.SeedSequence((int(master_seed), int(stream_index)))
+    """Deterministic per-stream seed from a master seed, which must pass
+    the scan seeds' check."""
+    ss = np.random.SeedSequence((_check_seed(master_seed), int(stream_index)))
     return int(ss.generate_state(1, _U64)[0])
 
 
@@ -72,13 +79,19 @@ def point_rng(seed: int, point_index: int) -> np.random.Generator:
 
 
 def _reset_draws(keys, means) -> list:
-    """rng.poisson(m) for each ((seed, index), m) pair, drawn by one Philox
-    whose state is reset to the fresh state of key (seed, index) before each
-    draw: equal to point_rng(seed, index).poisson(m), but a new generator per
-    key costs several times more (a new Philox also seeds an unused
-    SeedSequence from OS entropy).  m may be an array, drawn in sequence
-    from the one key.
+    """rng.poisson(m) for each ((seed, index), m) pair, drawn by this
+    thread's one Philox, whose state is reset to the fresh state of key
+    (seed, index) before each draw: equal to point_rng(seed, index).poisson(m).
+    The generator is built on a thread's first call and kept, because a new
+    one costs more than a few draws (a new Philox also seeds an unused
+    SeedSequence from OS entropy); the reset leaves it no state of its own
+    between draws.  m may be an array, drawn in sequence from the one key.
     """
+    generator = getattr(_THREAD, "reset_generator", None)
+    if generator is None:
+        bit_gen = np.random.Philox(key=[0, 0])
+        generator = _THREAD.reset_generator = bit_gen, np.random.Generator(bit_gen)
+    bit_gen, rng = generator
     # The state setter reads Python ints faster than numpy scalars.
     key = [0, 0]
     fresh = {
@@ -89,8 +102,6 @@ def _reset_draws(keys, means) -> list:
         "has_uint32": 0,
         "uinteger": 0,
     }
-    bit_gen = np.random.Philox(key=key)
-    rng = np.random.Generator(bit_gen)
     draws = []
     for (seed, index), m in zip(keys, means):
         key[0], key[1] = int(seed), int(index)
@@ -101,29 +112,61 @@ def _reset_draws(keys, means) -> list:
 
 def _philox_first_block(seeds: np.ndarray, indices: np.ndarray) -> tuple:
     """The four words of Philox4x64-10 at counter (1, 0, 0, 0) for keys
-    (seeds[j], indices[j]): the first block a fresh numpy Philox with that
-    key emits (Salmon et al., SC'11).  Words 0 and 2 go through the two
-    multiply lanes as one (2, n) array x, words 1 and 3 as y, and the key
-    words are stacked the same way.  Round 0 is folded: at this counter it
-    yields (k0, 0, k1, M0).  The high words of the 128-bit products are
-    assembled from products of 32-bit halves, which fit in uint64."""
+    (seeds[j], indices[j]), the first block a fresh numpy Philox with that
+    key emits (Salmon et al., SC'11), as two (2, n) arrays x and y: words 0
+    and 2 are the rows of x, words 1 and 3 those of y, so column j of row c
+    holds the two words of point j's PTRS candidate c.  The rows are the
+    two multiply lanes, and the key words are stacked the same way.  Round
+    0 is folded: at this counter it yields (k0, 0, k1, M0).  The high words
+    of the 128-bit products are assembled from products of 32-bit halves,
+    which fit in uint64, in place in four (2, n) buffers: fewer allocations
+    on one row, less memory traffic on a large block."""
     key = np.stack([seeds, indices])
-    x, y = key, np.array([[0], [_PHILOX_M[0, 0]]], dtype=_U64)
+    x, y = key.copy(), np.array([[0], [_PHILOX_M[0, 0]]], dtype=_U64)
+    lo, hi, t, w = (np.empty_like(key) for _ in range(4))
     for _ in range(_PHILOX_ROUNDS - 1):
-        key = key + _PHILOX_W
-        x_lo, x_hi = x & _LO32, x >> _SHIFT32
-        t = _PHILOX_M_HI * x_lo + ((_PHILOX_M_LO * x_lo) >> _SHIFT32)
-        w = (t & _LO32) + _PHILOX_M_LO * x_hi
-        hi = _PHILOX_M_HI * x_hi + (t >> _SHIFT32) + (w >> _SHIFT32)
-        x, y = hi[::-1] ^ y ^ key, (_PHILOX_M * x)[::-1]
-    return x[0], y[0], x[1], y[1]
+        key += _PHILOX_W
+        np.bitwise_and(x, _LO32, out=lo)
+        np.right_shift(x, _SHIFT32, out=hi)
+        np.multiply(_PHILOX_M_LO, lo, out=t)
+        t >>= _SHIFT32
+        lo *= _PHILOX_M_HI
+        t += lo  # t = M_hi lo + (M_lo lo >> 32)
+        np.bitwise_and(t, _LO32, out=w)
+        np.multiply(_PHILOX_M_LO, hi, out=lo)
+        w += lo  # w = (t & 0xFFFFFFFF) + M_lo hi
+        w >>= _SHIFT32
+        t >>= _SHIFT32
+        hi *= _PHILOX_M_HI
+        hi += t
+        hi += w  # the high word of M x
+        x, y = hi[::-1] ^ y, (_PHILOX_M * x)[::-1]
+        x ^= key
+    return x, y
 
 
-def _ptrs_candidate(lam, word_u, word_v) -> tuple:
-    """One PTRS candidate per point, from the uint64 words that numpy turns
-    into its doubles U + 0.5 and V: the candidate k, and the masks of the
-    points where numpy accepts it and where numpy rejects it.  A point in
-    neither is left to numpy's sampler.
+def _ptrs_quick(lam, a, b, v_r, word_u, word_v) -> tuple:
+    """numpy's doubles V, us and candidate k of one PTRS candidate per point,
+    from the uint64 words that numpy turns into U + 0.5 and V, and the mask
+    of its quick acceptance test."""
+    u = (word_u >> _SHIFT11) * _TO_UNIT - 0.5
+    v = (word_v >> _SHIFT11) * _TO_UNIT
+    us = 0.5 - np.abs(u)
+    k = np.floor((2.0 * a / us + b) * u + lam + 0.43)
+    return v, us, k, (us >= 0.07) & (v <= v_r)
+
+
+def _ptrs_settle(lam, words) -> tuple:
+    """PTRS on the first two candidates of each point, from the four words
+    of its first Philox block: the candidate k numpy returns, and the mask
+    of the points where array code settles it.  A point is settled if numpy
+    accepts its first candidate, or rejects the first and accepts the
+    second; the rest are left to numpy's sampler.
+
+    The quick test runs on the first candidate of every point.  The m
+    points it leaves take both candidates, laid out as one array of 2m (all
+    first candidates, then all second ones), through the quick test, the
+    reject rules and one pass of the log test.
 
     numpy's quick test and reject rules use only multiply, add, divide,
     sqrt, floor and compares, which give the same bits here.  Its log test
@@ -140,19 +183,23 @@ def _ptrs_candidate(lam, word_u, word_v) -> tuple:
     10**5 times that bound.  k < 6, V = 0 and points inside the band stay
     undecided.
     """
-    u = (word_u >> _U64(11)) * _TO_UNIT - 0.5
-    v = (word_v >> _U64(11)) * _TO_UNIT
     b = 0.931 + 2.53 * np.sqrt(lam)
     a = -0.059 + 0.02483 * b
-    us = 0.5 - np.abs(u)
-    k = np.floor((2.0 * a / us + b) * u + lam + 0.43)
-    accept = (us >= 0.07) & (v <= 0.9277 - 3.6224 / (b - 2.0))
-    reject = ~accept & ((k < 0.0) | ((us < 0.013) & (v > us)))
-    i = np.flatnonzero(~accept & ~reject & (k >= 6.0) & (v > 0.0))
-    lam, b, kk, x = lam[i], b[i], k[i], k[i] + 1.0
+    v_r = 0.9277 - 3.6224 / (b - 2.0)
+    word_u, word_v = words
+    _, _, k, accept = _ptrs_quick(lam, a, b, v_r, word_u[0], word_v[0])
+    j = np.flatnonzero(~accept)
+    both = np.concatenate([j, j])
+    lam, a, b = lam[both], a[both], b[both]
+    word_u, word_v = word_u[:, j].ravel(), word_v[:, j].ravel()
+    v, us, kj, acc = _ptrs_quick(lam, a, b, v_r[both], word_u, word_v)
+    rej = ~acc & ((kj < 0.0) | ((us < 0.013) & (v > us)))
+    i = np.flatnonzero(~acc & ~rej & (kj >= 6.0) & (v > 0.0))
+    lam, a, b, us, kk = lam[i], a[i], b[i], us[i], kj[i]
+    x = kk + 1.0
     log_v = np.log(v[i])
     log_ia = np.log(1.1239 + 1.1328 / (b - 3.4))
-    log_h = np.log(a[i] / (us[i] * us[i]) + b)
+    log_h = np.log(a / (us * us) + b)
     x2 = (1.0 / x) * (1.0 / x)
     gl0 = _LOGGAM_A[9]
     for coef in _LOGGAM_A[8::-1]:
@@ -166,9 +213,12 @@ def _ptrs_candidate(lam, word_u, word_v) -> tuple:
         + np.abs(gl0 / x) + 0.5 * _LG2PI + (x - 0.5) * log_x + x
     )
     sure = np.abs(lhs - rhs) > _LOG_TEST_BAND * scale
-    accept[i] = sure & (lhs <= rhs)
-    reject[i] = sure & (lhs > rhs)
-    return k, accept, reject
+    acc[i] = sure & (lhs <= rhs)
+    rej[i] = sure & (lhs > rhs)
+    acc, rej, kj = acc.reshape(2, -1), rej.reshape(2, -1), kj.reshape(2, -1)
+    accept[j] = acc[0] | (rej[0] & acc[1])
+    k[j] = np.where(acc[0], kj[0], kj[1])
+    return k, accept
 
 
 def _keyed_poisson(seeds, means) -> np.ndarray:
@@ -185,7 +235,7 @@ def _keyed_poisson(seeds, means) -> np.ndarray:
 
     1. the first candidate's quick test, which accepts about 3/4 of points;
     2. its reject rules and its log test, settled outside a guard band
-       (_ptrs_candidate gives the band's derivation);
+       (_ptrs_settle gives the band's derivation);
     3. if the first candidate is rejected, the second candidate (words 2
        and 3 of the block) through the same quick test, rules and log test;
     4. numpy's own sampler from the point's reset key, for everything else:
@@ -193,10 +243,12 @@ def _keyed_poisson(seeds, means) -> np.ndarray:
        inside the band and points that reject both candidates.  Bad means
        thus raise numpy's own ValueError.
 
-    On the CLI's default grid about 1.5% of the points at 10 <= lam reach
-    route 4, and when none do its generator is never built.  scripts/check_keyed_draws.py compares the two
-    over 10^6 draws; numpy does not promise stable Generator streams, so
-    rerun it after an upgrade.
+    Routes 2 and 3 run as one pass over both candidates of the points that
+    route 1 leaves, so a one-row block pays their fixed cost once.  On the
+    CLI's default grid about 1.5% of the points at 10 <= lam reach route 4,
+    and when none do _reset_draws is never called.
+    scripts/check_keyed_draws.py compares the two over 10^6 draws; numpy
+    does not promise stable Generator streams, so rerun it after an upgrade.
     """
     means = np.asarray(means, dtype=float)
     seeds = np.array([int(s) for s in seeds], dtype=_U64)
@@ -204,14 +256,12 @@ def _keyed_poisson(seeds, means) -> np.ndarray:
         raise ValueError("means must be (rows, points) with one seed per row")
     out = np.empty(means.shape)
     rows, cols = np.nonzero((means >= 10.0) & (means <= _PTRS_MAX))
-    lam = means[rows, cols]
-    w0, w1, w2, w3 = _philox_first_block(seeds[rows], cols.astype(_U64))
-    k, accept, reject = _ptrs_candidate(lam, w0, w1)
-    j = np.flatnonzero(reject)
-    k[j], accept[j], _ = _ptrs_candidate(lam[j], w2[j], w3[j])
-    out[rows[accept], cols[accept]] = k[accept]
+    words = _philox_first_block(seeds[rows], cols.astype(_U64))
+    k, accept = _ptrs_settle(means[rows, cols], words)
+    settled = rows[accept], cols[accept]
+    out[settled] = k[accept]
     rest = np.ones(means.shape, dtype=bool)
-    rest[rows[accept], cols[accept]] = False
+    rest[settled] = False
     rows, cols = np.nonzero(rest)
     if rows.size:
         keys = zip(seeds[rows].tolist(), cols.tolist())
@@ -232,7 +282,7 @@ class ScanConfig:
         delays = np.asarray(self.delays, dtype=float)
         if delays.ndim != 1 or delays.size < 3:
             raise ValueError("delay grid must be a 1-d array with at least 3 points")
-        if not np.all(np.diff(delays) > 0):
+        if not (np.diff(delays) > 0).all():
             raise ValueError("delay grid must be strictly increasing")
         delays = delays.copy()
         delays.setflags(write=False)
@@ -245,9 +295,22 @@ class ScanConfig:
 
 
 def _check_seed(seed) -> int:
-    if not 0 <= int(seed) < 2**64:
-        raise ValueError("seed must fit in an unsigned 64-bit integer")
-    return int(seed)
+    """seed as an int.  Raises ValueError for a bool, NaN, any other value
+    that is not an integral number, or one outside [0, 2**64)."""
+    out_of_range = "seed must fit in an unsigned 64-bit integer"
+    if isinstance(seed, (bool, np.bool_)):
+        raise ValueError(f"seed must be an integer, not {seed!r}")
+    try:
+        value = int(seed)
+    except OverflowError:  # an infinity
+        raise ValueError(out_of_range) from None
+    except (TypeError, ValueError):  # NaN, or not a number
+        raise ValueError(f"seed must be an integer, got {seed!r}") from None
+    if value != seed:
+        raise ValueError(f"seed must be an integer, got {seed!r}")
+    if not 0 <= value < 2**64:
+        raise ValueError(out_of_range)
+    return value
 
 
 @dataclass(frozen=True)
@@ -267,9 +330,9 @@ class ScanTrace:
         counts = np.asarray(self.counts, dtype=float)
         if counts.shape != self.delays.shape:
             raise ValueError("counts and delays must have matching shapes")
-        if np.any(counts < 0):
+        if (counts < 0).any():
             raise ValueError("counts must be nonnegative")
-        if not self.noiseless and np.any(counts != np.round(counts)):
+        if not self.noiseless and (counts != counts.round()).any():
             raise ValueError("sampled counts must be integers")
 
 
@@ -386,15 +449,17 @@ def read_dips(traces, lags) -> tuple[np.ndarray, np.ndarray]:
     delays, tau = first.delays, first.tau
     block = np.array([trace.counts for trace in traces])
     dip_lags = np.arange(1 - first.n_bins, first.n_bins) * tau
-    dist = np.abs(delays[:, None] - dip_lags).min(axis=1)
-    plateau = dist > BASELINE_EXCLUSION_SIGMAS * first.sigma_t
-    if not plateau.any():
+    reach = BASELINE_EXCLUSION_SIGMAS * first.sigma_t
+    plateau = (np.abs(delays - dip_lags[:, None]) > reach).all(axis=0)
+    size = np.count_nonzero(plateau)
+    if not size:
         raise ValueError("no baseline points: grid lies entirely inside dip regions")
-    baselines = block[:, plateau].mean(axis=1)
-    if not np.all(baselines > 0):
+    # np.mean's own sum and division, without its wrapper.
+    baselines = block[:, plateau].sum(axis=1) / size
+    if not (baselines > 0).all():
         raise ValueError("no counts on the baseline plateau: baseline_counts is too small")
     targets = np.asarray(lags, dtype=float) * tau
-    columns = np.abs(delays[:, None] - targets).argmin(axis=0)
+    columns = np.abs(delays - targets[:, None]).argmin(axis=1)
     for target, delay in zip(targets, delays[columns]):
         if abs(delay - target) > GRID_MATCH_RTOL * tau:
             raise ValueError(f"delay grid does not contain the lag {target:.3e} s")

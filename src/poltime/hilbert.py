@@ -11,13 +11,19 @@ Amplitude vectors are indexed polarization-major:
 
 so the two-bin logical basis order is h0, h_tau, v0, v_tau.  Global phase is
 never canonicalized; state comparisons go through |<a|b>| or fidelity.
+
+PhotonState has one constructor, used for user input and for every state
+the package derives alike.  It validates once and stores the squared norm,
+which the optics read at every element; finiteness is read off that norm,
+so a valid state costs one vdot.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -101,38 +107,38 @@ def _warn_if_unresolvable(lattice: TimeBinLattice, packet: Wavepacket) -> None:
         )
 
 
-def _as_complex_vector(amplitudes, dim: int) -> np.ndarray:
-    amps = np.asarray(amplitudes, dtype=complex)
-    if amps.shape != (dim,):
-        raise ValueError(f"amplitude vector must have shape ({dim},), got {amps.shape}")
-    if not np.all(np.isfinite(amps.view(float))):
-        raise ValueError("amplitudes must be finite")
-    return amps
-
-
 @dataclass(frozen=True)
 class PhotonState:
     """Pure single-photon state with amplitudes over (polarization, bin).
 
-    The squared norm may be below 1 after lossy elements; it records the
-    survival probability.  Zero-norm construction raises
-    StateAnnihilatedError.
+    Construction copies the amplitudes into a read-only complex vector and
+    computes norm_squared, float(np.vdot(a, a).real), once.  A finite norm
+    implies finite amplitudes, so the vector itself is inspected only when
+    the norm is not finite.  The squared norm may be below 1 after lossy
+    elements; it records the survival probability.  Zero-norm construction
+    raises StateAnnihilatedError.
     """
 
     amplitudes: np.ndarray
     lattice: TimeBinLattice
     packet: Wavepacket
+    norm_squared: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        amps = _as_complex_vector(self.amplitudes, 2 * self.lattice.bin_count)
-        amps = amps.copy()
+        dim = 2 * self.lattice.bin_count
+        amps = np.array(self.amplitudes, dtype=complex)
+        if amps.shape != (dim,):
+            raise ValueError(f"amplitude vector must have shape ({dim},), got {amps.shape}")
         amps.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amps)
-        n2 = self.norm_squared
+        n2 = float(np.vdot(amps, amps).real)
+        if not math.isfinite(n2) and not np.isfinite(amps).all():
+            raise ValueError("amplitudes must be finite")
         if n2 <= 0.0:
             raise StateAnnihilatedError("state annihilated")
         if n2 > 1.0 + NORM_TOL:
             raise ValueError(f"squared norm {n2} exceeds 1")
+        object.__setattr__(self, "amplitudes", amps)
+        object.__setattr__(self, "norm_squared", n2)
         _warn_if_unresolvable(self.lattice, self.packet)
 
     @property
@@ -142,10 +148,6 @@ class PhotonState:
     @property
     def tau(self) -> float:
         return self.lattice.tau
-
-    @property
-    def norm_squared(self) -> float:
-        return float(np.vdot(self.amplitudes, self.amplitudes).real)
 
     def amplitude(self, pol: str, bin_index: int) -> complex:
         p = POLARIZATIONS.index(pol)

@@ -305,7 +305,7 @@ def _stokes(v: np.ndarray) -> tuple[float, float, float]:
 def _plates_to_state_pre(xi: np.ndarray) -> list[OpticalElement]:
     """QWP then HWP settings mapping |h> onto xi (up to global phase)."""
     s1, s2, s3 = _stokes(xi)
-    q = 0.5 * np.arcsin(np.clip(s3, -1.0, 1.0))
+    q = 0.5 * np.arcsin(min(max(s3, -1.0), 1.0))
     lam = np.arctan2(s2, s1)
     h = 0.25 * (lam + 2.0 * q)
     return [QuarterWavePlate(q), HalfWavePlate(h)]
@@ -314,7 +314,7 @@ def _plates_to_state_pre(xi: np.ndarray) -> list[OpticalElement]:
 def _plates_from_linear_post(chi: np.ndarray, psi: float = 0.0) -> list[OpticalElement]:
     """HWP then QWP settings mapping linear polarization at angle psi onto chi."""
     s1, s2, s3 = _stokes(chi)
-    phi = 0.5 * np.arcsin(np.clip(s3, -1.0, 1.0))
+    phi = 0.5 * np.arcsin(min(max(s3, -1.0), 1.0))
     q = 0.5 * np.arctan2(s2, s1)
     th = 0.5 * (phi + q + psi)
     return [HalfWavePlate(th), QuarterWavePlate(q)]

@@ -493,10 +493,12 @@ def bootstrap_errors(
     `mle_reconstruct`, and `estimate` is row 0's result, built as
     `mle_reconstruct` builds it (it raises ReconstructionError the same
     way).  Replicas that miss the optimality tolerance are dropped; more
-    than 10 percent of them failing is an error, checked first.
+    than 10 percent of them failing is an error, checked first.  A seed
+    the scan seeds' check refuses raises ValueError.
     """
     if replicas < 2:
         raise ValueError("bootstrap needs at least 2 replicas")
+    seed = experiment._check_seed(seed)
     n, baseline = _unpack_counts(counts, tset, visibility)
     keys = ((seed, r) for r in range(replicas))
     n_star = experiment._reset_draws(keys, itertools.repeat(n, replicas))
@@ -556,7 +558,9 @@ def simulate_counts(
     call on the grid `delays`, each trace equal to `sample_scan` of its scan
     alone, and one `experiment.read_dips` call.  Each (scan, lag, member)
     reading adds the scan's count at lag * tau and its baseline to the
-    member's (n_i, N_i) pair.
+    member's (n_i, N_i) pair.  Stream seeds come from
+    `experiment.derive_seed`, so a master seed that is not an integer in
+    [0, 2**64) raises ValueError.
     """
     # With calibration, row 0 of the block is the self-scan and scan j is row j + 1.
     cal = int(calibrate and isinstance(encoded, PhotonState))

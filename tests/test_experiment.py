@@ -1,10 +1,13 @@
 """Synthetic scan sampling and estimation: Poisson counts, baselines,
 projection readings, visibility calibration, determinism."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
-from poltime import experiment, hilbert, hom
+from poltime import experiment, hilbert, hom, tomography
 from poltime.experiment import (
     ProjectionReading,
     ScanConfig,
@@ -78,6 +81,51 @@ def test_sample_scans_checks_every_seed(lattice, packet, noiseless, bad_seed):
     delays = compact_delay_grid(TAU, SIGMA)
     with pytest.raises(ValueError, match="seed"):
         sample_scans(phi, [phi, phi], [0, bad_seed], delays, 100.0, noiseless=noiseless)
+
+
+NOT_AN_INTEGER = "seed must be an integer"
+OUT_OF_RANGE = "seed must fit in an unsigned 64-bit integer"
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        pytest.param(v, message, id=repr(v))
+        for values, message in (
+            ((1.7, 3.9, -0.5, np.float64(2.5), np.nan, "5", None), NOT_AN_INTEGER),
+            ((True, False, np.True_), NOT_AN_INTEGER),
+            ((-1, 2**64, 2.0**64, -np.inf, np.inf), OUT_OF_RANGE),
+        )
+        for v in values
+    ],
+)
+def test_seeds_must_be_integers_in_range(lattice, packet, tset, bad, message):
+    """A seed that is not an integral number is refused, never truncated:
+    seed=1.7 used to be kept on the config but drawn and recorded as 1, and
+    derive_seed(3.9, 1) equalled derive_seed(3, 1).  Out-of-range seeds keep
+    their message."""
+    phi = hilbert.named_state("phi_plus", lattice, packet)
+    delays = compact_delay_grid(TAU, SIGMA)
+    calls = [
+        lambda: ScanConfig(delays=delays, baseline_counts=100.0, seed=bad),
+        lambda: sample_scans(phi, [phi], [bad], delays, 100.0),
+        lambda: derive_seed(bad, 1),
+        lambda: tomography.simulate_counts(phi, tset, 100.0, master_seed=bad, delays=delays),
+        lambda: tomography.bootstrap_errors(None, tset, 1.0, phi, replicas=2, seed=bad),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError) as raised:
+            call()
+        assert str(raised.value).startswith(message)
+
+
+@pytest.mark.parametrize(
+    "seed", [0, 3, 3.0, np.uint64(2**64 - 1), np.int64(17), 2**64 - 1], ids=repr
+)
+def test_integral_seeds_are_accepted_as_ints(seed):
+    assert experiment._check_seed(seed) == int(seed)
+    assert type(experiment._check_seed(seed)) is int
+    assert derive_seed(seed, 1) == derive_seed(int(seed), 1)
 
 
 @pytest.mark.parametrize("encoded_bins", [2, 3])
@@ -397,15 +445,23 @@ def test_counts_follow_the_keyed_point_streams(lattice, packet, baseline, visibi
     assert np.array_equal(trace.counts, np.array(reference, dtype=float))
 
 
-def test_keyed_poisson_equals_point_rng_draw_for_draw():
-    """The array draws against their definition: about 2e4 draws over every
-    regime of numpy's Poisson sampler (zero, multiplication below 10, both
-    sides of the switch at 10, transformed rejection, huge means)."""
-    fixed = [0.0, 1e-3, np.nextafter(10.0, 0.0), 10.0, np.nextafter(10.0, 20.0), 1e7]
+@pytest.mark.parametrize("rows, points", [(10, 2000), (1, 321), (18, 43), (19, 321)])
+def test_keyed_poisson_equals_point_rng_draw_for_draw(rows, points):
+    """The array draws against their definition.  The 10 x 2000 block has
+    about 2e4 draws over every regime of numpy's Poisson sampler (zero,
+    multiplication below 10, both sides of the switch at 10, transformed
+    rejection, huge means).  The others are the block shapes the benchmark
+    draws, at means in [60, 1000]: one scan on the default grid, 18 scans on
+    the compact grid and 19 on the default grid."""
     rng = np.random.default_rng(6)
-    seeds = [0, 2**64 - 1, 1, 2**63, *rng.integers(2, 2**62, size=6).tolist()]
-    means = np.exp(rng.uniform(np.log(60.0), np.log(1e4), size=(len(seeds), 2000)))
-    means[:, ::3] = np.resize(fixed, means[:, ::3].size).reshape(len(seeds), -1)
+    if rows == 10:
+        fixed = [0.0, 1e-3, np.nextafter(10.0, 0.0), 10.0, np.nextafter(10.0, 20.0), 1e7]
+        seeds = [0, 2**64 - 1, 1, 2**63, *rng.integers(2, 2**62, size=6).tolist()]
+        means = np.exp(rng.uniform(np.log(60.0), np.log(1e4), size=(len(seeds), points)))
+        means[:, ::3] = np.resize(fixed, means[:, ::3].size).reshape(len(seeds), -1)
+    else:
+        seeds = [derive_seed(points, r) for r in range(rows)]
+        means = np.exp(rng.uniform(np.log(60.0), np.log(1e3), size=(rows, points)))
     got = experiment._keyed_poisson(seeds, means)
     want = [
         [point_rng(seed, i).poisson(mu) for i, mu in enumerate(row)]
@@ -478,6 +534,44 @@ def test_keyed_poisson_without_fallback_points_builds_no_generator(monkeypatch):
     monkeypatch.setattr(experiment, "_reset_draws", unreachable)
     block = means[:, :width]
     assert np.array_equal(experiment._keyed_poisson(seeds, block), point_rng_draws(seeds, block))
+
+
+def test_reset_draws_keep_one_generator_per_thread():
+    """Threads drawing at once, switching every microsecond, each keep and
+    reset a generator of their own, and every draw still equals
+    point_rng's."""
+    keys = [(seed, i) for seed in (3, 2**64 - 1) for i in range(40)]
+    means = [50.0 + 7.0 * i for i in range(len(keys))]
+    want = [point_rng(seed, i).poisson(m) for (seed, i), m in zip(keys, means)]
+    start = threading.Barrier(6)
+    generators, failures = [], []
+
+    def work(shift):
+        # Each thread walks the keys from its own start.
+        mine = (keys[shift:] + keys[:shift], means[shift:] + means[:shift])
+        try:
+            start.wait(timeout=60)
+            for _ in range(20):
+                if experiment._reset_draws(*mine) != want[shift:] + want[:shift]:
+                    failures.append(f"thread {shift}: draws differ")
+                    return
+            generators.append(experiment._THREAD.reset_generator)
+        except Exception as exc:
+            failures.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []
+    assert len({id(generator) for generator in generators}) == len(threads)
 
 
 @pytest.mark.parametrize("bad", [np.nan, -1.0, 1e300])

@@ -1,5 +1,6 @@
 """State container behavior: norms, inner products, densities, partial trace."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -45,13 +46,63 @@ def test_lattice_validation():
         Wavepacket(sigma_t=0.0)
 
 
-def test_state_shape_and_norm_validation(lattice, packet):
-    with pytest.raises(ValueError):
-        PhotonState(np.ones(3, dtype=complex), lattice, packet)
-    with pytest.raises(StateAnnihilatedError):
-        PhotonState(np.zeros(4, dtype=complex), lattice, packet)
-    with pytest.raises(ValueError):
-        PhotonState(2.0 * np.ones(4, dtype=complex), lattice, packet)
+@pytest.mark.parametrize(
+    "amps, error, message",
+    [
+        ([1, 1, 1], ValueError, "amplitude vector must have shape (4,), got (3,)"),
+        ([0, 0, 0, 0], StateAnnihilatedError, "state annihilated"),
+        ([2, 2, 2, 2], ValueError, "squared norm 16.0 exceeds 1"),
+        ([np.nan, 0, 0, 0], ValueError, "amplitudes must be finite"),
+        ([0, 0, np.inf, 0], ValueError, "amplitudes must be finite"),
+        ([0, -np.inf, 0, 0], ValueError, "amplitudes must be finite"),
+        ([0, 0, 0, complex(0, np.inf)], ValueError, "amplitudes must be finite"),
+        ([complex(np.inf, np.inf), 0, 0, 0], ValueError, "amplitudes must be finite"),
+        ([1e200, np.nan, 0, 0], ValueError, "amplitudes must be finite"),
+        # Finite amplitudes whose squared norm overflows.
+        ([1e200, 0, 0, 0], ValueError, "squared norm inf exceeds 1"),
+        ([1e154, 1e154, 0, 0], ValueError, "squared norm inf exceeds 1"),
+    ],
+    ids=[
+        "shape", "zero", "norm-above-1", "nan", "inf", "-inf", "complex-inf",
+        "inf-inf", "nan-beside-overflow", "overflow", "overflowing-sum",
+    ],
+)
+def test_state_shape_and_norm_validation(lattice, packet, amps, error, message):
+    """Each bad amplitude vector raises the same exception type and message
+    whether the check is made on the vector or derived from its norm."""
+    with pytest.raises(error) as raised:
+        PhotonState(np.array(amps, dtype=complex), lattice, packet)
+    assert type(raised.value) is error
+    assert str(raised.value) == message
+
+
+def test_state_keeps_its_norm_and_its_fields(lattice, packet, rng):
+    """norm_squared is float(np.vdot(a, a).real) of the stored amplitudes,
+    bit for bit, and stays out of the fields that ==, repr and JSON use."""
+    for _ in range(50):
+        state = random_pure(rng, lattice, packet)
+        lossy = PhotonState(0.37 * state.amplitudes, lattice, packet)
+        for s in (state, lossy):
+            assert s.norm_squared == float(np.vdot(s.amplitudes, s.amplitudes).real)
+            assert not s.amplitudes.flags.writeable
+    assert state == state
+    assert [f.name for f in dataclasses.fields(PhotonState) if f.compare] == [
+        "amplitudes", "lattice", "packet",
+    ]
+    assert repr(state) == (
+        f"PhotonState(amplitudes={state.amplitudes!r}, lattice={lattice!r}, packet={packet!r})"
+    )
+    back = PhotonState.from_json(state.to_json())
+    assert back.amplitudes.tobytes() == state.amplitudes.tobytes()
+    assert back.norm_squared == state.norm_squared
+
+
+def test_state_copies_its_amplitudes(lattice, packet):
+    amps = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
+    state = PhotonState(amps, lattice, packet)
+    amps[0] = 0.5
+    assert state.amplitudes[0] == 1.0
+    assert state.norm_squared == 1.0
 
 
 def test_resolvability_warning(lattice):
