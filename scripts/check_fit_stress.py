@@ -9,10 +9,9 @@ reading's count is a Poisson draw at N0 (1 - V tr(P rho)) with baseline N0,
 so zero-count dips appear at small N0 and for pure truths at V = 1.  All
 rows of one set, N0 and fitted visibility are fitted as one stack.
 
-For every N0 it prints the rows that met the duality-gap tolerance and the
-largest iteration count among them.  The tolerance is absolute, and above
-about 1e6 counts the rounding in the gradient of a full-rank fit can exceed
-it, so the script exits 1 only if a row with N0 <= 1e6 failed:
+For every N0 it prints the rows that the solver reports converged, each to
+its own count-scaled duality-gap tolerance, and the largest iteration count
+among them.  The script exits 1 if any row did not converge:
 
     PYTHONPATH=src python scripts/check_fit_stress.py
 """
@@ -27,7 +26,6 @@ from poltime import hilbert, tomography
 
 VISIBILITIES = (1.0, 0.94, 0.8)
 MIS_SET = (0.0, -0.03, 0.03)
-STRICT_N0 = 1e6
 TAU = 2.3e-12
 
 
@@ -82,24 +80,20 @@ def main() -> int:
     table: dict[float, list[int]] = {}
     t0 = time.perf_counter()
     for n0, v_fit, n, baseline, projs in stacks(args.truths, args.max_exponent):
-        _, _, gaps, iterations = tomography._fit(n, baseline, projs, v_fit)
-        ok = gaps <= tomography._GAP_TOL
+        fit = tomography._fit(n, baseline, projs, v_fit)
         row = table.setdefault(n0, [0, 0, 0])
         row[0] += len(n)
-        row[1] += int(ok.sum())
-        row[2] = max(row[2], int(iterations[ok].max(initial=0)))
+        row[1] += int(fit.converged.sum())
+        row[2] = max(row[2], int(fit.iterations[fit.converged].max(initial=0)))
     dt = time.perf_counter() - t0
 
     print(f"{'N0':>8} {'rows':>5} {'converged':>9} {'max iterations':>14}")
-    failed_strict = 0
     for n0, (rows, converged, max_it) in table.items():
         print(f"{n0:8.0e} {rows:5d} {converged:9d} {max_it:14d}")
-        if n0 <= STRICT_N0:
-            failed_strict += rows - converged
     total = sum(row[0] for row in table.values())
     converged = sum(row[1] for row in table.values())
-    print(f"{converged} of {total} rows converged, {failed_strict} failed at N0 <= 1e6 ({dt:.1f} s)")
-    return 1 if failed_strict else 0
+    print(f"{converged} of {total} rows converged ({dt:.1f} s)")
+    return 0 if converged == total else 1
 
 
 if __name__ == "__main__":

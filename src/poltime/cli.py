@@ -501,17 +501,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse has already printed the help text or the usage error.
         return EXIT_OK if exc.code == 0 else EXIT_CONFIG
-    try:
-        cfg = load_config(args.config, args.seed)
-    except ConfigError as exc:
-        for problem in exc.problems:
-            print(f"config error: {problem}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     timestamp = not args.no_timestamp
     try:
+        cfg = load_config(args.config, args.seed)
+        out_dir = Path(args.out)
+        out_dir.mkdir(parents=True, exist_ok=True)
         if args.command == "prepare":
             return cmd_prepare(cfg, out_dir, timestamp)
         if args.command == "scan":

@@ -181,11 +181,6 @@ class OpticalPipeline:
     def __len__(self) -> int:
         return len(self.elements)
 
-    def validate_for(self, lattice: TimeBinLattice) -> None:
-        for el in self.elements:
-            if isinstance(el, BirefringentCrystal):
-                el.bin_shift(lattice)
-
     def to_json_dict(self) -> dict:
         out = []
         for el in self.elements:

@@ -20,15 +20,15 @@ Reconstruction is by maximum likelihood: the Poisson likelihood of the raw
 counts is convex in rho, and one accelerated projected-gradient solver over
 the unit-trace PSD matrices (Shang, Zhang and Ng, PRA 95, 062336, 2017)
 fits a single count set or a whole stack of count sets to a stated
-duality-gap tolerance.  Its step starts at the inverse of the deviance's
-exact largest curvature along traceless directions, and its momentum
-restarts on the gradient test of O'Donoghue and Candes (Found. Comput.
-Math. 15, 715, 2015), so an iteration needs gradients but no deviance.
-`bootstrap_errors` fits the observed counts as row 0 of its stack of
-bootstrap replicas and returns that row as the point estimate, so a run
-with error bars is one solve; `mle_reconstruct` fits one count set alone.
-Linear inversion is kept as the unconstrained baseline and as the starting
-point.
+duality-gap tolerance that scales with the counts.  Its step starts at the
+inverse of the deviance's exact largest curvature along traceless
+directions, and its momentum restarts on the gradient test of O'Donoghue
+and Candes (Found. Comput. Math. 15, 715, 2015), so an iteration needs
+gradients but no deviance.  `bootstrap_errors` fits the observed counts as
+row 0 of its stack of bootstrap replicas and returns that row as the point
+estimate, so a run with error bars is one solve; `mle_reconstruct` fits
+one count set alone.  Linear inversion is kept as the unconstrained
+baseline and as the starting point.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,6 +49,10 @@ BIN_SET = ("0", "t", "+", "x")
 _DIM = 4
 _Q_FLOOR = 1e-12
 _GAP_TOL = 1e-9  # Frank-Wolfe duality gap of a fit, in deviance units
+# The gap sums gradient terms of up to N_i and n_i / q_i, so it carries
+# rounding of about eps sum_i(n_i + N_i); stalled gaps measured at most 1.7
+# times that, so a row's gap tolerance is at least _GAP_ROUNDING times it.
+_GAP_ROUNDING = 4.0
 _MAX_ITER = 5000
 _STEP_GROWTH = 1.25
 
@@ -294,9 +299,19 @@ def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("bij,bij->b", a.view(float), b.view(float))
 
 
-def _fit(
-    n: np.ndarray, baseline: np.ndarray, projs: np.ndarray, visibility: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+class _Fit(NamedTuple):
+    """Per-row results of `_fit`; `converged` says whether the final gap met
+    the tolerance, and `iterations` counts steps tried, rejected ones included."""
+
+    rho: np.ndarray
+    deviance: np.ndarray
+    gap: np.ndarray
+    tolerance: np.ndarray
+    converged: np.ndarray
+    iterations: np.ndarray
+
+
+def _fit(n: np.ndarray, baseline: np.ndarray, projs: np.ndarray, visibility: float) -> _Fit:
     """Maximum-likelihood states for a stack of count sets, n and baseline (B, M),
     of the (M, 4, 4) projector stack `projs`.
 
@@ -311,13 +326,13 @@ def _fit(
     along the step just taken (O'Donoghue and Candes, Found. Comput. Math.
     15, 715, 2015), so the loop never evaluates the deviance.  A row stops
     once its Frank-Wolfe gap Re tr(G rho) - lambda_min(G), G the gradient,
-    is at most _GAP_TOL; the gap bounds the distance to the optimal deviance.
-    A pass over R running rows costs one (R, 4, 4) eigh, one eigvalsh, one
-    (2, R, 32) read and one span product for the gradients at x_new and
-    y_new, four inner products, and merges rows only if it rejects a step.
-
-    Returns (rho (B, 4, 4), deviance, gap, iterations), each per row;
-    iterations counts the steps tried, rejected ones included.
+    is at most its tolerance max(_GAP_TOL, _GAP_ROUNDING eps sum_i(n_i +
+    N_i)), or unconverged after _MAX_ITER passes; the gap bounds the
+    distance to the optimal deviance.  This is the only convergence test:
+    callers read the verdict.  A pass over R running rows costs one
+    (R, 4, 4) eigh, one eigvalsh, one (2, R, 32) read and one span product
+    for the gradients at x_new and y_new, four inner products, and merges
+    rows only if it rejects a step.
     """
     # On the float view (B, 32) of a (B, 4, 4) stack, V tr(P rho) is one
     # real matmul with `read`, and the gradient's sum over P one with `span`.
@@ -348,17 +363,19 @@ def _fit(
     g_y = gradient(x, n, baseline)
     gaps = gap(x, g_y)
     y, momentum = x, np.ones(len(n))
-    rows, n_run, big_n = np.arange(len(n)), n, baseline
+    eps_sum = np.finfo(float).eps * (n + baseline).sum(axis=1)
+    tolerance = np.maximum(_GAP_TOL, _GAP_ROUNDING * eps_sum)
+    rows, n_run, big_n, tol = np.arange(len(n)), n, baseline, tolerance
     rho, gap_out, iterations = np.empty_like(x), np.empty(len(n)), np.zeros(len(n), dtype=int)
     # Every running row tries one step per pass, so a row that stops at
     # pass k took k steps.  The running rows stay compacted.
     for k in range(_MAX_ITER + 1):
-        done = (gaps <= _GAP_TOL) | (k == _MAX_ITER)
+        done = (gaps <= tol) | (k == _MAX_ITER)
         if done.any():
             out = rows[done]
             rho[out], gap_out[out], iterations[out] = x[done], gaps[done], k
-            rows, x, y, g_y, gaps, step, momentum, n_run, big_n = (
-                arr[~done] for arr in (rows, x, y, g_y, gaps, step, momentum, n_run, big_n)
+            rows, x, y, g_y, gaps, step, momentum, n_run, big_n, tol = (
+                arr[~done] for arr in (rows, x, y, g_y, gaps, step, momentum, n_run, big_n, tol)
             )
             if rows.size == 0:
                 break
@@ -383,7 +400,8 @@ def _fit(
     mu = baseline * dip_ratio(rho)
     # Zero-count terms reduce to mu: n log(mu / n) -> 0.
     deviance = np.sum(mu - n - n * np.log(mu / np.where(n > 0, n, 1.0)), axis=1)
-    return rho, deviance, gap_out, iterations
+    # A row stopped at the cap converged only if its last gap met the tolerance.
+    return _Fit(rho, deviance, gap_out, tolerance, gap_out <= tolerance, iterations)
 
 
 def _unpack_counts(
@@ -424,38 +442,37 @@ def mle_reconstruct(
 
     The Poisson likelihood of the dip counts is convex in rho, so one
     projected-gradient descent from the projected linear inversion reaches
-    the optimum: it stops once the duality gap, an upper bound on the
-    deviance still to gain, is at most 1e-9, and raises ReconstructionError
-    if the iteration cap comes first.  The fit has no random element;
-    `seed` is accepted for compatibility and does not affect the result.
-
-    The gap tolerance is absolute, while the gradient's terms grow with the
-    counts, so its rounding grows with them too.  A full-rank (mixed) state
-    at baselines of 1e7 counts and more can stall above the tolerance: a
-    Ginibre-mixed state at V = 1 stalls at gaps of about 4e-9 to 1.5e-8 at
-    1e7 counts and 4e-8 to 1.5e-7 at 1e8, and raises ReconstructionError
-    after the iteration cap.  Pure-state fits at those counts converge.
+    the optimum.  It stops once the duality gap, an upper bound on the
+    deviance still to gain, is at most max(1e-9, 4 eps sum_i(n_i + N_i)),
+    eps the float64 epsilon.  The second term is the rounding of the
+    gradient, whose terms grow with the counts; on the unbiased set it takes
+    over above about 3e4 counts per baseline.  The fit raises
+    ReconstructionError, naming the gap and its tolerance, if the iteration
+    cap comes first.  The fit has no random element; `seed` is accepted for
+    compatibility and does not affect the result.
     """
     n, baseline = _unpack_counts(counts, tset, visibility)
     fit = _fit(n[None], baseline[None], projector_stack(tset), visibility)
     return _result(n, fit, target)
 
 
-def _result(n: np.ndarray, fit, target) -> TomographyResult:
+def _result(n: np.ndarray, fit: _Fit, target) -> TomographyResult:
     """The TomographyResult of row 0 of a _fit of the counts n; raises
-    ReconstructionError if that row missed the duality-gap tolerance."""
-    rho, deviance, gap, iterations = fit
+    ReconstructionError if that row did not converge."""
     # sum(mu - n log mu) = deviance + sum(n - n log n)
-    nll = float(deviance[0] + np.sum(n - n * np.log(np.where(n > 0, n, 1.0))))
-    if not gap[0] <= _GAP_TOL:
+    nll = float(fit.deviance[0] + np.sum(n - n * np.log(np.where(n > 0, n, 1.0))))
+    if not fit.converged[0]:
         raise ReconstructionError(
-            f"likelihood fit stopped at duality gap {gap[0]:.3g}", best_nll=nll
+            f"likelihood fit stopped at duality gap {fit.gap[0]:.3g}, "
+            f"which misses its tolerance {fit.tolerance[0]:.3g}",
+            best_nll=nll,
         )
-    fid = None if target is None else fidelity(rho[0], target)
+    rho = fit.rho[0]
+    fid = None if target is None else fidelity(rho, target)
     return TomographyResult(
-        rho_hat=0.5 * (rho[0] + rho[0].conj().T),
+        rho_hat=0.5 * (rho + rho.conj().T),
         nll=nll,
-        iterations=int(iterations[0]),
+        iterations=int(fit.iterations[0]),
         fidelity_vs_target=fid,
     )
 
@@ -492,9 +509,10 @@ def bootstrap_errors(
     as row 0, and all replicas are then fitted in one call of the solver of
     `mle_reconstruct`, and `estimate` is row 0's result, built as
     `mle_reconstruct` builds it (it raises ReconstructionError the same
-    way).  Replicas that miss the optimality tolerance are dropped; more
-    than 10 percent of them failing is an error, checked first.  A seed
-    the scan seeds' check refuses raises ValueError.
+    way).  Each row stops at its own count-scaled gap tolerance, the
+    solver's one stop rule.  Replicas the solver reports unconverged are
+    dropped; more than 10 percent of them failing is an error, checked
+    first.  A seed the scan seeds' check refuses raises ValueError.
     """
     if replicas < 2:
         raise ValueError("bootstrap needs at least 2 replicas")
@@ -504,8 +522,7 @@ def bootstrap_errors(
     n_star = experiment._reset_draws(keys, itertools.repeat(n, replicas))
     stack = np.array([n, *n_star], dtype=float)
     fit = _fit(stack, np.broadcast_to(baseline, stack.shape), projector_stack(tset), visibility)
-    rhos, _, gaps, _ = fit
-    rhos = rhos[1:][gaps[1:] <= _GAP_TOL]
+    rhos = fit.rho[1:][fit.converged[1:]]
     dropped = replicas - len(rhos)
     if dropped > 0.1 * replicas:
         raise ReconstructionError(

@@ -660,6 +660,27 @@ def test_tomography_imaginary_structure_survives_noise(tmp_path):
     assert np.abs(np.diag(rho).imag).max() < 0.05  # diagonal stays real
 
 
+def test_tomography_converges_at_the_largest_baseline(tmp_path):
+    """At the baseline cap the gradient's rounding is far above 1e-9, and
+    the fit and every bootstrap replica stop at their count-scaled gap
+    tolerance instead of running into the iteration cap."""
+    path = write_config(
+        tmp_path,
+        encoded_target="phi_plus",
+        visibility=0.94,
+        baseline_counts=MAX_BASELINE_COUNTS,
+        replicas=100,
+        seed=3,
+    )
+    out = tmp_path / "tomo"
+    code = cli.main(["tomography", "--config", path, "--out", str(out), "--no-timestamp"])
+    assert code == EXIT_OK
+    result = json.loads((out / "result.json").read_text())
+    assert result["replicas"] == 100
+    assert result["replicas_dropped"] == 0
+    assert result["fidelity"] > 0.999
+
+
 # ---------------------------------------------------------------------------
 # Determinism and self test
 # ---------------------------------------------------------------------------

@@ -100,11 +100,15 @@ def test_crystal_grows_lattice_instead_of_truncating(lattice, packet):
 
 
 def test_crystal_delay_must_sit_on_lattice(lattice, packet):
+    """An off-lattice crystal is refused whatever the photon's polarization,
+    also when it comes later in a pipeline."""
     bad = crystal_with_delay(0.4 * lattice.tau)
-    with pytest.raises(ValueError):
+    message = "is not a positive integer multiple of the lattice spacing"
+    with pytest.raises(ValueError, match=message):
         element_action(bad, hilbert.basis_state("v", 0, lattice, packet))
-    with pytest.raises(ValueError):
-        OpticalPipeline((bad,)).validate_for(lattice)
+    for pipe in (OpticalPipeline((bad,)), OpticalPipeline((HalfWavePlate(0.0), bad))):
+        with pytest.raises(ValueError, match=message):
+            apply_pipeline(pipe, hilbert.basis_state("h", 0, lattice, packet))
 
 
 def test_polarizer_can_annihilate(lattice, packet):

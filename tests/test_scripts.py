@@ -47,6 +47,8 @@ def test_keyed_draw_check_passes():
 
 
 def test_fit_stress_check_runs():
-    proc = run_script("check_fit_stress.py", "--truths", "1", "--max-exponent", "2")
+    """Every row converges, up to N0 = 1e8 where the gap tolerance is
+    count-scaled."""
+    proc = run_script("check_fit_stress.py", "--truths", "1", "--max-exponent", "8")
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "108 of 108 rows converged, 0 failed at N0 <= 1e6" in proc.stdout
+    assert "324 of 324 rows converged (" in proc.stdout

@@ -435,7 +435,7 @@ def test_mle_reports_the_nll_of_a_fit_that_misses_tolerance(
         target, tset, 1000.0, visibility=0.94, delays=compact_delays(), calibrate=False
     )
     monkeypatch.setattr(tomography, "_MAX_ITER", 1)
-    with pytest.raises(ReconstructionError) as err:
+    with pytest.raises(ReconstructionError, match="misses its tolerance 1e-09$") as err:
         mle_reconstruct(bundle.counts, tset, visibility=0.94)
     assert np.isfinite(err.value.best_nll)
     with pytest.raises(ReconstructionError, match="bootstrap replicas failed"):
