@@ -459,7 +459,8 @@ def cmd_oracle_check(cfg: ExperimentConfig, triples: int) -> int:
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process: parse_args keeps no
-    state between calls."""
+    state between calls.  Each subcommand takes only the flags it reads:
+    oracle-check writes nothing, and prepare samples no counts."""
     parser = argparse.ArgumentParser(
         prog="poltime",
         description="Polarization + time-bin photon encoding: simulate and reconstruct.",
@@ -477,20 +478,22 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=blurb)
         p.add_argument("--config", default=None, help="path to a JSON config")
         p.add_argument("--seed", type=int, default=None, help="override config seed")
+        if name == "oracle-check":
+            p.add_argument(
+                "--triples", type=int, default=50, help="number of random comparisons"
+            )
+            continue
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument(
-            "--noiseless",
-            action="store_true",
-            help="emit expected counts instead of Poisson samples",
-        )
         p.add_argument(
             "--no-timestamp",
             action="store_true",
             help="omit generated_at for byte-identical reruns",
         )
-        if name == "oracle-check":
+        if name != "prepare":
             p.add_argument(
-                "--triples", type=int, default=50, help="number of random comparisons"
+                "--noiseless",
+                action="store_true",
+                help="emit expected counts instead of Poisson samples",
             )
     return parser
 
@@ -501,9 +504,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse has already printed the help text or the usage error.
         return EXIT_OK if exc.code == 0 else EXIT_CONFIG
-    timestamp = not args.no_timestamp
     try:
         cfg = load_config(args.config, args.seed)
+        if args.command == "oracle-check":
+            return cmd_oracle_check(cfg, args.triples)
+        timestamp = not args.no_timestamp
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         if args.command == "prepare":
@@ -512,8 +517,6 @@ def main(argv=None) -> int:
             return cmd_scan(cfg, out_dir, timestamp, args.noiseless)
         if args.command == "tomography":
             return cmd_tomography(cfg, out_dir, timestamp, args.noiseless)
-        if args.command == "oracle-check":
-            return cmd_oracle_check(cfg, args.triples)
     except ConfigError as exc:
         for problem in exc.problems:
             print(f"config error: {problem}", file=sys.stderr)

@@ -9,12 +9,11 @@ against many ancillas on one grid, at one baseline and visibility: their
 expectations are one hom.scan_traces block, and every count is drawn in a
 single array pass over those keys (_keyed_poisson).  It computes the first
 Philox block of every key in exact array code and settles most points there
-with numpy's transformed-rejection (PTRS) sampler, by these routes in turn:
-the first candidate's quick test; its reject rules and log test, the log
-test only outside a guard band of 1e-9 of its terms' magnitudes, which
-covers any last-bit difference between np.log and libm's log; the second
-candidate, from the same block, by the same tests; and numpy's own sampler,
-one generator per thread reset to the point's key, for the rest.  Either
+with numpy's transformed-rejection (PTRS) sampler, on the block's two
+candidates at once: the quick test and reject rules, then the log test only
+outside a guard band of 1e-9 of its terms' magnitudes, which covers any
+last-bit difference between np.log and libm's log.  numpy's own sampler,
+one generator per thread reset to the point's key, draws the rest.  Either
 way each count is the one point_rng gives, bit for bit.  Seeds are integers
 in [0, 2**64): a fractional, NaN or boolean seed raises ValueError instead
 of being truncated.
@@ -145,17 +144,6 @@ def _philox_first_block(seeds: np.ndarray, indices: np.ndarray) -> tuple:
     return x, y
 
 
-def _ptrs_quick(lam, a, b, v_r, word_u, word_v) -> tuple:
-    """numpy's doubles V, us and candidate k of one PTRS candidate per point,
-    from the uint64 words that numpy turns into U + 0.5 and V, and the mask
-    of its quick acceptance test."""
-    u = (word_u >> _SHIFT11) * _TO_UNIT - 0.5
-    v = (word_v >> _SHIFT11) * _TO_UNIT
-    us = 0.5 - np.abs(u)
-    k = np.floor((2.0 * a / us + b) * u + lam + 0.43)
-    return v, us, k, (us >= 0.07) & (v <= v_r)
-
-
 def _ptrs_settle(lam, words) -> tuple:
     """PTRS on the first two candidates of each point, from the four words
     of its first Philox block: the candidate k numpy returns, and the mask
@@ -163,10 +151,12 @@ def _ptrs_settle(lam, words) -> tuple:
     accepts its first candidate, or rejects the first and accepts the
     second; the rest are left to numpy's sampler.
 
-    The quick test runs on the first candidate of every point.  The m
-    points it leaves take both candidates, laid out as one array of 2m (all
-    first candidates, then all second ones), through the quick test, the
-    reject rules and one pass of the log test.
+    Both candidates go through one pass: row c of the (2, n) words is
+    candidate c, numpy turns word_u into U + 0.5 and word_v into V, and the
+    quick test and reject rules run on both rows at once, with each point's
+    lam, a, b and v_r broadcast over them.  The log test runs only on the
+    candidates they leave undecided, and on a second candidate only where
+    the first failed its quick test.
 
     numpy's quick test and reject rules use only multiply, add, divide,
     sqrt, floor and compares, which give the same bits here.  Its log test
@@ -187,17 +177,18 @@ def _ptrs_settle(lam, words) -> tuple:
     a = -0.059 + 0.02483 * b
     v_r = 0.9277 - 3.6224 / (b - 2.0)
     word_u, word_v = words
-    _, _, k, accept = _ptrs_quick(lam, a, b, v_r, word_u[0], word_v[0])
-    j = np.flatnonzero(~accept)
-    both = np.concatenate([j, j])
-    lam, a, b = lam[both], a[both], b[both]
-    word_u, word_v = word_u[:, j].ravel(), word_v[:, j].ravel()
-    v, us, kj, acc = _ptrs_quick(lam, a, b, v_r[both], word_u, word_v)
-    rej = ~acc & ((kj < 0.0) | ((us < 0.013) & (v > us)))
-    i = np.flatnonzero(~acc & ~rej & (kj >= 6.0) & (v > 0.0))
-    lam, a, b, us, kk = lam[i], a[i], b[i], us[i], kj[i]
+    u = (word_u >> _SHIFT11) * _TO_UNIT - 0.5
+    v = (word_v >> _SHIFT11) * _TO_UNIT
+    us = 0.5 - np.abs(u)
+    k = np.floor((2.0 * a / us + b) * u + lam + 0.43)
+    acc = (us >= 0.07) & (v <= v_r)
+    rej = ~acc & ((k < 0.0) | ((us < 0.013) & (v > us)))
+    undecided = ~acc & ~rej & (k >= 6.0) & (v > 0.0)
+    undecided[1] &= ~acc[0]
+    c, i = np.nonzero(undecided)
+    lam, a, b, us, kk = lam[i], a[i], b[i], us[c, i], k[c, i]
     x = kk + 1.0
-    log_v = np.log(v[i])
+    log_v = np.log(v[c, i])
     log_ia = np.log(1.1239 + 1.1328 / (b - 3.4))
     log_h = np.log(a / (us * us) + b)
     x2 = (1.0 / x) * (1.0 / x)
@@ -213,12 +204,9 @@ def _ptrs_settle(lam, words) -> tuple:
         + np.abs(gl0 / x) + 0.5 * _LG2PI + (x - 0.5) * log_x + x
     )
     sure = np.abs(lhs - rhs) > _LOG_TEST_BAND * scale
-    acc[i] = sure & (lhs <= rhs)
-    rej[i] = sure & (lhs > rhs)
-    acc, rej, kj = acc.reshape(2, -1), rej.reshape(2, -1), kj.reshape(2, -1)
-    accept[j] = acc[0] | (rej[0] & acc[1])
-    k[j] = np.where(acc[0], kj[0], kj[1])
-    return k, accept
+    acc[c, i] = sure & (lhs <= rhs)
+    rej[c, i] = sure & (lhs > rhs)
+    return np.where(acc[0], k[0], k[1]), acc[0] | (rej[0] & acc[1])
 
 
 def _keyed_poisson(seeds, means) -> np.ndarray:
@@ -230,23 +218,22 @@ def _keyed_poisson(seeds, means) -> np.ndarray:
     numpy draws Poisson(lam >= 10) by transformed rejection, PTRS (Hoermann,
     1993), whose candidates take the stream's doubles two at a time; the
     first Philox block of every key, computed here in exact uint64 array
-    code, holds the first two candidates.  Each point goes down these routes
-    in order, all in array code except the last:
+    code, holds the first two candidates.  Each point takes one of two
+    routes:
 
-    1. the first candidate's quick test, which accepts about 3/4 of points;
-    2. its reject rules and its log test, settled outside a guard band
-       (_ptrs_settle gives the band's derivation);
-    3. if the first candidate is rejected, the second candidate (words 2
-       and 3 of the block) through the same quick test, rules and log test;
-    4. numpy's own sampler from the point's reset key, for everything else:
+    1. array code, one pass over both candidates of every point
+       (_ptrs_settle): numpy's quick test, which accepts about 3/4 of
+       points at their first candidate, its reject rules and its log test,
+       settled outside a guard band.  A point takes its first candidate if
+       that is accepted, or its second (words 2 and 3 of the block) if the
+       first is rejected and the second accepted;
+    2. numpy's own sampler from the point's reset key, for everything else:
        lam < 10, NaN, negative or huge means, candidates below 6, log tests
        inside the band and points that reject both candidates.  Bad means
        thus raise numpy's own ValueError.
 
-    Routes 2 and 3 run as one pass over both candidates of the points that
-    route 1 leaves, so a one-row block pays their fixed cost once.  On the
-    CLI's default grid about 1.5% of the points at 10 <= lam reach route 4,
-    and when none do _reset_draws is never called.
+    On the CLI's default grid about 1.5% of the points at 10 <= lam take
+    route 2, and when none do _reset_draws is never called.
     scripts/check_keyed_draws.py compares the two over 10^6 draws; numpy
     does not promise stable Generator streams, so rerun it after an upgrade.
     """
@@ -438,15 +425,22 @@ def sample_scan(encoded, ancilla, config: ScanConfig, noiseless: bool = False) -
 
 
 def read_dips(traces, lags) -> tuple[np.ndarray, np.ndarray]:
-    """Baselines (S,) and dips (S, len(lags)) of S traces on the first one's
-    grid, tau, sigma_t and bins.  A baseline is the mean count over the
+    """Baselines (S,) and dips (S, len(lags)) of S traces that share one
+    grid, tau, sigma_t and bin count.  A baseline is the mean count over the
     points farther than BASELINE_EXCLUSION_SIGMAS * sigma_t from every lag
     m * tau, |m| < n_bins; dip column k is the count at lags[k] * tau.
-    Raises ValueError if the plateau has no points, a trace no counts there,
-    or no grid point lies within GRID_MATCH_RTOL * tau of a lag.
+    Raises ValueError if a trace's delays, tau, sigma_t or n_bins differ
+    from the first trace's, the plateau has no points, a trace has no counts
+    there, or no grid point lies within GRID_MATCH_RTOL * tau of a lag.
     """
     first = traces[0]
     delays, tau = first.delays, first.tau
+    for trace in traces[1:]:
+        if not (trace.delays is delays or np.array_equal(trace.delays, delays)):
+            raise ValueError("traces read together must share the first trace's delays")
+        for name in ("tau", "sigma_t", "n_bins"):
+            if getattr(trace, name) != getattr(first, name):
+                raise ValueError(f"traces read together must share the first trace's {name}")
     block = np.array([trace.counts for trace in traces])
     dip_lags = np.arange(1 - first.n_bins, first.n_bins) * tau
     reach = BASELINE_EXCLUSION_SIGMAS * first.sigma_t

@@ -84,17 +84,6 @@ def shifted_ancilla_vector(ancilla: PhotonState, delay, target_bin_count: int) -
     return _shifted_vectors([ancilla], delay, target_bin_count)[0]
 
 
-def state_overlap_at_delay(
-    encoded: PhotonState, ancilla: PhotonState, delay: float
-) -> complex:
-    """Complex interference overlap between the encoded photon and the
-    delayed ancilla.  Reduces to hilbert.inner_product at delay 0 when the
-    bins are well resolved."""
-    _require_shared_envelope(encoded, ancilla)
-    g = shifted_ancilla_vector(ancilla, delay, encoded.bin_count)
-    return complex(np.vdot(encoded.amplitudes, g))
-
-
 def _check_visibility(vis) -> float:
     v = float(vis)
     if not 0.0 <= v <= 1.0:

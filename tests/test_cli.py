@@ -396,13 +396,23 @@ def test_malformed_json_is_a_config_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv", [["tomography", "--bogus"], ["scan", "--seed", "x"], ["frobnicate"], []]
+    "argv",
+    [
+        ["tomography", "--bogus"],
+        ["scan", "--seed", "x"],
+        ["frobnicate"],
+        [],
+        ["oracle-check", "--out", "x"],
+        ["prepare", "--noiseless"],
+    ],
 )
-def test_usage_errors_are_config_errors(capsys, argv):
+def test_usage_errors_are_config_errors(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
     assert cli.main(argv) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "usage: poltime" in err
     assert "error:" in err
+    assert not (tmp_path / "x").exists()
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["scan", "--help"]])
@@ -412,8 +422,8 @@ def test_help_exits_ok(capsys, argv):
 
 
 @pytest.mark.parametrize("triples", ["0", "-5"])
-def test_oracle_check_needs_a_triple(tmp_path, capsys, triples):
-    argv = ["oracle-check", "--triples", triples, "--out", str(tmp_path)]
+def test_oracle_check_needs_a_triple(capsys, triples):
+    argv = ["oracle-check", "--triples", triples]
     assert cli.main(argv) == EXIT_CONFIG
     captured = capsys.readouterr()
     assert "config error: --triples" in captured.err
@@ -755,8 +765,8 @@ def test_seed_override_changes_samples(tmp_path):
     assert outs[0] != outs[1]
 
 
-def test_oracle_check_reports_agreement(tmp_path, capsys):
-    assert cli.main(["oracle-check", "--triples", "10", "--out", str(tmp_path)]) == EXIT_OK
+def test_oracle_check_reports_agreement(capsys):
+    assert cli.main(["oracle-check", "--triples", "10"]) == EXIT_OK
     assert "max |deviation|" in capsys.readouterr().out
 
 

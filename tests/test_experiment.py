@@ -406,6 +406,36 @@ def test_read_dips_of_many_scans_equals_one_scan_reads(lattice, packet, tset):
             assert reading.p_hat == float(np.clip(1.0 - dip / n0, 0.0, 1.0))
 
 
+def self_scan_on(phi, delays):
+    return sample_scans(phi, [phi], [0], delays, 1000.0, noiseless=True)[0]
+
+
+def test_read_dips_refuses_traces_on_another_grid(lattice, packet):
+    """A trace on a grid shifted by one point would be read at the first
+    trace's plateau and lag columns: its dip at lag 0 reads 172 counts,
+    though alone it reads 4e-13."""
+    phi = hilbert.named_state("phi_plus", lattice, packet)
+    grid = default_delay_grid(TAU, step=2e-13)
+    shifted = np.concatenate([[2 * grid[0] - grid[1]], grid[:-1]])
+    first, second = self_scan_on(phi, grid), self_scan_on(phi, shifted)
+    (alone,), ((dip,),) = read_dips([second], (0,))
+    assert dip / alone < 1e-9
+    with pytest.raises(ValueError, match="share the first trace's delays"):
+        read_dips([first, second], (0,))
+
+
+def test_read_dips_refuses_traces_of_another_sigma_t(lattice):
+    """The plateau is cut at 12 sigma_t of the first trace, so a trace of
+    another sigma_t would be read on the wrong plateau."""
+    grid = default_delay_grid(TAU, step=2e-13)
+    traces = [
+        self_scan_on(hilbert.named_state("phi_plus", lattice, hilbert.Wavepacket(sigma_t)), grid)
+        for sigma_t in (SIGMA, SIGMA / 2)
+    ]
+    with pytest.raises(ValueError, match="share the first trace's sigma_t"):
+        read_dips(traces, (0,))
+
+
 # ---------------------------------------------------------------------------
 # Helpers and serialization
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ from poltime.hom import (
     fock_oracle_ratio,
     scan_trace,
     shifted_ancilla_vector,
-    state_overlap_at_delay,
 )
 
 TAU = 2.3e-12
@@ -83,30 +82,36 @@ def test_envelope_overlap_monotone_in_displacement(packet):
 # ---------------------------------------------------------------------------
 
 
+def overlap_at_delay(encoded, ancilla, delay):
+    """<encoded|ancilla delayed by delay>, on the encoded photon's bins."""
+    g = shifted_ancilla_vector(ancilla, delay, encoded.bin_count)
+    return complex(np.vdot(encoded.amplitudes, g))
+
+
 def test_identical_bell_overlap_at_zero_delay(lattice, packet):
     phi = hilbert.named_state("phi_plus", lattice, packet)
-    assert state_overlap_at_delay(phi, phi, 0.0) == pytest.approx(1.0, abs=1e-9)
+    assert overlap_at_delay(phi, phi, 0.0) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_orthogonal_bell_overlap_vanishes_at_all_delays(lattice, packet):
     plus = hilbert.named_state("phi_plus", lattice, packet)
     minus = hilbert.named_state("phi_minus", lattice, packet)
     for delay in np.linspace(-2 * TAU, 2 * TAU, 21):
-        assert abs(state_overlap_at_delay(plus, minus, delay)) < 1e-9
+        assert abs(overlap_at_delay(plus, minus, delay)) < 1e-9
 
 
 def test_shifted_superposition_overlap_is_half(lattice, packet):
     p_plus = hilbert.product_state("p", "+", lattice, packet)
     p_minus = hilbert.product_state("p", "-", lattice, packet)
-    assert state_overlap_at_delay(p_plus, p_minus, TAU) == pytest.approx(0.5, abs=1e-9)
+    assert overlap_at_delay(p_plus, p_minus, TAU) == pytest.approx(0.5, abs=1e-9)
 
 
 def test_overlap_requires_shared_envelope(lattice, packet):
     other = Wavepacket(sigma_t=packet.sigma_t / 2)
     a = hilbert.basis_state("h", 0, lattice, packet)
     b = hilbert.basis_state("h", 0, lattice, other)
-    with pytest.raises(ValueError):
-        state_overlap_at_delay(a, b, 0.0)
+    with pytest.raises(ValueError, match="wavepacket envelope"):
+        coincidence_ratio(a, b, 0.0)
 
 
 # ---------------------------------------------------------------------------
