@@ -11,6 +11,11 @@ of the switch at 10, transformed rejection from 10 to 60 and from 60 to 1e4
 2**64 - 1.  It also reports the share of the points at mean >= 10 that
 reached numpy's sampler, counted by wrapping `_reset_draws` here.
 
+Scan seeds come from `experiment.derive_seeds`, defined as numpy's
+`SeedSequence((master, stream))` read as one uint64.  The script compares
+the two over about N / 100 random (master, stream) pairs, whose values
+take one or two 32-bit words, and exits 1 on any mismatch there too.
+
 numpy does not promise that Generator streams stay the same across its
 versions, so rerun this after upgrading numpy:
 
@@ -26,6 +31,7 @@ import numpy as np
 from poltime import experiment
 
 ROWS = 20
+SEED_BATCH = 20  # streams derived per master
 FIXED_MEANS = (0.0, 1e-3, 5.0, np.nextafter(10.0, 0.0), 10.0, np.nextafter(10.0, 20.0), 1e7)
 
 
@@ -50,6 +56,24 @@ def count_fallback() -> list:
 
     experiment._reset_draws = counting
     return counter
+
+
+def check_stream_seeds(rng: np.random.Generator, masters: int) -> int:
+    """Mismatches of derive_seeds against SeedSequence for `masters` random
+    masters with SEED_BATCH random streams each; each value is a random
+    uint64 shifted right by 0 to 63 bits."""
+    mismatches = 0
+    for _ in range(masters):
+        values = rng.integers(0, 2**64, size=SEED_BATCH + 1, dtype=np.uint64)
+        master, *streams = (int(v) >> int(rng.integers(64)) for v in values)
+        got = experiment.derive_seeds(master, streams).tolist()
+        for stream, seed in zip(streams, got):
+            want = np.random.SeedSequence((master, stream)).generate_state(1, np.uint64)[0]
+            if seed != int(want):
+                mismatches += 1
+                if mismatches <= 10:
+                    print(f"mismatch: master {master} stream {stream}: {seed} != {want}")
+    return mismatches
 
 
 def main() -> int:
@@ -86,7 +110,10 @@ def main() -> int:
         f"({fallback[0] / ptrs_points:.2%}) left to numpy's sampler, "
         f"numpy {np.__version__} ({dt:.1f} s)"
     )
-    return 1 if mismatches else 0
+    masters = max(1, args.draws // (100 * SEED_BATCH))
+    seed_mismatches = check_stream_seeds(rng, masters)
+    print(f"{masters * SEED_BATCH} stream seeds checked, {seed_mismatches} mismatches")
+    return 1 if mismatches or seed_mismatches else 0
 
 
 if __name__ == "__main__":

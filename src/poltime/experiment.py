@@ -4,30 +4,34 @@ A scan steps the ancilla delay across a grid and records Poisson-distributed
 coincidence counts with expectation N0 * R(delta).  Each point's count comes
 from the counter-based stream point_rng(scan seed, point index), so any
 subset of points can be evaluated in any order, or in parallel, without
-changing the outcome.  sample_scans runs the scans of one encoded state
-against many ancillas on one grid, at one baseline and visibility: their
-expectations are one hom.scan_traces block, and every count is drawn in a
-single array pass over those keys (_keyed_poisson).  It computes the first
-Philox block of every key in exact array code and settles most points there
-with numpy's transformed-rejection (PTRS) sampler, on the block's two
-candidates at once: the quick test and reject rules, then the log test only
-outside a guard band of 1e-9 of its terms' magnitudes, which covers any
-last-bit difference between np.log and libm's log.  numpy's own sampler,
-one generator per thread reset to the point's key, draws the rest.  Either
-way each count is the one point_rng gives, bit for bit.  Seeds are integers
-in [0, 2**64): a fractional, NaN or boolean seed raises ValueError instead
-of being truncated.
+changing the outcome.  Seeds are integers in [0, 2**64): a fractional, NaN
+or boolean seed raises ValueError instead of being truncated.  derive_seeds
+gives many streams' seeds from one master seed in one array pass.
 
-read_dips reads scans on one grid: each one's baseline N0, the mean over
-the long-delay plateau, and its counts at given lags, lag * tau.
-reading_lags says which lags a scan reads; a single-bin ancilla's scan
-yields two projections.
+sample_block runs the scans of one encoded state against many ancillas on
+one grid, at one baseline and visibility, as one ScanBlock of (scans,
+points) arrays; sample_scans and sample_scan wrap its rows as ScanTraces.
+The expectations are one hom.scan_traces block, and every count is drawn in
+a single array pass over the points' keys (_keyed_poisson).  That computes
+the first Philox block of every key in exact array code and settles most
+points there with numpy's transformed-rejection (PTRS) sampler, on the
+block's two candidates at once: the quick test and reject rules, then the
+log test only outside a guard band of 1e-9 of its terms' magnitudes, which
+covers any last-bit difference between np.log and libm's log.  numpy's own
+sampler, one generator per thread reset to the point's key, draws the rest.
+Either way each count is the one point_rng gives, bit for bit.
+
+read_block reads the counts of scans on one grid: each one's baseline N0,
+the mean over the long-delay plateau, and its counts at given lags, lag *
+tau; read_dips reads a list of traces through it.  reading_lags says which
+lags a scan reads; a single-bin ancilla's scan yields two projections.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,13 +63,53 @@ _LOGGAM_A = (
 _LG2PI = 1.8378770664093453
 _LOG_TEST_BAND = 1e-9  # relative guard band of the PTRS log test
 _THREAD = threading.local()  # holds each thread's _reset_draws generator
+# numpy's SeedSequence: hashmix call k xors a uint32 word with _HASH_A[k]
+# and multiplies it by _HASH_A[k + 1]; readout word w likewise with _HASH_B.
+_HASH_A, _HASH_B = (
+    np.array([init * mult**k % 2**32 for k in range(17)], dtype=np.uint32)[:, None]
+    for init, mult in ((0x43B0D7E5, 0x931E8875), (0x8B51F9DD, 0x58F38DED))
+)
+# Mixing pool word s into word d != s is call 4 + 3s + d - (d > s); row d = s
+# is unused, and taking d >= s there keeps its index in range.
+_SEED_MIX = [
+    (_HASH_A[k], _HASH_A[k + 1])
+    for k in (4 + 3 * s + np.arange(4) - (np.arange(4) >= s) for s in range(4))
+]
+_MIX_L, _MIX_R, _SHIFT16 = (np.array(c, dtype=np.uint32) for c in (0xCA01F9DD, 0x4973F715, 16))
+
+
+def _hashmix(words: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    words = words ^ xor
+    words *= mult
+    words ^= words >> _SHIFT16
+    return words
+
+
+def derive_seeds(master_seed: int, streams) -> np.ndarray:
+    """Entry j is SeedSequence((master_seed, streams[j])).generate_state(1,
+    np.uint64)[0], for all streams in one uint32 array pass.  SeedSequence
+    takes the master's words, then the stream's, low word first, padded
+    with zeros to its pool of 4; each takes at most 2, so the padding is
+    exact.  Master and streams must pass the scan seeds' check."""
+    master = _check_seed(master_seed)
+    streams = np.array([_check_seed(s) for s in streams], dtype=_U64)
+    head = [master & 0xFFFFFFFF, master >> 32][: 1 + (master >> 32 > 0)]
+    words = np.zeros((4, streams.size), dtype=np.uint32)
+    words[: len(head)] = np.array(head, dtype=np.uint32)[:, None]
+    words[len(head) : len(head) + 2] = streams & _LO32, streams >> _SHIFT32
+    pool = _hashmix(words, _HASH_A[:4], _HASH_A[1:5])
+    for s, (xor, mult) in enumerate(_SEED_MIX):
+        mixed = _MIX_L * pool - _MIX_R * _hashmix(pool[s], xor, mult)
+        mixed ^= mixed >> _SHIFT16
+        mixed[s] = pool[s]
+        pool = mixed
+    low, high = _hashmix(pool[:2], _HASH_B[:2], _HASH_B[1:3]).astype(_U64)
+    return low | high << _SHIFT32
 
 
 def derive_seed(master_seed: int, stream_index: int) -> int:
-    """Deterministic per-stream seed from a master seed, which must pass
-    the scan seeds' check."""
-    ss = np.random.SeedSequence((_check_seed(master_seed), int(stream_index)))
-    return int(ss.generate_state(1, _U64)[0])
+    """The seed of one stream: the one-stream case of derive_seeds."""
+    return int(derive_seeds(master_seed, [stream_index])[0])
 
 
 def point_rng(seed: int, point_index: int) -> np.random.Generator:
@@ -375,81 +419,101 @@ def plateau_reach(tau: float, sigma_t: float, n_bins: int) -> float:
     return (n_bins - 1) * tau + BASELINE_EXCLUSION_SIGMAS * sigma_t
 
 
+class ScanBlock(NamedTuple):
+    """ScanTrace's fields, with counts, expected and seeds stacked on a leading scans axis."""
+
+    delays: np.ndarray
+    counts: np.ndarray
+    expected: np.ndarray
+    seeds: np.ndarray
+    tau: float
+    sigma_t: float
+    n_bins: int
+    noiseless: bool
+
+    def traces(self) -> list[ScanTrace]:
+        """The ScanTrace of each scan, in block order."""
+        shared = self.tau, self.sigma_t, self.n_bins, self.noiseless
+        rows = zip(self.counts, self.expected, self.seeds.tolist())
+        return [ScanTrace(self.delays, c, e, seed, *shared) for c, e, seed in rows]
+
+
+def sample_block(
+    encoded, ancillas, seeds, delays, baseline_counts, visibility, noiseless
+) -> ScanBlock:
+    """The scans of sample_scans as one block, on a grid, baseline, visibility
+    and seeds that ScanConfig has checked.  The expectations N0 * R(delta)
+    are one hom.scan_traces call, and point i of a scan is drawn from
+    point_rng(its seed, i) by one _keyed_poisson call, or set to the exact
+    expectation in noiseless mode.  Raises ValueError on a grid that does
+    not reach past plateau_reach for its states.
+    """
+    n_bins = max(state.bin_count for state in (encoded, *ancillas))
+    tau, sigma_t = encoded.lattice.tau, encoded.packet.sigma_t
+    reach = plateau_reach(tau, sigma_t, n_bins)
+    if not (delays[-1] > reach and delays[0] < -reach):
+        raise ValueError(f"delay grid must reach past +-{reach:.3e} s to expose the baseline")
+    seeds = np.asarray(seeds, dtype=_U64)
+    expected = baseline_counts * hom.scan_traces(encoded, ancillas, delays, visibility)
+    counts = expected.copy() if noiseless else _keyed_poisson(seeds, expected)
+    return ScanBlock(delays, counts, expected, seeds, tau, sigma_t, n_bins, noiseless)
+
+
 def sample_scans(
     encoded, ancillas, seeds, delays, baseline_counts, visibility=1.0, noiseless=False
 ) -> list[ScanTrace]:
     """Scan the encoded state against each ancilla, all on one delay grid at
-    one baseline and visibility, with one seed per scan.
-
-    The expectations N0 * R(delta) of every scan come from one
-    hom.scan_traces call; then all counts are drawn in one _keyed_poisson
-    call, point i of a scan from point_rng(its seed, i), or set to the exact
-    expectation in noiseless mode.  So each trace equals the one its scan
-    gives alone, and identical inputs always give identical traces.  Raises
-    ValueError on a seed, grid, baseline or visibility that ScanConfig would
-    refuse, or a grid that does not reach past plateau_reach for its states.
+    one baseline and visibility, with one seed per scan: the traces of one
+    sample_block, each equal to the one its scan gives alone.  Raises
+    ValueError as ScanConfig and sample_block do.
     """
     grid = ScanConfig(delays, baseline_counts, 0, visibility).delays
     seeds = [_check_seed(seed) for seed in seeds]
-    n_bins = max(state.bin_count for state in (encoded, *ancillas))
-    reach = plateau_reach(encoded.lattice.tau, encoded.packet.sigma_t, n_bins)
-    if not (grid[-1] > reach and grid[0] < -reach):
-        raise ValueError(f"delay grid must reach past +-{reach:.3e} s to expose the baseline")
-    expected = baseline_counts * hom.scan_traces(encoded, ancillas, grid, visibility)
-    if noiseless:
-        counts = expected.copy()
-    else:
-        counts = _keyed_poisson(seeds, expected)
-    return [
-        ScanTrace(
-            delays=grid,
-            counts=counts[j],
-            expected=expected[j],
-            seed=seed,
-            tau=ancilla.lattice.tau,
-            sigma_t=ancilla.packet.sigma_t,
-            n_bins=max(encoded.bin_count, ancilla.bin_count),
-            noiseless=noiseless,
-        )
-        for j, (ancilla, seed) in enumerate(zip(ancillas, seeds))
-    ]
+    return sample_block(
+        encoded, ancillas, seeds, grid, baseline_counts, visibility, noiseless
+    ).traces()
 
 
 def sample_scan(encoded, ancilla, config: ScanConfig, noiseless: bool = False) -> ScanTrace:
     """Run one scan of the encoded state against the ancilla: the one-scan
-    case of sample_scans."""
-    return sample_scans(
-        encoded, [ancilla], [config.seed], config.delays, config.baseline_counts,
-        config.visibility, noiseless,
-    )[0]
+    case of sample_scans, on the grid the config has checked."""
+    (trace,) = sample_block(
+        encoded, [ancilla], [_check_seed(config.seed)], config.delays,
+        config.baseline_counts, config.visibility, noiseless,
+    ).traces()
+    return trace
 
 
 def read_dips(traces, lags) -> tuple[np.ndarray, np.ndarray]:
-    """Baselines (S,) and dips (S, len(lags)) of S traces that share one
-    grid, tau, sigma_t and bin count.  A baseline is the mean count over the
-    points farther than BASELINE_EXCLUSION_SIGMAS * sigma_t from every lag
-    m * tau, |m| < n_bins; dip column k is the count at lags[k] * tau.
-    Raises ValueError if a trace's delays, tau, sigma_t or n_bins differ
-    from the first trace's, the plateau has no points, a trace has no counts
-    there, or no grid point lies within GRID_MATCH_RTOL * tau of a lag.
-    """
+    """read_block of traces that share the first one's delays, tau, sigma_t
+    and n_bins; raises ValueError if they do not, or as read_block does."""
     first = traces[0]
-    delays, tau = first.delays, first.tau
     for trace in traces[1:]:
-        if not (trace.delays is delays or np.array_equal(trace.delays, delays)):
+        if not (trace.delays is first.delays or np.array_equal(trace.delays, first.delays)):
             raise ValueError("traces read together must share the first trace's delays")
         for name in ("tau", "sigma_t", "n_bins"):
             if getattr(trace, name) != getattr(first, name):
                 raise ValueError(f"traces read together must share the first trace's {name}")
-    block = np.array([trace.counts for trace in traces])
-    dip_lags = np.arange(1 - first.n_bins, first.n_bins) * tau
-    reach = BASELINE_EXCLUSION_SIGMAS * first.sigma_t
+    counts = np.array([trace.counts for trace in traces])
+    return read_block(counts, first.delays, first.tau, first.sigma_t, first.n_bins, lags)
+
+
+def read_block(counts, delays, tau, sigma_t, n_bins, lags) -> tuple[np.ndarray, np.ndarray]:
+    """Baselines (S,) and dips (S, len(lags)) of the (S, points) counts of S
+    scans on one grid.  A baseline is the mean count over the points
+    farther than BASELINE_EXCLUSION_SIGMAS * sigma_t from every lag m * tau,
+    |m| < n_bins; dip column k is the count at lags[k] * tau.  Raises
+    ValueError if the plateau has no points, a scan has no counts there, or
+    no grid point lies within GRID_MATCH_RTOL * tau of a lag.
+    """
+    dip_lags = np.arange(1 - n_bins, n_bins) * tau
+    reach = BASELINE_EXCLUSION_SIGMAS * sigma_t
     plateau = (np.abs(delays - dip_lags[:, None]) > reach).all(axis=0)
     size = np.count_nonzero(plateau)
     if not size:
         raise ValueError("no baseline points: grid lies entirely inside dip regions")
     # np.mean's own sum and division, without its wrapper.
-    baselines = block[:, plateau].sum(axis=1) / size
+    baselines = counts[:, plateau].sum(axis=1) / size
     if not (baselines > 0).all():
         raise ValueError("no counts on the baseline plateau: baseline_counts is too small")
     targets = np.asarray(lags, dtype=float) * tau
@@ -457,7 +521,7 @@ def read_dips(traces, lags) -> tuple[np.ndarray, np.ndarray]:
     for target, delay in zip(targets, delays[columns]):
         if abs(delay - target) > GRID_MATCH_RTOL * tau:
             raise ValueError(f"delay grid does not contain the lag {target:.3e} s")
-    return baselines, block[:, columns]
+    return baselines, counts[:, columns]
 
 
 def estimate_baseline(trace: ScanTrace) -> float:

@@ -94,6 +94,18 @@ class TomographySet:
         out.flags.writeable = False
         return out
 
+    @cached_property
+    def reading_columns(self) -> tuple[np.ndarray, ...]:
+        """The readings table as read-only arrays, built on first use: the
+        scan and member of each reading, the sorted lags it reads (lag 0
+        among them) and each reading's column in them, then lag 0's."""
+        scan, lag, member = np.array(self.readings).T
+        lags, column = np.unique(np.append(lag, 0), return_inverse=True)
+        out = scan, member, lags, column
+        for arr in out:
+            arr.flags.writeable = False
+        return out
+
 
 def product_tomography_set(lattice: TimeBinLattice, packet: Wavepacket) -> TomographySet:
     """The paper's 16-state product set with its readings table.
@@ -548,11 +560,16 @@ def bootstrap_errors(
 
 @dataclass(frozen=True)
 class CountsBundle:
-    """Raw material of one tomography run, in member order."""
+    """Raw material of one tomography run, in member order, and the set's
+    scans as one block; `traces` are its ScanTraces, built on first access."""
 
     counts: np.ndarray  # (members, 2) pairs (n_i, N_i)
     visibility_hat: float
-    traces: tuple[experiment.ScanTrace, ...]
+    block: experiment.ScanBlock
+
+    @cached_property
+    def traces(self) -> tuple[experiment.ScanTrace, ...]:
+        return tuple(self.block.traces())
 
 
 def simulate_counts(
@@ -571,30 +588,35 @@ def simulate_counts(
     Scan j uses stream j + 1.  The interference visibility is calibrated
     from a scan of the encoded state against itself (stream 0); mixed
     encoded states skip calibration and trust the configured value.  All
-    scans, the calibration scan included, are one `experiment.sample_scans`
-    call on the grid `delays`, each trace equal to `sample_scan` of its scan
-    alone, and one `experiment.read_dips` call.  Each (scan, lag, member)
-    reading adds the scan's count at lag * tau and its baseline to the
-    member's (n_i, N_i) pair.  Stream seeds come from
-    `experiment.derive_seed`, so a master seed that is not an integer in
-    [0, 2**64) raises ValueError.
+    scans, the calibration scan included, are one `experiment.sample_block`
+    on the grid `delays`, each scan equal to `sample_scan` of it alone, read
+    by one `experiment.read_block`; no per-scan object is built.  Each
+    (scan, lag, member) reading adds the scan's count at lag * tau and its
+    baseline to the member's (n_i, N_i) pair.  Stream seeds come from one
+    `experiment.derive_seeds` pass, so a master seed that is not an integer
+    in [0, 2**64) raises ValueError; so do the grid, baseline and visibility
+    that `experiment.ScanConfig` refuses.
     """
     # With calibration, row 0 of the block is the self-scan and scan j is row j + 1.
     cal = int(calibrate and isinstance(encoded, PhotonState))
     ancillas = [encoded] * cal + [tset.members[ancilla][1] for ancilla in tset.scans]
-    streams = range(1 - cal, len(tset.scans) + 1)
-    seeds = [experiment.derive_seed(master_seed, stream) for stream in streams]
-    traces = experiment.sample_scans(
-        encoded, ancillas, seeds, delays, baseline_counts, visibility, noiseless
+    seeds = experiment.derive_seeds(master_seed, range(1 - cal, len(tset.scans) + 1))
+    grid = experiment.ScanConfig(delays, baseline_counts, 0, visibility).delays
+    block = experiment.sample_block(
+        encoded, ancillas, seeds, grid, baseline_counts, visibility, noiseless
     )
-    scan, lag, member = np.array(tset.readings).T
+    scan, member, lags, column = tset.reading_columns
     # Column k of the dips is lags[k]; the last entry of `column` is lag 0.
-    lags, column = np.unique(np.append(lag, 0), return_inverse=True)
-    baselines, dips = experiment.read_dips(traces, lags)
+    baselines, dips = experiment.read_block(
+        block.counts, grid, block.tau, block.sigma_t, block.n_bins, lags
+    )
     v_hat = visibility
     if cal:
         v_hat = float(np.clip(1.0 - dips[0, column[-1]] / baselines[0], 0.0, 1.0))
+        block = block._replace(
+            counts=block.counts[1:], expected=block.expected[1:], seeds=block.seeds[1:]
+        )
     # Pooled Poisson streams stay Poisson: sum dips, sum baselines, in reading order.
     weights = (dips[scan + cal, column[:-1]], baselines[scan + cal])
     counts = np.stack([np.bincount(member, w, len(tset.members)) for w in weights], axis=1)
-    return CountsBundle(counts=counts, visibility_hat=v_hat, traces=tuple(traces[cal:]))
+    return CountsBundle(counts=counts, visibility_hat=v_hat, block=block)

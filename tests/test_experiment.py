@@ -15,6 +15,7 @@ from poltime.experiment import (
     compact_delay_grid,
     default_delay_grid,
     derive_seed,
+    derive_seeds,
     estimate_baseline,
     estimate_visibility,
     extract_projections,
@@ -117,6 +118,40 @@ def test_seeds_must_be_integers_in_range(lattice, packet, tset, bad, message):
         with pytest.raises(ValueError) as raised:
             call()
         assert str(raised.value).startswith(message)
+
+
+@pytest.mark.parametrize(
+    "stream, message",
+    [(1.5, NOT_AN_INTEGER), (True, NOT_AN_INTEGER), (np.True_, NOT_AN_INTEGER),
+     (np.nan, NOT_AN_INTEGER), (-1, OUT_OF_RANGE), (2**64, OUT_OF_RANGE)],
+    ids=repr,
+)
+def test_stream_indices_must_be_integers_in_range(stream, message):
+    """A stream index passes the seeds' check: derive_seed(3, 1.5) used to
+    equal derive_seed(3, 1), and True was taken as stream 1.  Streams from
+    2**64 on, which SeedSequence took, raise too."""
+    for call in (lambda: derive_seed(3, stream), lambda: derive_seeds(3, [0, stream])):
+        with pytest.raises(ValueError) as raised:
+            call()
+        assert str(raised.value).startswith(message)
+
+
+SEED_MASTERS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1, 0x5DEECE66D3B4F1A7]
+SEED_STREAMS = [*range(21), 2**32 - 1, 2**32, 2**64 - 1, 0xC2B2AE3D27D4EB4F]
+
+
+@pytest.mark.parametrize("master", SEED_MASTERS, ids=hex)
+def test_derived_seeds_equal_seed_sequence(master):
+    """The array seed pass is SeedSequence((master, stream)) read as one
+    uint64, over one- and two-word masters and streams."""
+    want = [
+        int(np.random.SeedSequence((master, s)).generate_state(1, np.uint64)[0])
+        for s in SEED_STREAMS
+    ]
+    got = derive_seeds(master, SEED_STREAMS)
+    assert got.dtype == np.uint64 and got.tolist() == want
+    assert [derive_seed(master, s) for s in SEED_STREAMS] == want
+    assert derive_seeds(master, []).shape == (0,)
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,8 @@ mask was taken as an all-lags test on a (lags, points) table, the baseline
 as np.mean's own sum and division, and the lag columns by argmin along the
 points; it is copied verbatim but for its name.  Those changes keep every
 arithmetic operation, so the current reader must return its baselines and
-dips bit for bit and raise its three errors with the same messages.
+dips bit for bit and raise its three errors with the same messages, both
+from a list of traces (read_dips) and from a block of counts (read_block).
 """
 
 import numpy as np
@@ -18,6 +19,7 @@ from poltime.experiment import (
     ScanTrace,
     compact_delay_grid,
     default_delay_grid,
+    read_block,
     read_dips,
 )
 
@@ -77,12 +79,23 @@ def grid_of(name, n_bins):
     return compact_delay_grid(TAU, SIGMA, n_bins=n_bins)
 
 
+def read_as_block(traces, lags):
+    """read_block of the traces' stacked counts, with the first's grid."""
+    first = traces[0]
+    counts = np.array([trace.counts for trace in traces])
+    return read_block(counts, first.delays, first.tau, first.sigma_t, first.n_bins, lags)
+
+
+READERS = (read_dips, read_as_block)
+
+
 def assert_reads_identical(traces, lags):
     want = parent_read_dips(traces, lags)
-    got = read_dips(traces, lags)
-    for w, g in zip(want, got):
-        assert g.dtype == w.dtype and g.shape == w.shape
-        assert g.tobytes() == w.tobytes()
+    for read in READERS:
+        got = read(traces, lags)
+        for w, g in zip(want, got):
+            assert g.dtype == w.dtype and g.shape == w.shape
+            assert g.tobytes() == w.tobytes()
 
 
 @pytest.mark.parametrize("lags", LAGS, ids=repr)
@@ -134,4 +147,5 @@ def test_read_dips_errors_match_parent():
     for traces, lags, start in cases:
         want = raised_message(parent_read_dips, traces, lags)
         assert want.startswith(start)
-        assert raised_message(read_dips, traces, lags) == want
+        for read in READERS:
+            assert raised_message(read, traces, lags) == want

@@ -667,6 +667,32 @@ def test_simulated_counts_equal_per_scan_samples(
         assert bundle.visibility_hat == 0.94
 
 
+def test_simulated_counts_build_no_per_scan_objects(monkeypatch, lattice, packet, tset):
+    """simulate_counts derives its seeds and reads its scans as arrays, so
+    it builds no ScanTrace and no SeedSequence; bundle.traces builds the
+    traces on first access, each equal to sample_scan's."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("simulate_counts built a per-scan object")
+
+    enc = hilbert.named_state("phi_plus", lattice, packet)
+    with monkeypatch.context() as patch:
+        patch.setattr(experiment, "ScanTrace", refuse)
+        patch.setattr(np.random, "SeedSequence", refuse)
+        bundle = simulate_counts(
+            enc, tset, 1000.0, visibility=0.94, master_seed=6, delays=compact_delays()
+        )
+    states = tset.states()
+    assert len(bundle.traces) == len(tset.scans) and bundle.traces is bundle.traces
+    for j, ancilla in enumerate(tset.scans):
+        seed = experiment.derive_seed(6, j + 1)
+        cfg = experiment.ScanConfig(compact_delays(), 1000.0, seed, 0.94)
+        alone = experiment.sample_scan(enc, states[ancilla], cfg)
+        for field in dataclasses.fields(alone):
+            got, want = getattr(bundle.traces[j], field.name), getattr(alone, field.name)
+            assert type(got) is type(want) and np.array_equal(got, want)
+
+
 @pytest.mark.parametrize("visibility", [1.0, 0.94])
 def test_noiseless_dip_depths_match_projector_expectations(visibility, lattice):
     # Narrow envelope: at sigma = tau/10 adjacent-bin tails shift the dip
