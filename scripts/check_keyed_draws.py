@@ -8,8 +8,14 @@ draws N counts both ways and exits 1 on any mismatch.  The means cover every
 regime of numpy's sampler: 0, the multiplication method below 10, both sides
 of the switch at 10, transformed rejection from 10 to 60 and from 60 to 1e4
 (each drawn log-uniformly) and 1e7.  The rows' seeds include 0 and
-2**64 - 1.  It also reports the share of the points at mean >= 10 that
-reached numpy's sampler, counted by wrapping `_reset_draws` here.
+2**64 - 1.
+
+A run draws only the grid points it reads, each keyed by its grid index,
+so the script also draws every STRIDE-th point of each row, from point
+STRIDE // 2 on, through that index path and exits 1 if a count differs
+from the row's.  It reports the share of the draws at mean >= 10, of
+both kinds, that reached numpy's sampler, counted by wrapping
+`_reset_draws` here.
 
 Scan seeds come from `experiment.derive_seeds`, defined as numpy's
 `SeedSequence((master, stream))` read as one uint64.  The script compares
@@ -31,6 +37,7 @@ import numpy as np
 from poltime import experiment
 
 ROWS = 20
+STRIDE = 7  # of the grid-index subsets
 SEED_BATCH = 20  # streams derived per master
 FIXED_MEANS = (0.0, 1e-3, 5.0, np.nextafter(10.0, 0.0), 10.0, np.nextafter(10.0, 20.0), 1e7)
 
@@ -86,14 +93,19 @@ def main() -> int:
     rng = np.random.default_rng(20260)
     seeds = [0, 2**64 - 1, *(experiment.derive_seed(1, r) for r in range(ROWS - 2))]
     points = args.draws // ROWS
-    mismatches = 0
+    mismatches = subset_mismatches = subset_draws = 0
     fallback, ptrs_points = count_fallback(), 0
     t0 = time.perf_counter()
     # One row per call keeps the arrays at O(points).
     for seed in seeds:
         means = row_means(rng, points)
         got = experiment._keyed_poisson([seed], means[None])[0]
+        subset = np.arange(STRIDE // 2, points, STRIDE)
+        part = experiment._keyed_poisson([seed], means[None, subset], subset)[0]
         ptrs_points += int(np.count_nonzero(means >= 10.0))
+        ptrs_points += int(np.count_nonzero(means[subset] >= 10.0))
+        subset_draws += subset.size
+        subset_mismatches += int(np.count_nonzero(part != got[subset]))
         for i, mean in enumerate(means):
             want = experiment.point_rng(seed, i).poisson(mean)
             if got[i] != want:
@@ -110,10 +122,11 @@ def main() -> int:
         f"({fallback[0] / ptrs_points:.2%}) left to numpy's sampler, "
         f"numpy {np.__version__} ({dt:.1f} s)"
     )
+    print(f"{subset_draws} draws at strided grid indices checked, {subset_mismatches} mismatches")
     masters = max(1, args.draws // (100 * SEED_BATCH))
     seed_mismatches = check_stream_seeds(rng, masters)
     print(f"{masters * SEED_BATCH} stream seeds checked, {seed_mismatches} mismatches")
-    return 1 if mismatches or seed_mismatches else 0
+    return 1 if mismatches or subset_mismatches or seed_mismatches else 0
 
 
 if __name__ == "__main__":

@@ -21,9 +21,9 @@ covers any last-bit difference between np.log and libm's log.  numpy's own
 sampler, one generator per thread reset to the point's key, draws the rest.
 Either way each count is the one point_rng gives, bit for bit.
 
-read_block reads the counts of scans on one grid: each one's baseline N0,
-the mean over the long-delay plateau, and its counts at given lags, lag *
-tau; read_dips reads a list of traces through it.  reading_lags says which
+read_block reads the counts of scans on one grid at read_points' points:
+each one's baseline N0, the long-delay plateau mean, and its counts at lags
+* tau; read_dips reads a list of traces through it.  reading_lags says which
 lags a scan reads; a single-bin ancilla's scan yields two projections.
 """
 
@@ -253,11 +253,11 @@ def _ptrs_settle(lam, words) -> tuple:
     return np.where(acc[0], k[0], k[1]), acc[0] | (rej[0] & acc[1])
 
 
-def _keyed_poisson(seeds, means) -> np.ndarray:
-    """Poisson draws keyed by (seed of the row, point index): for means of
-    shape (rows, points), point i of row r equals, by construction,
+def _keyed_poisson(seeds, means, points=None) -> np.ndarray:
+    """Poisson draws keyed by (seed of the row, grid index): with points[i]
+    the grid index of column i, i by default, column i of row r equals,
 
-        float(point_rng(seeds[r], i).poisson(means[r, i]))
+        float(point_rng(seeds[r], points[i]).poisson(means[r, i]))
 
     numpy draws Poisson(lam >= 10) by transformed rejection, PTRS (Hoermann,
     1993), whose candidates take the stream's doubles two at a time; the
@@ -285,9 +285,10 @@ def _keyed_poisson(seeds, means) -> np.ndarray:
     seeds = np.array([int(s) for s in seeds], dtype=_U64)
     if means.ndim != 2 or means.shape[0] != seeds.size:
         raise ValueError("means must be (rows, points) with one seed per row")
+    index = np.arange(means.shape[1], dtype=_U64) if points is None else np.asarray(points, _U64)
     out = np.empty(means.shape)
     rows, cols = np.nonzero((means >= 10.0) & (means <= _PTRS_MAX))
-    words = _philox_first_block(seeds[rows], cols.astype(_U64))
+    words = _philox_first_block(seeds[rows], index[cols])
     k, accept = _ptrs_settle(means[rows, cols], words)
     settled = rows[accept], cols[accept]
     out[settled] = k[accept]
@@ -295,7 +296,7 @@ def _keyed_poisson(seeds, means) -> np.ndarray:
     rest[settled] = False
     rows, cols = np.nonzero(rest)
     if rows.size:
-        keys = zip(seeds[rows].tolist(), cols.tolist())
+        keys = zip(seeds[rows].tolist(), index[cols].tolist())
         out[rows, cols] = _reset_draws(keys, means[rows, cols].tolist())
     return out
 
@@ -381,16 +382,19 @@ def default_delay_grid(
     """Uniform grid over [-half_span, half_span] containing 0 and +-tau.
 
     The points nearest to the required lags are snapped onto them exactly so
-    dip readings never interpolate.
+    dip readings never interpolate.  Raises ValueError if half_span does not
+    exceed tau, step is not positive, or two lags are nearest to one point.
     """
     if tau >= half_span:
         raise ValueError("half_span must exceed tau")
+    if not step > 0:
+        raise ValueError("grid step must be positive")
     n = int(round(half_span / step))
     grid = np.arange(-n, n + 1, dtype=float) * step
-    for t in (-tau, 0.0, tau):
-        grid[int(np.argmin(np.abs(grid - t)))] = t
-    if not np.all(np.diff(grid) > 0):
+    snapped = [int(np.argmin(np.abs(grid - t))) for t in (-tau, 0.0, tau)]
+    if len(set(snapped)) < 3:
         raise ValueError("grid step too coarse to snap the dip lags")
+    grid[snapped] = -tau, 0.0, tau
     return grid
 
 
@@ -419,6 +423,12 @@ def plateau_reach(tau: float, sigma_t: float, n_bins: int) -> float:
     return (n_bins - 1) * tau + BASELINE_EXCLUSION_SIGMAS * sigma_t
 
 
+def scan_geometry(encoded, ancillas) -> tuple[float, float, int]:
+    """tau, sigma_t and n_bins of the scans of encoded against ancillas."""
+    n_bins = max(state.bin_count for state in (encoded, *ancillas))
+    return encoded.lattice.tau, encoded.packet.sigma_t, n_bins
+
+
 class ScanBlock(NamedTuple):
     """ScanTrace's fields, with counts, expected and seeds stacked on a leading scans axis."""
 
@@ -439,24 +449,24 @@ class ScanBlock(NamedTuple):
 
 
 def sample_block(
-    encoded, ancillas, seeds, delays, baseline_counts, visibility, noiseless
+    encoded, ancillas, seeds, delays, baseline_counts, visibility, noiseless, points=None
 ) -> ScanBlock:
     """The scans of sample_scans as one block, on a grid, baseline, visibility
-    and seeds that ScanConfig has checked.  The expectations N0 * R(delta)
-    are one hom.scan_traces call, and point i of a scan is drawn from
-    point_rng(its seed, i) by one _keyed_poisson call, or set to the exact
-    expectation in noiseless mode.  Raises ValueError on a grid that does
-    not reach past plateau_reach for its states.
+    and seeds that ScanConfig has checked, at all points or the sorted grid
+    indices `points`.  The expectations N0 * R(delta) are one hom.scan_traces
+    call, and point i of a scan is drawn from point_rng(its seed, i) by one
+    _keyed_poisson call, or set to the exact expectation in noiseless mode.
+    Raises ValueError on a grid that does not reach past plateau_reach.
     """
-    n_bins = max(state.bin_count for state in (encoded, *ancillas))
-    tau, sigma_t = encoded.lattice.tau, encoded.packet.sigma_t
+    tau, sigma_t, n_bins = scan_geometry(encoded, ancillas)
     reach = plateau_reach(tau, sigma_t, n_bins)
     if not (delays[-1] > reach and delays[0] < -reach):
         raise ValueError(f"delay grid must reach past +-{reach:.3e} s to expose the baseline")
     seeds = np.asarray(seeds, dtype=_U64)
-    expected = baseline_counts * hom.scan_traces(encoded, ancillas, delays, visibility)
-    counts = expected.copy() if noiseless else _keyed_poisson(seeds, expected)
-    return ScanBlock(delays, counts, expected, seeds, tau, sigma_t, n_bins, noiseless)
+    grid = delays if points is None else delays[points]
+    expected = baseline_counts * hom.scan_traces(encoded, ancillas, grid, visibility)
+    counts = expected.copy() if noiseless else _keyed_poisson(seeds, expected, points)
+    return ScanBlock(grid, counts, expected, seeds, tau, sigma_t, n_bins, noiseless)
 
 
 def sample_scans(
@@ -498,17 +508,28 @@ def read_dips(traces, lags) -> tuple[np.ndarray, np.ndarray]:
     return read_block(counts, first.delays, first.tau, first.sigma_t, first.n_bins, lags)
 
 
-def read_block(counts, delays, tau, sigma_t, n_bins, lags) -> tuple[np.ndarray, np.ndarray]:
-    """Baselines (S,) and dips (S, len(lags)) of the (S, points) counts of S
-    scans on one grid.  A baseline is the mean count over the points
-    farther than BASELINE_EXCLUSION_SIGMAS * sigma_t from every lag m * tau,
-    |m| < n_bins; dip column k is the count at lags[k] * tau.  Raises
-    ValueError if the plateau has no points, a scan has no counts there, or
-    no grid point lies within GRID_MATCH_RTOL * tau of a lag.
-    """
+def read_points(delays, tau, sigma_t, n_bins, lags) -> tuple[np.ndarray, np.ndarray]:
+    """The points a read of scans on one grid takes: the baseline plateau
+    mask, the points farther than BASELINE_EXCLUSION_SIGMAS * sigma_t from
+    every lag m * tau, |m| < n_bins, and the column of each of lags * tau.
+    Raises ValueError if no point lies within GRID_MATCH_RTOL * tau of a lag."""
     dip_lags = np.arange(1 - n_bins, n_bins) * tau
     reach = BASELINE_EXCLUSION_SIGMAS * sigma_t
     plateau = (np.abs(delays - dip_lags[:, None]) > reach).all(axis=0)
+    targets = np.asarray(lags, dtype=float) * tau
+    columns = np.abs(delays - targets[:, None]).argmin(axis=1)
+    for target, delay in zip(targets, delays[columns]):
+        if abs(delay - target) > GRID_MATCH_RTOL * tau:
+            raise ValueError(f"delay grid does not contain the lag {target:.3e} s")
+    return plateau, columns
+
+
+def read_block(counts, delays, tau, sigma_t, n_bins, lags) -> tuple[np.ndarray, np.ndarray]:
+    """Baselines (S,) and dips (S, len(lags)) of the (S, points) counts of S
+    scans on one grid: a baseline is the mean count over read_points'
+    plateau, dip column k the count at lags[k] * tau.  Raises ValueError as
+    read_points does, or if the plateau has no points or a scan no counts."""
+    plateau, columns = read_points(delays, tau, sigma_t, n_bins, lags)
     size = np.count_nonzero(plateau)
     if not size:
         raise ValueError("no baseline points: grid lies entirely inside dip regions")
@@ -516,11 +537,6 @@ def read_block(counts, delays, tau, sigma_t, n_bins, lags) -> tuple[np.ndarray, 
     baselines = counts[:, plateau].sum(axis=1) / size
     if not (baselines > 0).all():
         raise ValueError("no counts on the baseline plateau: baseline_counts is too small")
-    targets = np.asarray(lags, dtype=float) * tau
-    columns = np.abs(delays - targets[:, None]).argmin(axis=1)
-    for target, delay in zip(targets, delays[columns]):
-        if abs(delay - target) > GRID_MATCH_RTOL * tau:
-            raise ValueError(f"delay grid does not contain the lag {target:.3e} s")
     return baselines, counts[:, columns]
 
 

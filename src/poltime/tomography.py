@@ -560,12 +560,27 @@ def bootstrap_errors(
 
 @dataclass(frozen=True)
 class CountsBundle:
-    """Raw material of one tomography run, in member order, and the set's
-    scans as one block; `traces` are its ScanTraces, built on first access."""
+    """Raw material of one tomography run: `drawn`, its scans at the grid points
+    of the mask `read`, and `scans`, their `experiment.sample_block` arguments.
+    `block` and its `traces` are built on first access, drawing only the rest."""
 
-    counts: np.ndarray  # (members, 2) pairs (n_i, N_i)
+    counts: np.ndarray  # (members, 2) pairs (n_i, N_i), in member order
     visibility_hat: float
-    block: experiment.ScanBlock
+    drawn: experiment.ScanBlock
+    read: np.ndarray
+    scans: tuple
+
+    @cached_property
+    def block(self) -> experiment.ScanBlock:
+        grid = self.scans[3]
+        rest = np.flatnonzero(~self.read)
+        if not rest.size:
+            return self.drawn._replace(delays=grid)
+        other = experiment.sample_block(*self.scans, rest)
+        order = np.concatenate((np.flatnonzero(self.read), rest)).argsort()
+        whole = {name: np.hstack((getattr(self.drawn, name), getattr(other, name)))[:, order]
+                 for name in ("counts", "expected")}
+        return self.drawn._replace(delays=grid, **whole)
 
     @cached_property
     def traces(self) -> tuple[experiment.ScanTrace, ...]:
@@ -589,34 +604,33 @@ def simulate_counts(
     from a scan of the encoded state against itself (stream 0); mixed
     encoded states skip calibration and trust the configured value.  All
     scans, the calibration scan included, are one `experiment.sample_block`
-    on the grid `delays`, each scan equal to `sample_scan` of it alone, read
-    by one `experiment.read_block`; no per-scan object is built.  Each
-    (scan, lag, member) reading adds the scan's count at lag * tau and its
-    baseline to the member's (n_i, N_i) pair.  Stream seeds come from one
-    `experiment.derive_seeds` pass, so a master seed that is not an integer
-    in [0, 2**64) raises ValueError; so do the grid, baseline and visibility
-    that `experiment.ScanConfig` refuses.
+    of the points of `delays` that `experiment.read_points` says they read,
+    each as `sample_scan` of its scan alone, read by `experiment.read_block`;
+    no per-scan object is built.  Each (scan, lag, member) reading adds the
+    scan's count at lag * tau and its baseline to the member's (n_i, N_i)
+    pair.  Stream seeds come from one `experiment.derive_seeds` pass, so a
+    master seed that is not an integer in [0, 2**64) raises ValueError; so
+    do the grid, baseline and visibility that `experiment.ScanConfig` refuses.
     """
     # With calibration, row 0 of the block is the self-scan and scan j is row j + 1.
     cal = int(calibrate and isinstance(encoded, PhotonState))
     ancillas = [encoded] * cal + [tset.members[ancilla][1] for ancilla in tset.scans]
     seeds = experiment.derive_seeds(master_seed, range(1 - cal, len(tset.scans) + 1))
     grid = experiment.ScanConfig(delays, baseline_counts, 0, visibility).delays
-    block = experiment.sample_block(
-        encoded, ancillas, seeds, grid, baseline_counts, visibility, noiseless
-    )
     scan, member, lags, column = tset.reading_columns
     # Column k of the dips is lags[k]; the last entry of `column` is lag 0.
-    baselines, dips = experiment.read_block(
-        block.counts, grid, block.tau, block.sigma_t, block.n_bins, lags
-    )
+    geometry = experiment.scan_geometry(encoded, ancillas)
+    read, columns = experiment.read_points(grid, *geometry, lags)
+    read[columns] = True
+    args = (encoded, ancillas, seeds, grid, baseline_counts, visibility, noiseless)
+    block = experiment.sample_block(*args, np.flatnonzero(read))
+    baselines, dips = experiment.read_block(block.counts, block.delays, *geometry, lags)
     v_hat = visibility
     if cal:
         v_hat = float(np.clip(1.0 - dips[0, column[-1]] / baselines[0], 0.0, 1.0))
-        block = block._replace(
-            counts=block.counts[1:], expected=block.expected[1:], seeds=block.seeds[1:]
-        )
     # Pooled Poisson streams stay Poisson: sum dips, sum baselines, in reading order.
     weights = (dips[scan + cal, column[:-1]], baselines[scan + cal])
     counts = np.stack([np.bincount(member, w, len(tset.members)) for w in weights], axis=1)
-    return CountsBundle(counts=counts, visibility_hat=v_hat, block=block)
+    rows = {name: getattr(block, name)[cal:] for name in ("counts", "expected", "seeds")}
+    scans = (encoded, ancillas[cal:], seeds[cal:], *args[3:])
+    return CountsBundle(counts, v_hat, block._replace(**rows), read, scans)

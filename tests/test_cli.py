@@ -132,6 +132,16 @@ def test_bad_grid_numbers_are_config_errors(tmp_path, capsys, grid):
     assert "config error" in capsys.readouterr().err
 
 
+def test_grid_too_coarse_for_the_dip_lags_writes_no_trace(tmp_path, capsys):
+    """A step that would snap two dip lags onto one point is a config error
+    naming the step, raised before the scan writes trace.csv."""
+    path = write_config(tmp_path, grid={"half_span_s": 1e-11, "step_s": 5e-12})
+    out = tmp_path / "out"
+    assert cli.main(["scan", "--config", path, "--out", str(out)]) == EXIT_CONFIG
+    assert "grid step too coarse to snap the dip lags" in capsys.readouterr().err
+    assert not (out / "trace.csv").exists()
+
+
 @pytest.mark.parametrize(
     "overrides",
     [{"grid": {"half_span_s": 1e-9, "step_s": 1e-16}}, {"replicas": 10**9}],

@@ -54,6 +54,20 @@ def test_default_grid_contains_dip_lags_exactly():
     assert grid[0] <= -8e-12 + 1e-15 and grid[-1] >= 8e-12 - 1e-15
 
 
+def test_default_grid_refuses_steps_that_cannot_snap_the_lags():
+    """A step near tau still snaps -tau, 0 and tau onto points of their
+    own; a coarser one would snap two lags onto one point, and a step that
+    is not positive gives no grid: both raise a named ValueError."""
+    grid = default_delay_grid(TAU, half_span=1e-11, step=2e-12)
+    assert [np.count_nonzero(grid == lag) for lag in (-TAU, 0.0, TAU)] == [1, 1, 1]
+    assert np.all(np.diff(grid) > 0)
+    with pytest.raises(ValueError, match="grid step too coarse to snap the dip lags"):
+        default_delay_grid(TAU, half_span=1e-11, step=5e-12)
+    for step in (0.0, -5e-14, np.nan):
+        with pytest.raises(ValueError, match="grid step must be positive"):
+            default_delay_grid(TAU, step=step)
+
+
 def test_compact_grid_has_baseline_wings():
     grid = compact_delay_grid(TAU, SIGMA, baseline_points=40)
     for lag in (-TAU, 0.0, TAU):
@@ -599,6 +613,35 @@ def test_keyed_poisson_without_fallback_points_builds_no_generator(monkeypatch):
     monkeypatch.setattr(experiment, "_reset_draws", unreachable)
     block = means[:, :width]
     assert np.array_equal(experiment._keyed_poisson(seeds, block), point_rng_draws(seeds, block))
+
+
+def test_keyed_poisson_keys_columns_by_their_grid_index():
+    """Columns at non-contiguous grid indices, some above 2**32, get the
+    draws of point_rng(seed, index) on every route: numpy's sampler below
+    10 and at or above _PTRS_MAX, the array settle between.  A strided
+    subset of a grid gets the whole grid's draws at its points, and a NaN
+    mean raises numpy's own ValueError."""
+    rng = np.random.default_rng(34)
+    seeds = [0, 2**64 - 1, 987654321]
+    points = np.array([0, 7, 8, 320, 2**32 - 1, 2**32 + 5, 2**63, 2**64 - 1], dtype=np.uint64)
+    means = np.exp(rng.uniform(np.log(10.0), np.log(1e4), size=(len(seeds), points.size)))
+    means[:, 1:3] = 0.5, 9.75
+    means[:, -2:] = experiment._PTRS_MAX, 4 * experiment._PTRS_MAX
+    want = [
+        [point_rng(seed, int(p)).poisson(m) for p, m in zip(points, row)]
+        for seed, row in zip(seeds, means)
+    ]
+    assert np.array_equal(experiment._keyed_poisson(seeds, means, points), want)
+    grid = np.exp(rng.uniform(np.log(1.0), np.log(1e4), size=(len(seeds), 2000)))
+    subset = np.arange(3, 2000, 7)
+    whole = experiment._keyed_poisson(seeds, grid)
+    assert np.array_equal(experiment._keyed_poisson(seeds, grid[:, subset], subset), whole[:, subset])
+    means[1, 3] = np.nan
+    with pytest.raises(ValueError) as theirs:
+        point_rng(seeds[1], int(points[3])).poisson(np.nan)
+    with pytest.raises(ValueError) as ours:
+        experiment._keyed_poisson(seeds, means, points)
+    assert str(ours.value) == str(theirs.value)
 
 
 def test_reset_draws_keep_one_generator_per_thread():

@@ -15,6 +15,7 @@ there to catch exactly that.
 
 import numpy as np
 import pytest
+from conftest import on_each_grid, wide_grid
 
 from poltime import experiment, hilbert, hom, tomography
 from poltime.hilbert import DensityMatrix, PhotonState, TimeBinLattice, Wavepacket
@@ -142,22 +143,28 @@ def test_sampled_scans_equal_per_scan_reference_bit_for_bit():
         assert trace.seed == seed
 
 
-@pytest.mark.parametrize("noiseless", [False, True])
-@pytest.mark.parametrize("encoded_kind", ["phi_plus", "p_plus", "mixed"])
-@pytest.mark.parametrize("set_maker", [
-    tomography.default_tomography_set, tomography.product_tomography_set
-])
-def test_simulated_counts_equal_per_scan_reference(set_maker, encoded_kind, noiseless):
-    """Counts, baselines and the calibrated visibility of the block readout
-    equal the per-trace readout bit for bit."""
-    lattice, packet = TimeBinLattice(2, TAU), Wavepacket(0.127e-12)
+@pytest.mark.parametrize("set_maker, encoded_kind, noiseless, grid", on_each_grid(
+    [tomography.default_tomography_set, tomography.product_tomography_set],
+    ["phi_plus", "p_plus", "mixed"],
+    [False, True],
+))
+def test_simulated_counts_equal_per_scan_reference(set_maker, encoded_kind, noiseless, grid):
+    """Counts, baselines and the calibrated visibility of the block readout,
+    and the lazily built traces, equal the per-trace readout bit for bit, on
+    the compact grid and on the CLI's default grid, of which a run models
+    and draws only the points it reads."""
+    if grid == "compact":
+        packet = Wavepacket(0.127e-12)
+        delays = experiment.compact_delay_grid(TAU, packet.sigma_t)
+    else:
+        packet, delays = wide_grid(grid)
+    lattice = TimeBinLattice(2, TAU)
     tset = set_maker(lattice, packet)
     if encoded_kind == "mixed":
         rho = tomography.random_density_matrix(4, np.random.default_rng(11))
         encoded = DensityMatrix(rho, lattice, packet)
     else:
         encoded = hilbert.named_state(encoded_kind, lattice, packet)
-    delays = experiment.compact_delay_grid(TAU, packet.sigma_t)
     for seed, v, calibrate in ((0, 0.94, True), (2**64 - 1, 1.0, True), (17, 0.94, False)):
         bundle = tomography.simulate_counts(
             encoded, tset, 1000.0, visibility=v, master_seed=seed, delays=delays,

@@ -44,6 +44,7 @@ def test_keyed_draw_check_passes():
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "20000 draws checked, 0 mismatches, " in proc.stdout
     assert "at mean >= 10" in proc.stdout and "left to numpy's sampler" in proc.stdout
+    assert "2860 draws at strided grid indices checked, 0 mismatches" in proc.stdout
     assert "200 stream seeds checked, 0 mismatches" in proc.stdout
 
 

@@ -5,6 +5,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from conftest import on_each_grid, wide_grid
 
 from poltime import experiment, hilbert, hom, optics, tomography
 from poltime.hilbert import DensityMatrix, TimeBinLattice, Wavepacket
@@ -34,6 +35,13 @@ DESIGN_SMAX = 2.280776406404415
 
 def compact_delays():
     return experiment.compact_delay_grid(TAU, SIGMA)
+
+
+def grid_setup(grid):
+    """(packet, delays) of the compact grid at SIGMA or of a wide grid."""
+    if grid == "compact":
+        return Wavepacket(SIGMA), compact_delays()
+    return wide_grid(grid)
 
 
 def dip_depths(counts):
@@ -621,14 +629,18 @@ def test_every_reading_reads_its_members_projector(set_maker, lattice):
         np.testing.assert_allclose(projs[member], np.outer(g, g.conj()), atol=1e-12)
 
 
-@pytest.mark.parametrize("calibrate", [True, False])
-@pytest.mark.parametrize("encoded_kind", ["pure", "mixed"])
-@pytest.mark.parametrize("set_fixture", ["tset", "product_tset"])
-def test_simulated_counts_equal_per_scan_samples(
-    set_fixture, encoded_kind, calibrate, request, lattice, packet
-):
-    """All scans drawn in one block give the traces each scan gives alone."""
-    tset = request.getfixturevalue(set_fixture)
+SET_MAKERS = {"tset": default_tomography_set, "product_tset": tomography.product_tomography_set}
+
+
+@pytest.mark.parametrize("set_name, encoded_kind, calibrate, grid", on_each_grid(
+    SET_MAKERS, ["pure", "mixed"], [True, False]
+))
+def test_simulated_counts_equal_per_scan_samples(set_name, encoded_kind, calibrate, grid, lattice):
+    """All scans drawn in one block give the traces each scan gives alone,
+    on the compact grid and on the CLI's default grid, of which a run
+    models and draws only the points it reads."""
+    packet, delays = grid_setup(grid)
+    tset = SET_MAKERS[set_name](lattice, packet)
     if encoded_kind == "pure":
         enc = hilbert.named_state("phi_plus", lattice, packet)
     else:
@@ -641,13 +653,13 @@ def test_simulated_counts_equal_per_scan_samples(
         1000.0,
         visibility=0.94,
         master_seed=master,
-        delays=compact_delays(),
+        delays=delays,
         calibrate=calibrate,
     )
 
     def alone(ancilla, stream):
         cfg = experiment.ScanConfig(
-            delays=compact_delays(),
+            delays=delays,
             baseline_counts=1000.0,
             seed=experiment.derive_seed(master, stream),
             visibility=0.94,
@@ -690,6 +702,54 @@ def test_simulated_counts_build_no_per_scan_objects(monkeypatch, lattice, packet
         alone = experiment.sample_scan(enc, states[ancilla], cfg)
         for field in dataclasses.fields(alone):
             got, want = getattr(bundle.traces[j], field.name), getattr(alone, field.name)
+            assert type(got) is type(want) and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("set_name, grid, read", [
+    ("product_tset", "compact", 43),
+    ("product_tset", "3nm", 171),
+    ("product_tset", "1nm", 49),
+    ("tset", "compact", 42),
+])
+def test_simulated_counts_model_and_draw_only_read_points(
+    monkeypatch, lattice, set_name, grid, read
+):
+    """A run hands hom.scan_traces and _keyed_poisson only the points it
+    reads.  The product set reads the dips at 0 and +-tau: 171 and 49 of
+    the default grid's 321 points, all 43 of the compact grid's; the
+    unbiased set reads no dip at -tau, so 42 of the compact grid's.
+    bundle.traces then model and draw only the points the run did not read,
+    so each point is drawn once, and equal sample_scan's field by field."""
+    packet, delays = grid_setup(grid)
+    tset = SET_MAKERS[set_name](lattice, packet)
+    enc = hilbert.named_state("phi_plus", lattice, packet)
+    modelled, drawn = [], []
+    scan_traces, keyed_poisson = hom.scan_traces, experiment._keyed_poisson
+
+    def model(encoded, ancillas, grid_delays, vis=1.0):
+        modelled.append(len(grid_delays))
+        return scan_traces(encoded, ancillas, grid_delays, vis)
+
+    def draw(seeds, means, points=None):
+        drawn.append(means.shape[1])
+        return keyed_poisson(seeds, means, points)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(hom, "scan_traces", model)
+        patch.setattr(experiment, "_keyed_poisson", draw)
+        bundle = simulate_counts(
+            enc, tset, 1000.0, visibility=0.94, master_seed=6, delays=delays
+        )
+        assert modelled == drawn == [read]
+        traces = bundle.traces
+    rest = delays.size - read
+    assert modelled == drawn == ([read, rest] if rest else [read])
+    assert len(traces) == len(tset.scans)
+    for j, ancilla in enumerate(tset.scans):
+        cfg = experiment.ScanConfig(delays, 1000.0, experiment.derive_seed(6, j + 1), 0.94)
+        alone = experiment.sample_scan(enc, tset.states()[ancilla], cfg)
+        for field in dataclasses.fields(alone):
+            got, want = getattr(traces[j], field.name), getattr(alone, field.name)
             assert type(got) is type(want) and np.array_equal(got, want)
 
 
