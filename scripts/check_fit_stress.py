@@ -10,8 +10,9 @@ so zero-count dips appear at small N0 and for pure truths at V = 1.  All
 rows of one set, N0 and fitted visibility are fitted as one stack.
 
 For every N0 it prints the rows that the solver reports converged, each to
-its own count-scaled duality-gap tolerance, and the largest iteration count
-among them.  The script exits 1 if any row did not converge:
+its own count-scaled duality-gap tolerance, and the median and largest
+numbers of Newton passes among them.  The script exits 1 if any row did not
+converge:
 
     PYTHONPATH=src python scripts/check_fit_stress.py
 """
@@ -77,21 +78,21 @@ def main() -> int:
     if args.truths < 1 or args.max_exponent < 0:
         ap.error("--truths must be at least 1 and --max-exponent at least 0")
 
-    table: dict[float, list[int]] = {}
+    table: dict[float, list] = {}
     t0 = time.perf_counter()
     for n0, v_fit, n, baseline, projs in stacks(args.truths, args.max_exponent):
         fit = tomography._fit(n, baseline, projs, v_fit)
-        row = table.setdefault(n0, [0, 0, 0])
+        row = table.setdefault(n0, [0, []])
         row[0] += len(n)
-        row[1] += int(fit.converged.sum())
-        row[2] = max(row[2], int(fit.iterations[fit.converged].max(initial=0)))
+        row[1].extend(fit.iterations[fit.converged])
     dt = time.perf_counter() - t0
 
-    print(f"{'N0':>8} {'rows':>5} {'converged':>9} {'max iterations':>14}")
-    for n0, (rows, converged, max_it) in table.items():
-        print(f"{n0:8.0e} {rows:5d} {converged:9d} {max_it:14d}")
+    print(f"{'N0':>8} {'rows':>5} {'converged':>9} {'median passes':>13} {'max passes':>10}")
+    for n0, (rows, passes) in table.items():
+        median, most = (np.median(passes), max(passes)) if passes else (0, 0)
+        print(f"{n0:8.0e} {rows:5d} {len(passes):9d} {median:13.1f} {most:10d}")
     total = sum(row[0] for row in table.values())
-    converged = sum(row[1] for row in table.values())
+    converged = sum(len(row[1]) for row in table.values())
     print(f"{converged} of {total} rows converged ({dt:.1f} s)")
     return 0 if converged == total else 1
 

@@ -382,13 +382,17 @@ def default_delay_grid(
     """Uniform grid over [-half_span, half_span] containing 0 and +-tau.
 
     The points nearest to the required lags are snapped onto them exactly so
-    dip readings never interpolate.  Raises ValueError if half_span does not
-    exceed tau, step is not positive, or two lags are nearest to one point.
+    dip readings never interpolate.  Raises ValueError if step is not
+    positive, an argument is not finite, half_span does not exceed tau, or
+    two lags are nearest to one point.
     """
-    if tau >= half_span:
-        raise ValueError("half_span must exceed tau")
     if not step > 0:
         raise ValueError("grid step must be positive")
+    for name, value in (("tau", tau), ("half_span", half_span), ("step", step)):
+        if not np.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+    if tau >= half_span:
+        raise ValueError("half_span must exceed tau")
     n = int(round(half_span / step))
     grid = np.arange(-n, n + 1, dtype=float) * step
     snapped = [int(np.argmin(np.abs(grid - t))) for t in (-tau, 0.0, tau)]

@@ -17,18 +17,14 @@ values 0.22 to 2.28), and at an equal count budget its bootstrap fidelity
 spread on `phi_plus` is nearly twice that of the unbiased set.
 
 Reconstruction is by maximum likelihood: the Poisson likelihood of the raw
-counts is convex in rho, and one accelerated projected-gradient solver over
-the unit-trace PSD matrices (Shang, Zhang and Ng, PRA 95, 062336, 2017)
-fits a single count set or a whole stack of count sets to a stated
-duality-gap tolerance that scales with the counts.  Its step starts at the
-inverse of the deviance's exact largest curvature along traceless
-directions, and its momentum restarts on the gradient test of O'Donoghue
-and Candes (Found. Comput. Math. 15, 715, 2015), so an iteration needs
-gradients but no deviance.  `bootstrap_errors` fits the observed counts as
-row 0 of its stack of bootstrap replicas and returns that row as the point
-estimate, so a run with error bars is one solve; `mle_reconstruct` fits
-one count set alone.  Linear inversion is kept as the unconstrained
-baseline and as the starting point.
+counts is convex in rho, and one damped Newton solver on a Hermitian square
+root of rho (`_fit`) fits a single count set or a whole stack of count sets
+to a stated duality-gap tolerance that scales with the counts.  Its steps
+can turn the estimate's range, so a rank-deficient start costs few passes.
+`bootstrap_errors` fits the observed counts as row 0 of its stack of
+bootstrap replicas and returns that row as the point estimate, so a run
+with error bars is one solve; `mle_reconstruct` fits one count set alone.
+Linear inversion is kept as the unconstrained baseline and as the start.
 """
 
 from __future__ import annotations
@@ -54,7 +50,6 @@ _GAP_TOL = 1e-9  # Frank-Wolfe duality gap of a fit, in deviance units
 # times that, so a row's gap tolerance is at least _GAP_ROUNDING times it.
 _GAP_ROUNDING = 4.0
 _MAX_ITER = 5000
-_STEP_GROWTH = 1.25
 
 
 class ReconstructionError(RuntimeError):
@@ -93,6 +88,11 @@ class TomographySet:
         out = np.array([np.outer(v, v.conj()) for v in map(hilbert.logical_vector, self.states())])
         out.flags.writeable = False
         return out
+
+    @cached_property
+    def fit_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """The likelihood fit's tables of `projectors`, built on first use."""
+        return _fit_tables(self.projectors)
 
     @cached_property
     def reading_columns(self) -> tuple[np.ndarray, ...]:
@@ -175,29 +175,26 @@ def default_tomography_set(
 
 
 def _hermitian_basis() -> np.ndarray:
-    """Orthonormal Hermitian basis of the 4x4 operator space, (16, 4, 4)."""
-    basis = []
-    for a in range(_DIM):
-        b = np.zeros((_DIM, _DIM), dtype=complex)
-        b[a, a] = 1.0
-        basis.append(b)
-    for a in range(_DIM):
-        for b_i in range(a + 1, _DIM):
-            m = np.zeros((_DIM, _DIM), dtype=complex)
-            m[a, b_i] = m[b_i, a] = 1.0 / np.sqrt(2.0)
-            basis.append(m)
-            m = np.zeros((_DIM, _DIM), dtype=complex)
-            m[a, b_i] = 1j / np.sqrt(2.0)
-            m[b_i, a] = -1j / np.sqrt(2.0)
-            basis.append(m)
-    return np.array(basis)
+    """Orthonormal Hermitian basis of the 4x4 operator space, (16, 4, 4): the
+    diagonal units, then for each a < b the symmetric and antisymmetric pair."""
+    unit = np.eye(_DIM)
+    basis = [np.outer(e, e) for e in unit]
+    for a, b in itertools.combinations(range(_DIM), 2):
+        e = np.outer(unit[a], unit[b]) / np.sqrt(2.0)
+        basis += [e + e.T, 1j * (e - e.T)]
+    return np.array(basis, dtype=complex)
 
 
 _HERM_BASIS = _hermitian_basis()
-# Projector onto the traceless coordinates.  The identity's coordinates
-# are tr(basis), of Frobenius norm 2, so _IDENTITY is the unit vector.
-_IDENTITY = np.real(np.trace(_HERM_BASIS, axis1=1, axis2=2)) / 2.0
-_TRACELESS = np.eye(_DIM * _DIM) - np.outer(_IDENTITY, _IDENTITY)
+# The basis as real (16, 32) rows: coordinates x give the matrix
+# (x @ _HERM_FLAT) viewed as complex, and a Hermitian matrix's float view
+# times _HERM_FLAT.T gives its coordinates.
+_HERM_FLAT = _HERM_BASIS.view(float).reshape(_DIM * _DIM, -1)
+# Row (m, n) is the float view of (B_m B_n + B_n B_m) / 2, so a projector's
+# float view times _HERM_PAIRS.T gives Re tr(P B_m B_n), symmetric in m, n.
+_HERM_PAIRS = _HERM_BASIS[:, None] @ _HERM_BASIS[None]
+_HERM_PAIRS = (0.5 * (_HERM_PAIRS + _HERM_PAIRS.transpose(1, 0, 2, 3))).view(float)
+_HERM_PAIRS = _HERM_PAIRS.reshape(_DIM**4, -1)
 
 
 def projector_stack(tset: TomographySet) -> np.ndarray:
@@ -213,7 +210,16 @@ def design_matrix(tset: TomographySet) -> np.ndarray:
 
 
 def _design(projs: np.ndarray) -> np.ndarray:
-    return np.real(np.einsum("iab,mba->im", projs, _HERM_BASIS))
+    return projs.reshape(len(projs), -1).view(float) @ _HERM_FLAT.T
+
+
+def _fit_tables(projs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """What `_fit` reads of a projector stack besides its float view: the
+    (16, M) pseudo-inverse of the design matrix and the (M, 16, 16) table
+    Q_i[m, n] = Re tr(P_i B_m B_n).  Raises ValueError if the projectors do
+    not span the operator space."""
+    quad = projs.reshape(len(projs), -1).view(float) @ _HERM_PAIRS.T
+    return _pseudo_inverse(_design(projs)), quad.reshape(len(projs), _DIM * _DIM, -1)
 
 
 def linear_inversion(p_values, tset: TomographySet) -> tuple[np.ndarray, bool]:
@@ -228,22 +234,28 @@ def linear_inversion(p_values, tset: TomographySet) -> tuple[np.ndarray, bool]:
         raise ValueError(f"expected {len(tset.members)} projection values")
     if not np.all(np.isfinite(p)):
         raise ValueError("projection values must be finite")
-    rho = _inversion(p[None], projector_stack(tset))[0]
+    rho = _hermitian(p[None] @ tset.fit_tables[0].T)[0]
     negative = bool(np.linalg.eigvalsh(rho).min() < -hilbert.EIGENVALUE_TOL)
     return rho, negative
 
 
 def _inversion(p: np.ndarray, projs: np.ndarray) -> np.ndarray:
     """Least-squares Hermitian matrices for (B, members) values of `projs`."""
-    return _least_squares(p, _design(projs))
+    return _hermitian(p @ _pseudo_inverse(_design(projs)).T)
 
 
-def _least_squares(p: np.ndarray, a: np.ndarray) -> np.ndarray:
-    x, _, rank, _ = np.linalg.lstsq(a, p.T, rcond=None)
-    if rank < a.shape[1]:
+def _pseudo_inverse(a: np.ndarray) -> np.ndarray:
+    u, s, vt = np.linalg.svd(a, full_matrices=False)
+    # The rank by numpy's matrix_rank cut-off must be the column count.
+    if np.sum(s > s[0] * max(a.shape) * np.finfo(float).eps) < a.shape[1]:
         raise ValueError("tomography set does not span the operator space")
-    rho = np.einsum("mb,mij->bij", x, _HERM_BASIS)
-    return 0.5 * (rho + rho.conj().transpose(0, 2, 1))
+    return (vt.T / s) @ u.T
+
+
+def _hermitian(coords: np.ndarray) -> np.ndarray:
+    """The exactly Hermitian (B, 4, 4) matrices of (B, 16) basis coordinates."""
+    mats = (coords @ _HERM_FLAT).view(complex).reshape(-1, _DIM, _DIM)
+    return 0.5 * (mats + mats.conj().transpose(0, 2, 1))
 
 
 def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
@@ -291,8 +303,9 @@ def random_density_matrix(dim: int, rng: np.random.Generator) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _project(mats: np.ndarray) -> np.ndarray:
-    """Nearest unit-trace PSD matrices in Frobenius norm, for a (B, d, d) stack.
+def _project(mats: np.ndarray, power: float = 1.0) -> np.ndarray:
+    """Nearest unit-trace PSD matrices in Frobenius norm, for a (B, d, d) stack,
+    raised to `power`.
 
     The eigenvalues are projected onto the probability simplex and the
     eigenvectors kept.
@@ -302,7 +315,7 @@ def _project(mats: np.ndarray) -> np.ndarray:
     shifts = (desc.cumsum(axis=1) - 1.0) / np.arange(1, evals.shape[1] + 1)
     rank = (desc > shifts).sum(axis=1)
     weights = np.maximum(evals - shifts[np.arange(len(rank)), rank - 1, None], 0.0)
-    return (evecs * weights[:, None, :]) @ evecs.conj().transpose(0, 2, 1)
+    return (evecs * weights[:, None, :] ** power) @ evecs.conj().transpose(0, 2, 1)
 
 
 def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -323,92 +336,113 @@ class _Fit(NamedTuple):
     iterations: np.ndarray
 
 
-def _fit(n: np.ndarray, baseline: np.ndarray, projs: np.ndarray, visibility: float) -> _Fit:
+def _fit(
+    n: np.ndarray,
+    baseline: np.ndarray,
+    projs: np.ndarray,
+    visibility: float,
+    tables: tuple[np.ndarray, np.ndarray] | None = None,
+) -> _Fit:
     """Maximum-likelihood states for a stack of count sets, n and baseline (B, M),
-    of the (M, 4, 4) projector stack `projs`.
+    of the (M, 4, 4) projector stack `projs`; `tables` are its `_fit_tables`,
+    built here if not given.
 
-    Minimizes each row's Poisson deviance sum[mu - n - n log(mu / n)], with
-    mu = N max(1 - V tr(P rho), _Q_FLOOR), over unit-trace PSD matrices by
-    accelerated projected gradient from the projected linear inversion.
-    Every row keeps its own step and momentum.  The step starts at the
-    inverse of the deviance's largest curvature along traceless directions
-    there, is halved when a step fails the curvature test and grows by
-    _STEP_GROWTH after each accepted one.  The Nesterov momentum restarts
-    whenever the gradient at the extrapolated point has a positive component
-    along the step just taken (O'Donoghue and Candes, Found. Comput. Math.
-    15, 715, 2015), so the loop never evaluates the deviance.  A row stops
-    once its Frank-Wolfe gap Re tr(G rho) - lambda_min(G), G the gradient,
-    is at most its tolerance max(_GAP_TOL, _GAP_ROUNDING eps sum_i(n_i +
-    N_i)), or unconverged after _MAX_ITER passes; the gap bounds the
-    distance to the optimal deviance.  This is the only convergence test:
-    callers read the verdict.  A pass over R running rows costs one
-    (R, 4, 4) eigh, one eigvalsh, one (2, R, 32) read and one span product
-    for the gradients at x_new and y_new, four inner products, and merges
-    rows only if it rejects a step.
+    Minimizes each row's Poisson deviance sum[mu - n - n log(mu / n)], mu =
+    N q with q = max(1 - V tr(P rho), _Q_FLOOR), over density matrices rho =
+    A^2, A Hermitian of unit norm with coordinates a in _HERM_BASIS (James,
+    Kwiat, Munro and White, PRA 64, 052312, 2001), by damped Newton steps on
+    a (Burer and Monteiro, Math. Program. 95, 329, 2003), which can turn the
+    estimate's range.  With f_i = tr(P_i rho) = a^T Q_i a, phi_i = -V (N_i -
+    n_i / q_i) and G = sum_i phi_i P_i the gradient in rho, the gradient in a
+    is g = J^T phi, J_i = 2 (Q_i - f_i) a, and the Hessian H = J^T D J +
+    2 (sum_i phi_i Q_i - nu) - 2 (g a^T + a g^T), D = diag(V^2 n / q^2) and
+    nu = Re tr(G rho).  As sum_i phi_i Q_i >= lambda_min(G) and g is
+    orthogonal to a, H + lambda >= J^T D J + gap for lambda = 3 gap + 2 |g|:
+    one batched 16 x 16 solve per pass gives a descent step, and lambda -> 0
+    at the optimum.  A row keeps its step unless sum(N q - n log q) rises by
+    more than its rounding, _GAP_ROUNDING eps sum_i(n_i + N_i); else it stays
+    put and doubles lambda.  The start is the square root of the projected
+    linear inversion.
+
+    A row stops once its Frank-Wolfe gap Re tr(G rho) - lambda_min(G) is at
+    most its tolerance max(_GAP_TOL, _GAP_ROUNDING eps sum_i(n_i + N_i)), or
+    unconverged after _MAX_ITER passes; the gap bounds the distance to the
+    optimal deviance.  This is the only convergence test: callers read the
+    verdict.
     """
+    inverse, quad = _fit_tables(projs) if tables is None else tables
     # On the float view (B, 32) of a (B, 4, 4) stack, V tr(P rho) is one
     # real matmul with `read`, and the gradient's sum over P one with `span`.
-    flat = projs.view(float).reshape(len(projs), -1)
-    read = np.ascontiguousarray(visibility * flat.T)
-    span = -visibility * flat
+    flat = projs.reshape(len(projs), -1).view(float)
+    read, span = np.ascontiguousarray(visibility * flat.T), -visibility * flat
+    members, dim = quad.shape[:2]
+    pairs, eye = quad.reshape(-1, dim).T, np.eye(dim)  # a @ pairs stacks Q_i a
 
     def dip_ratio(rho):
-        return np.maximum(1.0 - rho.reshape(*rho.shape[:-2], -1).view(float) @ read, _Q_FLOOR)
+        return np.maximum(1.0 - rho.reshape(len(rho), -1).view(float) @ read, _Q_FLOOR)
 
-    def gradient(rho, n, big_n):
-        slope = big_n - n / dip_ratio(rho)
-        return (slope @ span).view(complex).reshape(rho.shape)
-
-    def gap(rho, grad):
-        return _inner(grad, rho) - np.linalg.eigvalsh(grad)[:, 0]
+    def point(a, n, big_n):
+        """(a, rho, objective sum(N q - n log q), gap, g, H, lambda) at the
+        coordinates a (R, 16), scaled to unit norm."""
+        a = a / np.linalg.norm(a, axis=1)[:, None]
+        root = (a @ _HERM_FLAT).view(complex).reshape(-1, _DIM, _DIM)
+        rho = root @ root
+        q = dip_ratio(rho)
+        slope = big_n - n / q
+        grad = (slope @ span).view(complex).reshape(rho.shape)
+        nu = _inner(grad, rho)
+        gaps = nu - np.linalg.eigvalsh(grad)[:, 0]
+        qa = (a @ pairs).reshape(len(a), members, dim)
+        jac = 2.0 * (qa - (qa @ a[:, :, None]) * a[:, None, :])
+        phi = -visibility * slope
+        g = (phi[:, None, :] @ jac)[:, 0]
+        outer = g[:, :, None] * a[:, None, :]
+        curvature = (jac.transpose(0, 2, 1) * (visibility**2 * n / q**2)[:, None, :]) @ jac
+        curvature += 2.0 * (phi @ quad.reshape(members, -1)).reshape(-1, dim, dim)
+        curvature -= 2.0 * (nu[:, None, None] * eye + outer + outer.transpose(0, 2, 1))
+        # At 2 gap + 2 |g|, the least damping the bound allows, H + lambda is
+        # near-singular along the direction that turns the range out of a
+        # rank-deficient start, and steps there overshoot: 59 steps were
+        # rejected over the stress grid, the above-onset stacks of
+        # tests/test_fit_reference.py and 60 bootstrap stacks, whose worst
+        # row took 30 passes; with 3 gap none was, and the worst took 14.
+        lam = 3.0 * gaps + 2.0 * np.linalg.norm(g, axis=1)
+        return a, rho, np.sum(big_n * q - n * np.log(q), axis=1), gaps, g, curvature, lam
 
     p_hat = np.clip((1.0 - n / baseline) / visibility, 0.0, 1.0)
-    a = _design(projs)
-    x = _project(_least_squares(p_hat, a))
-    # Curvature V^2 A^T diag(n / q^2) A of the deviance in Hermitian-basis
-    # coordinates, A the design matrix with the identity coordinate
-    # projected out: steps keep the trace.
-    a = a @ _TRACELESS
-    q = dip_ratio(x)
-    curvature = visibility**2 * (a.T * (n / q**2)[:, None, :]) @ a
-    step = 1.0 / np.maximum(np.linalg.eigvalsh(curvature)[:, -1], 1.0)
-    g_y = gradient(x, n, baseline)
-    gaps = gap(x, g_y)
-    y, momentum = x, np.ones(len(n))
-    eps_sum = np.finfo(float).eps * (n + baseline).sum(axis=1)
-    tolerance = np.maximum(_GAP_TOL, _GAP_ROUNDING * eps_sum)
+    root = _project(_hermitian(p_hat @ inverse.T), 0.5)
+    state = point(root.reshape(len(n), -1).view(float) @ _HERM_FLAT.T, n, baseline)
+    slack = _GAP_ROUNDING * np.finfo(float).eps * (n + baseline).sum(axis=1)
+    tolerance = np.maximum(_GAP_TOL, slack)
     rows, n_run, big_n, tol = np.arange(len(n)), n, baseline, tolerance
-    rho, gap_out, iterations = np.empty_like(x), np.empty(len(n)), np.zeros(len(n), dtype=int)
+    rho, gap_out = np.empty_like(state[1]), np.empty(len(n))
+    iterations = np.zeros(len(n), dtype=int)
     # Every running row tries one step per pass, so a row that stops at
     # pass k took k steps.  The running rows stay compacted.
     for k in range(_MAX_ITER + 1):
-        done = (gaps <= tol) | (k == _MAX_ITER)
+        done = (state[3] <= tol) | (k == _MAX_ITER)
         if done.any():
             out = rows[done]
-            rho[out], gap_out[out], iterations[out] = x[done], gaps[done], k
-            rows, x, y, g_y, gaps, step, momentum, n_run, big_n, tol = (
-                arr[~done] for arr in (rows, x, y, g_y, gaps, step, momentum, n_run, big_n, tol)
+            rho[out], gap_out[out], iterations[out] = state[1][done], state[3][done], k
+            rows, n_run, big_n, tol, slack = (
+                arr[~done] for arr in (rows, n_run, big_n, tol, slack)
             )
+            state = tuple(arr[~done] for arr in state)
             if rows.size == 0:
                 break
-        x_new = _project(y - step[:, None, None] * g_y)
-        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * momentum**2))
-        dx = x_new - x
-        restart = _inner(g_y, dx) > 0.0
-        beta = np.where(restart, 0.0, (momentum - 1.0) / t_next)
-        y_new = x_new + beta[:, None, None] * dx
-        g_new, g_y_new = gradient(np.array((x_new, y_new)), n_run, big_n)
-        d = x_new - y
-        # Curvature test on gradients: deviance differences cancel to
-        # rounding near the optimum, long before the gap is small.
-        ok = _inner(g_new - g_y, d) <= _inner(d, d) / step
-        new = [x_new, y_new, g_y_new, gap(x_new, g_new), np.where(restart, 1.0, t_next)]
+        a, _, objective, _, g, curvature, lam = state
+        step = np.linalg.solve(curvature + lam[:, None, None] * eye, -g[:, :, None])[:, :, 0]
+        new = point(a + step, n_run, big_n)
+        ok = new[2] <= objective + slack
         if not ok.all():
-            # A rejected step keeps the row's point, momentum and gradient.
-            old, kept = (x, y, g_y, gaps, momentum), ok[:, None, None]
-            new = [np.where(kept if now.ndim > 1 else ok, now, was) for now, was in zip(new, old)]
-        x, y, g_y, gaps, momentum = new
-        step = step * np.where(ok, _STEP_GROWTH, 0.5)
+            # A rejected step keeps the row's point and damps it harder; no
+            # measured step was rejected, so the doubling is untuned.
+            old = (*state[:6], 2.0 * lam)
+            new = tuple(
+                np.where(ok.reshape(-1, *[1] * (now.ndim - 1)), now, was)
+                for now, was in zip(new, old)
+            )
+        state = new
     mu = baseline * dip_ratio(rho)
     # Zero-count terms reduce to mu: n log(mu / n) -> 0.
     deviance = np.sum(mu - n - n * np.log(mu / np.where(n > 0, n, 1.0)), axis=1)
@@ -439,7 +473,7 @@ def _unpack_counts(
 class TomographyResult:
     rho_hat: np.ndarray  # 4x4 logical estimate, exactly Hermitian
     nll: float
-    iterations: int
+    iterations: int  # Newton passes of the fit
     fidelity_vs_target: float | None = None
 
 
@@ -452,19 +486,18 @@ def mle_reconstruct(
 ) -> TomographyResult:
     """Maximum-likelihood density matrix from per-projection (n_i, N_i) counts.
 
-    The Poisson likelihood of the dip counts is convex in rho, so one
-    projected-gradient descent from the projected linear inversion reaches
-    the optimum.  It stops once the duality gap, an upper bound on the
-    deviance still to gain, is at most max(1e-9, 4 eps sum_i(n_i + N_i)),
-    eps the float64 epsilon.  The second term is the rounding of the
-    gradient, whose terms grow with the counts; on the unbiased set it takes
-    over above about 3e4 counts per baseline.  The fit raises
-    ReconstructionError, naming the gap and its tolerance, if the iteration
-    cap comes first.  The fit has no random element; `seed` is accepted for
-    compatibility and does not affect the result.
+    The Poisson likelihood of the dip counts is convex in rho, and `_fit`'s
+    damped Newton passes from the projected linear inversion reach the
+    optimum; `iterations` counts them.  It stops once the duality gap, an
+    upper bound on the deviance still to gain, is at most max(1e-9, 4 eps
+    sum_i(n_i + N_i)), eps the float64 epsilon: the second term is the
+    gradient's rounding, which takes over above about 3e4 counts per
+    baseline on the unbiased set.  ReconstructionError, naming the gap and
+    its tolerance, is raised if the pass cap comes first.  The fit has no
+    random element; `seed` is accepted for compatibility and is not used.
     """
     n, baseline = _unpack_counts(counts, tset, visibility)
-    fit = _fit(n[None], baseline[None], projector_stack(tset), visibility)
+    fit = _fit(n[None], baseline[None], projector_stack(tset), visibility, tset.fit_tables)
     return _result(n, fit, target)
 
 
@@ -522,7 +555,8 @@ def bootstrap_errors(
     `mle_reconstruct`, and `estimate` is row 0's result, built as
     `mle_reconstruct` builds it (it raises ReconstructionError the same
     way).  Each row stops at its own count-scaled gap tolerance, the
-    solver's one stop rule.  Replicas the solver reports unconverged are
+    solver's one stop rule, and the stack's Newton passes run until its
+    slowest row stops.  Replicas the solver reports unconverged are
     dropped; more than 10 percent of them failing is an error, checked
     first.  A seed the scan seeds' check refuses raises ValueError.
     """
@@ -533,7 +567,8 @@ def bootstrap_errors(
     keys = ((seed, r) for r in range(replicas))
     n_star = experiment._reset_draws(keys, itertools.repeat(n, replicas))
     stack = np.array([n, *n_star], dtype=float)
-    fit = _fit(stack, np.broadcast_to(baseline, stack.shape), projector_stack(tset), visibility)
+    big_n = np.broadcast_to(baseline, stack.shape)
+    fit = _fit(stack, big_n, projector_stack(tset), visibility, tset.fit_tables)
     rhos = fit.rho[1:][fit.converged[1:]]
     dropped = replicas - len(rhos)
     if dropped > 0.1 * replicas:

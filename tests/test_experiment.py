@@ -68,6 +68,17 @@ def test_default_grid_refuses_steps_that_cannot_snap_the_lags():
             default_delay_grid(TAU, step=step)
 
 
+def test_default_grid_names_a_non_finite_argument():
+    """NaN or infinite arguments raise a ValueError that names them, not
+    numpy's float-to-integer conversion errors.  A NaN step is refused
+    first, as not positive."""
+    for name, value in [("tau", np.nan), ("tau", np.inf), ("half_span", np.nan),
+                        ("half_span", np.inf), ("step", np.inf)]:
+        args = {"tau": TAU, "half_span": 8e-12, "step": 5e-14, name: value}
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got {value}$"):
+            default_delay_grid(**args)
+
+
 def test_compact_grid_has_baseline_wings():
     grid = compact_delay_grid(TAU, SIGMA, baseline_points=40)
     for lag in (-TAU, 0.0, TAU):

@@ -1,13 +1,23 @@
-"""The likelihood solver pinned against the one it replaced.
+"""The likelihood solver pinned against the ones it replaced.
 
 `reference_fit` is `tomography._fit` as it was before the exact-curvature
 start step, the gradient momentum restart and the real-view linear maps,
 copied verbatim: it restarts the momentum whenever the deviance rises and
-evaluates the deviance on every iteration.  The current solver sums in
-another order and takes other steps, so the two are compared within
-tolerances fixed beforehand, not bit for bit: both fits must meet the
-duality-gap tolerance, their deviances must agree to that tolerance, and
-their fidelities to 1e-6 wherever the likelihood is not flat.
+evaluates the deviance on every iteration.  `parent_fit` and
+`parent_project` are the accelerated projected-gradient `_fit` and
+`_project` as they were before the stacked gradients, the merges skipped on
+fully accepted passes and the cached projector stack, copied verbatim but
+for their names (so `parent_fit` calls `parent_project`).  Below the onset
+their fits were bit for bit those of the projected-gradient solver that the
+damped Newton solver on a Hermitian square root of rho replaced;
+`_STEP_GROWTH` and `_TRACELESS` are that solver's constants, kept here with
+their values.
+
+The current solver takes other steps, so it is compared with both within
+tolerances fixed beforehand, not bit for bit: every row must converge, each
+deviance must agree with the old solver's to within the row's gap
+tolerance, each fidelity to within 1e-6 wherever the likelihood is not
+flat, and each estimate must have unit trace and be PSD.
 
 Flat means that the weakest traceless direction of the design carries the
 information of at most 10 counts, N0 s_min^2 <= 10 with s_min the smallest
@@ -17,16 +27,9 @@ set (s_min = 1) that is N0 <= 10; on the product set (s_min = 0.22) it
 includes N0 = 100, where two fits that both meet the gap tolerance were
 seen 1.5e-6 apart in fidelity while their deviances agreed to 7e-10.
 
-`parent_fit` and `parent_project` are `tomography._fit` and
-`tomography._project` as they were before the stacked gradients, the
-merges skipped on fully accepted passes and the cached projector stack,
-copied verbatim but for their names (so `parent_fit` calls
-`parent_project`).  Those changes keep every arithmetic operation, so the
-current solver must return their results bit for bit wherever its stop
-rule is the parent's: on rows whose gap tolerance is the absolute
-_GAP_TOL, which holds below the onset 4 eps sum(n + N) = _GAP_TOL (about
-N0 = 3e4 on either set).  Above the onset the tolerance scales with the
-counts, and the fits are pinned to the parent's within that tolerance.
+Below the onset 4 eps sum(n + N) = _GAP_TOL (about N0 = 3e4 on either set)
+every row's tolerance is the absolute _GAP_TOL; above it the tolerance
+scales with the counts.
 """
 
 import numpy as np
@@ -38,10 +41,9 @@ from poltime import experiment, hilbert, tomography
 from poltime.tomography import (
     _DIM,
     _GAP_TOL,
+    _HERM_BASIS,
     _MAX_ITER,
     _Q_FLOOR,
-    _STEP_GROWTH,
-    _TRACELESS,
     TomographySet,
     _design,
     _inner,
@@ -53,6 +55,12 @@ from poltime.tomography import (
 DEVIANCE_TOL = 1e-9
 FIDELITY_TOL = 1e-6
 FLAT_COUNTS = 10.0
+# The projected-gradient solver's step growth and its projector onto the
+# traceless coordinates: the identity's coordinates are tr(basis), of
+# Frobenius norm 2.
+_STEP_GROWTH = 1.25
+_IDENTITY = np.real(np.trace(_HERM_BASIS, axis1=1, axis2=2)) / 2.0
+_TRACELESS = np.eye(_DIM * _DIM) - np.outer(_IDENTITY, _IDENTITY)
 
 
 def reference_fit(
@@ -182,7 +190,7 @@ def test_fit_matches_reference_solver(set_fixture, visibility, n0, request):
 
 
 # ---------------------------------------------------------------------------
-# Bit for bit against the parent solver
+# Against the parent solver
 # ---------------------------------------------------------------------------
 
 
@@ -294,15 +302,21 @@ def parent_fit(
     return rho, deviance, gap_out, iterations
 
 
-def assert_fits_identical(n, baseline, projs, visibility):
-    """Both solvers' fits of rows below the onset are the same bits."""
+def assert_fits_match_parent(n, baseline, projs, visibility, truths, n0):
+    """The fits of rows below the onset all converge and match the parent's
+    within the stated tolerances."""
     fit = tomography._fit(n, baseline, projs, visibility)
-    parent = parent_fit(n, baseline, projs, visibility)
+    rho_old, deviance_old, gap_old, _ = parent_fit(n, baseline, projs, visibility)
     assert np.all(fit.tolerance == _GAP_TOL)
-    assert np.array_equal(fit.converged, parent[2] <= _GAP_TOL)
-    new = (fit.rho, fit.deviance, fit.gap, fit.iterations)
-    for name, now, old in zip(("rho", "deviance", "gap", "iterations"), new, parent):
-        assert np.array_equal(now, old), name
+    assert fit.converged.all() and np.all(gap_old <= _GAP_TOL)
+    assert np.all(np.abs(fit.deviance - deviance_old) <= fit.tolerance)
+    if n0 * np.linalg.svd(_design(projs), compute_uv=False).min() ** 2 > FLAT_COUNTS:
+        fid = [tomography.fidelity(r, t) for r, t in zip(fit.rho, truths)]
+        fid_old = [tomography.fidelity(r, t) for r, t in zip(rho_old, truths)]
+        np.testing.assert_allclose(fid, fid_old, rtol=0.0, atol=FIDELITY_TOL)
+    for r in fit.rho:
+        assert abs(np.trace(r).real - 1.0) < 1e-12
+        assert np.linalg.eigvalsh(r).min() > -hilbert.EIGENVALUE_TOL
 
 
 def count_stacks(projs, visibility, exponents):
@@ -318,11 +332,11 @@ def count_stacks(projs, visibility, exponents):
 
 @pytest.mark.parametrize("visibility", [1.0, 0.94, 0.8])
 @pytest.mark.parametrize("set_fixture", ["tset", "product_tset"])
-def test_fit_matches_parent_bit_for_bit(set_fixture, visibility, request):
+def test_fit_matches_parent_within_tolerance(set_fixture, visibility, request):
     """12-row stacks at every N0 from 1 to 1e4, all below the onset."""
     projs = projector_stack(request.getfixturevalue(set_fixture))
-    for _, n, baseline in count_stacks(projs, visibility, range(5)):
-        assert_fits_identical(n, baseline, projs, visibility)
+    for truths, n, baseline in count_stacks(projs, visibility, range(5)):
+        assert_fits_match_parent(n, baseline, projs, visibility, truths, baseline[0, 0])
 
 
 # Above the onset the parent's Ginibre-mixed rows stall at the rounding
@@ -361,7 +375,7 @@ def test_fit_above_the_onset_meets_its_scaled_tolerance(
         np.testing.assert_allclose(fid, fid_old, rtol=0.0, atol=FIDELITY_TOL)
 
 
-def test_bootstrap_stack_matches_parent_bit_for_bit(tset, lattice, packet):
+def test_bootstrap_stack_matches_parent_within_tolerance(tset, lattice, packet):
     """The observed counts of a run and ten replicas, as bootstrap_errors
     stacks them, with one all-zero row and one with five zero dips."""
     state = hilbert.named_state("phi_plus", lattice, packet)
@@ -374,7 +388,9 @@ def test_bootstrap_stack_matches_parent_bit_for_bit(tset, lattice, packet):
     stack = np.array([n, *n_star], dtype=float)
     stack[4] = 0.0
     stack[7, :5] = 0.0
-    assert_fits_identical(stack, np.broadcast_to(baseline, stack.shape), projector_stack(tset), 0.94)
+    truths = [hilbert.logical_vector(state)] * len(stack)
+    big_n = np.broadcast_to(baseline, stack.shape)
+    assert_fits_match_parent(stack, big_n, projector_stack(tset), 0.94, truths, baseline.min())
 
 
 def unitaries(rng, count):

@@ -49,8 +49,9 @@ def test_keyed_draw_check_passes():
 
 
 def test_fit_stress_check_runs():
-    """Every row converges, up to N0 = 1e8 where the gap tolerance is
-    count-scaled."""
-    proc = run_script("check_fit_stress.py", "--truths", "1", "--max-exponent", "8")
+    """Every row of the full default grid converges, up to N0 = 1e8 where
+    the gap tolerance is count-scaled."""
+    proc = run_script("check_fit_stress.py")
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "324 of 324 rows converged (" in proc.stdout
+    assert "648 of 648 rows converged (" in proc.stdout
+    assert "median passes" in proc.stdout
