@@ -533,7 +533,11 @@ def read_block(counts, delays, tau, sigma_t, n_bins, lags) -> tuple[np.ndarray, 
     scans on one grid: a baseline is the mean count over read_points'
     plateau, dip column k the count at lags[k] * tau.  Raises ValueError as
     read_points does, or if the plateau has no points or a scan no counts."""
-    plateau, columns = read_points(delays, tau, sigma_t, n_bins, lags)
+    return _read(counts, *read_points(delays, tau, sigma_t, n_bins, lags))
+
+
+def _read(counts, plateau, columns) -> tuple[np.ndarray, np.ndarray]:
+    """read_block of counts at the plateau mask and lag columns read_points gave."""
     size = np.count_nonzero(plateau)
     if not size:
         raise ValueError("no baseline points: grid lies entirely inside dip regions")

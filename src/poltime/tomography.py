@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -86,13 +86,12 @@ class TomographySet:
     def projectors(self) -> np.ndarray:
         """The members' projectors, read-only and built on first use."""
         out = np.array([np.outer(v, v.conj()) for v in map(hilbert.logical_vector, self.states())])
-        out.flags.writeable = False
-        return out
+        return _read_only(out)[0]
 
     @cached_property
     def fit_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """The likelihood fit's tables of `projectors`, built on first use."""
-        return _fit_tables(self.projectors)
+        """The likelihood fit's tables of `projectors`, read-only and built on first use."""
+        return _read_only(*_fit_tables(self.projectors))
 
     @cached_property
     def reading_columns(self) -> tuple[np.ndarray, ...]:
@@ -101,10 +100,13 @@ class TomographySet:
         among them) and each reading's column in them, then lag 0's."""
         scan, lag, member = np.array(self.readings).T
         lags, column = np.unique(np.append(lag, 0), return_inverse=True)
-        out = scan, member, lags, column
-        for arr in out:
-            arr.flags.writeable = False
-        return out
+        return _read_only(scan, member, lags, column)
+
+
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays
 
 
 def product_tomography_set(lattice: TimeBinLattice, packet: Wavepacket) -> TomographySet:
@@ -132,9 +134,7 @@ def _readings(members, scans) -> tuple[tuple[int, int, int], ...]:
 
 
 def default_tomography_set(
-    lattice: TimeBinLattice,
-    packet: Wavepacket,
-    with_plans: bool = True,
+    lattice: TimeBinLattice, packet: Wavepacket, with_plans: bool = True
 ) -> TomographySet:
     """The complete set of mutually unbiased two-qubit bases, 20 members.
 
@@ -151,7 +151,15 @@ def default_tomography_set(
     member has its own scan, read at lag 0.  The projectors form a tight
     frame: every traceless direction of the operator space is weighted
     alike.  `with_plans` is accepted for compatibility and has no effect.
+    The set is built once per (lattice, packet) and shared: equal geometries
+    get the same immutable set, and every array it hands out refuses writes.
     """
+    return _unbiased_set(lattice, packet)
+
+
+# A process reads few geometries; the bound caps what a sweep over filters keeps.
+@lru_cache(maxsize=8)
+def _unbiased_set(lattice: TimeBinLattice, packet: Wavepacket) -> TomographySet:
     members = []
     for pols, bins in (("hv", "0t"), ("pm", "+-"), ("rl", "xd")):
         for pol in pols:
@@ -576,7 +584,12 @@ def bootstrap_errors(
             f"{dropped} of {replicas} bootstrap replicas failed to converge"
         )
     estimate = _result(n, fit, target)
-    fids = np.array([fidelity(rho, target) for rho in rhos])
+    if isinstance(target, PhotonState):  # fidelity's <v|rho|v> / |v|^2, bit for bit
+        v = hilbert.logical_vector(target)
+        mid = np.matmul(rhos, v[:, None])
+        fids = np.matmul(v.conj()[None, None, :], mid)[:, 0, 0].real / float(np.vdot(v, v).real)
+    else:
+        fids = np.array([fidelity(rho, target) for rho in rhos])
     return BootstrapResult(
         estimate=estimate,
         fidelity_std=float(np.std(fids, ddof=1)),
@@ -640,12 +653,13 @@ def simulate_counts(
     encoded states skip calibration and trust the configured value.  All
     scans, the calibration scan included, are one `experiment.sample_block`
     of the points of `delays` that `experiment.read_points` says they read,
-    each as `sample_scan` of its scan alone, read by `experiment.read_block`;
-    no per-scan object is built.  Each (scan, lag, member) reading adds the
-    scan's count at lag * tau and its baseline to the member's (n_i, N_i)
-    pair.  Stream seeds come from one `experiment.derive_seeds` pass, so a
-    master seed that is not an integer in [0, 2**64) raises ValueError; so
-    do the grid, baseline and visibility that `experiment.ScanConfig` refuses.
+    each as `sample_scan` of its scan alone, and read there as
+    `experiment.read_block` reads them; no per-scan object is built.  Each
+    (scan, lag, member) reading adds the scan's count at lag * tau and its
+    baseline to the member's (n_i, N_i) pair.  Stream seeds come from one
+    `experiment.derive_seeds` pass, so a master seed that is not an integer
+    in [0, 2**64) raises ValueError; so do the grid, baseline and visibility
+    that `experiment.ScanConfig` refuses.
     """
     # With calibration, row 0 of the block is the self-scan and scan j is row j + 1.
     cal = int(calibrate and isinstance(encoded, PhotonState))
@@ -655,11 +669,13 @@ def simulate_counts(
     scan, member, lags, column = tset.reading_columns
     # Column k of the dips is lags[k]; the last entry of `column` is lag 0.
     geometry = experiment.scan_geometry(encoded, ancillas)
-    read, columns = experiment.read_points(grid, *geometry, lags)
+    plateau, columns = experiment.read_points(grid, *geometry, lags)
+    read = plateau.copy()
     read[columns] = True
+    points = np.flatnonzero(read)
     args = (encoded, ancillas, seeds, grid, baseline_counts, visibility, noiseless)
-    block = experiment.sample_block(*args, np.flatnonzero(read))
-    baselines, dips = experiment.read_block(block.counts, block.delays, *geometry, lags)
+    block = experiment.sample_block(*args, points)
+    baselines, dips = experiment._read(block.counts, plateau[points], points.searchsorted(columns))
     v_hat = visibility
     if cal:
         v_hat = float(np.clip(1.0 - dips[0, column[-1]] / baselines[0], 0.0, 1.0))

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from poltime import cli, hilbert
+from poltime import cli, hilbert, tomography
 from poltime.cli import (
     EXIT_BEST_EFFORT,
     EXIT_CONFIG,
@@ -749,6 +749,31 @@ def test_repeat_runs_are_byte_identical(tmp_path):
             }
         )
     assert blobs[0] == blobs[1]
+
+
+def test_shared_tomography_sets_give_cold_start_bytes(tmp_path):
+    """Runs at 3 nm, then 1 nm, then 3 nm again in one process share each
+    filter's tomography set, and write the bytes of a run that built its set
+    afresh."""
+
+    def run(bandwidth, tag):
+        path = write_config(
+            tmp_path, name=f"{tag}.json", encoded_target="rl_bell", replicas=5,
+            seed=2, bandwidth_nm=bandwidth,
+        )
+        out = tmp_path / tag
+        argv = ["tomography", "--config", path, "--out", str(out), "--no-timestamp"]
+        assert cli.main(argv) == EXIT_OK
+        return {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+
+    cold = {}
+    for bandwidth in (3.0, 1.0):
+        tomography._unbiased_set.cache_clear()
+        cold[bandwidth] = run(bandwidth, f"cold{bandwidth}")
+    assert cold[3.0] != cold[1.0]
+    for k, bandwidth in enumerate((3.0, 1.0, 3.0)):
+        assert run(bandwidth, f"warm{k}") == cold[bandwidth]
+    assert tomography._unbiased_set.cache_info().hits >= 2
 
 
 def test_seed_override_changes_samples(tmp_path):

@@ -55,3 +55,13 @@ def test_fit_stress_check_runs():
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "648 of 648 rows converged (" in proc.stdout
     assert "median passes" in proc.stdout
+
+
+def test_ab_bench_reads_its_own_tree_as_equal():
+    """Both sides load the same sources, so every op's digest agrees."""
+    args = ["--parent", str(ROOT), "--workload", "seed_sweep", "--ops", "4"]
+    proc = run_script("ab_bench.py", *args)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "workload seed_sweep, 4 ABBA pairs" in proc.stdout
+    assert "ratio this tree / parent: median " in proc.stdout
+    assert "digests: all 4 ops agree" in proc.stdout

@@ -166,12 +166,47 @@ def test_every_member_has_an_exact_preparation_plan(tset):
         assert plan.predicted_fidelity >= 1.0 - 1e-9
 
 
+def test_default_set_is_shared_per_geometry(lattice, packet):
+    """Equal geometries get the same set object, whatever `with_plans` says;
+    another packet or lattice gets another set."""
+    tset = default_tomography_set(lattice, packet)
+    equal = TimeBinLattice(lattice.bin_count, lattice.tau), Wavepacket(packet.sigma_t)
+    twin = default_tomography_set(*equal, with_plans=False)
+    assert twin is tset
+    assert default_tomography_set(lattice, packet, with_plans=True) is tset
+    other = default_tomography_set(lattice, Wavepacket(packet.sigma_t / 2))
+    assert other is not tset
+    assert all(state.packet == Wavepacket(packet.sigma_t / 2) for state in other.states())
+    assert default_tomography_set(lattice.grown(1), packet) is not tset
+
+
+def test_default_set_cache_is_bounded(lattice):
+    """Building more geometries than the bound keeps at most the bound."""
+    bound = tomography._unbiased_set.cache_info().maxsize
+    assert bound is not None and bound <= 16
+    for k in range(bound + 3):
+        default_tomography_set(lattice, Wavepacket(SIGMA * (1.0 + k / 64)))
+    assert tomography._unbiased_set.cache_info().currsize == bound
+
+
+def test_shared_set_arrays_refuse_writes(lattice, packet):
+    """A shared set is immutable: every array it hands out is read-only."""
+    tset = default_tomography_set(lattice, packet)
+    arrays = [tset.projectors, *tset.fit_tables, *tset.reading_columns]
+    arrays += [state.amplitudes for state in tset.states()]
+    assert len(arrays) == 1 + 2 + 4 + 20
+    for arr in arrays:
+        with pytest.raises(ValueError):
+            arr.reshape(-1)[0] = 0
+
+
 @pytest.mark.parametrize("set_maker", [default_tomography_set, tomography.product_tomography_set])
 def test_projector_stack_is_built_once_per_set(set_maker, lattice, packet, monkeypatch):
     """The stack is built from the members' logical vectors on first use,
     equals a fresh outer-product build, refuses writes, and is what linear
     inversion, the design matrix, the fit and the bootstrap read: none of
     them builds another."""
+    tomography._unbiased_set.cache_clear()  # a fresh set, not one shared with earlier tests
     tset = set_maker(lattice, packet)
     fresh = np.array(
         [np.outer(v, v.conj()) for v in map(hilbert.logical_vector, tset.states())]
@@ -575,6 +610,29 @@ def test_bootstrap_estimate_matches_mle_reconstruct(lattice, packet, tset):
         assert est.fidelity_vs_target == pytest.approx(
             single.fidelity_vs_target, rel=0.0, abs=1e-6
         )
+
+
+@pytest.mark.parametrize("name", ["phi_plus", "p_plus", "rl_bell", "h0"])
+def test_bootstrap_fidelities_equal_per_replica_fidelity(name, lattice, packet, tset, monkeypatch):
+    """A pure target's replica fidelities, taken in one stacked product, are
+    the values `fidelity` gives each replica, bit for bit."""
+    fits, fit = [], tomography._fit
+
+    def recording_fit(*args):
+        fits.append(fit(*args))
+        return fits[-1]
+
+    monkeypatch.setattr(tomography, "_fit", recording_fit)
+    target = hilbert.named_state(name, lattice, packet)
+    for seed in range(4):
+        counts = simulate_counts(
+            target, tset, 1000.0, visibility=0.94, master_seed=seed, delays=compact_delays()
+        ).counts
+        boot = bootstrap_errors(counts, tset, 0.94, target, replicas=40, seed=seed)
+        rhos = fits[-1].rho[1:][fits[-1].converged[1:]]
+        expected = [fidelity(rho, target) for rho in rhos]
+        assert boot.fidelities.tolist() == expected
+        assert boot.fidelity_std == float(np.std(expected, ddof=1))
 
 
 def test_fits_take_density_matrix_targets(lattice, packet, tset, rng):
