@@ -22,6 +22,7 @@ act as a global phase; a plan that annihilates the photon scores 0.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,7 +63,7 @@ class HalfWavePlate:
         object.__setattr__(self, "theta", _wrap_angle(self.theta))
 
     def jones(self) -> np.ndarray:
-        c2, s2 = np.cos(2 * self.theta), np.sin(2 * self.theta)
+        c2, s2 = math.cos(2 * self.theta), math.sin(2 * self.theta)
         return np.array([[c2, s2], [s2, -c2]], dtype=complex)
 
 
@@ -74,13 +75,9 @@ class QuarterWavePlate:
         object.__setattr__(self, "theta", _wrap_angle(self.theta))
 
     def jones(self) -> np.ndarray:
-        c, s = np.cos(self.theta), np.sin(self.theta)
-        return np.array(
-            [
-                [c * c + 1j * s * s, c * s * (1 - 1j)],
-                [c * s * (1 - 1j), s * s + 1j * c * c],
-            ]
-        )
+        c, s = math.cos(self.theta), math.sin(self.theta)
+        cross = c * s * (1 - 1j)
+        return np.array([[c * c + 1j * s * s, cross], [cross, s * s + 1j * c * c]])
 
 
 @dataclass(frozen=True)
@@ -91,7 +88,7 @@ class Polarizer:
         object.__setattr__(self, "theta", _wrap_angle(self.theta))
 
     def jones(self) -> np.ndarray:
-        c, s = np.cos(self.theta), np.sin(self.theta)
+        c, s = math.cos(self.theta), math.sin(self.theta)
         return np.array([[c * c, c * s], [c * s, s * s]], dtype=complex)
 
 

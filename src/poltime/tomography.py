@@ -247,11 +247,6 @@ def linear_inversion(p_values, tset: TomographySet) -> tuple[np.ndarray, bool]:
     return rho, negative
 
 
-def _inversion(p: np.ndarray, projs: np.ndarray) -> np.ndarray:
-    """Least-squares Hermitian matrices for (B, members) values of `projs`."""
-    return _hermitian(p @ _pseudo_inverse(_design(projs)).T)
-
-
 def _pseudo_inverse(a: np.ndarray) -> np.ndarray:
     u, s, vt = np.linalg.svd(a, full_matrices=False)
     # The rank by numpy's matrix_rank cut-off must be the column count.
@@ -326,12 +321,6 @@ def _project(mats: np.ndarray, power: float = 1.0) -> np.ndarray:
     return (evecs * weights[:, None, :] ** power) @ evecs.conj().transpose(0, 2, 1)
 
 
-def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Real Frobenius inner products Re tr(a^dag b) of two stacks: the sum
-    of Re a Re b + Im a Im b, taken over real views."""
-    return np.einsum("bij,bij->b", a.view(float), b.view(float))
-
-
 class _Fit(NamedTuple):
     """Per-row results of `_fit`; `converged` says whether the final gap met
     the tolerance, and `iterations` counts steps tried, rejected ones included."""
@@ -364,13 +353,20 @@ def _fit(
     n_i / q_i) and G = sum_i phi_i P_i the gradient in rho, the gradient in a
     is g = J^T phi, J_i = 2 (Q_i - f_i) a, and the Hessian H = J^T D J +
     2 (sum_i phi_i Q_i - nu) - 2 (g a^T + a g^T), D = diag(V^2 n / q^2) and
-    nu = Re tr(G rho).  As sum_i phi_i Q_i >= lambda_min(G) and g is
-    orthogonal to a, H + lambda >= J^T D J + gap for lambda = 3 gap + 2 |g|:
-    one batched 16 x 16 solve per pass gives a descent step, and lambda -> 0
-    at the optimum.  A row keeps its step unless sum(N q - n log q) rises by
-    more than its rounding, _GAP_ROUNDING eps sum_i(n_i + N_i); else it stays
-    put and doubles lambda.  The start is the square root of the projected
-    linear inversion.
+    nu = Re tr(G rho) = sum_i phi_i f_i.  As sum_i phi_i Q_i >= lambda_min(G)
+    and g is orthogonal to a, H + lambda >= J^T D J + gap for lambda = 3 gap
+    + 2 |g|: one batched 16 x 16 solve per pass gives a descent step, and
+    lambda -> 0 at the optimum.  A row keeps its step unless sum(N q - n log q)
+    rises by more than its rounding, _GAP_ROUNDING eps sum_i(n_i + N_i); else
+    it stays put and doubles lambda.  The start is the square root of the
+    projected linear inversion.
+
+    The tables fold V in: one matmul of a stacks V Q_i a, whose products with
+    a are V f_i, so a pass never forms rho and nu needs no complex product.
+    The step solves the halved system (H + lambda) delta / 2 = -g / 2, built
+    from V J_i / 2 = V Q_i a - V f_i a.  Every trial point gets its objective
+    and gap; only rows that go on get a Hessian.  rho = A^2 is formed once,
+    for the stopped rows, and the deviance comes from their final q.
 
     A row stops once its Frank-Wolfe gap Re tr(G rho) - lambda_min(G) is at
     most its tolerance max(_GAP_TOL, _GAP_ROUNDING eps sum_i(n_i + N_i)), or
@@ -379,83 +375,86 @@ def _fit(
     verdict.
     """
     inverse, quad = _fit_tables(projs) if tables is None else tables
-    # On the float view (B, 32) of a (B, 4, 4) stack, V tr(P rho) is one
-    # real matmul with `read`, and the gradient's sum over P one with `span`.
-    flat = projs.reshape(len(projs), -1).view(float)
-    read, span = np.ascontiguousarray(visibility * flat.T), -visibility * flat
     members, dim = quad.shape[:2]
-    pairs, eye = quad.reshape(-1, dim).T, np.eye(dim)  # a @ pairs stacks Q_i a
+    # V Q_i as (M, 256) rows for the curvature and (16, M 16) columns, so a @ pairs
+    # stacks V Q_i a; the gradient's sum over P is one matmul with `span`.
+    quad_v = visibility * quad.reshape(members, -1)
+    pairs = quad_v.reshape(-1, dim).T
+    span = -visibility * projs.reshape(members, -1).view(float)
 
-    def dip_ratio(rho):
-        return np.maximum(1.0 - rho.reshape(len(rho), -1).view(float) @ read, _Q_FLOOR)
-
-    def point(a, n, big_n):
-        """(a, rho, objective sum(N q - n log q), gap, g, H, lambda) at the
-        coordinates a (R, 16), scaled to unit norm."""
-        a = a / np.linalg.norm(a, axis=1)[:, None]
-        root = (a @ _HERM_FLAT).view(complex).reshape(-1, _DIM, _DIM)
-        rho = root @ root
-        q = dip_ratio(rho)
+    def value(a, n, big_n):
+        """(a, V Q_i a, V f_i, q, N - n / q, nu, gap, sum(N q - n log q)) at a / |a|."""
+        a = a / np.sqrt((a * a).sum(axis=1))[:, None]  # np.linalg.norm's sums
+        qv = (a @ pairs).reshape(len(a), members, dim)
+        fv = (qv @ a[:, :, None])[:, :, 0]
+        q = np.maximum(1.0 - fv, _Q_FLOOR)
         slope = big_n - n / q
-        grad = (slope @ span).view(complex).reshape(rho.shape)
-        nu = _inner(grad, rho)
-        gaps = nu - np.linalg.eigvalsh(grad)[:, 0]
-        qa = (a @ pairs).reshape(len(a), members, dim)
-        jac = 2.0 * (qa - (qa @ a[:, :, None]) * a[:, None, :])
-        phi = -visibility * slope
-        g = (phi[:, None, :] @ jac)[:, 0]
-        outer = g[:, :, None] * a[:, None, :]
-        curvature = (jac.transpose(0, 2, 1) * (visibility**2 * n / q**2)[:, None, :]) @ jac
-        curvature += 2.0 * (phi @ quad.reshape(members, -1)).reshape(-1, dim, dim)
-        curvature -= 2.0 * (nu[:, None, None] * eye + outer + outer.transpose(0, 2, 1))
+        nu = -(slope * fv).sum(axis=1)
+        gap = nu - np.linalg.eigvalsh((slope @ span).view(complex).reshape(-1, _DIM, _DIM))[:, 0]
+        return a, qv, fv, q, slope, nu, gap, (big_n * q - n * np.log(q)).sum(axis=1)
+
+    def newton_step(point, two_n, boost):
+        """Each row's step from its point, with lambda times `boost` if given."""
+        a, qv, fv, q, slope, nu, gap, _ = point
+        jv = qv - fv[:, :, None] * a[:, None, :]
+        half_g = -(slope[:, None, :] @ jv)[:, 0]
+        h = (jv.transpose(0, 2, 1) * (two_n / q**2)[:, None, :]) @ jv
+        h -= (slope @ quad_v).reshape(h.shape)
+        outer = half_g[:, :, None] * a[:, None, :]
+        h -= 2.0 * (outer + outer.transpose(0, 2, 1))
         # At 2 gap + 2 |g|, the least damping the bound allows, H + lambda is
         # near-singular along the direction that turns the range out of a
         # rank-deficient start, and steps there overshoot: 59 steps were
         # rejected over the stress grid, the above-onset stacks of
         # tests/test_fit_reference.py and 60 bootstrap stacks, whose worst
         # row took 30 passes; with 3 gap none was, and the worst took 14.
-        lam = 3.0 * gaps + 2.0 * np.linalg.norm(g, axis=1)
-        return a, rho, np.sum(big_n * q - n * np.log(q), axis=1), gaps, g, curvature, lam
+        # The system is halved: (H + lambda) / 2, of lambda / 2 = half_lam.
+        half_lam = 1.5 * gap + 2.0 * np.sqrt((half_g * half_g).sum(axis=1))
+        if boost is not None:
+            half_lam *= boost
+        h.reshape(len(h), -1)[:, :: dim + 1] += (half_lam - nu)[:, None]
+        return np.linalg.solve(h, -half_g[:, :, None])[:, :, 0]
 
     p_hat = np.clip((1.0 - n / baseline) / visibility, 0.0, 1.0)
     root = _project(_hermitian(p_hat @ inverse.T), 0.5)
-    state = point(root.reshape(len(n), -1).view(float) @ _HERM_FLAT.T, n, baseline)
+    point = value(root.reshape(len(n), -1).view(float) @ _HERM_FLAT.T, n, baseline)
     slack = _GAP_ROUNDING * np.finfo(float).eps * (n + baseline).sum(axis=1)
     tolerance = np.maximum(_GAP_TOL, slack)
-    rows, n_run, big_n, tol = np.arange(len(n)), n, baseline, tolerance
-    rho, gap_out = np.empty_like(state[1]), np.empty(len(n))
-    iterations = np.zeros(len(n), dtype=int)
+    rows, n_run, two_n, big_n, tol = np.arange(len(n)), n, 2.0 * n, baseline, tolerance
+    a_out, q_out, gap_out = np.empty((len(n), dim)), np.empty(n.shape), np.empty(len(n))
+    iterations, boost = np.zeros(len(n), dtype=int), None
     # Every running row tries one step per pass, so a row that stops at
     # pass k took k steps.  The running rows stay compacted.
     for k in range(_MAX_ITER + 1):
-        done = (state[3] <= tol) | (k == _MAX_ITER)
+        done = (point[6] <= tol) | (k == _MAX_ITER)
         if done.any():
-            out = rows[done]
-            rho[out], gap_out[out], iterations[out] = state[1][done], state[3][done], k
-            rows, n_run, big_n, tol, slack = (
-                arr[~done] for arr in (rows, n_run, big_n, tol, slack)
+            out, keep = rows[done], ~done
+            a_out[out], q_out[out], gap_out[out] = point[0][done], point[3][done], point[6][done]
+            iterations[out] = k
+            rows, n_run, two_n, big_n, tol, slack = (
+                arr[keep] for arr in (rows, n_run, two_n, big_n, tol, slack)
             )
-            state = tuple(arr[~done] for arr in state)
+            point = tuple(arr[keep] for arr in point)
+            boost = None if boost is None else boost[keep]
             if rows.size == 0:
                 break
-        a, _, objective, _, g, curvature, lam = state
-        step = np.linalg.solve(curvature + lam[:, None, None] * eye, -g[:, :, None])[:, :, 0]
-        new = point(a + step, n_run, big_n)
-        ok = new[2] <= objective + slack
+        new = value(point[0] + newton_step(point, two_n, boost), n_run, big_n)
+        ok = new[7] <= point[7] + slack
         if not ok.all():
-            # A rejected step keeps the row's point and damps it harder; no
-            # measured step was rejected, so the doubling is untuned.
-            old = (*state[:6], 2.0 * lam)
-            new = tuple(
-                np.where(ok.reshape(-1, *[1] * (now.ndim - 1)), now, was)
-                for now, was in zip(new, old)
-            )
-        state = new
-    mu = baseline * dip_ratio(rho)
+            # A rejected step keeps the row's point and doubles its lambda by
+            # `boost`, which an accepted step resets.  A seeded search of 6000
+            # random product-set rows met 3 that reject a step, each once, so
+            # the doubling is untuned.
+            for now, was in zip(new, point):
+                now[~ok] = was[~ok]
+        boost = None if ok.all() else np.where(ok, 1.0, 2.0 if boost is None else 2.0 * boost)
+        point = new
+    root = (a_out @ _HERM_FLAT).view(complex).reshape(-1, _DIM, _DIM)
+    mu = baseline * q_out
     # Zero-count terms reduce to mu: n log(mu / n) -> 0.
     deviance = np.sum(mu - n - n * np.log(mu / np.where(n > 0, n, 1.0)), axis=1)
     # A row stopped at the cap converged only if its last gap met the tolerance.
-    return _Fit(rho, deviance, gap_out, tolerance, gap_out <= tolerance, iterations)
+    return _Fit(root @ root, deviance, gap_out, tolerance, gap_out <= tolerance, iterations)
 
 
 def _unpack_counts(
@@ -566,8 +565,12 @@ def bootstrap_errors(
     solver's one stop rule, and the stack's Newton passes run until its
     slowest row stops.  Replicas the solver reports unconverged are
     dropped; more than 10 percent of them failing is an error, checked
-    first.  A seed the scan seeds' check refuses raises ValueError.
+    first.  A `replicas` that is not an integer (a bool, a float or a
+    string) or is below 2 raises ValueError, as does a seed the scan seeds'
+    check refuses.
     """
+    if isinstance(replicas, bool) or not isinstance(replicas, (int, np.integer)):
+        raise ValueError(f"replicas must be an integer, got {replicas!r}")
     if replicas < 2:
         raise ValueError("bootstrap needs at least 2 replicas")
     seed = experiment._check_seed(seed)

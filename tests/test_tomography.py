@@ -2,6 +2,7 @@
 fidelity, bootstrap, and the forward count simulator."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -508,7 +509,8 @@ def test_bootstrap_stacks_converge_in_few_passes_and_turn_the_range(name, lattic
         assert fit.converged.all()
         slowest.append(fit.iterations.max())
         p_hat = np.clip((1.0 - stack / baseline) / v_hat, 0.0, 1.0)
-        weights, vectors = np.linalg.eigh(tomography._project(tomography._inversion(p_hat, projs)))
+        start = tomography._hermitian(p_hat @ tset.fit_tables[0].T)
+        weights, vectors = np.linalg.eigh(tomography._project(start))
         for w, vec, rho in zip(weights, vectors, fit.rho):
             null = vec[:, w <= hilbert.EIGENVALUE_TOL]
             turned += np.trace(null.conj().T @ rho @ null).real > 1e-4
@@ -656,6 +658,24 @@ def test_bootstrap_requires_replicas(tset, lattice, packet):
     counts = exact_counts(np.eye(4) / 4, tset)
     with pytest.raises(ValueError):
         bootstrap_errors(counts, tset, 1.0, target, replicas=1)
+
+
+@pytest.mark.parametrize("replicas", [10.0, np.float64(3.0), "10", True, np.bool_(True), None])
+def test_bootstrap_names_a_replicas_that_is_not_an_integer(replicas, tset, lattice, packet):
+    target = hilbert.named_state("p_plus", lattice, packet)
+    counts = exact_counts(np.eye(4) / 4, tset)
+    message = f"replicas must be an integer, got {replicas!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        bootstrap_errors(counts, tset, 1.0, target, replicas=replicas)
+
+
+def test_bootstrap_accepts_numpy_integer_replicas(tset, lattice, packet):
+    target = hilbert.named_state("p_plus", lattice, packet)
+    counts = exact_counts(np.eye(4) / 4, tset)
+    boot = bootstrap_errors(counts, tset, 1.0, target, replicas=np.int64(3), seed=2)
+    same = bootstrap_errors(counts, tset, 1.0, target, replicas=3, seed=2)
+    assert boot.replicas_used == 3
+    np.testing.assert_array_equal(boot.fidelities, same.fidelities)
 
 
 # ---------------------------------------------------------------------------
