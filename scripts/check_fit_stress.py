@@ -81,7 +81,7 @@ def main() -> int:
     table: dict[float, list] = {}
     t0 = time.perf_counter()
     for n0, v_fit, n, baseline, projs in stacks(args.truths, args.max_exponent):
-        fit = tomography._fit(n, baseline, projs, v_fit)
+        fit = tomography._fit(n, baseline, tomography._fit_tables(projs), v_fit)
         row = table.setdefault(n0, [0, []])
         row[0] += len(n)
         row[1].extend(fit.iterations[fit.converged])

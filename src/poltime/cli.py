@@ -36,7 +36,7 @@ DEFAULT_HALF_SPAN_S = 8e-12
 DEFAULT_STEP_S = 5e-14
 DEFAULT_REPLICAS = 100
 # Size caps: every scan of a run is drawn and held as one (scans, points)
-# block, the bootstrap as one (replicas, members) stack, and the scan
+# block, the bootstrap as one (replicas, readings) stack, and the scan
 # model as (points, bins, bins) arrays.  numpy's Poisson sampler refuses
 # means above about 9.2e18; noiseless runs draw too, in the bootstrap.
 MAX_GRID_POINTS = 100_001
@@ -417,8 +417,9 @@ def cmd_tomography(cfg: ExperimentConfig, out_dir: Path, timestamp: bool, noisel
 
     p_hat = np.clip(1.0 - bundle.counts[:, 0] / bundle.counts[:, 1], 0.0, 1.0)
     rows = ["label,p_hat,dip_counts,baseline_counts"]
-    for label, (n_i, big_n), p in zip(tset.labels(), bundle.counts, p_hat):
-        rows.append(f"{label},{p:.17g},{n_i:.17g},{big_n:.17g}")
+    labels = tset.labels()
+    for member, (n_i, big_n), p in zip(tset.reading_columns[1], bundle.counts, p_hat):
+        rows.append(f"{labels[member]},{p:.17g},{n_i:.17g},{big_n:.17g}")
     (out_dir / "projections.csv").write_text("\n".join(rows) + "\n")
     return EXIT_OK
 

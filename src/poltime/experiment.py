@@ -479,10 +479,14 @@ def sample_scans(
     """Scan the encoded state against each ancilla, all on one delay grid at
     one baseline and visibility, with one seed per scan: the traces of one
     sample_block, each equal to the one its scan gives alone.  Raises
-    ValueError as ScanConfig and sample_block do.
+    ValueError as ScanConfig and sample_block do, and if the ancillas are
+    none or not one per seed.
     """
     grid = ScanConfig(delays, baseline_counts, 0, visibility).delays
     seeds = [_check_seed(seed) for seed in seeds]
+    if not ancillas or len(ancillas) != len(seeds):
+        got = f"{len(ancillas)} ancillas and {len(seeds)} seeds"
+        raise ValueError(f"a scan needs one ancilla per seed, got {got}")
     return sample_block(
         encoded, ancillas, seeds, grid, baseline_counts, visibility, noiseless
     ).traces()

@@ -102,6 +102,8 @@ def scan_traces(encoded, ancillas, delays, vis: float = 1.0) -> np.ndarray:
     bilinear form past 1 by O(envelope_overlap(tau)^2), which is far below
     1e-12 for resolvable bins.
     """
+    if not len(ancillas):
+        raise ValueError("a scan block needs at least one ancilla")
     for ancilla in ancillas:
         _require_shared_envelope(encoded, ancilla)
     if len({ancilla.bin_count for ancilla in ancillas}) > 1:

@@ -5,7 +5,8 @@ dip depth estimates p_i = <psi_i| rho |psi_i>.  A scan prepares one member
 as the ancilla.  The set's readings table says which dip reads which
 projector: one (scan, lag, member) triple per dip at the lags of
 `experiment.reading_lags`, so every scan reads its own ancilla at lag 0 and
-a single-bin ancilla's scan also the bin-shifted projector at lag +-1.
+a single-bin ancilla's scan also the bin-shifted projector at lag +-1.  Each
+reading is one (n_i, N_i) count pair and one term of the likelihood.
 
 The default set is the complete set of mutually unbiased two-qubit bases
 (Wootters and Fields, Ann. Phys. 191, 363, 1989; Adamson and Steinberg,
@@ -69,7 +70,8 @@ class TomographySet:
     member `scans[j]` as its ancilla.  `readings` has one (scan, lag,
     member) triple per dip read, in scan order: the count of that scan at
     delay lag * tau, with the scan's baseline, estimates that member's
-    projector.  A member read by several scans pools their counts.
+    projector.  Each reading is one row of the fit, so a member read by
+    several scans is fitted once per reading.
     """
 
     members: tuple[tuple[str, PhotonState], ...]
@@ -89,9 +91,10 @@ class TomographySet:
         return _read_only(out)[0]
 
     @cached_property
-    def fit_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """The likelihood fit's tables of `projectors`, read-only and built on first use."""
-        return _read_only(*_fit_tables(self.projectors))
+    def fit_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The likelihood fit's `_fit_tables` of the readings' projectors, in
+        reading order, read-only and built on first use."""
+        return _read_only(*_fit_tables(self.projectors[self.reading_columns[1]]))
 
     @cached_property
     def reading_columns(self) -> tuple[np.ndarray, ...]:
@@ -221,28 +224,28 @@ def _design(projs: np.ndarray) -> np.ndarray:
     return projs.reshape(len(projs), -1).view(float) @ _HERM_FLAT.T
 
 
-def _fit_tables(projs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """What `_fit` reads of a projector stack besides its float view: the
-    (16, M) pseudo-inverse of the design matrix and the (M, 16, 16) table
+def _fit_tables(projs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """What `_fit` reads of an (M, 4, 4) projector stack: the stack, the
+    (16, M) pseudo-inverse of its design matrix and the (M, 16, 16) table
     Q_i[m, n] = Re tr(P_i B_m B_n).  Raises ValueError if the projectors do
     not span the operator space."""
     quad = projs.reshape(len(projs), -1).view(float) @ _HERM_PAIRS.T
-    return _pseudo_inverse(_design(projs)), quad.reshape(len(projs), _DIM * _DIM, -1)
+    return projs, _pseudo_inverse(_design(projs)), quad.reshape(len(projs), _DIM * _DIM, -1)
 
 
 def linear_inversion(p_values, tset: TomographySet) -> tuple[np.ndarray, bool]:
-    """Hermitian matrix reproducing the projector expectations.
+    """Hermitian matrix reproducing the projector expectations, one per reading.
 
     Solved by least squares, which is exact for sixteen spanning
     projectors.  Returns (rho, has_negative_eigenvalue).  Noise can push
     eigenvalues negative; nothing is clipped here.
     """
     p = np.asarray(p_values, dtype=float)
-    if p.shape != (len(tset.members),):
-        raise ValueError(f"expected {len(tset.members)} projection values")
+    if p.shape != (len(tset.readings),):
+        raise ValueError(f"expected projection values for {len(tset.readings)} readings")
     if not np.all(np.isfinite(p)):
         raise ValueError("projection values must be finite")
-    rho = _hermitian(p[None] @ tset.fit_tables[0].T)[0]
+    rho = _hermitian(p[None] @ tset.fit_tables[1].T)[0]
     negative = bool(np.linalg.eigvalsh(rho).min() < -hilbert.EIGENVALUE_TOL)
     return rho, negative
 
@@ -333,16 +336,9 @@ class _Fit(NamedTuple):
     iterations: np.ndarray
 
 
-def _fit(
-    n: np.ndarray,
-    baseline: np.ndarray,
-    projs: np.ndarray,
-    visibility: float,
-    tables: tuple[np.ndarray, np.ndarray] | None = None,
-) -> _Fit:
+def _fit(n: np.ndarray, baseline: np.ndarray, tables: tuple, visibility: float) -> _Fit:
     """Maximum-likelihood states for a stack of count sets, n and baseline (B, M),
-    of the (M, 4, 4) projector stack `projs`; `tables` are its `_fit_tables`,
-    built here if not given.
+    of the (M, 4, 4) projector stack whose `_fit_tables` are `tables`.
 
     Minimizes each row's Poisson deviance sum[mu - n - n log(mu / n)], mu =
     N q with q = max(1 - V tr(P rho), _Q_FLOOR), over density matrices rho =
@@ -374,7 +370,7 @@ def _fit(
     optimal deviance.  This is the only convergence test: callers read the
     verdict.
     """
-    inverse, quad = _fit_tables(projs) if tables is None else tables
+    projs, inverse, quad = tables
     members, dim = quad.shape[:2]
     # V Q_i as (M, 256) rows for the curvature and (16, M 16) columns, so a @ pairs
     # stacks V Q_i a; the gradient's sum over P is one matmul with `span`.
@@ -457,9 +453,7 @@ def _fit(
     return _Fit(root @ root, deviance, gap_out, tolerance, gap_out <= tolerance, iterations)
 
 
-def _unpack_counts(
-    counts, tset: TomographySet, visibility: float
-) -> tuple[np.ndarray, np.ndarray]:
+def _unpack_counts(counts, tset: TomographySet, visibility: float) -> tuple[np.ndarray, ...]:
     arr = np.asarray(counts, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValueError("counts must be a sequence of (n_i, N_i) pairs")
@@ -469,8 +463,8 @@ def _unpack_counts(
             raise ValueError(f"{name} must be finite")
     if np.any(n < 0) or np.any(baseline <= 0):
         raise ValueError("counts must be nonnegative and baselines positive")
-    if n.shape != (len(tset.members),):
-        raise ValueError(f"expected counts for {len(tset.members)} projections")
+    if n.shape != (len(tset.readings),):
+        raise ValueError(f"expected counts for {len(tset.readings)} readings")
     if not 0.0 < visibility <= 1.0:
         raise ValueError("visibility must lie in (0, 1]")
     return n, baseline
@@ -491,7 +485,7 @@ def mle_reconstruct(
     target=None,
     seed: int = 0,
 ) -> TomographyResult:
-    """Maximum-likelihood density matrix from per-projection (n_i, N_i) counts.
+    """Maximum-likelihood density matrix from per-reading (n_i, N_i) counts.
 
     The Poisson likelihood of the dip counts is convex in rho, and `_fit`'s
     damped Newton passes from the projected linear inversion reach the
@@ -504,7 +498,7 @@ def mle_reconstruct(
     random element; `seed` is accepted for compatibility and is not used.
     """
     n, baseline = _unpack_counts(counts, tset, visibility)
-    fit = _fit(n[None], baseline[None], projector_stack(tset), visibility, tset.fit_tables)
+    fit = _fit(n[None], baseline[None], tset.fit_tables, visibility)
     return _result(n, fit, target)
 
 
@@ -537,7 +531,7 @@ def logical_rho(result: TomographyResult) -> np.ndarray:
 @dataclass(frozen=True)
 class BootstrapResult:
     estimate: TomographyResult
-    fidelity_std: float
+    fidelity_std: float | None
     rho_real_std: np.ndarray
     rho_imag_std: np.ndarray
     replicas_used: int
@@ -565,9 +559,10 @@ def bootstrap_errors(
     solver's one stop rule, and the stack's Newton passes run until its
     slowest row stops.  Replicas the solver reports unconverged are
     dropped; more than 10 percent of them failing is an error, checked
-    first.  A `replicas` that is not an integer (a bool, a float or a
-    string) or is below 2 raises ValueError, as does a seed the scan seeds'
-    check refuses.
+    first.  With no target, as in `mle_reconstruct`, `fidelities` is empty
+    and `fidelity_std` is None.  A `replicas` that is not an integer (a
+    bool, a float or a string) or is below 2 raises ValueError, as does a
+    seed the scan seeds' check refuses.
     """
     if isinstance(replicas, bool) or not isinstance(replicas, (int, np.integer)):
         raise ValueError(f"replicas must be an integer, got {replicas!r}")
@@ -579,7 +574,7 @@ def bootstrap_errors(
     n_star = experiment._reset_draws(keys, itertools.repeat(n, replicas))
     stack = np.array([n, *n_star], dtype=float)
     big_n = np.broadcast_to(baseline, stack.shape)
-    fit = _fit(stack, big_n, projector_stack(tset), visibility, tset.fit_tables)
+    fit = _fit(stack, big_n, tset.fit_tables, visibility)
     rhos = fit.rho[1:][fit.converged[1:]]
     dropped = replicas - len(rhos)
     if dropped > 0.1 * replicas:
@@ -587,7 +582,9 @@ def bootstrap_errors(
             f"{dropped} of {replicas} bootstrap replicas failed to converge"
         )
     estimate = _result(n, fit, target)
-    if isinstance(target, PhotonState):  # fidelity's <v|rho|v> / |v|^2, bit for bit
+    if target is None:
+        fids = np.empty(0)
+    elif isinstance(target, PhotonState):  # fidelity's <v|rho|v> / |v|^2, bit for bit
         v = hilbert.logical_vector(target)
         mid = np.matmul(rhos, v[:, None])
         fids = np.matmul(v.conj()[None, None, :], mid)[:, 0, 0].real / float(np.vdot(v, v).real)
@@ -595,7 +592,7 @@ def bootstrap_errors(
         fids = np.array([fidelity(rho, target) for rho in rhos])
     return BootstrapResult(
         estimate=estimate,
-        fidelity_std=float(np.std(fids, ddof=1)),
+        fidelity_std=None if target is None else float(np.std(fids, ddof=1)),
         rho_real_std=np.std(rhos.real, axis=0, ddof=1),
         rho_imag_std=np.std(rhos.imag, axis=0, ddof=1),
         replicas_used=len(rhos),
@@ -611,31 +608,18 @@ def bootstrap_errors(
 
 @dataclass(frozen=True)
 class CountsBundle:
-    """Raw material of one tomography run: `drawn`, its scans at the grid points
-    of the mask `read`, and `scans`, their `experiment.sample_block` arguments.
-    `block` and its `traces` are built on first access, drawing only the rest."""
+    """Raw material of one tomography run: its counts and `scans`, the
+    `experiment.sample_block` arguments of its scans.  `traces` are built on
+    first access from the whole grid, drawn from the same per-point keys, so
+    they hold the counts the run read."""
 
-    counts: np.ndarray  # (members, 2) pairs (n_i, N_i), in member order
+    counts: np.ndarray  # (readings, 2) pairs (n_i, N_i), in reading order
     visibility_hat: float
-    drawn: experiment.ScanBlock
-    read: np.ndarray
     scans: tuple
 
     @cached_property
-    def block(self) -> experiment.ScanBlock:
-        grid = self.scans[3]
-        rest = np.flatnonzero(~self.read)
-        if not rest.size:
-            return self.drawn._replace(delays=grid)
-        other = experiment.sample_block(*self.scans, rest)
-        order = np.concatenate((np.flatnonzero(self.read), rest)).argsort()
-        whole = {name: np.hstack((getattr(self.drawn, name), getattr(other, name)))[:, order]
-                 for name in ("counts", "expected")}
-        return self.drawn._replace(delays=grid, **whole)
-
-    @cached_property
     def traces(self) -> tuple[experiment.ScanTrace, ...]:
-        return tuple(self.block.traces())
+        return tuple(experiment.sample_block(*self.scans).traces())
 
 
 def simulate_counts(
@@ -649,7 +633,7 @@ def simulate_counts(
     noiseless: bool = False,
     calibrate: bool = True,
 ) -> CountsBundle:
-    """Run every scan of the set against an encoded state and pool its readings.
+    """Run every scan of the set against an encoded state and take its readings.
 
     Scan j uses stream j + 1.  The interference visibility is calibrated
     from a scan of the encoded state against itself (stream 0); mixed
@@ -658,8 +642,8 @@ def simulate_counts(
     of the points of `delays` that `experiment.read_points` says they read,
     each as `sample_scan` of its scan alone, and read there as
     `experiment.read_block` reads them; no per-scan object is built.  Each
-    (scan, lag, member) reading adds the scan's count at lag * tau and its
-    baseline to the member's (n_i, N_i) pair.  Stream seeds come from one
+    (scan, lag, member) reading is one (n_i, N_i) pair: the scan's count at
+    lag * tau and its baseline.  Stream seeds come from one
     `experiment.derive_seeds` pass, so a master seed that is not an integer
     in [0, 2**64) raises ValueError; so do the grid, baseline and visibility
     that `experiment.ScanConfig` refuses.
@@ -669,7 +653,7 @@ def simulate_counts(
     ancillas = [encoded] * cal + [tset.members[ancilla][1] for ancilla in tset.scans]
     seeds = experiment.derive_seeds(master_seed, range(1 - cal, len(tset.scans) + 1))
     grid = experiment.ScanConfig(delays, baseline_counts, 0, visibility).delays
-    scan, member, lags, column = tset.reading_columns
+    scan, _, lags, column = tset.reading_columns
     # Column k of the dips is lags[k]; the last entry of `column` is lag 0.
     geometry = experiment.scan_geometry(encoded, ancillas)
     plateau, columns = experiment.read_points(grid, *geometry, lags)
@@ -682,9 +666,5 @@ def simulate_counts(
     v_hat = visibility
     if cal:
         v_hat = float(np.clip(1.0 - dips[0, column[-1]] / baselines[0], 0.0, 1.0))
-    # Pooled Poisson streams stay Poisson: sum dips, sum baselines, in reading order.
-    weights = (dips[scan + cal, column[:-1]], baselines[scan + cal])
-    counts = np.stack([np.bincount(member, w, len(tset.members)) for w in weights], axis=1)
-    rows = {name: getattr(block, name)[cal:] for name in ("counts", "expected", "seeds")}
-    scans = (encoded, ancillas[cal:], seeds[cal:], *args[3:])
-    return CountsBundle(counts, v_hat, block._replace(**rows), read, scans)
+    counts = np.stack((dips[scan + cal, column[:-1]], baselines[scan + cal]), axis=1)
+    return CountsBundle(counts, v_hat, (encoded, ancillas[cal:], seeds[cal:], *args[3:]))

@@ -3,6 +3,7 @@ byte-stable reruns.  The bandwidth conversion is cross-checked against a
 numerical Fourier transform of the filter's spectral amplitude."""
 
 import contextlib
+import hashlib
 import io
 import json
 import subprocess
@@ -774,6 +775,45 @@ def test_shared_tomography_sets_give_cold_start_bytes(tmp_path):
     for k, bandwidth in enumerate((3.0, 1.0, 3.0)):
         assert run(bandwidth, f"warm{k}") == cold[bandwidth]
     assert tomography._unbiased_set.cache_info().hits >= 2
+
+
+# SHA-256 of projections.csv at V = 0.94 with 2 replicas, keyed by (target,
+# filter bandwidth in nm, seed).  The unbiased set's 20 readings are its 20
+# members in member order, so these bytes are the same whether the readings
+# are fitted one row each or pooled per member, as they were when recorded.
+PROJECTIONS_SHA256 = {
+    ("phi_plus", 3.0, 0): "066ce506a271d9d78dd4f98e08d7551c37dccef83776d6af132868b0e3efff55",
+    ("phi_plus", 3.0, 1): "5ebe2afe15e0a0c3aafd503d3fd83bff27715c200d65ac9db90c8e9e05f537b0",
+    ("phi_plus", 3.0, 2): "33da6e017d49629541fe216c40cdba31d4df122043d9829e198f3e7c23f7e8f0",
+    ("phi_plus", 1.0, 0): "59e6dbd02f52cfebfe4bbd3e146dd2fafa8a6e95a5c87cb624ed913ace3da9d1",
+    ("phi_plus", 1.0, 1): "c851fb0a79e7306c2741850523e3b36e58b14ccb5b2ac379171c7ae50d1753e2",
+    ("phi_plus", 1.0, 2): "971145d569a56078d44ded002841a2b74ec1b3d6d442e396eba55ab5d1b06016",
+    ("p_plus", 3.0, 0): "08b65ba05cb00c73c727a760390e33f8a586926ad9d578d8d3de99e2e4e2ac73",
+    ("p_plus", 3.0, 1): "8b52e686d1e37a76447aca4bcc39457c94ce91d0814809f249cd79edadb42b49",
+    ("p_plus", 3.0, 2): "f6ec8705e65dd1d73183dfe5521fe4eb5a825fee6523aefeded7912515d66601",
+    ("p_plus", 1.0, 0): "569bbdfae7a766d9d286bf0f704bb820ee834ab1dbb1331519b081acfa2e4275",
+    ("p_plus", 1.0, 1): "cbf65e1e4122631a8f6c92a204d62255cbb62e764cb67fb48fb847d47192db5f",
+    ("p_plus", 1.0, 2): "5400c4568bd9a45dcf2e432398a6477f1fb53e29d2701bf72f75114eb4b6a4f9",
+    ("rl_bell", 3.0, 0): "fb1e709c945681802bbe2880080ae79f7248164f57512359f37b7ffc0eba16e0",
+    ("rl_bell", 3.0, 1): "e33343406b0cb606e50f4e9eeacb1334fb93de4d16265b7bb1868035e892bdf0",
+    ("rl_bell", 3.0, 2): "d551bd766c26c4bd0dda482e2270f73c1cdb00e0eb25a53f320c1a3998a9be04",
+    ("rl_bell", 1.0, 0): "0c25d9a971de321d7ffe82b2005685181e7233ba7c2d22a664cdfbabd439f71b",
+    ("rl_bell", 1.0, 1): "15a734dc25e88dd8630bd8dbda202cbc8c5fa1175316f4da8457e7622252304e",
+    ("rl_bell", 1.0, 2): "d8114bdd1830e57abce1f4ca638f45a18721ce2d8e83ddba6456e559aec12947",
+}
+
+
+@pytest.mark.parametrize("target, bandwidth, seed", list(PROJECTIONS_SHA256))
+def test_projections_keep_their_recorded_bytes(tmp_path, target, bandwidth, seed):
+    path = write_config(
+        tmp_path, encoded_target=target, visibility=0.94, replicas=2, seed=seed,
+        bandwidth_nm=bandwidth,
+    )
+    out = tmp_path / "tomo"
+    argv = ["tomography", "--config", path, "--out", str(out), "--no-timestamp"]
+    assert cli.main(argv) == EXIT_OK
+    digest = hashlib.sha256((out / "projections.csv").read_bytes()).hexdigest()
+    assert digest == PROJECTIONS_SHA256[target, bandwidth, seed]
 
 
 def test_seed_override_changes_samples(tmp_path):

@@ -109,6 +109,23 @@ def test_sample_scans_checks_every_seed(lattice, packet, noiseless, bad_seed):
         sample_scans(phi, [phi, phi], [0, bad_seed], delays, 100.0, noiseless=noiseless)
 
 
+@pytest.mark.parametrize("noiseless", [False, True])
+@pytest.mark.parametrize("ancillas, seeds", [(2, 1), (1, 2), (0, 0), (0, 1)])
+def test_sample_scans_need_one_ancilla_per_seed(lattice, packet, noiseless, ancillas, seeds):
+    """Unequal lists, or no ancilla at all, raise a ValueError that names
+    both lengths, instead of dropping scans or failing inside the draw."""
+    phi = hilbert.named_state("phi_plus", lattice, packet)
+    delays = compact_delay_grid(TAU, SIGMA)
+    with pytest.raises(ValueError, match=f"got {ancillas} ancillas and {seeds} seeds"):
+        sample_scans(phi, [phi] * ancillas, range(seeds), delays, 100.0, noiseless=noiseless)
+
+
+def test_scan_traces_need_an_ancilla(lattice, packet):
+    phi = hilbert.named_state("phi_plus", lattice, packet)
+    with pytest.raises(ValueError, match="at least one ancilla"):
+        hom.scan_traces(phi, [], compact_delay_grid(TAU, SIGMA))
+
+
 NOT_AN_INTEGER = "seed must be an integer"
 OUT_OF_RANGE = "seed must fit in an unsigned 64-bit integer"
 

@@ -40,6 +40,12 @@ steps in other arithmetic, so it must take the same passes on every row
 and land within each row's gap tolerance of the copy's deviance.  `_inner`
 and `_inversion` are helpers the copied solvers read, kept here with the
 package's old definitions.
+
+`pooled_counts` is how the package folded readings into one (n, N) pair per
+set member before each reading became its own row of the fit.  Pooling is
+exact in the likelihood, so on the product set, whose bin-0 and tau members
+are each read by two scans, a per-reading fit must land where the pooled
+fit on the member tables does.
 """
 
 import numpy as np
@@ -197,7 +203,7 @@ def test_fit_matches_reference_solver(set_fixture, visibility, n0, request):
     n[5, -2:] = 0.0
     baseline = np.full_like(n, n0)
 
-    fit = tomography._fit(n, baseline, projs, visibility)
+    fit = tomography._fit(n, baseline, _fit_tables(projs), visibility)
     rho, deviance, gap = fit.rho, fit.deviance, fit.gap
     rho_ref, deviance_ref, gap_ref, _ = reference_fit(n, baseline, tset, visibility)
 
@@ -330,7 +336,7 @@ def parent_fit(
 def assert_fits_match_parent(n, baseline, projs, visibility, truths, n0):
     """The fits of rows below the onset all converge and match the parent's
     within the stated tolerances."""
-    fit = tomography._fit(n, baseline, projs, visibility)
+    fit = tomography._fit(n, baseline, _fit_tables(projs), visibility)
     rho_old, deviance_old, gap_old, _ = parent_fit(n, baseline, projs, visibility)
     assert np.all(fit.tolerance == _GAP_TOL)
     assert fit.converged.all() and np.all(gap_old <= _GAP_TOL)
@@ -387,7 +393,7 @@ def test_fit_above_the_onset_meets_its_scaled_tolerance(
     projs = projector_stack(request.getfixturevalue(set_fixture))
     eps = np.finfo(float).eps
     for truths, n, baseline in count_stacks(projs, visibility, (5, 6, 7, 9, 12, 15, 18)):
-        fit = tomography._fit(n, baseline, projs, visibility)
+        fit = tomography._fit(n, baseline, _fit_tables(projs), visibility)
         rho_old, deviance_old, _, iterations_old = parent_fit(n, baseline, projs, visibility)
         tolerance = 4.0 * eps * (n + baseline).sum(axis=1)
         assert np.all(tolerance > _GAP_TOL)
@@ -431,8 +437,8 @@ def parent_newton_fit(
     tables: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[_Fit, np.ndarray]:
     """Maximum-likelihood states for a stack of count sets, n and baseline (B, M),
-    of the (M, 4, 4) projector stack `projs`; `tables` are its `_fit_tables`,
-    built here if not given.
+    of the (M, 4, 4) projector stack `projs`; `tables` are the pseudo-inverse
+    and Q table of its `_fit_tables`, built here if not given.
 
     Minimizes each row's Poisson deviance sum[mu - n - n log(mu / n)], mu =
     N q with q = max(1 - V tr(P rho), _Q_FLOOR), over density matrices rho =
@@ -457,7 +463,7 @@ def parent_newton_fit(
     optimal deviance.  This is the only convergence test: callers read the
     verdict.
     """
-    inverse, quad = _fit_tables(projs) if tables is None else tables
+    inverse, quad = _fit_tables(projs)[1:] if tables is None else tables
     # On the float view (B, 32) of a (B, 4, 4) stack, V tr(P rho) is one
     # real matmul with `read`, and the gradient's sum over P one with `span`.
     flat = projs.reshape(len(projs), -1).view(float)
@@ -543,7 +549,7 @@ def assert_same_passes(n, baseline, projs, visibility):
     """Every row converges in the parent Newton solver's passes, to a
     deviance within its tolerance of the parent's; returns the parent's
     rejected steps per row."""
-    fit = tomography._fit(n, baseline, projs, visibility)
+    fit = tomography._fit(n, baseline, _fit_tables(projs), visibility)
     old, rejected = parent_newton_fit(n, baseline, projs, visibility)
     assert fit.converged.all() and old.converged.all()
     np.testing.assert_array_equal(fit.iterations, old.iterations)
@@ -634,3 +640,51 @@ def test_project_matches_rank_indexed_shift(kind, seed, count):
     assert np.array_equal(projected, parent_project(mats))
     assert np.allclose(np.trace(projected, axis1=1, axis2=2), 1.0, rtol=0.0, atol=1e-12)
     assert np.linalg.eigvalsh(projected).min() > -hilbert.EIGENVALUE_TOL
+
+
+# ---------------------------------------------------------------------------
+# Readings against pooling
+# ---------------------------------------------------------------------------
+
+
+def pooled_counts(counts: np.ndarray, tset: TomographySet) -> np.ndarray:
+    """Per-member (n_i, N_i) pairs of per-reading counts: a member read by
+    several scans sums their dips and their baselines, in reading order."""
+    member = tset.reading_columns[1]
+    return np.stack([np.bincount(member, w, len(tset.members)) for w in counts.T], axis=1)
+
+
+@pytest.mark.parametrize("grid", ["compact", "default"])
+@pytest.mark.parametrize("name", ["phi_plus", "p_plus", "rl_bell"])
+def test_product_set_readings_fit_where_pooling_does(name, grid, product_tset, lattice, packet):
+    """Calibrated product-set runs at V = 0.94 and N0 = 1000, six seeds: the
+    fit of the 24 readings and the pooled reference fit of the 16 members
+    both converge, the readings' estimate lies within the row's gap
+    tolerance of the pooled optimum in the pooled deviance, and the two
+    fidelities agree within 1e-9."""
+    state = hilbert.named_state(name, lattice, packet)
+    if grid == "compact":
+        delays = experiment.compact_delay_grid(lattice.tau, packet.sigma_t)
+    else:
+        delays = experiment.default_delay_grid(lattice.tau)
+    member_tables = _fit_tables(projector_stack(product_tset))
+    for seed in range(6):
+        bundle = tomography.simulate_counts(
+            state, product_tset, 1000.0, visibility=0.94, master_seed=seed, delays=delays
+        )
+        v_hat = bundle.visibility_hat
+        assert bundle.counts.shape == (len(product_tset.readings), 2) == (24, 2)
+        n, baseline = bundle.counts.T[:, None]
+        pooled_n, pooled_baseline = pooled_counts(bundle.counts, product_tset).T[:, None]
+        fit = tomography._fit(n, baseline, product_tset.fit_tables, v_hat)
+        pooled = tomography._fit(pooled_n, pooled_baseline, member_tables, v_hat)
+        assert fit.converged.all() and pooled.converged.all()
+        q = 1.0 - v_hat * np.real(np.einsum("iab,rba->ri", projector_stack(product_tset), fit.rho))
+        mu = pooled_baseline * np.maximum(q, _Q_FLOOR)
+        safe = np.where(pooled_n > 0, pooled_n, 1.0)
+        deviance = np.sum(mu - pooled_n - pooled_n * np.log(mu / safe), axis=1)
+        assert np.all(np.abs(deviance - pooled.deviance) <= fit.tolerance)
+        target = hilbert.logical_vector(state)
+        assert abs(
+            tomography.fidelity(fit.rho[0], target) - tomography.fidelity(pooled.rho[0], target)
+        ) <= 1e-9

@@ -7,7 +7,8 @@ envelope table and took its shifted vectors as the stacked complex product
 `amps @ np.swapaxes(env, -1, -2)`.  `reference_simulate_counts` is the
 per-trace readout of `tomography.simulate_counts` from that time, with each
 count drawn from its own `point_rng` and each baseline from its own plateau
-mask, written out here as it was.  The block path must give the same
+mask, written out here as it was but for one row per reading where it
+pooled the readings of a member.  The block path must give the same
 bits, not merely close numbers: an elementwise sum over the ancilla bins in
 place of the product moves some entries by an ulp, and these tests are
 there to catch exactly that.
@@ -81,10 +82,8 @@ def reference_simulate_counts(encoded, tset, baseline_counts, visibility, master
         cal = traces.pop(0)
         v_hat = float(np.clip(1.0 - cal.counts[at(cal, 0)] / baseline(cal), 0.0, 1.0))
     baselines = [baseline(trace) for trace in traces]
-    counts = np.zeros((len(tset.members), 2))
-    for j, lag, member in tset.readings:
-        counts[member] += (traces[j].counts[at(traces[j], lag)], baselines[j])
-    return counts, v_hat, [trace.counts for trace in traces]
+    counts = [(traces[j].counts[at(traces[j], lag)], baselines[j]) for j, lag, _ in tset.readings]
+    return np.array(counts), v_hat, [trace.counts for trace in traces]
 
 
 def random_pure(rng, lattice, packet):

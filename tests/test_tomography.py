@@ -46,16 +46,16 @@ def grid_setup(grid):
 
 
 def dip_depths(counts):
-    """Clamped dip depths 1 - n_i / N_i of pooled (n_i, N_i) counts."""
+    """Clamped dip depths 1 - n_i / N_i of per-reading (n_i, N_i) counts."""
     return np.clip(1.0 - counts[:, 0] / counts[:, 1], 0.0, 1.0)
 
 
 def exact_counts(rho_logical, tset, baseline=1000.0, visibility=1.0):
-    """Noise-free (n_i, N_i) pairs straight from the forward model."""
-    projs = projector_stack(tset)
+    """Noise-free (n_i, N_i) pairs straight from the forward model, one per reading."""
+    projs = projector_stack(tset)[tset.reading_columns[1]]
     expect = np.real(np.einsum("iab,ba->i", projs, rho_logical))
     q = 1.0 - visibility * expect
-    return np.stack([baseline * q, np.full(len(tset.members), baseline)], axis=1)
+    return np.stack([baseline * q, np.full(len(projs), baseline)], axis=1)
 
 
 def trace_distance(a, b):
@@ -195,7 +195,7 @@ def test_shared_set_arrays_refuse_writes(lattice, packet):
     tset = default_tomography_set(lattice, packet)
     arrays = [tset.projectors, *tset.fit_tables, *tset.reading_columns]
     arrays += [state.amplitudes for state in tset.states()]
-    assert len(arrays) == 1 + 2 + 4 + 20
+    assert len(arrays) == 1 + 3 + 4 + 20
     for arr in arrays:
         with pytest.raises(ValueError):
             arr.reshape(-1)[0] = 0
@@ -254,7 +254,7 @@ def test_linear_inversion_roundtrip(name, lattice, packet, tset):
 
 
 def test_linear_inversion_of_maximally_mixed(product_tset):
-    p = np.full(16, 0.25)
+    p = np.full(len(product_tset.readings), 0.25)
     rho, negative = linear_inversion(p, product_tset)
     assert not negative
     np.testing.assert_allclose(rho, np.eye(4) / 4, atol=1e-12)
@@ -267,7 +267,7 @@ def test_linear_inversion_least_squares_of_maximally_mixed(tset):
 
 
 def test_linear_inversion_rejects_sets_that_do_not_span(tset):
-    short = dataclasses.replace(tset, members=tset.members[:15])
+    short = dataclasses.replace(tset, members=tset.members[:15], readings=tset.readings[:15])
     with pytest.raises(ValueError, match="span"):
         linear_inversion(np.full(15, 0.25), short)
     repeated = dataclasses.replace(tset, members=tset.members[:4] * 5)
@@ -495,7 +495,6 @@ def test_bootstrap_stacks_converge_in_few_passes_and_turn_the_range(name, lattic
     outside the range of the projected linear inversion the fit starts from,
     which no step held to the start's range could reach."""
     state = hilbert.named_state(name, lattice, packet)
-    projs = projector_stack(tset)
     slowest, turned = [], 0
     for seed in range(20):
         bundle = simulate_counts(
@@ -505,11 +504,12 @@ def test_bootstrap_stacks_converge_in_few_passes_and_turn_the_range(name, lattic
         n, baseline, v_hat = bundle.counts[:, 0], bundle.counts[:, 1], bundle.visibility_hat
         n_star = experiment._reset_draws(((seed, r) for r in range(10)), [n] * 10)
         stack = np.array([n, *n_star], dtype=float)
-        fit = tomography._fit(stack, np.broadcast_to(baseline, stack.shape), projs, v_hat)
+        big_n = np.broadcast_to(baseline, stack.shape)
+        fit = tomography._fit(stack, big_n, tset.fit_tables, v_hat)
         assert fit.converged.all()
         slowest.append(fit.iterations.max())
         p_hat = np.clip((1.0 - stack / baseline) / v_hat, 0.0, 1.0)
-        start = tomography._hermitian(p_hat @ tset.fit_tables[0].T)
+        start = tomography._hermitian(p_hat @ tset.fit_tables[1].T)
         weights, vectors = np.linalg.eigh(tomography._project(start))
         for w, vec, rho in zip(weights, vectors, fit.rho):
             null = vec[:, w <= hilbert.EIGENVALUE_TOL]
@@ -653,6 +653,23 @@ def test_fits_take_density_matrix_targets(lattice, packet, tset, rng):
     assert boot_state.fidelity_std == boot_matrix.fidelity_std
 
 
+def test_bootstrap_takes_no_target(lattice, packet, tset):
+    """As in mle_reconstruct, the target is optional: without one there are
+    no fidelities, and the estimate and rho stds are those of a run with one."""
+    target = hilbert.named_state("phi_plus", lattice, packet)
+    counts = simulate_counts(
+        target, tset, 1000.0, visibility=0.94, master_seed=3, delays=compact_delays()
+    ).counts
+    bare = bootstrap_errors(counts, tset, 0.94, None, replicas=8, seed=3)
+    aimed = bootstrap_errors(counts, tset, 0.94, target, replicas=8, seed=3)
+    assert bare.estimate.fidelity_vs_target is None
+    assert bare.fidelity_std is None and bare.fidelities.size == 0
+    assert bare.replicas_used == aimed.replicas_used == 8
+    np.testing.assert_array_equal(bare.estimate.rho_hat, aimed.estimate.rho_hat)
+    np.testing.assert_array_equal(bare.rho_real_std, aimed.rho_real_std)
+    np.testing.assert_array_equal(bare.rho_imag_std, aimed.rho_imag_std)
+
+
 def test_bootstrap_requires_replicas(tset, lattice, packet):
     target = hilbert.named_state("p_plus", lattice, packet)
     counts = exact_counts(np.eye(4) / 4, tset)
@@ -683,7 +700,9 @@ def test_bootstrap_accepts_numpy_integer_replicas(tset, lattice, packet):
 # ---------------------------------------------------------------------------
 
 
-def test_simulated_counts_pool_shared_scans(lattice, packet, product_tset):
+def test_simulated_counts_keep_shared_scans_apart(lattice, packet, product_tset):
+    """A member read by two scans gets two rows, one per reading, each with
+    its own scan's baseline."""
     enc = hilbert.named_state("phi_plus", lattice, packet)
     bundle = simulate_counts(
         enc,
@@ -694,10 +713,12 @@ def test_simulated_counts_pool_shared_scans(lattice, packet, product_tset):
         noiseless=True,
     )
     assert isinstance(bundle, CountsBundle)
-    assert bundle.counts.shape == (16, 2)
-    for label, (_, big_n) in zip(product_tset.labels(), bundle.counts):
-        expected_scans = 2 if label[1:] in ("0", "t") else 1
-        assert big_n == pytest.approx(expected_scans * 1000.0, rel=1e-9)
+    assert bundle.counts.shape == (24, 2)
+    labels = product_tset.labels()
+    read = [labels[m] for _, _, m in product_tset.readings]
+    for label in labels:
+        assert read.count(label) == (2 if label[1:] in ("0", "t") else 1)
+    np.testing.assert_allclose(bundle.counts[:, 1], 1000.0, rtol=1e-9)
 
 
 def test_simulated_counts_read_each_default_member_once(lattice, packet, tset):
@@ -712,7 +733,8 @@ def test_simulated_counts_read_each_default_member_once(lattice, packet, tset):
 
 @pytest.mark.parametrize("set_fixture", ["tset", "product_tset"])
 def test_simulated_counts_follow_the_readings_table(set_fixture, request, lattice, packet):
-    """Pooled counts are the readings table applied to the scan traces."""
+    """The counts are the readings table applied to the scan traces, one
+    (dip, baseline) pair per reading in reading order."""
     tset = request.getfixturevalue(set_fixture)
     enc = hilbert.named_state("phi_plus", lattice, packet)
     bundle = simulate_counts(
@@ -720,10 +742,10 @@ def test_simulated_counts_follow_the_readings_table(set_fixture, request, lattic
     )
     traces = bundle.traces
     assert len(traces) == len(tset.scans)
-    expected = np.zeros((len(tset.members), 2))
-    for j, lag, member in tset.readings:
+    expected = []
+    for j, lag, _ in tset.readings:
         dip = traces[j].counts[np.argmin(np.abs(traces[j].delays - lag * TAU))]
-        expected[member] += (dip, experiment.estimate_baseline(traces[j]))
+        expected.append((dip, experiment.estimate_baseline(traces[j])))
     np.testing.assert_array_equal(bundle.counts, expected)
 
 
@@ -828,8 +850,8 @@ def test_simulated_counts_model_and_draw_only_read_points(
     reads.  The product set reads the dips at 0 and +-tau: 171 and 49 of
     the default grid's 321 points, all 43 of the compact grid's; the
     unbiased set reads no dip at -tau, so 42 of the compact grid's.
-    bundle.traces then model and draw only the points the run did not read,
-    so each point is drawn once, and equal sample_scan's field by field."""
+    bundle.traces then model and draw the whole grid from the same per-point
+    keys, and equal sample_scan's field by field."""
     packet, delays = grid_setup(grid)
     tset = SET_MAKERS[set_name](lattice, packet)
     enc = hilbert.named_state("phi_plus", lattice, packet)
@@ -852,8 +874,7 @@ def test_simulated_counts_model_and_draw_only_read_points(
         )
         assert modelled == drawn == [read]
         traces = bundle.traces
-    rest = delays.size - read
-    assert modelled == drawn == ([read, rest] if rest else [read])
+    assert modelled == drawn == [read, delays.size]
     assert len(traces) == len(tset.scans)
     for j, ancilla in enumerate(tset.scans):
         cfg = experiment.ScanConfig(delays, 1000.0, experiment.derive_seed(6, j + 1), 0.94)
