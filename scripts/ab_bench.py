@@ -1,23 +1,32 @@
 #!/usr/bin/env python3
 """Paired A/B timing of one benchmark workload on a parent tree and this tree.
 
-    python scripts/ab_bench.py --parent DIR [--workload W] [--ops N]
+    python scripts/ab_bench.py --parent DIR [--workload W] [--ops N] [--seed S]
+    python scripts/ab_bench.py --parent DIR --cold N
 
 DIR is another checkout of the repository, say the commit before a change.
 Both trees' `src/poltime` are loaded side by side in this one process, under
 the package names `ab_parent` and `ab_child`, and each drives its own
 instance of a workload of this tree's `perfbench/workloads.py`, at workload
-seed 0.  Operation i gets the same inputs on both sides, and the two runs of
-op i form pair i.  Pairs alternate their order (parent first on even pairs,
-this tree first on odd ones: ABBA), so a drift of the host within two pairs
-is charged to both sides alike.  Only the workload's `run` is timed, as
-perfbench times it; its `check` runs on every output, untimed.
+seed S (0 by default; a claim should also hold on a seed not used while the
+change was written).  Operation i gets the same inputs on both sides, and
+the two runs of op i form pair i.  Pairs alternate their order (parent
+first on even pairs, this tree first on odd ones: ABBA), so a drift of the
+host within two pairs is charged to both sides alike.  Only the workload's
+`run` is timed, as perfbench times it; its `check` runs on every output,
+untimed.
 
 Prints each side's median op time in raw milliseconds, the median of the
 per-pair ratios (this tree / parent) with a 95% bootstrap interval over the
 pairs, and whether every op's digest, the bytes its check says the RNG
 fixes, agreed between the sides.  Exits 1 if a digest differs or an op
 fails its check.  BLAS is held to one thread, as in perfbench.
+
+With --cold N it times N ABBA pairs of cold starts instead, perfbench's
+setup_s: each start is a fresh interpreter running this tree's
+`perfbench/setup_probe.py` on `perfbench/run.py`'s SETUP_CONFIG, with its
+side's `src` on PYTHONPATH, timed by its wall time.  It prints the same
+medians and ratio, and exits 1 if a start fails.
 """
 
 import os
@@ -28,6 +37,8 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import argparse  # noqa: E402
 import importlib  # noqa: E402
 import importlib.util  # noqa: E402
+import json  # noqa: E402
+import subprocess  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 import time  # noqa: E402
@@ -38,17 +49,22 @@ import numpy as np  # noqa: E402
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
 import workloads  # noqa: E402
+from run import SETUP_CONFIG  # noqa: E402
 
 MODULES = ("hilbert", "optics", "hom", "experiment", "tomography", "cli")
 RESAMPLES = 4000  # bootstrap resamples of the pairs
-SEED = 0  # the workload seed, which fixes every op's inputs
+
+
+def sources(tree: Path) -> Path:
+    """tree/src, which must hold the poltime package."""
+    if not (tree / "src" / "poltime" / "__init__.py").is_file():
+        raise SystemExit(f"ab_bench: no poltime sources under {tree / 'src'}")
+    return tree / "src"
 
 
 def load_tree(tree: Path, name: str):
     """The poltime package under tree/src, imported as `name` with its modules."""
-    init = tree / "src" / "poltime" / "__init__.py"
-    if not init.is_file():
-        raise SystemExit(f"ab_bench: no poltime sources under {tree / 'src'}")
+    init = sources(tree) / "poltime" / "__init__.py"
     spec = importlib.util.spec_from_file_location(
         name, init, submodule_search_locations=[str(init.parent)]
     )
@@ -78,20 +94,53 @@ def median_interval(ratios: np.ndarray) -> tuple[float, float, float]:
     return float(np.median(ratios)), float(low), float(high)
 
 
+def cold_start(tree: Path) -> float:
+    """Wall seconds of one setup probe in a fresh interpreter on tree's sources."""
+    argv = [sys.executable, str(ROOT / "perfbench" / "setup_probe.py"), json.dumps(SETUP_CONFIG)]
+    env = dict(os.environ, PYTHONPATH=str(sources(tree)))
+    start = time.perf_counter()
+    proc = subprocess.run(argv, cwd=tree, env=env, capture_output=True, text=True, timeout=120)
+    seconds = time.perf_counter() - start
+    if proc.returncode != 0:
+        raise SystemExit(f"ab_bench: setup probe failed on {tree}:\n{proc.stderr}")
+    return seconds
+
+
+def report(seconds: np.ndarray) -> None:
+    """Each side's median and the median pair ratio with its interval."""
+    ratio, low, high = median_interval(seconds[:, 1] / seconds[:, 0])
+    for k, label in enumerate(("parent", "this tree")):
+        print(f"{label:>9}: median {1e3 * np.median(seconds[:, k]):.3f} ms")
+    print(f"ratio this tree / parent: median {ratio:.3f}, 95% interval [{low:.3f}, {high:.3f}]")
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", type=Path, required=True, help="the other checkout")
     ap.add_argument("--workload", choices=list(workloads.WORKLOADS), default="tomography_run")
     ap.add_argument("--ops", type=int, default=200, help="pairs of ops to time")
+    ap.add_argument("--seed", type=int, default=0, help="workload seed, which fixes every op's inputs")
+    ap.add_argument("--cold", type=int, metavar="N", help="time N pairs of cold starts instead")
     args = ap.parse_args(argv)
     if args.ops < 2:
         ap.error("--ops must be at least 2")
+    if args.cold is not None:
+        if args.cold < 2:
+            ap.error("--cold must be at least 2")
+        trees = (args.parent.resolve(), ROOT)
+        seconds = np.empty((args.cold, 2))
+        for i in range(args.cold):
+            for k in (0, 1) if i % 2 == 0 else (1, 0):
+                seconds[i, k] = cold_start(trees[k])
+        print(f"cold starts, {args.cold} ABBA pairs, one BLAS thread")
+        report(seconds)
+        return 0
     trees = (load_tree(args.parent.resolve(), "ab_parent"), load_tree(ROOT, "ab_child"))
     seconds = np.empty((args.ops, 2))
     differ, problems = [], []
     with tempfile.TemporaryDirectory() as work:
         sides = [
-            workloads.WORKLOADS[args.workload](pt, SEED, Path(work) / str(k), False)
+            workloads.WORKLOADS[args.workload](pt, args.seed, Path(work) / str(k), False)
             for k, pt in enumerate(trees)
         ]
         for w in sides:
@@ -103,11 +152,8 @@ def main(argv=None) -> int:
                 problems += [f"op {i}, {('parent', 'this tree')[k]}: {p}" for p in found]
             if digests[0] != digests[1]:
                 differ.append(i)
-    ratio, low, high = median_interval(seconds[:, 1] / seconds[:, 0])
-    print(f"workload {args.workload}, {args.ops} ABBA pairs, one BLAS thread")
-    for k, label in enumerate(("parent", "this tree")):
-        print(f"{label:>9}: median {1e3 * np.median(seconds[:, k]):.3f} ms")
-    print(f"ratio this tree / parent: median {ratio:.3f}, 95% interval [{low:.3f}, {high:.3f}]")
+    print(f"workload {args.workload}, {args.ops} ABBA pairs, seed {args.seed}, one BLAS thread")
+    report(seconds)
     if differ:
         print(f"digests: {len(differ)} of {args.ops} ops differ, first op {differ[0]}")
     else:

@@ -11,8 +11,9 @@ gives many streams' seeds from one master seed in one array pass.
 sample_block runs the scans of one encoded state against many ancillas on
 one grid, at one baseline and visibility, as one ScanBlock of (scans,
 points) arrays; sample_scans and sample_scan wrap its rows as ScanTraces.
-The expectations are one hom.scan_traces block, and every count is drawn in
-a single array pass over the points' keys (_keyed_poisson).  That computes
+It is a seed-free block_model, whose expectations are one hom.scan_traces
+block, and draw_block, which draws every count in a single array pass over
+the points' keys (_keyed_poisson).  That computes
 the first Philox block of every key in exact array code and settles most
 points there with numpy's transformed-rejection (PTRS) sampler, on the
 block's two candidates at once: the quick test and reject rules, then the
@@ -452,25 +453,40 @@ class ScanBlock(NamedTuple):
         return [ScanTrace(self.delays, c, e, seed, *shared) for c, e, seed in rows]
 
 
+def block_model(
+    encoded, ancillas, delays, baseline_counts, visibility, points=None
+) -> ScanBlock:
+    """sample_block's ScanBlock before its draw, with counts, seeds and
+    noiseless None: the expectations N0 * R(delta) of one hom.scan_traces
+    call.  Raises ValueError on a grid that does not reach past plateau_reach."""
+    tau, sigma_t, n_bins = scan_geometry(encoded, ancillas)
+    reach = plateau_reach(tau, sigma_t, n_bins)
+    if not (delays[-1] > reach and delays[0] < -reach):
+        raise ValueError(f"delay grid must reach past +-{reach:.3e} s to expose the baseline")
+    grid = delays if points is None else delays[points]
+    expected = baseline_counts * hom.scan_traces(encoded, ancillas, grid, visibility)
+    return ScanBlock(grid, None, expected, None, tau, sigma_t, n_bins, None)
+
+
+def draw_block(model: ScanBlock, seeds, noiseless, points=None) -> ScanBlock:
+    """The block_model drawn at checked seeds, one per scan, without writing
+    to it: point i of a scan is drawn from point_rng(its seed, i) by one
+    _keyed_poisson call, or set to the exact expectation in noiseless mode."""
+    seeds = np.asarray(seeds, dtype=_U64)
+    grid, _, expected, _, tau, sigma_t, n_bins, _ = model
+    counts = expected.copy() if noiseless else _keyed_poisson(seeds, expected, points)
+    return ScanBlock(grid, counts, expected, seeds, tau, sigma_t, n_bins, noiseless)
+
+
 def sample_block(
     encoded, ancillas, seeds, delays, baseline_counts, visibility, noiseless, points=None
 ) -> ScanBlock:
     """The scans of sample_scans as one block, on a grid, baseline, visibility
     and seeds that ScanConfig has checked, at all points or the sorted grid
-    indices `points`.  The expectations N0 * R(delta) are one hom.scan_traces
-    call, and point i of a scan is drawn from point_rng(its seed, i) by one
-    _keyed_poisson call, or set to the exact expectation in noiseless mode.
-    Raises ValueError on a grid that does not reach past plateau_reach.
+    indices `points`: the draw_block of their block_model.
     """
-    tau, sigma_t, n_bins = scan_geometry(encoded, ancillas)
-    reach = plateau_reach(tau, sigma_t, n_bins)
-    if not (delays[-1] > reach and delays[0] < -reach):
-        raise ValueError(f"delay grid must reach past +-{reach:.3e} s to expose the baseline")
-    seeds = np.asarray(seeds, dtype=_U64)
-    grid = delays if points is None else delays[points]
-    expected = baseline_counts * hom.scan_traces(encoded, ancillas, grid, visibility)
-    counts = expected.copy() if noiseless else _keyed_poisson(seeds, expected, points)
-    return ScanBlock(grid, counts, expected, seeds, tau, sigma_t, n_bins, noiseless)
+    model = block_model(encoded, ancillas, delays, baseline_counts, visibility, points)
+    return draw_block(model, seeds, noiseless, points)
 
 
 def sample_scans(

@@ -31,6 +31,8 @@ Linear inversion is kept as the unconstrained baseline and as the start.
 from __future__ import annotations
 
 import itertools
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import NamedTuple
@@ -638,7 +640,7 @@ def simulate_counts(
     Scan j uses stream j + 1.  The interference visibility is calibrated
     from a scan of the encoded state against itself (stream 0); mixed
     encoded states skip calibration and trust the configured value.  All
-    scans, the calibration scan included, are one `experiment.sample_block`
+    scans, the calibration scan included, are one `experiment.draw_block`
     of the points of `delays` that `experiment.read_points` says they read,
     each as `sample_scan` of its scan alone, and read there as
     `experiment.read_block` reads them; no per-scan object is built.  Each
@@ -647,24 +649,69 @@ def simulate_counts(
     `experiment.derive_seeds` pass, so a master seed that is not an integer
     in [0, 2**64) raises ValueError; so do the grid, baseline and visibility
     that `experiment.ScanConfig` refuses.
+
+    The seed enters only the draw.  The read points and the
+    `experiment.block_model` of their expectations come from a memo of the
+    8 models used last, keyed by the set's identity, the encoded state's
+    type, array bytes, lattice and packet, the grid's bytes, the baseline,
+    the visibility and whether row 0 is the calibration scan, so a seed
+    sweep models each target's scans once.  Its arrays refuse writes, and
+    every input is checked before it is read.
     """
     # With calibration, row 0 of the block is the self-scan and scan j is row j + 1.
     cal = int(calibrate and isinstance(encoded, PhotonState))
     ancillas = [encoded] * cal + [tset.members[ancilla][1] for ancilla in tset.scans]
     seeds = experiment.derive_seeds(master_seed, range(1 - cal, len(tset.scans) + 1))
     grid = experiment.ScanConfig(delays, baseline_counts, 0, visibility).delays
-    scan, _, lags, column = tset.reading_columns
     # Column k of the dips is lags[k]; the last entry of `column` is lag 0.
-    geometry = experiment.scan_geometry(encoded, ancillas)
-    plateau, columns = experiment.read_points(grid, *geometry, lags)
-    read = plateau.copy()
-    read[columns] = True
-    points = np.flatnonzero(read)
-    args = (encoded, ancillas, seeds, grid, baseline_counts, visibility, noiseless)
-    block = experiment.sample_block(*args, points)
-    baselines, dips = experiment._read(block.counts, plateau[points], points.searchsorted(columns))
+    scan, _, _, column = tset.reading_columns
+    _, model, points, plateau, columns = _scan_model(
+        encoded, tset, ancillas, grid, float(baseline_counts), float(visibility)
+    )
+    block = experiment.draw_block(model, seeds, noiseless, points)
+    baselines, dips = experiment._read(block.counts, plateau, columns)
     v_hat = visibility
     if cal:
         v_hat = float(np.clip(1.0 - dips[0, column[-1]] / baselines[0], 0.0, 1.0))
     counts = np.stack((dips[scan + cal, column[:-1]], baselines[scan + cal]), axis=1)
-    return CountsBundle(counts, v_hat, (encoded, ancillas[cal:], seeds[cal:], *args[3:]))
+    scans = (encoded, ancillas[cal:], seeds[cal:], grid, baseline_counts, visibility, noiseless)
+    return CountsBundle(counts, v_hat, scans)
+
+
+# Sweeps cycle a few targets; the bound caps what a sweep over fresh states keeps.
+_SCAN_MODEL_SIZE = 8
+_scan_models: OrderedDict = OrderedDict()
+_scan_models_lock = threading.Lock()
+
+
+def _scan_model(encoded, tset, ancillas, grid, baseline_counts, visibility) -> tuple:
+    """(tset, block, points, plateau, columns), the memoized model of
+    `simulate_counts`' scans of encoded against ancillas, the set's after
+    the self-scan if there is one: the `experiment.block_model` at the grid
+    indices `points` the run reads, and the plateau mask and lag columns
+    within them, all read-only.  Holding tset keeps its identity in the key
+    from passing to another set.  A model is built outside the lock and
+    stored whole, so a call that raises stores nothing."""
+    state = encoded.matrix if isinstance(encoded, DensityMatrix) else encoded.amplitudes
+    key = (
+        id(tset), type(encoded), state.tobytes(), encoded.lattice, encoded.packet,
+        grid.tobytes(), baseline_counts, visibility, len(ancillas) - len(tset.scans),
+    )  # the last entry is 1 if the block starts with the self-scan
+    with _scan_models_lock:
+        model = _scan_models.get(key)
+        if model is not None:
+            _scan_models.move_to_end(key)
+            return model
+    geometry = experiment.scan_geometry(encoded, ancillas)
+    plateau, columns = experiment.read_points(grid, *geometry, tset.reading_columns[2])
+    read = plateau.copy()
+    read[columns] = True
+    points = np.flatnonzero(read)
+    block = experiment.block_model(encoded, ancillas, grid, baseline_counts, visibility, points)
+    _read_only(block.delays, block.expected)
+    model = tset, block, *_read_only(points, plateau[points], points.searchsorted(columns))
+    with _scan_models_lock:
+        _scan_models[key] = model
+        if len(_scan_models) > _SCAN_MODEL_SIZE:
+            _scan_models.popitem(last=False)
+    return model

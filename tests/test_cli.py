@@ -777,33 +777,125 @@ def test_shared_tomography_sets_give_cold_start_bytes(tmp_path):
     assert tomography._unbiased_set.cache_info().hits >= 2
 
 
-# SHA-256 of projections.csv at V = 0.94 with 2 replicas, keyed by (target,
-# filter bandwidth in nm, seed).  The unbiased set's 20 readings are its 20
-# members in member order, so these bytes are the same whether the readings
-# are fitted one row each or pooled per member, as they were when recorded.
-PROJECTIONS_SHA256 = {
-    ("phi_plus", 3.0, 0): "066ce506a271d9d78dd4f98e08d7551c37dccef83776d6af132868b0e3efff55",
-    ("phi_plus", 3.0, 1): "5ebe2afe15e0a0c3aafd503d3fd83bff27715c200d65ac9db90c8e9e05f537b0",
-    ("phi_plus", 3.0, 2): "33da6e017d49629541fe216c40cdba31d4df122043d9829e198f3e7c23f7e8f0",
-    ("phi_plus", 1.0, 0): "59e6dbd02f52cfebfe4bbd3e146dd2fafa8a6e95a5c87cb624ed913ace3da9d1",
-    ("phi_plus", 1.0, 1): "c851fb0a79e7306c2741850523e3b36e58b14ccb5b2ac379171c7ae50d1753e2",
-    ("phi_plus", 1.0, 2): "971145d569a56078d44ded002841a2b74ec1b3d6d442e396eba55ab5d1b06016",
-    ("p_plus", 3.0, 0): "08b65ba05cb00c73c727a760390e33f8a586926ad9d578d8d3de99e2e4e2ac73",
-    ("p_plus", 3.0, 1): "8b52e686d1e37a76447aca4bcc39457c94ce91d0814809f249cd79edadb42b49",
-    ("p_plus", 3.0, 2): "f6ec8705e65dd1d73183dfe5521fe4eb5a825fee6523aefeded7912515d66601",
-    ("p_plus", 1.0, 0): "569bbdfae7a766d9d286bf0f704bb820ee834ab1dbb1331519b081acfa2e4275",
-    ("p_plus", 1.0, 1): "cbf65e1e4122631a8f6c92a204d62255cbb62e764cb67fb48fb847d47192db5f",
-    ("p_plus", 1.0, 2): "5400c4568bd9a45dcf2e432398a6477f1fb53e29d2701bf72f75114eb4b6a4f9",
-    ("rl_bell", 3.0, 0): "fb1e709c945681802bbe2880080ae79f7248164f57512359f37b7ffc0eba16e0",
-    ("rl_bell", 3.0, 1): "e33343406b0cb606e50f4e9eeacb1334fb93de4d16265b7bb1868035e892bdf0",
-    ("rl_bell", 3.0, 2): "d551bd766c26c4bd0dda482e2270f73c1cdb00e0eb25a53f320c1a3998a9be04",
-    ("rl_bell", 1.0, 0): "0c25d9a971de321d7ffe82b2005685181e7233ba7c2d22a664cdfbabd439f71b",
-    ("rl_bell", 1.0, 1): "15a734dc25e88dd8630bd8dbda202cbc8c5fa1175316f4da8457e7622252304e",
-    ("rl_bell", 1.0, 2): "d8114bdd1830e57abce1f4ca638f45a18721ce2d8e83ddba6456e559aec12947",
+# SHA-256 of each tomography artifact at V = 0.94 with 2 replicas, keyed by
+# (target, filter bandwidth in nm, seed), in ARTIFACTS order.  The unbiased
+# set's 20 readings are its 20 members in member order, so the projections
+# are the same bytes whether the readings are fitted one row each or pooled
+# per member, as they were when first recorded.
+ARTIFACTS = ("projections.csv", "result.json", "rho_real.csv", "rho_imag.csv")
+ARTIFACT_SHA256 = {
+    ("phi_plus", 3.0, 0): (
+        "066ce506a271d9d78dd4f98e08d7551c37dccef83776d6af132868b0e3efff55",
+        "23f23c81ec751bba89b233f9dd930dffb83b9772f491c53cc4262b375ed49e3d",
+        "50f4f48018b9bb489159dd2f5225fed8726db3a35fd971801c34abd397f5e8b3",
+        "541b9d1c99cc7a2e68d61ed69e8fde1f275135cb5a9db1094ae1ec21dd947967",
+    ),
+    ("phi_plus", 3.0, 1): (
+        "5ebe2afe15e0a0c3aafd503d3fd83bff27715c200d65ac9db90c8e9e05f537b0",
+        "1c81564a1758727b2bda0bb0112542fae7f02648d4ac78f1c5e81cc31f9ae5da",
+        "d816b3bf35d9e4758a146b88ef7c8a9f4e4b220b623d1249919b51e4e804edbe",
+        "29e2ac261a58937c310b33dc1b3684f5d02b5ba09521893a27e4f0f200d0f89d",
+    ),
+    ("phi_plus", 3.0, 2): (
+        "33da6e017d49629541fe216c40cdba31d4df122043d9829e198f3e7c23f7e8f0",
+        "7691b5e529aab200f2a6cc6a4e318d563043ae5b517fbb8e44db71a386de20e8",
+        "977fbf8d6ed88def615a6049a7e10c7edceafa01da345eaae411e829794495bc",
+        "18d3b21fad5e5fac4ef1aeaa06c78e0d219ea4ae49b4a5416da55ccc95bf3e30",
+    ),
+    ("phi_plus", 1.0, 0): (
+        "59e6dbd02f52cfebfe4bbd3e146dd2fafa8a6e95a5c87cb624ed913ace3da9d1",
+        "45433dd11158445ada784e0ae59c00f497ce11866b9c430e8f070d5f4e7efe95",
+        "a396859b9aebc21fee493ef1bb11210722d0a8928f23f122ffcca22356a4acc0",
+        "1f17db7708fe78daa387c0a1ab4910810d82175a13a161e530f5a4cfcc951791",
+    ),
+    ("phi_plus", 1.0, 1): (
+        "c851fb0a79e7306c2741850523e3b36e58b14ccb5b2ac379171c7ae50d1753e2",
+        "ed5c74ccbef23f6106a5e480144cabf90c9cc62f2403a5297f7650bd50095398",
+        "e3281afa6840aa6b53524f43effb4159da7c0872ff0cdc3554dcbcde885ffbab",
+        "5ee401711328bc5203aeda800ff37e5ecf8d3dafb492bb67b2cae69f4ed67bd9",
+    ),
+    ("phi_plus", 1.0, 2): (
+        "971145d569a56078d44ded002841a2b74ec1b3d6d442e396eba55ab5d1b06016",
+        "4d8bcf47b4684e82081142298875c6a35fed995ba31d0e904d8dae70c04f19c1",
+        "d5527a875404dc1e25f5c88be52691ada115a2703c995c61dd77be9578bfa083",
+        "77b4d82e535df344eb40a979291a64ea52d8ec54f866eb91e7e8f92817a8ad9d",
+    ),
+    ("p_plus", 3.0, 0): (
+        "08b65ba05cb00c73c727a760390e33f8a586926ad9d578d8d3de99e2e4e2ac73",
+        "10a4ee936cae0423d0075bcc547ed027d1b96f12dc94a81e84931c7e05c0b49b",
+        "8b3b0e66f14ddb09099e15ac5cdad396e2bc688c10e1412c295fc4b031faefd7",
+        "043607958816950a252dde7b9d43ba2533eca50dec2507b88a69d0d9ef23c39b",
+    ),
+    ("p_plus", 3.0, 1): (
+        "8b52e686d1e37a76447aca4bcc39457c94ce91d0814809f249cd79edadb42b49",
+        "b2a6391fa6140e5d063827dabb2661a2d940ac8f614ef7f81f7e0c22300fecb1",
+        "3fe19d33718be7715e92ed8f4f13c6b93a274f1d10084bc13852785b436c7f60",
+        "5bda50a91dfcf9e9509b90bd8ece8d75041631d5c061f9a27b53aa228fe7fd05",
+    ),
+    ("p_plus", 3.0, 2): (
+        "f6ec8705e65dd1d73183dfe5521fe4eb5a825fee6523aefeded7912515d66601",
+        "b389bc75491a7da14c9ac21d6883586693e204d8332c54355b1709a0b7294092",
+        "369e8906fcb2ac0d8fcab15dc0b4a1b906dde2bbd023709f9c07b0fa0a9e6661",
+        "9d78e6946dc6e56919724d71eb7a5eb7e4eda80cdfca6f8e22a34071d4dc9d22",
+    ),
+    ("p_plus", 1.0, 0): (
+        "569bbdfae7a766d9d286bf0f704bb820ee834ab1dbb1331519b081acfa2e4275",
+        "5456a8d2b44d58659ce7d6df2a66df561c242eedb3bdbd55c62ef5cd357cde9f",
+        "5bfa85e4d70ebda27bac5285dec53a7bb4831093e51a1bd8134fe9b5bc81819b",
+        "7785b846971f7441f2cff2a5e0dae416a02a9a5c0022b5e297f5f323bc6cdf5e",
+    ),
+    ("p_plus", 1.0, 1): (
+        "cbf65e1e4122631a8f6c92a204d62255cbb62e764cb67fb48fb847d47192db5f",
+        "d44312bba0b387cfde9125bd3ef85df4904ba05078bc9475986504124fce1928",
+        "9d032428e1cd40dac0b17b1d8a01d293529b24933ba94a60e0c78768bc178a5e",
+        "115c215eb1029e40b0b56db7cec42d810e5cfc29dfa050fc21be589cf5303841",
+    ),
+    ("p_plus", 1.0, 2): (
+        "5400c4568bd9a45dcf2e432398a6477f1fb53e29d2701bf72f75114eb4b6a4f9",
+        "71af2df19b0880abd2a6283fabbb0f6af4b19a083968ef1613e1dcf50d907baf",
+        "720563c13ac916a4604a0ad4b848d1e9f5d1ea8a8652bc31cc9b387ff718560b",
+        "b2f388eace9e569a35dd065003f9a175e215c81eb3bd97c6a2e382e4e8b4c51e",
+    ),
+    ("rl_bell", 3.0, 0): (
+        "fb1e709c945681802bbe2880080ae79f7248164f57512359f37b7ffc0eba16e0",
+        "cfd738423701099c8a44d7968bb5345a04b5a00fc5c4d74553fffd972c513171",
+        "cbaa4945c4d809fec657789ca0662db44f9363f981b0d5f3f6e1e4eafee50abe",
+        "0fbe2a59cebc96eed26bc82ef9e104f5a879187e13be8d276d1b53aef26e121a",
+    ),
+    ("rl_bell", 3.0, 1): (
+        "e33343406b0cb606e50f4e9eeacb1334fb93de4d16265b7bb1868035e892bdf0",
+        "ff6537fa1e604396acea03114e53ae4642c95e5479a64b37851c20e8d2732b9b",
+        "c9b321dfa7c32b9ce64f6d3f99cf40f614098cb48681228711c8dffaa2e4a15d",
+        "79aeec13606b43bdc732e15b7448b6873e83592270375e4fcb42d8ed7951499d",
+    ),
+    ("rl_bell", 3.0, 2): (
+        "d551bd766c26c4bd0dda482e2270f73c1cdb00e0eb25a53f320c1a3998a9be04",
+        "ecbb66668882b42cafa7de8ba80c92ba8dc63d975e6d0c9fa83bcc6c163a0ffb",
+        "b0edabdb127e40b567191ee14fe5c6adebe18f6486a689ff12fa75a316763ba1",
+        "db86bd35309b24955a94377efc2869fc95d22f00f0d6b8234a717dc029442625",
+    ),
+    ("rl_bell", 1.0, 0): (
+        "0c25d9a971de321d7ffe82b2005685181e7233ba7c2d22a664cdfbabd439f71b",
+        "49228f4ef9e534ff622b9f635e948c7bea9196ffd2e0a51ce66da28fc2ac1362",
+        "b119423a910238c2b2e2f224dc21325e8b2059d0e6c3678f3e49e73c37ff42b2",
+        "3bdf403582f8fa237b767d4a87f3c1636a3f4daf25effe7ae8a4acba906ee5ab",
+    ),
+    ("rl_bell", 1.0, 1): (
+        "15a734dc25e88dd8630bd8dbda202cbc8c5fa1175316f4da8457e7622252304e",
+        "01522f36124aaf6e60f64d00a6bdaa6972749bdc008ef252251a1e53e70f9126",
+        "b438a9ccb84941fe274e6212e3b965b039676c40bfecdee69dcf13cf5ca5d5b1",
+        "834931ba4a8c07fef86601770990ca45f885fd07e1bcc9971bd3054734d65646",
+    ),
+    ("rl_bell", 1.0, 2): (
+        "d8114bdd1830e57abce1f4ca638f45a18721ce2d8e83ddba6456e559aec12947",
+        "3d9cd228fcc72d256ece4892041373b3c3ee5aeb85fcd33aeb06ced88c8be634",
+        "71a1557cad4b195de4c9db173e5fa5ab376f94c60725f79e0945680b94d54ff0",
+        "85fd627020e56c290bec8f46f59689338f6553ae9b863d32aea57a38e1acfbc6",
+    ),
 }
 
 
-@pytest.mark.parametrize("target, bandwidth, seed", list(PROJECTIONS_SHA256))
+@pytest.mark.parametrize("target, bandwidth, seed", list(ARTIFACT_SHA256))
 def test_projections_keep_their_recorded_bytes(tmp_path, target, bandwidth, seed):
     path = write_config(
         tmp_path, encoded_target=target, visibility=0.94, replicas=2, seed=seed,
@@ -812,8 +904,8 @@ def test_projections_keep_their_recorded_bytes(tmp_path, target, bandwidth, seed
     out = tmp_path / "tomo"
     argv = ["tomography", "--config", path, "--out", str(out), "--no-timestamp"]
     assert cli.main(argv) == EXIT_OK
-    digest = hashlib.sha256((out / "projections.csv").read_bytes()).hexdigest()
-    assert digest == PROJECTIONS_SHA256[target, bandwidth, seed]
+    digests = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest() for name in ARTIFACTS)
+    assert digests == ARTIFACT_SHA256[target, bandwidth, seed]
 
 
 def test_seed_override_changes_samples(tmp_path):

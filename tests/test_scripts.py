@@ -65,3 +65,19 @@ def test_ab_bench_reads_its_own_tree_as_equal():
     assert "workload seed_sweep, 4 ABBA pairs" in proc.stdout
     assert "ratio this tree / parent: median " in proc.stdout
     assert "digests: all 4 ops agree" in proc.stdout
+
+
+def test_ab_bench_takes_a_workload_seed():
+    args = ["--parent", str(ROOT), "--workload", "seed_sweep", "--ops", "2", "--seed", "5"]
+    proc = run_script("ab_bench.py", *args)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "workload seed_sweep, 2 ABBA pairs, seed 5" in proc.stdout
+    assert "digests: all 2 ops agree" in proc.stdout
+
+
+def test_ab_bench_times_cold_starts():
+    proc = run_script("ab_bench.py", "--parent", str(ROOT), "--cold", "2")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "cold starts, 2 ABBA pairs" in proc.stdout
+    assert "this tree: median " in proc.stdout
+    assert "ratio this tree / parent: median " in proc.stdout

@@ -3,6 +3,8 @@ fidelity, bootstrap, and the forward count simulator."""
 
 import dataclasses
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -855,6 +857,7 @@ def test_simulated_counts_model_and_draw_only_read_points(
     packet, delays = grid_setup(grid)
     tset = SET_MAKERS[set_name](lattice, packet)
     enc = hilbert.named_state("phi_plus", lattice, packet)
+    tomography._scan_models.clear()
     modelled, drawn = [], []
     scan_traces, keyed_poisson = hom.scan_traces, experiment._keyed_poisson
 
@@ -882,6 +885,184 @@ def test_simulated_counts_model_and_draw_only_read_points(
         for field in dataclasses.fields(alone):
             got, want = getattr(traces[j], field.name), getattr(alone, field.name)
             assert type(got) is type(want) and np.array_equal(got, want)
+
+
+def memo_cases(lattice):
+    """simulate_counts calls that interleave three targets and a mixed state
+    on both sets, both grids, with and without calibration and noise, as
+    (encoded, tset, delays, keyword arguments), in call order."""
+    cases = []
+    for grid in ("compact", "3nm"):
+        packet, delays = grid_setup(grid)
+        states = [hilbert.named_state(n, lattice, packet) for n in ("phi_plus", "p_plus", "rl_bell")]
+        rho = random_density_matrix(4, np.random.default_rng(5))
+        states.append(DensityMatrix(rho, lattice, packet))
+        sets = (default_tomography_set(lattice, packet), tomography.product_tomography_set(lattice, packet))
+        for tset in sets:
+            for calibrate in (True, False):
+                for master, noiseless in ((0, False), (1, True), (2, False)):
+                    for enc in states:
+                        kwargs = dict(master_seed=master, noiseless=noiseless, calibrate=calibrate)
+                        cases.append((enc, tset, delays, kwargs))
+    return cases
+
+
+def test_scan_model_memo_changes_no_bit(lattice):
+    """Interleaved runs that reuse memoized scan models give the counts,
+    visibility_hat and traces of the same runs each made with the memo
+    emptied."""
+    tomography._scan_models.clear()
+    cases = memo_cases(lattice)
+    built = []
+    with pytest.MonkeyPatch.context() as patch:
+        scan_traces = hom.scan_traces
+        patch.setattr(hom, "scan_traces", lambda *a: built.append(1) or scan_traces(*a))
+        warm = [simulate_counts(enc, tset, 1000.0, 0.94, delays=d, **kw) for enc, tset, d, kw in cases]
+    # Each (target, set, grid, calibration) is modelled once, not once per
+    # seed; a mixed state has no calibration scan, so 7 models per set and grid.
+    assert len(built) == 4 * 7
+    for (enc, tset, delays, kwargs), got in zip(cases, warm):
+        tomography._scan_models.clear()
+        want = simulate_counts(enc, tset, 1000.0, 0.94, delays=delays, **kwargs)
+        assert got.counts.tobytes() == want.counts.tobytes()
+        assert got.visibility_hat == want.visibility_hat
+        for a, b in zip(got.traces, want.traces, strict=True):
+            assert a.counts.tobytes() == b.counts.tobytes()
+            assert a.expected.tobytes() == b.expected.tobytes()
+
+
+def test_scan_model_memo_builds_only_on_new_inputs(monkeypatch, lattice, packet, tset):
+    """A repeated call, with another seed, noise setting or an equal copy of
+    the state, builds no model; a changed state, grid, visibility, baseline
+    or calibration builds one."""
+    built = []
+    scan_traces = hom.scan_traces
+
+    def model(*args):
+        built.append(1)
+        return scan_traces(*args)
+
+    monkeypatch.setattr(hom, "scan_traces", model)
+    tomography._scan_models.clear()
+    delays = compact_delays()
+
+    def run(name="phi_plus", baseline=1000.0, visibility=0.94, grid=delays, **kwargs):
+        enc = hilbert.named_state(name, lattice, packet)
+        before = len(built)
+        simulate_counts(enc, tset, baseline, visibility, delays=grid, **kwargs)
+        return len(built) - before
+
+    assert run() == 1
+    assert run(master_seed=9) == run(noiseless=True) == run(grid=delays.copy()) == 0
+    assert run("p_plus") == 1
+    assert run(grid=experiment.compact_delay_grid(TAU, SIGMA, baseline_points=42)) == 1
+    assert run(visibility=0.9) == 1
+    assert run(baseline=999.0) == 1
+    assert run(calibrate=False) == 1
+    assert run() == 0
+
+
+def test_scan_model_memo_is_bounded_and_read_only(lattice, packet, tset):
+    """The memo keeps the 8 models used last, and their arrays refuse writes."""
+    tomography._scan_models.clear()
+    enc = hilbert.named_state("phi_plus", lattice, packet)
+    delays = compact_delays()
+
+    def run(k):
+        simulate_counts(enc, tset, 1000.0, 0.5 + k / 100, delays=delays)
+        return sorted(round(100 * key[-2] - 50) for key in tomography._scan_models)
+
+    for k in range(8):
+        assert run(k) == list(range(k + 1))
+    run(0)  # used again, so the next new model evicts model 1 instead
+    assert run(8) == [0, *range(2, 9)]
+    for k in range(9, 12):
+        assert len(run(k)) == 8
+    for held, block, *arrays in tomography._scan_models.values():
+        assert held is tset
+        for arr in (block.delays, block.expected, *arrays):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = arr[0]
+
+
+@pytest.mark.parametrize("bad", [
+    {"delays": "reversed"},
+    {"baseline_counts": 0.0},
+    {"baseline_counts": np.nan},
+    {"visibility": 1.5},
+    {"master_seed": -1},
+    {"master_seed": 2.5},
+    {"master_seed": 2**64},
+])
+def test_scan_model_memo_checks_inputs_before_it_is_read(lattice, packet, tset, bad):
+    """A bad grid, baseline, visibility or seed right after a good call with
+    otherwise equal inputs raises the ValueError it raises on an empty memo,
+    and stores nothing."""
+    delays = compact_delays()
+    good = dict(baseline_counts=1000.0, visibility=0.94, master_seed=3, delays=delays)
+    args = dict(good, **bad)
+    if bad.get("delays") == "reversed":
+        args["delays"] = delays[::-1]
+    enc = hilbert.named_state("phi_plus", lattice, packet)
+    tomography._scan_models.clear()
+    with pytest.raises(ValueError) as cold:
+        simulate_counts(enc, tset, **args)
+    assert not tomography._scan_models
+    simulate_counts(enc, tset, **good)
+    with pytest.raises(ValueError) as warm:
+        simulate_counts(enc, tset, **args)
+    assert str(warm.value) == str(cold.value)
+    assert len(tomography._scan_models) == 1
+
+
+def test_scan_model_memo_stores_nothing_when_a_model_fails(lattice, packet, tset):
+    """A grid ScanConfig accepts but the model refuses raises on every call
+    and leaves the memo as it was."""
+    enc = hilbert.named_state("phi_plus", lattice, packet)
+    tomography._scan_models.clear()
+    short = np.linspace(-TAU, TAU, 9)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="reach past"):
+            simulate_counts(enc, tset, 1000.0, delays=short)
+        assert not tomography._scan_models
+
+
+def test_scan_model_memo_is_shared_by_threads(lattice, packet, tset):
+    """Threads that sweep seeds of three targets on one set at once, on a
+    memo smaller than their inputs, get the counts a serial sweep gets."""
+    delays = compact_delays()
+    targets = [hilbert.named_state(n, lattice, packet) for n in ("phi_plus", "p_plus", "rl_bell")]
+    jobs = [(enc, v, seed) for enc in targets for v in (0.9, 0.94, 0.97) for seed in range(4)]
+
+    def counts(job):
+        enc, visibility, seed = job
+        bundle = simulate_counts(enc, tset, 1000.0, visibility, seed, delays=delays)
+        return bundle.counts.tobytes(), bundle.visibility_hat
+
+    tomography._scan_models.clear()
+    want = [counts(job) for job in jobs]
+    tomography._scan_models.clear()
+    got = [None] * len(jobs)
+    start = threading.Barrier(4)
+
+    def work(shift):
+        start.wait(timeout=60)
+        for i in range(shift, shift + len(jobs)):
+            got[i % len(jobs)] = counts(jobs[i % len(jobs)])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(7 * t,)) for t in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert got == want
+    assert len(tomography._scan_models) <= 8
 
 
 @pytest.mark.parametrize("visibility", [1.0, 0.94])
