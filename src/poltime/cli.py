@@ -68,13 +68,23 @@ def bandwidth_to_sigma(bandwidth_nm: float, wavelength_nm: float) -> float:
     The filter bandwidth (intensity FWHM in wavelength) converts to a
     frequency FWHM, then through the Gaussian time-bandwidth product
     dnu * dt_fwhm = 2 ln2 / pi to an intensity FWHM in time, and finally
-    to the sigma of the amplitude envelope.
+    to the sigma of the amplitude envelope.  Raises ValueError, naming
+    both keys, when that sigma is not a positive finite number.
     """
     if bandwidth_nm <= 0 or wavelength_nm <= 0:
         raise ValueError("bandwidth and wavelength must be positive")
-    dnu = optics.SPEED_OF_LIGHT * (bandwidth_nm * 1e-9) / (wavelength_nm * 1e-9) ** 2
-    dt_fwhm = (2.0 * np.log(2.0) / np.pi) / dnu
-    return dt_fwhm / _FWHM_TO_SIGMA
+    try:
+        dnu = optics.SPEED_OF_LIGHT * (bandwidth_nm * 1e-9) / (wavelength_nm * 1e-9) ** 2
+    except (ZeroDivisionError, OverflowError):  # the squared wavelength under- or overflows
+        dnu = np.nan
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        sigma = (2.0 * np.log(2.0) / np.pi) / dnu / _FWHM_TO_SIGMA
+    if not 0 < sigma < np.inf:
+        raise ValueError(
+            f"bandwidth_nm, wavelength_nm: {bandwidth_nm:g} nm at {wavelength_nm:g} nm "
+            "gives no positive finite envelope width"
+        )
+    return sigma
 
 
 @dataclass(frozen=True)
@@ -226,7 +236,10 @@ def resolve_config(raw: dict, seed_override: int | None = None) -> ExperimentCon
     else:
         bandwidth = positive("bandwidth_nm", DEFAULT_BANDWIDTH_NM)
         wavelength = positive("wavelength_nm", DEFAULT_WAVELENGTH_NM)
-        sigma_t = bandwidth_to_sigma(bandwidth, wavelength)
+        try:
+            sigma_t = bandwidth_to_sigma(bandwidth, wavelength)
+        except ValueError as exc:
+            problems.append(str(exc))
 
     visibility = _number(raw.get("visibility", DEFAULT_VISIBILITY))
     if visibility is None:

@@ -20,7 +20,6 @@ so a valid state costs one vdot.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -149,12 +148,6 @@ class PhotonState:
     def tau(self) -> float:
         return self.lattice.tau
 
-    def amplitude(self, pol: str, bin_index: int) -> complex:
-        p = POLARIZATIONS.index(pol)
-        if not 0 <= bin_index < self.bin_count:
-            raise IndexError(f"bin index {bin_index} outside lattice")
-        return complex(self.amplitudes[p * self.bin_count + bin_index])
-
     def as_matrix(self) -> np.ndarray:
         """Amplitudes as a (2, bin_count) array indexed [polarization, bin]."""
         return self.amplitudes.reshape(2, self.bin_count)
@@ -166,24 +159,6 @@ class PhotonState:
             "sigma_t_s": self.packet.sigma_t,
             "amps": [[float(a.real), float(a.imag)] for a in self.amplitudes],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "PhotonState":
-        try:
-            bins = int(data["bins"])
-            tau = float(data["tau_s"])
-            sigma = float(data["sigma_t_s"])
-            amps = np.array([complex(re, im) for re, im in data["amps"]])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"malformed state record: {exc}") from exc
-        return cls(amps, TimeBinLattice(bins, tau), Wavepacket(sigma))
-
-    @classmethod
-    def from_json(cls, text: str) -> "PhotonState":
-        return cls.from_json_dict(json.loads(text))
 
 
 @dataclass(frozen=True)
@@ -225,15 +200,8 @@ class DensityMatrix:
         return self.lattice.bin_count
 
     @property
-    def tau(self) -> float:
-        return self.lattice.tau
-
-    @property
     def trace(self) -> float:
         return float(np.trace(self.matrix).real)
-
-    def purity(self) -> float:
-        return float(np.trace(self.matrix @ self.matrix).real)
 
 
 def _require_same_arena(a, b) -> None:
@@ -241,17 +209,6 @@ def _require_same_arena(a, b) -> None:
         raise ValueError(f"lattice mismatch: {a.lattice} vs {b.lattice}")
     if a.packet != b.packet:
         raise ValueError(f"wavepacket mismatch: {a.packet} vs {b.packet}")
-
-
-def normalize(state: PhotonState) -> tuple[PhotonState, float]:
-    """Rescale to unit norm.  Returns (state, survival probability)."""
-    n2 = state.norm_squared
-    if n2 <= 0.0:
-        raise StateAnnihilatedError("state annihilated")
-    return (
-        PhotonState(state.amplitudes / np.sqrt(n2), state.lattice, state.packet),
-        n2,
-    )
 
 
 def inner_product(a: PhotonState, b: PhotonState) -> complex:

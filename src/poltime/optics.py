@@ -28,12 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hilbert
-from .hilbert import (
-    PhotonState,
-    StateAnnihilatedError,
-    TimeBinLattice,
-    Wavepacket,
-)
+from .hilbert import PhotonState, StateAnnihilatedError, TimeBinLattice
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s, exact by the SI definition of the metre
 DEFAULT_CRYSTAL_LENGTH = 4e-3  # meters
@@ -100,8 +95,8 @@ class BirefringentCrystal:
     delta_n: float
 
     def __post_init__(self):
-        if self.length <= 0 or self.delta_n <= 0:
-            raise ValueError("crystal length and index contrast must be positive")
+        if not (0 < self.length < math.inf and 0 < self.delta_n < math.inf):
+            raise ValueError("crystal length and index contrast must be positive and finite")
 
     @property
     def delay(self) -> float:
@@ -191,31 +186,6 @@ class OpticalPipeline:
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True)
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "OpticalPipeline":
-        elements: list[OpticalElement] = []
-        try:
-            records = data["elements"]
-        except (KeyError, TypeError) as exc:
-            raise ValueError("pipeline record must contain an 'elements' list") from exc
-        for rec in records:
-            kind = rec.get("kind")
-            if kind == "HWP":
-                elements.append(HalfWavePlate(float(rec["theta_rad"])))
-            elif kind == "QWP":
-                elements.append(QuarterWavePlate(float(rec["theta_rad"])))
-            elif kind == "POL":
-                elements.append(Polarizer(float(rec["theta_rad"])))
-            elif kind == "CRYSTAL":
-                elements.append(BirefringentCrystal(float(rec["L_m"]), float(rec["dn"])))
-            else:
-                raise ValueError(f"unknown element kind {kind!r}")
-        return cls(tuple(elements))
-
-    @classmethod
-    def from_json(cls, text: str) -> "OpticalPipeline":
-        return cls.from_json_dict(json.loads(text))
-
 
 def apply_pipeline(pipeline: OpticalPipeline, state: PhotonState) -> PhotonState:
     for el in pipeline.elements:
@@ -243,16 +213,6 @@ def gate_matrix() -> np.ndarray:
         ],
         dtype=complex,
     )
-
-
-def apply_gate(state: PhotonState) -> PhotonState:
-    """Apply the logical gate on the first two bins.  Raises if the photon is
-    pushed out of the logical subspace (the |v,tau> column)."""
-    vec = hilbert.logical_vector(state)
-    out = gate_matrix() @ vec
-    if float(np.vdot(out, out).real) <= ANNIHILATION_RTOL * state.norm_squared:
-        raise StateAnnihilatedError("state annihilated")
-    return hilbert.from_logical(out, state.lattice, state.packet)
 
 
 # ---------------------------------------------------------------------------

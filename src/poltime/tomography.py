@@ -215,14 +215,10 @@ def projector_stack(tset: TomographySet) -> np.ndarray:
     return tset.projectors
 
 
-def design_matrix(tset: TomographySet) -> np.ndarray:
-    """Real matrix mapping Hermitian-basis coordinates to projector
+def _design(projs: np.ndarray) -> np.ndarray:
+    """Real matrix mapping Hermitian-basis coordinates to the projectors'
     expectations.  Its smallest singular value measures informational
     completeness of the set."""
-    return _design(projector_stack(tset))
-
-
-def _design(projs: np.ndarray) -> np.ndarray:
     return projs.reshape(len(projs), -1).view(float) @ _HERM_FLAT.T
 
 

@@ -451,6 +451,37 @@ def test_seeds_past_64_bits_are_config_errors(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize(
+    "command, overrides",
+    [
+        pytest.param(command, {key: value}, id=f"{command}-{key}={value:g}")
+        for key, value, commands in (
+            ("wavelength_nm", 1e-160, ("prepare", "scan", "tomography", "oracle-check")),
+            ("wavelength_nm", 1e300, ("prepare", "scan", "tomography", "oracle-check")),
+            ("tau_s", 1e300, ("prepare",)),
+        )
+        for command in commands
+    ],
+)
+def test_extreme_finite_inputs_are_config_errors(tmp_path, command, overrides):
+    """A squared wavelength that under- or overflows, or a crystal contrast
+    that overflows, ends the run as a config error, not a traceback."""
+    argv = [sys.executable, "-m", "poltime.cli", command]
+    argv += ["--config", write_config(tmp_path, **overrides)]
+    if command != "oracle-check":
+        argv += ["--out", str(tmp_path / "out")]
+    proc = subprocess.run(argv, capture_output=True, text=True)
+    assert proc.returncode == EXIT_CONFIG, proc.stderr
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert any(line.startswith("config error:") for line in lines), proc.stderr
+    if "wavelength_nm" in overrides:
+        assert lines == [
+            f"config error: bandwidth_nm, wavelength_nm: 3 nm at "
+            f"{overrides['wavelength_nm']:g} nm gives no positive finite envelope width"
+        ]
+
+
+@pytest.mark.parametrize(
     "overrides, key",
     [
         ({"seed": True}, "seed"),

@@ -210,7 +210,7 @@ def test_fit_matches_reference_solver(set_fixture, visibility, n0, request):
     assert fit.converged.all() and np.all(fit.tolerance == _GAP_TOL)
     assert np.all(gap <= _GAP_TOL) and np.all(gap_ref <= _GAP_TOL)
     np.testing.assert_allclose(deviance, deviance_ref, rtol=0.0, atol=DEVIANCE_TOL)
-    s_min = np.linalg.svd(tomography.design_matrix(tset), compute_uv=False).min()
+    s_min = np.linalg.svd(_design(projs), compute_uv=False).min()
     if n0 * s_min**2 > FLAT_COUNTS:
         fid = [tomography.fidelity(r, t) for r, t in zip(rho, truths)]
         fid_ref = [tomography.fidelity(r, t) for r, t in zip(rho_ref, truths)]

@@ -17,7 +17,6 @@ from poltime.optics import (
     OpticalPipeline,
     Polarizer,
     QuarterWavePlate,
-    apply_gate,
     apply_pipeline,
     compile_preparation,
     crystal_with_delay,
@@ -95,7 +94,7 @@ def test_crystal_grows_lattice_instead_of_truncating(lattice, packet):
     vt = hilbert.basis_state("v", 1, lattice, packet)
     out = element_action(crystal_with_delay(lattice.tau), vt)
     assert out.bin_count == 3
-    assert out.amplitude("v", 2) == pytest.approx(1.0)
+    assert out.amplitudes[out.bin_count + 2] == pytest.approx(1.0)
     assert out.norm_squared == pytest.approx(1.0, abs=1e-15)
 
 
@@ -109,6 +108,18 @@ def test_crystal_delay_must_sit_on_lattice(lattice, packet):
     for pipe in (OpticalPipeline((bad,)), OpticalPipeline((HalfWavePlate(0.0), bad))):
         with pytest.raises(ValueError, match=message):
             apply_pipeline(pipe, hilbert.basis_state("h", 0, lattice, packet))
+
+
+@pytest.mark.parametrize(
+    "length, delta_n",
+    [
+        (0.0, 0.17), (-1.0, 0.17), (np.nan, 0.17), (np.inf, 0.17),
+        (4e-3, 0.0), (4e-3, -0.1), (4e-3, np.nan), (4e-3, np.inf),
+    ],
+)
+def test_crystal_needs_positive_finite_length_and_contrast(length, delta_n):
+    with pytest.raises(ValueError, match="must be positive and finite"):
+        BirefringentCrystal(length, delta_n)
 
 
 def test_polarizer_can_annihilate(lattice, packet):
@@ -126,12 +137,6 @@ def test_gate_columns():
     u = gate_matrix()
     np.testing.assert_allclose(u[:, 2], [0, 0, 0, 1])  # v0 -> v tau
     np.testing.assert_allclose(u[:, 3], [0, 0, 0, 0])  # v tau leaves the space
-
-
-def test_gate_annihilates_delayed_vertical(lattice, packet):
-    vt = hilbert.basis_state("v", 1, lattice, packet)
-    with pytest.raises(StateAnnihilatedError):
-        apply_gate(vt)
 
 
 def test_gate_is_an_isometry_on_three_columns():
@@ -177,24 +182,9 @@ def test_crystal_polarizer_heralds_diagonal_superposition(lattice, packet):
     pipe = OpticalPipeline((crystal_with_delay(lattice.tau), Polarizer(np.pi / 4)))
     out = apply_pipeline(pipe, hilbert.product_state("p", "0", lattice, packet))
     assert out.norm_squared == pytest.approx(0.5, abs=1e-12)
-    unit, _ = hilbert.normalize(out)
+    unit = PhotonState(out.amplitudes / np.sqrt(out.norm_squared), out.lattice, out.packet)
     target = hilbert.product_state("p", "+", lattice, packet)
     assert abs(hilbert.inner_product(target, unit)) ** 2 == pytest.approx(1.0, abs=1e-12)
-
-
-def test_pipeline_json_roundtrip(lattice):
-    pipe = OpticalPipeline(
-        (
-            QuarterWavePlate(0.3),
-            HalfWavePlate(np.pi / 8),
-            crystal_with_delay(lattice.tau),
-            Polarizer(np.pi / 4),
-        )
-    )
-    back = OpticalPipeline.from_json(pipe.to_json())
-    assert back == pipe
-    with pytest.raises(ValueError):
-        OpticalPipeline.from_json('{"elements": [{"kind": "PRISM"}]}')
 
 
 @given(

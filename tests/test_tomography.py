@@ -15,9 +15,9 @@ from poltime.hilbert import DensityMatrix, TimeBinLattice, Wavepacket
 from poltime.tomography import (
     CountsBundle,
     ReconstructionError,
+    _design,
     bootstrap_errors,
     default_tomography_set,
-    design_matrix,
     fidelity,
     linear_inversion,
     logical_rho,
@@ -88,7 +88,7 @@ def test_set_has_sixteen_distinct_members(product_tset):
 
 
 def test_design_matrix_is_well_conditioned(product_tset):
-    sv = np.linalg.svd(design_matrix(product_tset), compute_uv=False)
+    sv = np.linalg.svd(_design(projector_stack(product_tset)), compute_uv=False)
     assert sv.min() > 1e-3
     assert sv.min() == pytest.approx(DESIGN_SMIN, abs=1e-12)
     assert sv.max() == pytest.approx(DESIGN_SMAX, abs=1e-12)
@@ -141,7 +141,7 @@ def test_default_set_is_mutually_unbiased(tset):
 def test_default_design_matrix_is_a_tight_frame(tset):
     # Projectors of a complete MUB set sum to 5 I and act as a multiple of
     # the identity on the traceless operators.
-    sv = np.linalg.svd(design_matrix(tset), compute_uv=False)
+    sv = np.linalg.svd(_design(projector_stack(tset)), compute_uv=False)
     np.testing.assert_allclose(sv, [np.sqrt(5.0)] + [1.0] * 15, atol=1e-12)
 
 
@@ -233,7 +233,6 @@ def test_projector_stack_is_built_once_per_set(set_maker, lattice, packet, monke
     vec = logical_vector(hilbert.named_state("phi_plus", lattice, packet))
     counts = exact_counts(np.outer(vec, vec.conj()), tset, visibility=0.94)
     linear_inversion(dip_depths(counts), tset)
-    design_matrix(tset)
     mle_reconstruct(counts, tset, visibility=0.94)
     bootstrap_errors(np.round(counts), tset, 0.94, vec, replicas=3)
     assert len(built) == len(tset.members)
