@@ -4,13 +4,14 @@ Subpackages in dependency order: `hilbert` (states on the bin lattice),
 `optics` (Jones elements, crystals, preparation compiler), `hom`
 (two-photon interference projections), `experiment` (Poisson scan
 synthesis and estimation), `tomography` (reconstruction from mutually
-unbiased or product projection sets), `cli`.  `cli` loads on first use,
-so `python -m poltime.cli` does not find it already imported.
+unbiased or product projection sets), `cli`.  `cli` and `optics` load on
+first use: `python -m poltime.cli` must not find `cli` already imported, and
+only `poltime prepare` reads `optics` and the names taken from it.
 """
 
 import importlib
 
-from . import experiment, hilbert, hom, optics, tomography
+from . import experiment, hilbert, hom, tomography
 from .hilbert import (
     DensityMatrix,
     PhotonState,
@@ -19,7 +20,6 @@ from .hilbert import (
     Wavepacket,
     named_state,
 )
-from .optics import OpticalPipeline, apply_pipeline, compile_preparation, gate_matrix
 from .hom import coincidence_ratio, fock_oracle_ratio, scan_trace
 from .experiment import ScanConfig, default_delay_grid, extract_projections, sample_scan
 from .tomography import (
@@ -37,8 +37,10 @@ __version__ = "0.1.0"
 
 
 def __getattr__(name):
-    if name == "cli":
-        return importlib.import_module(".cli", __name__)
+    if name in ("cli", "optics"):
+        return importlib.import_module(f".{name}", __name__)
+    if name in ("OpticalPipeline", "apply_pipeline", "compile_preparation", "gate_matrix"):
+        return getattr(importlib.import_module(".optics", __name__), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import experiment, hilbert, hom, optics, tomography
+from . import experiment, hilbert, hom, tomography
 from .hilbert import PhotonState, StateAnnihilatedError, TimeBinLattice, Wavepacket
 from .tomography import ReconstructionError
 
@@ -42,6 +42,8 @@ DEFAULT_REPLICAS = 100
 MAX_GRID_POINTS = 100_001
 MAX_REPLICAS = 10_000
 MAX_BINS = 8
+# tau_s / sigma_t: far beyond any physical filter, and far below an overflow.
+MAX_TAU_OVER_SIGMA = 1e6
 MAX_BASELINE_COUNTS = 1e18
 
 EXIT_OK = 0
@@ -74,7 +76,7 @@ def bandwidth_to_sigma(bandwidth_nm: float, wavelength_nm: float) -> float:
     if bandwidth_nm <= 0 or wavelength_nm <= 0:
         raise ValueError("bandwidth and wavelength must be positive")
     try:
-        dnu = optics.SPEED_OF_LIGHT * (bandwidth_nm * 1e-9) / (wavelength_nm * 1e-9) ** 2
+        dnu = hilbert.SPEED_OF_LIGHT * (bandwidth_nm * 1e-9) / (wavelength_nm * 1e-9) ** 2
     except (ZeroDivisionError, OverflowError):  # the squared wavelength under- or overflows
         dnu = np.nan
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -228,7 +230,7 @@ def resolve_config(raw: dict, seed_override: int | None = None) -> ExperimentCon
 
     has_sigma = "sigma_t_s" in raw
     has_band = "bandwidth_nm" in raw or "wavelength_nm" in raw
-    bandwidth = wavelength = None
+    bandwidth = wavelength = sigma_t = None
     if has_sigma and has_band:
         problems.append("give either sigma_t_s or bandwidth_nm+wavelength_nm, not both")
     if has_sigma:
@@ -240,6 +242,9 @@ def resolve_config(raw: dict, seed_override: int | None = None) -> ExperimentCon
             sigma_t = bandwidth_to_sigma(bandwidth, wavelength)
         except ValueError as exc:
             problems.append(str(exc))
+    # In Python floats an overflowing ratio is inf, with no warning.
+    if sigma_t is not None and not tau / float(sigma_t) <= MAX_TAU_OVER_SIGMA:
+        problems.append(f"tau_s: must be at most {MAX_TAU_OVER_SIGMA:g} sigma_t ({sigma_t:.4g} s)")
 
     visibility = _number(raw.get("visibility", DEFAULT_VISIBILITY))
     if visibility is None:
@@ -344,6 +349,7 @@ def _write_matrix_csv(path: Path, mat: np.ndarray) -> None:
 
 
 def cmd_prepare(cfg: ExperimentConfig, out_dir: Path, timestamp: bool) -> int:
+    from . import optics  # loaded here: no other command compiles a preparation
     plan = optics.compile_preparation(cfg.encoded)
     payload = plan.to_json_dict()
     payload["target"] = cfg.encoded_label

@@ -13,14 +13,15 @@ one grid, at one baseline and visibility, as one ScanBlock of (scans,
 points) arrays; sample_scans and sample_scan wrap its rows as ScanTraces.
 It is a seed-free block_model, whose expectations are one hom.scan_traces
 block, and draw_block, which draws every count in a single array pass over
-the points' keys (_keyed_poisson).  That computes
+the points' keys (_keyed_poisson) from a seed-free plan of the expectations
+that a caller drawing one model at many seeds builds once.  That computes
 the first Philox block of every key in exact array code and settles most
 points there with numpy's transformed-rejection (PTRS) sampler, on the
 block's two candidates at once: the quick test and reject rules, then the
-log test only outside a guard band of 1e-9 of its terms' magnitudes, which
-covers any last-bit difference between np.log and libm's log.  numpy's own
-sampler, one generator per thread reset to the point's key, draws the rest.
-Either way each count is the one point_rng gives, bit for bit.
+log test only outside a guard band of 1e-9 of a bound on its terms'
+magnitudes, which covers np.log's last bits and a cut Stirling series.
+numpy's own sampler, one generator per thread reset to the point's key,
+draws the rest.  Each count is the one point_rng gives, bit for bit.
 
 read_block reads the counts of scans on one grid at read_points' points:
 each one's baseline N0, the long-delay plateau mean, and its counts at lags
@@ -47,23 +48,24 @@ _U64 = np.uint64
 # overhead than Python or numpy scalars.
 _LO32, _SHIFT32, _SHIFT11 = (np.array(c, dtype=_U64) for c in (0xFFFFFFFF, 32, 11))
 # Philox4x64-10 (Random123) as two lanes, (2, 1) columns: the multipliers
-# of words 0 and 2, and the Weyl increments of key words 0 and 1.
+# of words 0 and 2, also as 0-d arrays, and the Weyl increments of the key
+# words, stacked with the multipliers' 32-bit halves for _philox_first_block.
 _PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=_U64)
+_PHILOX_M0, _PHILOX_M1 = (row[0, ...] for row in _PHILOX_M)
 _PHILOX_W = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], dtype=_U64)
-_PHILOX_M_LO, _PHILOX_M_HI = _PHILOX_M & _LO32, _PHILOX_M >> _SHIFT32
+_PHILOX_COLUMNS = np.concatenate([_PHILOX_W, _PHILOX_M & _LO32, _PHILOX_M >> _SHIFT32])
 _PHILOX_ROUNDS = 10
 _TO_UNIT = 1.0 / 9007199254740992.0  # numpy's next_double: (x >> 11) * 2**-53
 _PTRS_MAX = 2.0**53  # larger means go to numpy's sampler, which bounds them
-# numpy's random_loggam: the Stirling series a[0..9] and log(2 pi).
-_LOGGAM_A = (
-    8.333333333333333e-02, -2.777777777777778e-03, 7.936507936507937e-04,
-    -5.952380952380952e-04, 8.417508417508418e-04, -1.917526917526918e-03,
-    6.410256410256410e-03, -2.955065359477124e-02, 1.796443723688307e-01,
-    -1.39243221690590e00,
-)
+# numpy's random_loggam: the first 3 terms a[0..2] of its 10-term Stirling
+# series, and log(2 pi).  For x >= 7 the other 7 sum to at most 7.2e-10.
+_LOGGAM_A = (8.333333333333333e-02, -2.777777777777778e-03, 7.936507936507937e-04)
 _LG2PI = 1.8378770664093453
-_LOG_TEST_BAND = 1e-9  # relative guard band of the PTRS log test
+# The PTRS log test's guard band, relative to its bound S' (_ptrs_settle).
+_LOG_TEST_BAND, _LOG_TEST_SLACK = 1e-9, 130.0
 _THREAD = threading.local()  # holds each thread's _reset_draws generator
+_DrawPlan = NamedTuple("_DrawPlan", [(name, np.ndarray) for name in (  # see _draw_plan
+    "means rows flat keys lam b a v_r log_ia log_lam fixed fixed_keys".split())])
 # numpy's SeedSequence: hashmix call k xors a uint32 word with _HASH_A[k]
 # and multiplies it by _HASH_A[k + 1]; readout word w likewise with _HASH_B.
 _HASH_A, _HASH_B = (
@@ -91,9 +93,14 @@ def derive_seeds(master_seed: int, streams) -> np.ndarray:
     np.uint64)[0], for all streams in one uint32 array pass.  SeedSequence
     takes the master's words, then the stream's, low word first, padded
     with zeros to its pool of 4; each takes at most 2, so the padding is
-    exact.  Master and streams must pass the scan seeds' check."""
+    exact.  Master and streams must pass the scan seeds' check, which a
+    range of streams passes if its first and last do."""
     master = _check_seed(master_seed)
-    streams = np.array([_check_seed(s) for s in streams], dtype=_U64)
+    if not isinstance(streams, range):
+        streams = [_check_seed(s) for s in streams]
+    elif streams:
+        _check_seed(streams[0]), _check_seed(streams[-1])
+    streams = np.array(streams, dtype=_U64)
     head = [master & 0xFFFFFFFF, master >> 32][: 1 + (master >> 32 > 0)]
     words = np.zeros((4, streams.size), dtype=np.uint32)
     words[: len(head)] = np.array(head, dtype=np.uint32)[:, None]
@@ -163,45 +170,72 @@ def _philox_first_block(seeds: np.ndarray, indices: np.ndarray) -> tuple:
     two multiply lanes, and the key words are stacked the same way.  Round
     0 is folded: at this counter it yields (k0, 0, k1, M0).  The high words
     of the 128-bit products are assembled from products of 32-bit halves,
-    which fit in uint64, in place in four (2, n) buffers: fewer allocations
-    on one row, less memory traffic on a large block."""
-    key = np.stack([seeds, indices])
-    x, y = key.copy(), np.array([[0], [_PHILOX_M[0, 0]]], dtype=_U64)
-    lo, hi, t, w = (np.empty_like(key) for _ in range(4))
+    which fit in uint64, in place in (2, n) buffers against constants
+    repeated to (2, n): numpy runs contiguous operands faster than stride-0
+    or reversed ones, so the lanes swap row by row into spare buffers."""
+    key, n = np.stack([seeds, indices]), seeds.size
+    weyl, m_lo, m_hi = np.repeat(_PHILOX_COLUMNS, n, axis=1).reshape(3, 2, n)
+    x, (y, lo, hi, t, w) = key.copy(), np.empty((5, 2, n), dtype=_U64)
+    y[0], y[1] = 0, _PHILOX_M0
     for _ in range(_PHILOX_ROUNDS - 1):
-        key += _PHILOX_W
+        key += weyl
         np.bitwise_and(x, _LO32, out=lo)
         np.right_shift(x, _SHIFT32, out=hi)
-        np.multiply(_PHILOX_M_LO, lo, out=t)
+        np.multiply(m_lo, lo, out=t)
         t >>= _SHIFT32
-        lo *= _PHILOX_M_HI
+        lo *= m_hi
         t += lo  # t = M_hi lo + (M_lo lo >> 32)
         np.bitwise_and(t, _LO32, out=w)
-        np.multiply(_PHILOX_M_LO, hi, out=lo)
+        np.multiply(m_lo, hi, out=lo)
         w += lo  # w = (t & 0xFFFFFFFF) + M_lo hi
         w >>= _SHIFT32
         t >>= _SHIFT32
-        hi *= _PHILOX_M_HI
+        hi *= m_hi
         hi += t
         hi += w  # the high word of M x
-        x, y = hi[::-1] ^ y, (_PHILOX_M * x)[::-1]
-        x ^= key
+        # Swap lanes: x = the other's high word ^ y ^ key, y = its low word.
+        np.multiply(x[1], _PHILOX_M1, out=lo[0])
+        np.multiply(x[0], _PHILOX_M0, out=lo[1])
+        np.bitwise_xor(hi[1], y[0], out=t[0])
+        np.bitwise_xor(hi[0], y[1], out=t[1])
+        t ^= key
+        x, y, t, lo = t, lo, x, y
     return x, y
 
 
-def _ptrs_settle(lam, words) -> tuple:
-    """PTRS on the first two candidates of each point, from the four words
-    of its first Philox block: the candidate k numpy returns, and the mask
-    of the points where array code settles it.  A point is settled if numpy
-    accepts its first candidate, or rejects the first and accepts the
-    second; the rest are left to numpy's sampler.
+def _draw_plan(means, points=None) -> _DrawPlan:
+    """What a draw of the (rows, points) means reads that no seed changes,
+    points[i] the grid index of column i, i by default: of each PTRS point,
+    10 <= lam <= _PTRS_MAX, its row, flat index, grid key, lam, and numpy's
+    b, a, v_r, log(invalpha) and log(lam); the flat indices and keys of the
+    rest, which numpy's sampler draws whatever the seed."""
+    width = means.shape[1]
+    index = np.arange(width, dtype=_U64) if points is None else np.asarray(points, _U64)
+    ptrs = (means >= 10.0) & (means <= _PTRS_MAX)
+    flat, fixed = np.flatnonzero(ptrs), np.flatnonzero(~ptrs)
+    lam = means.take(flat)
+    b = 0.931 + 2.53 * np.sqrt(lam)
+    a, v_r = -0.059 + 0.02483 * b, 0.9277 - 3.6224 / (b - 2.0)
+    log_ia = np.log(1.1239 + 1.1328 / (b - 3.4))
+    return _DrawPlan(
+        means, flat // width, flat, index[flat % width], lam, b, a, v_r, log_ia, np.log(lam),
+        fixed, index[fixed % width],
+    )
+
+
+def _ptrs_settle(plan: _DrawPlan, words) -> tuple:
+    """PTRS on the first two candidates of each of the plan's PTRS points,
+    from the four words of its first Philox block: the candidate k numpy
+    returns, and the mask of the points where array code settles it.  A
+    point is settled if numpy accepts its first candidate, or rejects the
+    first and accepts the second; the rest are left to numpy's sampler.
 
     Both candidates go through one pass: row c of the (2, n) words is
     candidate c, numpy turns word_u into U + 0.5 and word_v into V, and the
     quick test and reject rules run on both rows at once, with each point's
-    lam, a, b and v_r broadcast over them.  The log test runs only on the
-    candidates they leave undecided, and on a second candidate only where
-    the first failed its quick test.
+    lam and the plan's a, b and v_r of it broadcast over them.  The log
+    test runs only on the candidates they leave undecided, and on a second
+    candidate only where the first failed its quick test.
 
     numpy's quick test and reject rules use only multiply, add, divide,
     sqrt, floor and compares, which give the same bits here.  Its log test
@@ -210,48 +244,54 @@ def _ptrs_settle(lam, words) -> tuple:
             <= -lam + k log(lam) - loggam(k + 1)
 
     runs here with numpy's random_loggam for k >= 6, where it has no
-    recurrence: the same Horner terms in the same order.  np.log may differ
-    from libm's log by an ulp or two, and every other operation is the same,
-    so each side differs from numpy's own by at most about ten ulps of S,
-    the sum of the magnitudes of the terms: below 1e-14 S.  The test is
-    settled here only where |lhs - rhs| > _LOG_TEST_BAND * S = 1e-9 S, some
-    10**5 times that bound.  k < 6, V = 0 and points inside the band stay
-    undecided.
+    recurrence, its Stirling series cut to 3 terms: at x = k + 1 >= 7 that
+    moves it by at most 7.2e-10.  np.log may differ from libm's log by an
+    ulp or two, so each side differs from numpy's by at most about ten ulps
+    of S, the sum of the terms' magnitudes, plus the cut.  The test is
+    settled only where |lhs - rhs| > _LOG_TEST_BAND * S', S' = 130 + lam +
+    k log(lam) + (x - 1/2) log(x) + x >= S, as |log V| <= 37, |log
+    invalpha| <= 1 and |log h| <= 90 there: the band is at least 1.3e-7,
+    some 10**5 times the rounding and 180 times the cut.  k < 6, V = 0 and
+    points inside it stay undecided.
     """
-    b = 0.931 + 2.53 * np.sqrt(lam)
-    a = -0.059 + 0.02483 * b
-    v_r = 0.9277 - 3.6224 / (b - 2.0)
     word_u, word_v = words
     u = (word_u >> _SHIFT11) * _TO_UNIT - 0.5
     v = (word_v >> _SHIFT11) * _TO_UNIT
     us = 0.5 - np.abs(u)
-    k = np.floor((2.0 * a / us + b) * u + lam + 0.43)
-    acc = (us >= 0.07) & (v <= v_r)
+    k = np.floor((2.0 * plan.a / us + plan.b) * u + plan.lam + 0.43)
+    acc = (us >= 0.07) & (v <= plan.v_r)
     rej = ~acc & ((k < 0.0) | ((us < 0.013) & (v > us)))
     undecided = ~acc & ~rej & (k >= 6.0) & (v > 0.0)
     undecided[1] &= ~acc[0]
     c, i = np.nonzero(undecided)
-    lam, a, b, us, kk = lam[i], a[i], b[i], us[c, i], k[c, i]
+    lam, a, b, us, kk = plan.lam[i], plan.a[i], plan.b[i], us[c, i], k[c, i]
     x = kk + 1.0
-    log_v = np.log(v[c, i])
-    log_ia = np.log(1.1239 + 1.1328 / (b - 3.4))
-    log_h = np.log(a / (us * us) + b)
     x2 = (1.0 / x) * (1.0 / x)
-    gl0 = _LOGGAM_A[9]
-    for coef in _LOGGAM_A[8::-1]:
-        gl0 = gl0 * x2 + coef
+    gl0 = (_LOGGAM_A[2] * x2 + _LOGGAM_A[1]) * x2 + _LOGGAM_A[0]
     log_x = np.log(x)
-    k_loglam = kk * np.log(lam)
-    lhs = log_v + log_ia - log_h
+    k_loglam = kk * plan.log_lam[i]
+    lhs = np.log(v[c, i]) + plan.log_ia[i] - np.log(a / (us * us) + b)
     rhs = -lam + k_loglam - (gl0 / x + 0.5 * _LG2PI + (x - 0.5) * log_x - x)
-    scale = (
-        np.abs(log_v) + np.abs(log_ia) + np.abs(log_h) + lam + np.abs(k_loglam)
-        + np.abs(gl0 / x) + 0.5 * _LG2PI + (x - 0.5) * log_x + x
-    )
+    scale = _LOG_TEST_SLACK + lam + k_loglam + (x - 0.5) * log_x + x
     sure = np.abs(lhs - rhs) > _LOG_TEST_BAND * scale
     acc[c, i] = sure & (lhs <= rhs)
     rej[c, i] = sure & (lhs > rhs)
     return np.where(acc[0], k[0], k[1]), acc[0] | (rej[0] & acc[1])
+
+
+def _draw_counts(plan: _DrawPlan, seeds: np.ndarray) -> np.ndarray:
+    """_keyed_poisson's draws from the plan of its means at uint64 seeds."""
+    out = np.empty(plan.means.shape)
+    flat = out.reshape(-1)
+    k, accept = _ptrs_settle(plan, _philox_first_block(seeds[plan.rows], plan.keys))
+    flat[plan.flat[accept]] = k[accept]
+    left = np.flatnonzero(~accept)
+    at = np.concatenate([plan.fixed, plan.flat[left]])  # fixed first: bad means raise in order
+    if at.size:
+        rows = at // out.shape[1]
+        keys = zip(seeds[rows].tolist(), plan.fixed_keys.tolist() + plan.keys[left].tolist())
+        flat[at] = _reset_draws(keys, plan.means.take(at).tolist())
+    return out
 
 
 def _keyed_poisson(seeds, means, points=None) -> np.ndarray:
@@ -260,11 +300,11 @@ def _keyed_poisson(seeds, means, points=None) -> np.ndarray:
 
         float(point_rng(seeds[r], points[i]).poisson(means[r, i]))
 
-    numpy draws Poisson(lam >= 10) by transformed rejection, PTRS (Hoermann,
-    1993), whose candidates take the stream's doubles two at a time; the
-    first Philox block of every key, computed here in exact uint64 array
-    code, holds the first two candidates.  Each point takes one of two
-    routes:
+    It is _draw_counts of the means' seed-free _draw_plan.  numpy draws
+    Poisson(lam >= 10) by transformed rejection, PTRS (Hoermann, 1993),
+    whose candidates take the stream's doubles two at a time; the first
+    Philox block of every key, computed here in exact uint64 array code,
+    holds the first two candidates.  Each point takes one of two routes:
 
     1. array code, one pass over both candidates of every point
        (_ptrs_settle): numpy's quick test, which accepts about 3/4 of
@@ -272,10 +312,10 @@ def _keyed_poisson(seeds, means, points=None) -> np.ndarray:
        settled outside a guard band.  A point takes its first candidate if
        that is accepted, or its second (words 2 and 3 of the block) if the
        first is rejected and the second accepted;
-    2. numpy's own sampler from the point's reset key, for everything else:
-       lam < 10, NaN, negative or huge means, candidates below 6, log tests
-       inside the band and points that reject both candidates.  Bad means
-       thus raise numpy's own ValueError.
+    2. numpy's own sampler from the point's reset key, for the plan's fixed
+       points (lam < 10, NaN, negative or huge means, which thus raise
+       numpy's own ValueError) and the settle's leftovers: candidates below
+       6, log tests inside the band and points that reject both candidates.
 
     On the CLI's default grid about 1.5% of the points at 10 <= lam take
     route 2, and when none do _reset_draws is never called.
@@ -286,20 +326,7 @@ def _keyed_poisson(seeds, means, points=None) -> np.ndarray:
     seeds = np.array([int(s) for s in seeds], dtype=_U64)
     if means.ndim != 2 or means.shape[0] != seeds.size:
         raise ValueError("means must be (rows, points) with one seed per row")
-    index = np.arange(means.shape[1], dtype=_U64) if points is None else np.asarray(points, _U64)
-    out = np.empty(means.shape)
-    rows, cols = np.nonzero((means >= 10.0) & (means <= _PTRS_MAX))
-    words = _philox_first_block(seeds[rows], index[cols])
-    k, accept = _ptrs_settle(means[rows, cols], words)
-    settled = rows[accept], cols[accept]
-    out[settled] = k[accept]
-    rest = np.ones(means.shape, dtype=bool)
-    rest[settled] = False
-    rows, cols = np.nonzero(rest)
-    if rows.size:
-        keys = zip(seeds[rows].tolist(), index[cols].tolist())
-        out[rows, cols] = _reset_draws(keys, means[rows, cols].tolist())
-    return out
+    return _draw_counts(_draw_plan(means, points), seeds)
 
 
 @dataclass(frozen=True)
@@ -468,13 +495,14 @@ def block_model(
     return ScanBlock(grid, None, expected, None, tau, sigma_t, n_bins, None)
 
 
-def draw_block(model: ScanBlock, seeds, noiseless, points=None) -> ScanBlock:
+def draw_block(model: ScanBlock, seeds, noiseless, plan: _DrawPlan | None) -> ScanBlock:
     """The block_model drawn at checked seeds, one per scan, without writing
     to it: point i of a scan is drawn from point_rng(its seed, i) by one
-    _keyed_poisson call, or set to the exact expectation in noiseless mode."""
+    _draw_counts of the plan of its expectations, or set to the exact
+    expectation in noiseless mode, which reads no plan."""
     seeds = np.asarray(seeds, dtype=_U64)
     grid, _, expected, _, tau, sigma_t, n_bins, _ = model
-    counts = expected.copy() if noiseless else _keyed_poisson(seeds, expected, points)
+    counts = expected.copy() if noiseless else _draw_counts(plan, seeds)
     return ScanBlock(grid, counts, expected, seeds, tau, sigma_t, n_bins, noiseless)
 
 
@@ -483,10 +511,11 @@ def sample_block(
 ) -> ScanBlock:
     """The scans of sample_scans as one block, on a grid, baseline, visibility
     and seeds that ScanConfig has checked, at all points or the sorted grid
-    indices `points`: the draw_block of their block_model.
+    indices `points`: the draw_block of their block_model and its plan.
     """
     model = block_model(encoded, ancillas, delays, baseline_counts, visibility, points)
-    return draw_block(model, seeds, noiseless, points)
+    plan = None if noiseless else _draw_plan(model.expected, points)
+    return draw_block(model, seeds, noiseless, plan)
 
 
 def sample_scans(

@@ -31,6 +31,7 @@ EIGENVALUE_TOL = 1e-10
 TRACE_TOL = 1e-12
 NORM_TOL = 1e-9
 SUPPORT_TOL = 1e-9
+SPEED_OF_LIGHT = 299_792_458.0  # m/s, exact by the SI definition of the metre
 
 POLARIZATIONS = ("h", "v")
 

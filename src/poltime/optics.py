@@ -28,9 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hilbert
-from .hilbert import PhotonState, StateAnnihilatedError, TimeBinLattice
+from .hilbert import SPEED_OF_LIGHT, PhotonState, StateAnnihilatedError, TimeBinLattice
 
-SPEED_OF_LIGHT = 299_792_458.0  # m/s, exact by the SI definition of the metre
 DEFAULT_CRYSTAL_LENGTH = 4e-3  # meters
 
 CRYSTAL_DELAY_RTOL = 1e-6

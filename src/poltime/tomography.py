@@ -425,13 +425,13 @@ def _fit(n: np.ndarray, baseline: np.ndarray, tables: tuple, visibility: float) 
             out, keep = rows[done], ~done
             a_out[out], q_out[out], gap_out[out] = point[0][done], point[3][done], point[6][done]
             iterations[out] = k
+            if not keep.any():
+                break
             rows, n_run, two_n, big_n, tol, slack = (
                 arr[keep] for arr in (rows, n_run, two_n, big_n, tol, slack)
             )
             point = tuple(arr[keep] for arr in point)
             boost = None if boost is None else boost[keep]
-            if rows.size == 0:
-                break
         new = value(point[0] + newton_step(point, two_n, boost), n_run, big_n)
         ok = new[7] <= point[7] + slack
         if not ok.all():
@@ -456,10 +456,10 @@ def _unpack_counts(counts, tset: TomographySet, visibility: float) -> tuple[np.n
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValueError("counts must be a sequence of (n_i, N_i) pairs")
     n, baseline = arr[:, 0], arr[:, 1]
-    for name, values in (("dip counts n_i", n), ("baselines N_i", baseline)):
-        if not np.all(np.isfinite(values)):
-            raise ValueError(f"{name} must be finite")
-    if np.any(n < 0) or np.any(baseline <= 0):
+    if not np.isfinite(arr).all():
+        name = "baselines N_i" if np.isfinite(n).all() else "dip counts n_i"
+        raise ValueError(f"{name} must be finite")
+    if not (arr >= (0.0, 5e-324)).all():  # n_i >= 0, N_i >= the least positive float
         raise ValueError("counts must be nonnegative and baselines positive")
     if n.shape != (len(tset.readings),):
         raise ValueError(f"expected counts for {len(tset.readings)} readings")
@@ -646,13 +646,13 @@ def simulate_counts(
     in [0, 2**64) raises ValueError; so do the grid, baseline and visibility
     that `experiment.ScanConfig` refuses.
 
-    The seed enters only the draw.  The read points and the
-    `experiment.block_model` of their expectations come from a memo of the
-    8 models used last, keyed by the set's identity, the encoded state's
-    type, array bytes, lattice and packet, the grid's bytes, the baseline,
-    the visibility and whether row 0 is the calibration scan, so a seed
-    sweep models each target's scans once.  Its arrays refuse writes, and
-    every input is checked before it is read.
+    The seed enters only the draw.  The read points, the
+    `experiment.block_model` of their expectations and its seed-free draw
+    plan come from a memo of the 8 models used last, keyed by the set's
+    identity, the encoded state's type, array bytes, lattice and packet,
+    the grid's bytes, the baseline, the visibility and whether row 0 is the
+    calibration scan, so a seed sweep models each target's scans once.  Its
+    arrays refuse writes, and every input is checked before it is read.
     """
     # With calibration, row 0 of the block is the self-scan and scan j is row j + 1.
     cal = int(calibrate and isinstance(encoded, PhotonState))
@@ -661,10 +661,10 @@ def simulate_counts(
     grid = experiment.ScanConfig(delays, baseline_counts, 0, visibility).delays
     # Column k of the dips is lags[k]; the last entry of `column` is lag 0.
     scan, _, _, column = tset.reading_columns
-    _, model, points, plateau, columns = _scan_model(
+    _, model, plan, plateau, columns = _scan_model(
         encoded, tset, ancillas, grid, float(baseline_counts), float(visibility)
     )
-    block = experiment.draw_block(model, seeds, noiseless, points)
+    block = experiment.draw_block(model, seeds, noiseless, plan)
     baselines, dips = experiment._read(block.counts, plateau, columns)
     v_hat = visibility
     if cal:
@@ -681,13 +681,14 @@ _scan_models_lock = threading.Lock()
 
 
 def _scan_model(encoded, tset, ancillas, grid, baseline_counts, visibility) -> tuple:
-    """(tset, block, points, plateau, columns), the memoized model of
+    """(tset, block, plan, plateau, columns), the memoized model of
     `simulate_counts`' scans of encoded against ancillas, the set's after
     the self-scan if there is one: the `experiment.block_model` at the grid
-    indices `points` the run reads, and the plateau mask and lag columns
-    within them, all read-only.  Holding tset keeps its identity in the key
-    from passing to another set.  A model is built outside the lock and
-    stored whole, so a call that raises stores nothing."""
+    indices the run reads, the `experiment._draw_plan` of its expectations
+    there, and the plateau mask and lag columns within those points, all
+    read-only.  Holding tset keeps its identity in the key from passing to
+    another set.  A model is built outside the lock and stored whole, so a
+    call that raises stores nothing."""
     state = encoded.matrix if isinstance(encoded, DensityMatrix) else encoded.amplitudes
     key = (
         id(tset), type(encoded), state.tobytes(), encoded.lattice, encoded.packet,
@@ -704,8 +705,9 @@ def _scan_model(encoded, tset, ancillas, grid, baseline_counts, visibility) -> t
     read[columns] = True
     points = np.flatnonzero(read)
     block = experiment.block_model(encoded, ancillas, grid, baseline_counts, visibility, points)
-    _read_only(block.delays, block.expected)
-    model = tset, block, *_read_only(points, plateau[points], points.searchsorted(columns))
+    plan = experiment._draw_plan(block.expected, points)
+    _read_only(block.delays, *plan)
+    model = tset, block, plan, *_read_only(plateau[points], points.searchsorted(columns))
     with _scan_models_lock:
         _scan_models[key] = model
         if len(_scan_models) > _SCAN_MODEL_SIZE:

@@ -28,6 +28,7 @@ from poltime.cli import (
     MAX_BINS,
     MAX_GRID_POINTS,
     MAX_REPLICAS,
+    MAX_TAU_OVER_SIGMA,
     ConfigError,
     bandwidth_to_sigma,
     load_config,
@@ -479,6 +480,23 @@ def test_extreme_finite_inputs_are_config_errors(tmp_path, command, overrides):
             f"config error: bandwidth_nm, wavelength_nm: 3 nm at "
             f"{overrides['wavelength_nm']:g} nm gives no positive finite envelope width"
         ]
+
+
+def test_tau_far_above_the_envelope_width_is_a_config_error(tmp_path):
+    """tau_s at most MAX_TAU_OVER_SIGMA envelope widths is accepted, and
+    above it is a config error naming tau_s, raised before the interference
+    model's tau / sigma_t overflows: oracle-check at tau_s 1e300 exits as a
+    config error with no RuntimeWarning on stderr."""
+    sigma = 2e-13
+    resolve_config({"tau_s": MAX_TAU_OVER_SIGMA * sigma, "sigma_t_s": sigma})
+    with pytest.raises(ConfigError, match="^tau_s: must be at most 1e\\+06 sigma_t"):
+        resolve_config({"tau_s": np.nextafter(MAX_TAU_OVER_SIGMA * sigma, 1.0), "sigma_t_s": sigma})
+    argv = [sys.executable, "-m", "poltime.cli", "oracle-check", "--triples", "3"]
+    argv += ["--config", write_config(tmp_path, tau_s=1e300)]
+    proc = subprocess.run(argv, capture_output=True, text=True)
+    assert proc.returncode == EXIT_CONFIG
+    assert proc.stderr.startswith("config error: tau_s: "), proc.stderr
+    assert "Warning" not in proc.stderr and proc.stdout == ""
 
 
 @pytest.mark.parametrize(

@@ -197,6 +197,23 @@ def test_derived_seeds_equal_seed_sequence(master):
 
 
 @pytest.mark.parametrize(
+    "streams",
+    [range(19), range(1, 19), range(0), range(30, 2, -7), range(2**64 - 5, 2**64)],
+    ids=repr,
+)
+def test_stream_ranges_are_checked_by_their_ends(streams):
+    """A range of streams, checked by its first and last entry, derives the
+    seeds of the same streams listed, and one that leaves [0, 2**64) at
+    either end raises the per-element check's error."""
+    got = derive_seeds(7, streams)
+    assert got.dtype == np.uint64 and got.tolist() == derive_seeds(7, list(streams)).tolist()
+    for bad in (range(-1, 5), range(5, -2, -1), range(2**64 - 2, 2**64 + 1), range(2**64, 0, -3)):
+        with pytest.raises(ValueError) as raised:
+            derive_seeds(7, bad)
+        assert str(raised.value).startswith(OUT_OF_RANGE)
+
+
+@pytest.mark.parametrize(
     "seed", [0, 3, 3.0, np.uint64(2**64 - 1), np.int64(17), 2**64 - 1], ids=repr
 )
 def test_integral_seeds_are_accepted_as_ints(seed):
@@ -621,6 +638,70 @@ def test_keyed_poisson_routes_equal_point_rng(monkeypatch):
         fallback[band] = len(reached)
         monkeypatch.undo()
     assert fallback[0.0] <= fallback[shipped] < fallback[np.inf]
+
+
+# numpy's random_loggam: its whole 10-term Stirling series.
+NUMPY_LOGGAM_A = (
+    8.333333333333333e-02, -2.777777777777778e-03, 7.936507936507937e-04,
+    -5.952380952380952e-04, 8.417508417508418e-04, -1.917526917526918e-03,
+    6.410256410256410e-03, -2.955065359477124e-02, 1.796443723688307e-01,
+    -1.39243221690590e00,
+)
+
+
+def loggam(x, coefficients):
+    """random_loggam at x >= 7 with the Stirling series cut to `coefficients`."""
+    x2 = (1.0 / x) * (1.0 / x)
+    gl0 = coefficients[-1]
+    for coef in coefficients[-2::-1]:
+        gl0 = gl0 * x2 + coef
+    return gl0 / x + 0.5 * experiment._LG2PI + (x - 0.5) * np.log(x) - x
+
+
+def test_cut_loggam_series_stays_far_inside_the_log_test_band():
+    """The settle's 3-term Stirling series is numpy's first three terms, and
+    from k = 6 to 2**53, on a log grid, its loggam(k + 1) stays within a
+    hundredth of the smallest guard band, 1e-9 * 130, of numpy's 10-term
+    one."""
+    assert experiment._LOGGAM_A == NUMPY_LOGGAM_A[:3]
+    k = np.unique(np.floor(np.geomspace(6.0, 2.0**53, 4000)))
+    cut = loggam(k + 1.0, experiment._LOGGAM_A)
+    whole = loggam(k + 1.0, NUMPY_LOGGAM_A)
+    assert np.abs(cut - whole).max() <= 1e-2 * 1e-9 * 130
+    assert experiment._LOG_TEST_BAND * experiment._LOG_TEST_SLACK == 1e-9 * 130
+
+
+def test_log_test_bound_covers_its_terms():
+    """On the candidates a 1e5-draw sample leaves to the log test, |log V|
+    <= 37, |log invalpha| <= 1 and |log h| <= 90, so the settle's bound S'
+    is at least S, the sum of the magnitudes of the test's terms."""
+    rng = np.random.default_rng(35)
+    means = np.exp(rng.uniform(np.log(10.0), np.log(2.0**53), size=(10, 10_000)))
+    seeds = rng.integers(0, 2**64, size=10, dtype=np.uint64)
+    plan = experiment._draw_plan(means)
+    word_u, word_v = experiment._philox_first_block(seeds[plan.rows], plan.keys)
+    # numpy's PTRS steps up to its log test, as _ptrs_settle takes them.
+    u = (word_u >> np.uint64(11)) * experiment._TO_UNIT - 0.5
+    v = (word_v >> np.uint64(11)) * experiment._TO_UNIT
+    us = 0.5 - np.abs(u)
+    k = np.floor((2.0 * plan.a / us + plan.b) * u + plan.lam + 0.43)
+    acc = (us >= 0.07) & (v <= plan.v_r)
+    rej = ~acc & ((k < 0.0) | ((us < 0.013) & (v > us)))
+    c, i = np.nonzero(~acc & ~rej & (k >= 6.0) & (v > 0.0))
+    assert c.size > 10_000
+    lam, kk, x = plan.lam[i], k[c, i], k[c, i] + 1.0
+    log_v, log_ia = np.log(v[c, i]), plan.log_ia[i]
+    log_h = np.log(plan.a[i] / (us[c, i] * us[c, i]) + plan.b[i])
+    assert np.abs(log_v).max() <= 37 and np.abs(log_ia).max() <= 1 and np.abs(log_h).max() <= 90
+    x2 = (1.0 / x) * (1.0 / x)
+    gl0 = (experiment._LOGGAM_A[2] * x2 + experiment._LOGGAM_A[1]) * x2 + experiment._LOGGAM_A[0]
+    log_x, k_loglam = np.log(x), kk * plan.log_lam[i]
+    bound = experiment._LOG_TEST_SLACK + lam + k_loglam + (x - 0.5) * log_x + x
+    magnitudes = (
+        np.abs(log_v) + np.abs(log_ia) + np.abs(log_h) + lam + np.abs(k_loglam)
+        + np.abs(gl0 / x) + 0.5 * experiment._LG2PI + (x - 0.5) * log_x + x
+    )
+    assert (bound >= magnitudes).all()
 
 
 def test_keyed_poisson_without_fallback_points_builds_no_generator(monkeypatch):

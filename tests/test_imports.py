@@ -6,6 +6,8 @@ in the module or listed in its `__all__`.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -49,3 +51,31 @@ def test_unread_imports_are_found():
         "print(pi)\n"
     )
     assert unread_imports(tree) == ["os (line 2)", "j (line 2)"]
+
+
+def test_optics_loads_on_first_use(tmp_path):
+    """`import poltime`, `import poltime.cli` and a `poltime tomography` run
+    leave `optics` unloaded, and `poltime prepare` loads it; in a fresh
+    process the package's names from it import and load it too."""
+    config = tmp_path / "config.json"
+    config.write_text('{"replicas": 2}')
+    run = f"['--config', {str(config)!r}, '--out', {str(tmp_path)!r}, '--no-timestamp']"
+    runs = f"""
+import sys
+import poltime, poltime.cli
+assert poltime.cli.main(['tomography', *{run}]) == 0
+assert 'poltime.optics' not in sys.modules
+assert poltime.cli.main(['prepare', *{run}]) == 0
+assert 'poltime.optics' in sys.modules
+"""
+    names = """
+import poltime
+from poltime import OpticalPipeline, apply_pipeline, compile_preparation, gate_matrix
+import poltime.optics as optics
+assert poltime.optics is optics
+for name in ('OpticalPipeline', 'apply_pipeline', 'compile_preparation', 'gate_matrix'):
+    assert getattr(poltime, name) is getattr(optics, name) is globals()[name]
+"""
+    for code in (runs, names):
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr

@@ -847,7 +847,7 @@ def test_simulated_counts_build_no_per_scan_objects(monkeypatch, lattice, packet
 def test_simulated_counts_model_and_draw_only_read_points(
     monkeypatch, lattice, set_name, grid, read
 ):
-    """A run hands hom.scan_traces and _keyed_poisson only the points it
+    """A run hands hom.scan_traces and _draw_counts only the points it
     reads.  The product set reads the dips at 0 and +-tau: 171 and 49 of
     the default grid's 321 points, all 43 of the compact grid's; the
     unbiased set reads no dip at -tau, so 42 of the compact grid's.
@@ -858,19 +858,19 @@ def test_simulated_counts_model_and_draw_only_read_points(
     enc = hilbert.named_state("phi_plus", lattice, packet)
     tomography._scan_models.clear()
     modelled, drawn = [], []
-    scan_traces, keyed_poisson = hom.scan_traces, experiment._keyed_poisson
+    scan_traces, draw_counts = hom.scan_traces, experiment._draw_counts
 
     def model(encoded, ancillas, grid_delays, vis=1.0):
         modelled.append(len(grid_delays))
         return scan_traces(encoded, ancillas, grid_delays, vis)
 
-    def draw(seeds, means, points=None):
-        drawn.append(means.shape[1])
-        return keyed_poisson(seeds, means, points)
+    def draw(plan, seeds):
+        drawn.append(plan.means.shape[1])
+        return draw_counts(plan, seeds)
 
     with monkeypatch.context() as patch:
         patch.setattr(hom, "scan_traces", model)
-        patch.setattr(experiment, "_keyed_poisson", draw)
+        patch.setattr(experiment, "_draw_counts", draw)
         bundle = simulate_counts(
             enc, tset, 1000.0, visibility=0.94, master_seed=6, delays=delays
         )
@@ -962,7 +962,8 @@ def test_scan_model_memo_builds_only_on_new_inputs(monkeypatch, lattice, packet,
 
 
 def test_scan_model_memo_is_bounded_and_read_only(lattice, packet, tset):
-    """The memo keeps the 8 models used last, and their arrays refuse writes."""
+    """The memo keeps the 8 models used last, and their arrays, those of
+    their draw plans among them, refuse writes."""
     tomography._scan_models.clear()
     enc = hilbert.named_state("phi_plus", lattice, packet)
     delays = compact_delays()
@@ -977,11 +978,12 @@ def test_scan_model_memo_is_bounded_and_read_only(lattice, packet, tset):
     assert run(8) == [0, *range(2, 9)]
     for k in range(9, 12):
         assert len(run(k)) == 8
-    for held, block, *arrays in tomography._scan_models.values():
+    for held, block, plan, *arrays in tomography._scan_models.values():
         assert held is tset
-        for arr in (block.delays, block.expected, *arrays):
+        assert plan.means is block.expected
+        for arr in (block.delays, block.expected, *plan, *arrays):
             with pytest.raises(ValueError, match="read-only"):
-                arr[0] = arr[0]
+                arr[...] = arr
 
 
 @pytest.mark.parametrize("bad", [
