@@ -18,9 +18,14 @@ untimed.
 
 Prints each side's median op time in raw milliseconds, the median of the
 per-pair ratios (this tree / parent) with a 95% bootstrap interval over the
-pairs, and whether every op's digest, the bytes its check says the RNG
-fixes, agreed between the sides.  Exits 1 if a digest differs or an op
-fails its check.  BLAS is held to one thread, as in perfbench.
+pairs, whether every op's digest, the bytes its check says the RNG fixes,
+agreed between the sides, and whether every op's record did: the fidelity
+on seed_sweep, and the fidelity, its bootstrap std and the dropped replicas
+on tomography_run, so a fit that moves shows even where the counts do not.
+Exits 1 if a digest differs or an op fails its check; a record that differs
+is reported but does not fail the run, so a change that moves fits within
+their tolerance can still be timed.  BLAS is held to one thread, as in
+perfbench.
 
 With --cold N it times N ABBA pairs of cold starts instead, perfbench's
 setup_s: each start is a fresh interpreter running this tree's
@@ -76,14 +81,13 @@ def load_tree(tree: Path, name: str):
     return pkg
 
 
-def timed_op(w, i: int) -> tuple[float, list, bytes | None]:
-    """Seconds of op i's run, then its check's problems and digest bytes."""
+def timed_op(w, i: int) -> tuple[float, list, bytes | None, dict]:
+    """Seconds of op i's run, then its check's problems, digest bytes and record."""
     inp = w.inputs(i)
     start = time.perf_counter()
     out = w.run(inp)
     seconds = time.perf_counter() - start
-    problems, digest, _ = w.check(inp, out)
-    return seconds, problems, digest
+    return (seconds, *w.check(inp, out))
 
 
 def median_interval(ratios: np.ndarray) -> tuple[float, float, float]:
@@ -137,7 +141,7 @@ def main(argv=None) -> int:
         return 0
     trees = (load_tree(args.parent.resolve(), "ab_parent"), load_tree(ROOT, "ab_child"))
     seconds = np.empty((args.ops, 2))
-    differ, problems = [], []
+    differ, moved, problems = [], [], []
     with tempfile.TemporaryDirectory() as work:
         sides = [
             workloads.WORKLOADS[args.workload](pt, args.seed, Path(work) / str(k), False)
@@ -146,18 +150,21 @@ def main(argv=None) -> int:
         for w in sides:
             w.warmup()
         for i in range(args.ops):
-            digests = [None, None]
+            digests, records = [None, None], [None, None]
             for k in (0, 1) if i % 2 == 0 else (1, 0):
-                seconds[i, k], found, digests[k] = timed_op(sides[k], i)
+                seconds[i, k], found, digests[k], records[k] = timed_op(sides[k], i)
                 problems += [f"op {i}, {('parent', 'this tree')[k]}: {p}" for p in found]
             if digests[0] != digests[1]:
                 differ.append(i)
+            if records[0] != records[1]:
+                moved.append(i)
     print(f"workload {args.workload}, {args.ops} ABBA pairs, seed {args.seed}, one BLAS thread")
     report(seconds)
-    if differ:
-        print(f"digests: {len(differ)} of {args.ops} ops differ, first op {differ[0]}")
-    else:
-        print(f"digests: all {args.ops} ops agree")
+    for name, ops in (("digests", differ), ("records", moved)):
+        if ops:
+            print(f"{name}: {len(ops)} of {args.ops} ops differ, first op {ops[0]}")
+        else:
+            print(f"{name}: all {args.ops} ops agree")
     for line in problems:
         print(line)
     return int(bool(differ or problems))

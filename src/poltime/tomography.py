@@ -38,6 +38,7 @@ from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from . import experiment, hilbert
 from .hilbert import DensityMatrix, PhotonState, TimeBinLattice, Wavepacket
@@ -277,7 +278,9 @@ def fidelity(rho, target) -> float:
 
     Pure target (a PhotonState or a vector): <psi|rho|psi>.  Mixed target
     (a DensityMatrix or a matrix of rho's shape): (tr sqrt(sqrt(rho) sigma
-    sqrt(rho)))^2, symmetric in its arguments.
+    sqrt(rho)))^2, symmetric in its arguments.  A pure target must be a
+    finite, nonzero vector of rho's dimension and a mixed one finite, or
+    ValueError names the target.
     """
     rho_m = _coerce_matrix(rho)
     if isinstance(target, PhotonState):
@@ -285,11 +288,17 @@ def fidelity(rho, target) -> float:
     sigma = _coerce_matrix(target)
     if sigma.ndim == 1:
         n2 = float(np.vdot(sigma, sigma).real)
+        if sigma.shape != rho_m.shape[:1] or not 0.0 < n2 < np.inf:
+            raise ValueError(
+                f"target: a pure target must be a finite, nonzero vector of length {len(rho_m)}"
+            )
         return float(np.real(np.vdot(sigma, rho_m @ sigma)) / n2)
     if sigma.shape != rho_m.shape:
         raise ValueError(
             f"target of shape {sigma.shape} does not match the estimate's {rho_m.shape}"
         )
+    if not np.isfinite(sigma).all():
+        raise ValueError("target: a mixed target must be finite")
     sr = _psd_sqrt(rho_m)
     evals = np.linalg.eigvalsh(sr @ sigma @ sr)
     return float(np.sum(np.sqrt(np.clip(evals, 0.0, None))) ** 2)
@@ -312,9 +321,10 @@ def _project(mats: np.ndarray, power: float = 1.0) -> np.ndarray:
     raised to `power`.
 
     The eigenvalues are projected onto the probability simplex and the
-    eigenvectors kept.
+    eigenvectors kept.  It calls np.linalg.eigh's LAPACK kernel directly, so
+    a failed decomposition raises only under its caller's np.errstate (`_fit`).
     """
-    evals, evecs = np.linalg.eigh(mats)
+    evals, evecs = _umath_linalg.eigh_lo(mats, signature="D->dD")
     desc = evals[:, ::-1]
     shifts = (desc.cumsum(axis=1) - 1.0) / np.arange(1, evals.shape[1] + 1)
     rank = (desc > shifts).sum(axis=1)
@@ -334,6 +344,11 @@ class _Fit(NamedTuple):
     iterations: np.ndarray
 
 
+def _linalg_failed(err: str, flag: int) -> None:
+    raise np.linalg.LinAlgError(f"likelihood fit: {err} value in its LAPACK kernels or counts")
+
+
+@np.errstate(call=_linalg_failed, invalid="call")
 def _fit(n: np.ndarray, baseline: np.ndarray, tables: tuple, visibility: float) -> _Fit:
     """Maximum-likelihood states for a stack of count sets, n and baseline (B, M),
     of the (M, 4, 4) projector stack whose `_fit_tables` are `tables`.
@@ -367,6 +382,15 @@ def _fit(n: np.ndarray, baseline: np.ndarray, tables: tuple, visibility: float) 
     unconverged after _MAX_ITER passes; the gap bounds the distance to the
     optimal deviance.  This is the only convergence test: callers read the
     verdict.
+
+    The decompositions and the solve call np.linalg's LAPACK kernels
+    (`_umath_linalg.eigh_lo`, `eigvalsh_lo`, `solve`) directly, with the
+    signatures np.linalg passes, so they give its results bit for bit without
+    its per-call wrappers; tests/test_fit_reference.py pins that.  LAPACK
+    reports a failure only by the invalid flag, so the fit runs under one
+    np.errstate that turns an invalid value, from a kernel or from the fit's
+    own arithmetic, into np.linalg.LinAlgError (a NaN count fails the first
+    decomposition); over, divide and under keep numpy's settings.
     """
     projs, inverse, quad = tables
     members, dim = quad.shape[:2]
@@ -384,7 +408,8 @@ def _fit(n: np.ndarray, baseline: np.ndarray, tables: tuple, visibility: float) 
         q = np.maximum(1.0 - fv, _Q_FLOOR)
         slope = big_n - n / q
         nu = -(slope * fv).sum(axis=1)
-        gap = nu - np.linalg.eigvalsh((slope @ span).view(complex).reshape(-1, _DIM, _DIM))[:, 0]
+        grad = (slope @ span).view(complex).reshape(-1, _DIM, _DIM)
+        gap = nu - _umath_linalg.eigvalsh_lo(grad, signature="D->d")[:, 0]
         return a, qv, fv, q, slope, nu, gap, (big_n * q - n * np.log(q)).sum(axis=1)
 
     def newton_step(point, two_n, boost):
@@ -407,7 +432,7 @@ def _fit(n: np.ndarray, baseline: np.ndarray, tables: tuple, visibility: float) 
         if boost is not None:
             half_lam *= boost
         h.reshape(len(h), -1)[:, :: dim + 1] += (half_lam - nu)[:, None]
-        return np.linalg.solve(h, -half_g[:, :, None])[:, :, 0]
+        return _umath_linalg.solve(h, -half_g[:, :, None], signature="dd->d")[:, :, 0]
 
     p_hat = np.clip((1.0 - n / baseline) / visibility, 0.0, 1.0)
     root = _project(_hermitian(p_hat @ inverse.T), 0.5)

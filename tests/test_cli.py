@@ -751,6 +751,22 @@ def test_tomography_converges_at_the_largest_baseline(tmp_path):
     assert result["fidelity"] > 0.999
 
 
+@pytest.mark.parametrize(
+    "error", [np.linalg.LinAlgError("singular"), tomography.ReconstructionError("gap")]
+)
+def test_numerical_failures_exit_3_without_a_traceback(tmp_path, capsys, monkeypatch, error):
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(tomography, "bootstrap_errors", fail)
+    path = write_config(tmp_path, replicas=2)
+    argv = ["tomography", "--config", path, "--out", str(tmp_path / "tomo"), "--no-timestamp"]
+    assert cli.main(argv) == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert f"numerical failure: {error}" in err
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # Determinism and self test
 # ---------------------------------------------------------------------------

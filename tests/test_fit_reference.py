@@ -46,12 +46,20 @@ set member before each reading became its own row of the fit.  Pooling is
 exact in the likelihood, so on the product set, whose bin-0 and tau members
 are each read by two scans, a per-reading fit must land where the pooled
 fit on the member tables does.
+
+`_fit` calls np.linalg's LAPACK kernels without its per-call wrappers, so
+the kernels are pinned against np.linalg bit for bit, and a NaN count must
+still end in LinAlgError with no warning.  After a numpy upgrade, rerun
+this file with scripts/check_keyed_draws.py.
 """
+
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.linalg import _umath_linalg
 
 from poltime import experiment, hilbert, tomography
 from poltime.tomography import (
@@ -688,3 +696,43 @@ def test_product_set_readings_fit_where_pooling_does(name, grid, product_tset, l
         assert abs(
             tomography.fidelity(fit.rho[0], target) - tomography.fidelity(pooled.rho[0], target)
         ) <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# The LAPACK kernels the fit calls without np.linalg's wrappers
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("rows", [1, 11, 101])
+def test_fit_kernels_match_numpy_linalg(rows):
+    """`_fit` and `_project` call np.linalg's gufuncs directly, with the
+    signatures np.linalg passes them: on Hermitian complex 4 x 4 and SPD real
+    16 x 16 stacks they must give np.linalg's results bit for bit.  This fails
+    if a numpy upgrade moves or changes the kernels."""
+    rng = np.random.default_rng(rows)
+    g = rng.normal(size=(rows, _DIM, _DIM)) + 1j * rng.normal(size=(rows, _DIM, _DIM))
+    herm = g + g.conj().transpose(0, 2, 1)
+    m = rng.normal(size=(rows, _DIM**2, _DIM**2))
+    spd = m @ m.transpose(0, 2, 1) + np.eye(_DIM**2)
+    rhs = rng.normal(size=(rows, _DIM**2, 1))
+    evals, evecs = _umath_linalg.eigh_lo(herm, signature="D->dD")
+    expected = np.linalg.eigh(herm)
+    assert evals.dtype == float and evecs.dtype == complex
+    assert np.array_equal(evals, expected.eigenvalues)
+    assert np.array_equal(evecs, expected.eigenvectors)
+    evals = _umath_linalg.eigvalsh_lo(herm, signature="D->d")
+    assert evals.dtype == float and np.array_equal(evals, np.linalg.eigvalsh(herm))
+    step = _umath_linalg.solve(spd, rhs, signature="dd->d")
+    assert step.dtype == float and np.array_equal(step, np.linalg.solve(spd, rhs))
+
+
+def test_fit_on_a_nan_count_raises_linalg_error_without_a_warning(tset):
+    """The kernels report failure by the invalid flag alone; `_fit`'s one
+    np.errstate turns it into LinAlgError, as np.linalg's wrappers did."""
+    n = np.full((3, len(tset.readings)), 250.0)
+    n[1, 5] = np.nan
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(np.linalg.LinAlgError):
+            tomography._fit(n, np.full_like(n, 1e3), tset.fit_tables, 0.94)
+    assert caught == []

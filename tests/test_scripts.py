@@ -2,6 +2,8 @@
 
 import json
 import os
+import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -81,3 +83,26 @@ def test_ab_bench_times_cold_starts():
     assert "cold starts, 2 ABBA pairs" in proc.stdout
     assert "this tree: median " in proc.stdout
     assert "ratio this tree / parent: median " in proc.stdout
+
+
+def test_ab_bench_reads_equal_records_on_its_own_tree():
+    args = ["--parent", str(ROOT), "--workload", "tomography_run", "--ops", "2"]
+    proc = run_script("ab_bench.py", *args)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "digests: all 2 ops agree" in proc.stdout
+    assert "records: all 2 ops agree" in proc.stdout
+
+
+def test_ab_bench_reports_moved_fits_without_failing(tmp_path):
+    """A parent whose fits stop at a looser gap draws the same counts but
+    lands elsewhere: the records differ, which is reported, not an error."""
+    shutil.copytree(ROOT / "src" / "poltime", tmp_path / "src" / "poltime")
+    source = tmp_path / "src" / "poltime" / "tomography.py"
+    text = source.read_text()
+    assert "\n_GAP_TOL = 1e-9 " in text
+    source.write_text(text.replace("\n_GAP_TOL = 1e-9 ", "\n_GAP_TOL = 1e-2 ", 1))
+    args = ["--parent", str(tmp_path), "--workload", "seed_sweep", "--ops", "4"]
+    proc = run_script("ab_bench.py", *args)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "digests: all 4 ops agree" in proc.stdout
+    assert re.search(r"records: [1-4] of 4 ops differ, first op \d", proc.stdout), proc.stdout

@@ -329,6 +329,33 @@ def test_fidelity_takes_density_matrix_targets(lattice, packet, rng):
         fidelity(rho, DensityMatrix(np.eye(6) / 6, wide, packet))
 
 
+BAD_TARGETS = {
+    "zero vector": (np.zeros(4), "pure target must be a finite, nonzero vector"),
+    "nan vector": (np.array([1.0, np.nan, 0.0, 0.0]), "pure target must be a finite"),
+    "short vector": (np.ones(3) / np.sqrt(3), "vector of length 4"),
+    "nan matrix": (np.full((4, 4), np.nan), "mixed target must be finite"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_TARGETS)
+def test_fidelity_refuses_bad_targets(case, rng):
+    """No warning, silent nan or numpy error from inside the arithmetic:
+    each bad target is a ValueError naming it."""
+    target, message = BAD_TARGETS[case]
+    with pytest.raises(ValueError, match=f"^target: .*{message}"):
+        fidelity(random_density_matrix(4, rng), target)
+
+
+@pytest.mark.parametrize("case", BAD_TARGETS)
+def test_reconstructions_pass_bad_target_errors_through(case, tset):
+    target, message = BAD_TARGETS[case]
+    counts = np.column_stack([np.full(len(tset.readings), 250.0), np.full(len(tset.readings), 1e3)])
+    with pytest.raises(ValueError, match=message):
+        mle_reconstruct(counts, tset, target=target)
+    with pytest.raises(ValueError, match=message):
+        bootstrap_errors(counts, tset, 1.0, target, replicas=2)
+
+
 def test_random_density_matrices_are_states(rng):
     for _ in range(50):
         rho = random_density_matrix(4, rng)
