@@ -9,13 +9,12 @@ or boolean seed raises ValueError instead of being truncated.  derive_seeds
 gives many streams' seeds from one master seed in one array pass.
 
 sample_block runs the scans of one encoded state against many ancillas on
-one grid, at one baseline and visibility, as one ScanBlock of (scans,
-points) arrays; sample_scans and sample_scan wrap its rows as ScanTraces.
-It is a seed-free block_model, whose expectations are one hom.scan_traces
-block, and draw_block, which draws every count in a single array pass over
-the points' keys (_keyed_poisson) from a seed-free plan of the expectations
-that a caller drawing one model at many seeds builds once.  That computes
-the first Philox block of every key in exact array code and settles most
+one grid, at one baseline and visibility, as one ScanTrace per scan.  Its
+expectations are the seed-free block_model, one hom.scan_traces block of
+(scans, points) expected counts; _draw_counts draws every count in one
+array pass over the points' keys from their seed-free _draw_plan, which a
+caller drawing one model at many seeds builds once.  That computes the
+first Philox block of every key in exact array code and settles most
 points there with numpy's transformed-rejection (PTRS) sampler, on the
 block's two candidates at once: the quick test and reject rules, then the
 log test only outside a guard band of 1e-9 of a bound on its terms'
@@ -23,10 +22,10 @@ magnitudes, which covers np.log's last bits and a cut Stirling series.
 numpy's own sampler, one generator per thread reset to the point's key,
 draws the rest.  Each count is the one point_rng gives, bit for bit.
 
-read_block reads the counts of scans on one grid at read_points' points:
-each one's baseline N0, the long-delay plateau mean, and its counts at lags
-* tau; read_dips reads a list of traces through it.  reading_lags says which
-lags a scan reads; a single-bin ancilla's scan yields two projections.
+read_dips reads a list of traces, and _read (scans, points) counts, at the
+points read_points gives: each scan's baseline N0, the long-delay plateau
+mean, and its counts at lags * tau.  reading_lags says which lags a scan
+reads; a single-bin ancilla's scan yields two projections.
 """
 
 from __future__ import annotations
@@ -461,61 +460,31 @@ def scan_geometry(encoded, ancillas) -> tuple[float, float, int]:
     return encoded.lattice.tau, encoded.packet.sigma_t, n_bins
 
 
-class ScanBlock(NamedTuple):
-    """ScanTrace's fields, with counts, expected and seeds stacked on a leading scans axis."""
-
-    delays: np.ndarray
-    counts: np.ndarray
-    expected: np.ndarray
-    seeds: np.ndarray
-    tau: float
-    sigma_t: float
-    n_bins: int
-    noiseless: bool
-
-    def traces(self) -> list[ScanTrace]:
-        """The ScanTrace of each scan, in block order."""
-        shared = self.tau, self.sigma_t, self.n_bins, self.noiseless
-        rows = zip(self.counts, self.expected, self.seeds.tolist())
-        return [ScanTrace(self.delays, c, e, seed, *shared) for c, e, seed in rows]
-
-
-def block_model(
-    encoded, ancillas, delays, baseline_counts, visibility, points=None
-) -> ScanBlock:
-    """sample_block's ScanBlock before its draw, with counts, seeds and
-    noiseless None: the expectations N0 * R(delta) of one hom.scan_traces
-    call.  Raises ValueError on a grid that does not reach past plateau_reach."""
-    tau, sigma_t, n_bins = scan_geometry(encoded, ancillas)
-    reach = plateau_reach(tau, sigma_t, n_bins)
+def block_model(encoded, ancillas, delays, baseline_counts, visibility, points=None) -> np.ndarray:
+    """The (scans, points) expected counts N0 * R(delta) of the scans of
+    encoded against ancillas, at all points of the grid or at its sorted
+    indices `points`: one hom.scan_traces call.  Raises ValueError on a
+    grid that does not reach past plateau_reach."""
+    reach = plateau_reach(*scan_geometry(encoded, ancillas))
     if not (delays[-1] > reach and delays[0] < -reach):
         raise ValueError(f"delay grid must reach past +-{reach:.3e} s to expose the baseline")
     grid = delays if points is None else delays[points]
-    expected = baseline_counts * hom.scan_traces(encoded, ancillas, grid, visibility)
-    return ScanBlock(grid, None, expected, None, tau, sigma_t, n_bins, None)
-
-
-def draw_block(model: ScanBlock, seeds, noiseless, plan: _DrawPlan | None) -> ScanBlock:
-    """The block_model drawn at checked seeds, one per scan, without writing
-    to it: point i of a scan is drawn from point_rng(its seed, i) by one
-    _draw_counts of the plan of its expectations, or set to the exact
-    expectation in noiseless mode, which reads no plan."""
-    seeds = np.asarray(seeds, dtype=_U64)
-    grid, _, expected, _, tau, sigma_t, n_bins, _ = model
-    counts = expected.copy() if noiseless else _draw_counts(plan, seeds)
-    return ScanBlock(grid, counts, expected, seeds, tau, sigma_t, n_bins, noiseless)
+    return baseline_counts * hom.scan_traces(encoded, ancillas, grid, visibility)
 
 
 def sample_block(
-    encoded, ancillas, seeds, delays, baseline_counts, visibility, noiseless, points=None
-) -> ScanBlock:
-    """The scans of sample_scans as one block, on a grid, baseline, visibility
-    and seeds that ScanConfig has checked, at all points or the sorted grid
-    indices `points`: the draw_block of their block_model and its plan.
-    """
-    model = block_model(encoded, ancillas, delays, baseline_counts, visibility, points)
-    plan = None if noiseless else _draw_plan(model.expected, points)
-    return draw_block(model, seeds, noiseless, plan)
+    encoded, ancillas, seeds, delays, baseline_counts, visibility, noiseless
+) -> list[ScanTrace]:
+    """The ScanTraces of sample_scans, on a grid, baseline, visibility and
+    seeds that ScanConfig has checked: point i of a scan is drawn from
+    point_rng(its seed, i) by one _draw_counts of the plan of their
+    block_model, or set to the exact expectation in noiseless mode."""
+    expected = block_model(encoded, ancillas, delays, baseline_counts, visibility)
+    seeds = np.asarray(seeds, dtype=_U64)
+    counts = expected.copy() if noiseless else _draw_counts(_draw_plan(expected), seeds)
+    shared = *scan_geometry(encoded, ancillas), noiseless
+    rows = zip(counts, expected, seeds.tolist())
+    return [ScanTrace(delays, c, e, seed, *shared) for c, e, seed in rows]
 
 
 def sample_scans(
@@ -525,31 +494,31 @@ def sample_scans(
     one baseline and visibility, with one seed per scan: the traces of one
     sample_block, each equal to the one its scan gives alone.  Raises
     ValueError as ScanConfig and sample_block do, and if the ancillas are
-    none or not one per seed.
-    """
+    none or not one per seed."""
     grid = ScanConfig(delays, baseline_counts, 0, visibility).delays
     seeds = [_check_seed(seed) for seed in seeds]
     if not ancillas or len(ancillas) != len(seeds):
         got = f"{len(ancillas)} ancillas and {len(seeds)} seeds"
         raise ValueError(f"a scan needs one ancilla per seed, got {got}")
-    return sample_block(
-        encoded, ancillas, seeds, grid, baseline_counts, visibility, noiseless
-    ).traces()
+    return sample_block(encoded, ancillas, seeds, grid, baseline_counts, visibility, noiseless)
 
 
 def sample_scan(encoded, ancilla, config: ScanConfig, noiseless: bool = False) -> ScanTrace:
     """Run one scan of the encoded state against the ancilla: the one-scan
     case of sample_scans, on the grid the config has checked."""
-    (trace,) = sample_block(
+    return sample_block(
         encoded, [ancilla], [_check_seed(config.seed)], config.delays,
         config.baseline_counts, config.visibility, noiseless,
-    ).traces()
-    return trace
+    )[0]
 
 
 def read_dips(traces, lags) -> tuple[np.ndarray, np.ndarray]:
-    """read_block of traces that share the first one's delays, tau, sigma_t
-    and n_bins; raises ValueError if they do not, or as read_block does."""
+    """Baselines (S,) and dips (S, len(lags)) of S traces that share the
+    first one's delays, tau, sigma_t and n_bins: _read of their stacked
+    counts at read_points' points.  Raises ValueError on an empty list, on
+    traces that do not share those, or as read_points and _read do."""
+    if not traces:
+        raise ValueError("read_dips needs at least one trace, got an empty trace list")
     first = traces[0]
     for trace in traces[1:]:
         if not (trace.delays is first.delays or np.array_equal(trace.delays, first.delays)):
@@ -558,7 +527,7 @@ def read_dips(traces, lags) -> tuple[np.ndarray, np.ndarray]:
             if getattr(trace, name) != getattr(first, name):
                 raise ValueError(f"traces read together must share the first trace's {name}")
     counts = np.array([trace.counts for trace in traces])
-    return read_block(counts, first.delays, first.tau, first.sigma_t, first.n_bins, lags)
+    return _read(counts, *read_points(first.delays, first.tau, first.sigma_t, first.n_bins, lags))
 
 
 def read_points(delays, tau, sigma_t, n_bins, lags) -> tuple[np.ndarray, np.ndarray]:
@@ -577,16 +546,11 @@ def read_points(delays, tau, sigma_t, n_bins, lags) -> tuple[np.ndarray, np.ndar
     return plateau, columns
 
 
-def read_block(counts, delays, tau, sigma_t, n_bins, lags) -> tuple[np.ndarray, np.ndarray]:
-    """Baselines (S,) and dips (S, len(lags)) of the (S, points) counts of S
-    scans on one grid: a baseline is the mean count over read_points'
-    plateau, dip column k the count at lags[k] * tau.  Raises ValueError as
-    read_points does, or if the plateau has no points or a scan no counts."""
-    return _read(counts, *read_points(delays, tau, sigma_t, n_bins, lags))
-
-
 def _read(counts, plateau, columns) -> tuple[np.ndarray, np.ndarray]:
-    """read_block of counts at the plateau mask and lag columns read_points gave."""
+    """Baselines (S,) and dips of the (S, points) counts of S scans at the
+    plateau mask and lag columns read_points gave: a baseline is the mean
+    count over the plateau, dip column k the count at column k.  Raises
+    ValueError if the plateau has no points or a scan no counts there."""
     size = np.count_nonzero(plateau)
     if not size:
         raise ValueError("no baseline points: grid lies entirely inside dip regions")

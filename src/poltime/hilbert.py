@@ -107,6 +107,14 @@ def _warn_if_unresolvable(lattice: TimeBinLattice, packet: Wavepacket) -> None:
         )
 
 
+def _equal_states(a, b, array: str):
+    """Exact equality of type, lattice, packet and array; the generated __eq__ raises."""
+    if type(b) is not type(a):
+        return NotImplemented
+    same = (a.lattice, a.packet) == (b.lattice, b.packet)
+    return same and np.array_equal(getattr(a, array), getattr(b, array))
+
+
 @dataclass(frozen=True)
 class PhotonState:
     """Pure single-photon state with amplitudes over (polarization, bin).
@@ -140,6 +148,9 @@ class PhotonState:
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "norm_squared", n2)
         _warn_if_unresolvable(self.lattice, self.packet)
+
+    def __eq__(self, other):
+        return _equal_states(self, other, "amplitudes")
 
     @property
     def bin_count(self) -> int:
@@ -195,6 +206,9 @@ class DensityMatrix:
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
         _warn_if_unresolvable(self.lattice, self.packet)
+
+    def __eq__(self, other):
+        return _equal_states(self, other, "matrix")
 
     @property
     def bin_count(self) -> int:

@@ -273,6 +273,12 @@ def _coerce_matrix(state) -> np.ndarray:
     return state.matrix if isinstance(state, DensityMatrix) else np.asarray(state, dtype=complex)
 
 
+def _pure_fidelities(rhos: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """<v|rho|v> / |v|^2 of each rho of a (k, d, d) stack, in one stacked product."""
+    mid = np.matmul(rhos, v[:, None])
+    return np.matmul(v.conj()[None, None, :], mid)[:, 0, 0].real / float(np.vdot(v, v).real)
+
+
 def fidelity(rho, target) -> float:
     """State fidelity of a reconstruction against a pure or mixed target.
 
@@ -292,7 +298,7 @@ def fidelity(rho, target) -> float:
             raise ValueError(
                 f"target: a pure target must be a finite, nonzero vector of length {len(rho_m)}"
             )
-        return float(np.real(np.vdot(sigma, rho_m @ sigma)) / n2)
+        return float(_pure_fidelities(rho_m[None], sigma)[0])
     if sigma.shape != rho_m.shape:
         raise ValueError(
             f"target of shape {sigma.shape} does not match the estimate's {rho_m.shape}"
@@ -607,10 +613,8 @@ def bootstrap_errors(
     estimate = _result(n, fit, target)
     if target is None:
         fids = np.empty(0)
-    elif isinstance(target, PhotonState):  # fidelity's <v|rho|v> / |v|^2, bit for bit
-        v = hilbert.logical_vector(target)
-        mid = np.matmul(rhos, v[:, None])
-        fids = np.matmul(v.conj()[None, None, :], mid)[:, 0, 0].real / float(np.vdot(v, v).real)
+    elif isinstance(target, PhotonState):
+        fids = _pure_fidelities(rhos, hilbert.logical_vector(target))
     else:
         fids = np.array([fidelity(rho, target) for rho in rhos])
     return BootstrapResult(
@@ -642,7 +646,7 @@ class CountsBundle:
 
     @cached_property
     def traces(self) -> tuple[experiment.ScanTrace, ...]:
-        return tuple(experiment.sample_block(*self.scans).traces())
+        return tuple(experiment.sample_block(*self.scans))
 
 
 def simulate_counts(
@@ -661,36 +665,28 @@ def simulate_counts(
     Scan j uses stream j + 1.  The interference visibility is calibrated
     from a scan of the encoded state against itself (stream 0); mixed
     encoded states skip calibration and trust the configured value.  All
-    scans, the calibration scan included, are one `experiment.draw_block`
-    of the points of `delays` that `experiment.read_points` says they read,
-    each as `sample_scan` of its scan alone, and read there as
-    `experiment.read_block` reads them; no per-scan object is built.  Each
-    (scan, lag, member) reading is one (n_i, N_i) pair: the scan's count at
-    lag * tau and its baseline.  Stream seeds come from one
-    `experiment.derive_seeds` pass, so a master seed that is not an integer
-    in [0, 2**64) raises ValueError; so do the grid, baseline and visibility
-    that `experiment.ScanConfig` refuses.
-
-    The seed enters only the draw.  The read points, the
-    `experiment.block_model` of their expectations and its seed-free draw
-    plan come from a memo of the 8 models used last, keyed by the set's
-    identity, the encoded state's type, array bytes, lattice and packet,
-    the grid's bytes, the baseline, the visibility and whether row 0 is the
-    calibration scan, so a seed sweep models each target's scans once.  Its
-    arrays refuse writes, and every input is checked before it is read.
+    scans, the calibration scan included, are one `experiment._draw_counts`
+    of the memoized `_scan_model` at the points `experiment.read_points`
+    says they read, each row as `sample_scan` draws its scan alone, read
+    there by `experiment._read`; no per-scan object is built.  Each (scan,
+    lag, member) reading is one (n_i, N_i) pair: the scan's count at lag *
+    tau and its baseline.  The seed enters only the draw.  A master seed
+    that `experiment.derive_seeds` refuses, not an integer in [0, 2**64),
+    raises ValueError before the memo is read, as do the grid, baseline and
+    visibility that `experiment.ScanConfig` refuses.
     """
-    # With calibration, row 0 of the block is the self-scan and scan j is row j + 1.
+    # With calibration, row 0 of the counts is the self-scan and scan j is row j + 1.
     cal = int(calibrate and isinstance(encoded, PhotonState))
     ancillas = [encoded] * cal + [tset.members[ancilla][1] for ancilla in tset.scans]
     seeds = experiment.derive_seeds(master_seed, range(1 - cal, len(tset.scans) + 1))
     grid = experiment.ScanConfig(delays, baseline_counts, 0, visibility).delays
     # Column k of the dips is lags[k]; the last entry of `column` is lag 0.
     scan, _, _, column = tset.reading_columns
-    _, model, plan, plateau, columns = _scan_model(
+    _, plan, plateau, columns = _scan_model(
         encoded, tset, ancillas, grid, float(baseline_counts), float(visibility)
     )
-    block = experiment.draw_block(model, seeds, noiseless, plan)
-    baselines, dips = experiment._read(block.counts, plateau, columns)
+    drawn = plan.means.copy() if noiseless else experiment._draw_counts(plan, seeds)
+    baselines, dips = experiment._read(drawn, plateau, columns)
     v_hat = visibility
     if cal:
         v_hat = float(np.clip(1.0 - dips[0, column[-1]] / baselines[0], 0.0, 1.0))
@@ -706,19 +702,20 @@ _scan_models_lock = threading.Lock()
 
 
 def _scan_model(encoded, tset, ancillas, grid, baseline_counts, visibility) -> tuple:
-    """(tset, block, plan, plateau, columns), the memoized model of
-    `simulate_counts`' scans of encoded against ancillas, the set's after
-    the self-scan if there is one: the `experiment.block_model` at the grid
-    indices the run reads, the `experiment._draw_plan` of its expectations
-    there, and the plateau mask and lag columns within those points, all
-    read-only.  Holding tset keeps its identity in the key from passing to
-    another set.  A model is built outside the lock and stored whole, so a
-    call that raises stores nothing."""
+    """(tset, plan, plateau, columns), read-only: the `experiment._draw_plan`
+    of `simulate_counts`' `experiment.block_model` of encoded against
+    ancillas at the grid indices the run reads, and the plateau mask and lag
+    columns within those points.  The memo holds the 8 models used last,
+    keyed by the set's identity (holding tset keeps it from passing to
+    another set), the encoded state's type, array bytes, lattice and packet,
+    the grid's bytes, the baseline, the visibility and whether the scans
+    start with the self-scan.  A model is built outside the lock and stored
+    whole, so a call that raises stores nothing."""
     state = encoded.matrix if isinstance(encoded, DensityMatrix) else encoded.amplitudes
     key = (
         id(tset), type(encoded), state.tobytes(), encoded.lattice, encoded.packet,
         grid.tobytes(), baseline_counts, visibility, len(ancillas) - len(tset.scans),
-    )  # the last entry is 1 if the block starts with the self-scan
+    )
     with _scan_models_lock:
         model = _scan_models.get(key)
         if model is not None:
@@ -729,10 +726,10 @@ def _scan_model(encoded, tset, ancillas, grid, baseline_counts, visibility) -> t
     read = plateau.copy()
     read[columns] = True
     points = np.flatnonzero(read)
-    block = experiment.block_model(encoded, ancillas, grid, baseline_counts, visibility, points)
-    plan = experiment._draw_plan(block.expected, points)
-    _read_only(block.delays, *plan)
-    model = tset, block, plan, *_read_only(plateau[points], points.searchsorted(columns))
+    expected = experiment.block_model(encoded, ancillas, grid, baseline_counts, visibility, points)
+    plan = experiment._draw_plan(expected, points)
+    _read_only(*plan)
+    model = tset, plan, *_read_only(plateau[points], points.searchsorted(columns))
     with _scan_models_lock:
         _scan_models[key] = model
         if len(_scan_models) > _SCAN_MODEL_SIZE:

@@ -518,6 +518,14 @@ def test_read_dips_refuses_traces_on_another_grid(lattice, packet):
         read_dips([first, second], (0,))
 
 
+def test_read_dips_refuses_an_empty_trace_list():
+    """No traces is refused as sample_scans refuses no ancillas, with a
+    ValueError that names the empty list."""
+    for traces in ([], ()):
+        with pytest.raises(ValueError, match="empty trace list"):
+            read_dips(traces, (0,))
+
+
 def test_read_dips_refuses_traces_of_another_sigma_t(lattice):
     """The plateau is cut at 12 sigma_t of the first trace, so a trace of
     another sigma_t would be read on the wrong plateau."""

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from poltime import hilbert
+from poltime import hilbert, tomography
 from poltime.hilbert import (
     DensityMatrix,
     PhotonState,
@@ -90,6 +90,34 @@ def test_state_keeps_its_norm_and_its_fields(lattice, packet, rng):
     assert repr(state) == (
         f"PhotonState(amplitudes={state.amplitudes!r}, lattice={lattice!r}, packet={packet!r})"
     )
+
+
+def test_states_and_sets_compare_by_value(lattice, packet, rng):
+    """Two separately built states are equal exactly when their type,
+    lattice, packet and stored array are; == neither raises on the array
+    nor makes a state hashable."""
+    state = random_pure(rng, lattice, packet)
+    copy = PhotonState(state.amplitudes.copy(), lattice, packet)
+    assert state == copy and not state != copy and state in [copy]
+    changed = state.amplitudes.copy()
+    changed[1] *= -1
+    wider = TimeBinLattice(lattice.bin_count, 2 * lattice.tau)
+    narrower = Wavepacket(packet.sigma_t / 2)
+    for other in (
+        PhotonState(changed, lattice, packet),
+        PhotonState(state.amplitudes, wider, packet),
+        PhotonState(state.amplitudes, lattice, narrower),
+        to_density(state),
+    ):
+        assert state != other and other != state and state not in [other]
+    rho = to_density(state)
+    assert rho == DensityMatrix(rho.matrix.copy(), lattice, packet)
+    assert rho != DensityMatrix(rho.matrix / 2, lattice, packet)
+    first, second = (tomography.product_tomography_set(lattice, packet) for _ in range(2))
+    assert first is not second and first == second
+    for unhashable in (state, rho, first):
+        with pytest.raises(TypeError):
+            hash(unhashable)
 
 
 def test_state_copies_its_amplitudes(lattice, packet):

@@ -6,7 +6,8 @@ as np.mean's own sum and division, and the lag columns by argmin along the
 points; it is copied verbatim but for its name.  Those changes keep every
 arithmetic operation, so the current reader must return its baselines and
 dips bit for bit and raise its three errors with the same messages, both
-from a list of traces (read_dips) and from a block of counts (read_block).
+from a list of traces (read_dips) and from stacked counts (_read at
+read_points' points).
 """
 
 import numpy as np
@@ -19,8 +20,8 @@ from poltime.experiment import (
     ScanTrace,
     compact_delay_grid,
     default_delay_grid,
-    read_block,
     read_dips,
+    read_points,
 )
 
 TAU = 2.3e-12
@@ -80,10 +81,11 @@ def grid_of(name, n_bins):
 
 
 def read_as_block(traces, lags):
-    """read_block of the traces' stacked counts, with the first's grid."""
+    """_read of the traces' stacked counts at read_points' points of the first's grid."""
     first = traces[0]
     counts = np.array([trace.counts for trace in traces])
-    return read_block(counts, first.delays, first.tau, first.sigma_t, first.n_bins, lags)
+    points = read_points(first.delays, first.tau, first.sigma_t, first.n_bins, lags)
+    return experiment._read(counts, *points)
 
 
 READERS = (read_dips, read_as_block)
