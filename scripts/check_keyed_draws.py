@@ -91,7 +91,7 @@ def main() -> int:
         ap.error(f"--draws must be at least {ROWS}")
 
     rng = np.random.default_rng(20260)
-    seeds = [0, 2**64 - 1, *(experiment.derive_seed(1, r) for r in range(ROWS - 2))]
+    seeds = [0, 2**64 - 1, *experiment.derive_seeds(1, range(ROWS - 2)).tolist()]
     points = args.draws // ROWS
     mismatches = subset_mismatches = subset_draws = 0
     fallback, ptrs_points = count_fallback(), 0

@@ -38,20 +38,21 @@ def main() -> None:
     packet = hilbert.Wavepacket(sigma_t=args.sigma_t)
     delays = experiment.default_delay_grid(args.tau)
 
+    seeds = experiment.derive_seeds(args.seed, range(len(PAIRINGS))).tolist()
     summary = {}
-    for i, (enc_name, anc_name) in enumerate(PAIRINGS):
+    for seed, (enc_name, anc_name) in zip(seeds, PAIRINGS):
         enc = hilbert.named_state(enc_name, lattice, packet)
         anc = hilbert.named_state(anc_name, lattice, packet)
         cfg = experiment.ScanConfig(
             delays=delays,
             baseline_counts=args.baseline,
-            seed=experiment.derive_seed(args.seed, i),
+            seed=seed,
             visibility=args.visibility,
         )
         trace = experiment.sample_scan(enc, anc, cfg, noiseless=not args.counts)
         stem = f"{enc_name}_vs_{anc_name}".replace("+", "plus").replace("-", "minus")
         experiment.write_trace_csv(trace, out / f"{stem}.csv")
-        (n0,), (dips,) = experiment.read_dips([trace], LAGS)
+        n0, dips = experiment.read_dips(trace, LAGS)
         summary[f"{enc_name} vs {anc_name}"] = {
             str(lag): round(1.0 - float(n / n0), 6) for lag, n in zip(LAGS, dips)
         }

@@ -367,14 +367,12 @@ def cmd_prepare(cfg: ExperimentConfig, out_dir: Path, timestamp: bool) -> int:
 def cmd_scan(cfg: ExperimentConfig, out_dir: Path, timestamp: bool, noiseless: bool) -> int:
     if cfg.ancilla is None:
         raise ConfigError('ancilla "tomography" belongs to the tomography subcommand')
-    (trace,) = experiment.sample_scans(
-        cfg.encoded, [cfg.ancilla], [cfg.seed], cfg.delays(), cfg.baseline_counts,
-        cfg.visibility, noiseless,
-    )
+    scan = experiment.ScanConfig(cfg.delays(), cfg.baseline_counts, cfg.seed, cfg.visibility)
+    trace = experiment.sample_scan(cfg.encoded, cfg.ancilla, scan, noiseless)
     experiment.write_trace_csv(trace, out_dir / "trace.csv")
 
     lags = (-1, 0, 1)
-    (baseline,), (dips,) = experiment.read_dips([trace], lags)
+    baseline, dips = experiment.read_dips(trace, lags)
     ratio = dips / baseline
     dip_depths = {str(lag): float(np.clip(1.0 - r, 0.0, 1.0)) for lag, r in zip(lags, ratio)}
     summary = {

@@ -22,7 +22,8 @@ magnitudes, which covers np.log's last bits and a cut Stirling series.
 numpy's own sampler, one generator per thread reset to the point's key,
 draws the rest.  Each count is the one point_rng gives, bit for bit.
 
-read_dips reads a list of traces, and _read (scans, points) counts, at the
+sample_scan is its one-scan case, at a ScanConfig's checked grid and
+seed.  read_dips reads one trace, and _read (scans, points) counts, at the
 points read_points gives: each scan's baseline N0, the long-delay plateau
 mean, and its counts at lags * tau.  reading_lags says which lags a scan
 reads; a single-bin ancilla's scan yields two projections.
@@ -114,15 +115,10 @@ def derive_seeds(master_seed: int, streams) -> np.ndarray:
     return low | high << _SHIFT32
 
 
-def derive_seed(master_seed: int, stream_index: int) -> int:
-    """The seed of one stream: the one-stream case of derive_seeds."""
-    return int(derive_seeds(master_seed, [stream_index])[0])
-
-
 def point_rng(seed: int, point_index: int) -> np.random.Generator:
     """Counter-based generator for one scan point: Philox keyed by
     (seed, point_index), counter at zero.  This defines the count stream;
-    sampling draws it through _keyed_poisson, which reproduces it draw for
+    sampling draws it through _draw_counts, which reproduces it draw for
     draw."""
     key = np.array([int(seed), int(point_index)], dtype=_U64)
     return np.random.Generator(np.random.Philox(key=key))
@@ -346,8 +342,8 @@ class ScanConfig:
         delays = delays.copy()
         delays.setflags(write=False)
         object.__setattr__(self, "delays", delays)
-        if not self.baseline_counts > 0:
-            raise ValueError("baseline_counts must be positive")
+        if not 0 < self.baseline_counts < np.inf:
+            raise ValueError("baseline_counts must be positive and finite")
         _check_seed(self.seed)
         if not 0.0 <= self.visibility <= 1.0:
             raise ValueError("visibility must lie in [0, 1]")
@@ -374,7 +370,8 @@ def _check_seed(seed) -> int:
 
 @dataclass(frozen=True)
 class ScanTrace:
-    """Recorded counts of one scan, plus the model expectation for reference."""
+    """Recorded counts of one scan, plus the model expectation for reference.
+    delays and counts are kept as the float arrays that are checked."""
 
     delays: np.ndarray
     counts: np.ndarray
@@ -386,8 +383,10 @@ class ScanTrace:
     noiseless: bool
 
     def __post_init__(self):
-        counts = np.asarray(self.counts, dtype=float)
-        if counts.shape != self.delays.shape:
+        for name in ("delays", "counts"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        delays, counts = self.delays, self.counts
+        if counts.shape != delays.shape:
             raise ValueError("counts and delays must have matching shapes")
         if (counts < 0).any():
             raise ValueError("counts must be nonnegative")
@@ -410,14 +409,16 @@ def default_delay_grid(
 
     The points nearest to the required lags are snapped onto them exactly so
     dip readings never interpolate.  Raises ValueError if step is not
-    positive, an argument is not finite, half_span does not exceed tau, or
-    two lags are nearest to one point.
+    positive, an argument is not finite, tau is not positive, half_span
+    does not exceed tau, or two lags are nearest to one point.
     """
     if not step > 0:
         raise ValueError("grid step must be positive")
     for name, value in (("tau", tau), ("half_span", half_span), ("step", step)):
         if not np.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
+    if not tau > 0:
+        raise ValueError(f"tau must be positive, got {tau}")
     if tau >= half_span:
         raise ValueError("half_span must exceed tau")
     n = int(round(half_span / step))
@@ -475,10 +476,10 @@ def block_model(encoded, ancillas, delays, baseline_counts, visibility, points=N
 def sample_block(
     encoded, ancillas, seeds, delays, baseline_counts, visibility, noiseless
 ) -> list[ScanTrace]:
-    """The ScanTraces of sample_scans, on a grid, baseline, visibility and
-    seeds that ScanConfig has checked: point i of a scan is drawn from
-    point_rng(its seed, i) by one _draw_counts of the plan of their
-    block_model, or set to the exact expectation in noiseless mode."""
+    """One ScanTrace per ancilla, with one seed each, on a grid, baseline,
+    visibility and seeds that ScanConfig has checked: point i of a scan is
+    drawn from point_rng(its seed, i) by one _draw_counts of the plan of
+    their block_model, or set to the exact expectation in noiseless mode."""
     expected = block_model(encoded, ancillas, delays, baseline_counts, visibility)
     seeds = np.asarray(seeds, dtype=_U64)
     counts = expected.copy() if noiseless else _draw_counts(_draw_plan(expected), seeds)
@@ -487,47 +488,21 @@ def sample_block(
     return [ScanTrace(delays, c, e, seed, *shared) for c, e, seed in rows]
 
 
-def sample_scans(
-    encoded, ancillas, seeds, delays, baseline_counts, visibility=1.0, noiseless=False
-) -> list[ScanTrace]:
-    """Scan the encoded state against each ancilla, all on one delay grid at
-    one baseline and visibility, with one seed per scan: the traces of one
-    sample_block, each equal to the one its scan gives alone.  Raises
-    ValueError as ScanConfig and sample_block do, and if the ancillas are
-    none or not one per seed."""
-    grid = ScanConfig(delays, baseline_counts, 0, visibility).delays
-    seeds = [_check_seed(seed) for seed in seeds]
-    if not ancillas or len(ancillas) != len(seeds):
-        got = f"{len(ancillas)} ancillas and {len(seeds)} seeds"
-        raise ValueError(f"a scan needs one ancilla per seed, got {got}")
-    return sample_block(encoded, ancillas, seeds, grid, baseline_counts, visibility, noiseless)
-
-
 def sample_scan(encoded, ancilla, config: ScanConfig, noiseless: bool = False) -> ScanTrace:
     """Run one scan of the encoded state against the ancilla: the one-scan
-    case of sample_scans, on the grid the config has checked."""
+    case of sample_block, on the grid the config has checked."""
     return sample_block(
         encoded, [ancilla], [_check_seed(config.seed)], config.delays,
         config.baseline_counts, config.visibility, noiseless,
     )[0]
 
 
-def read_dips(traces, lags) -> tuple[np.ndarray, np.ndarray]:
-    """Baselines (S,) and dips (S, len(lags)) of S traces that share the
-    first one's delays, tau, sigma_t and n_bins: _read of their stacked
-    counts at read_points' points.  Raises ValueError on an empty list, on
-    traces that do not share those, or as read_points and _read do."""
-    if not traces:
-        raise ValueError("read_dips needs at least one trace, got an empty trace list")
-    first = traces[0]
-    for trace in traces[1:]:
-        if not (trace.delays is first.delays or np.array_equal(trace.delays, first.delays)):
-            raise ValueError("traces read together must share the first trace's delays")
-        for name in ("tau", "sigma_t", "n_bins"):
-            if getattr(trace, name) != getattr(first, name):
-                raise ValueError(f"traces read together must share the first trace's {name}")
-    counts = np.array([trace.counts for trace in traces])
-    return _read(counts, *read_points(first.delays, first.tau, first.sigma_t, first.n_bins, lags))
+def read_dips(trace: ScanTrace, lags) -> tuple[float, np.ndarray]:
+    """Baseline and dips (len(lags),) of one trace: _read of its counts at
+    read_points' points.  Raises ValueError as those two do."""
+    points = read_points(trace.delays, trace.tau, trace.sigma_t, trace.n_bins, lags)
+    (baseline,), (dips,) = _read(trace.counts[None], *points)
+    return baseline, dips
 
 
 def read_points(delays, tau, sigma_t, n_bins, lags) -> tuple[np.ndarray, np.ndarray]:
@@ -563,7 +538,7 @@ def _read(counts, plateau, columns) -> tuple[np.ndarray, np.ndarray]:
 
 def estimate_baseline(trace: ScanTrace) -> float:
     """Mean counts over the long-delay plateau of one trace; estimates N0."""
-    return float(read_dips([trace], ())[0][0])
+    return float(read_dips(trace, ())[0])
 
 
 def reading_lags(occupied) -> tuple[int, ...]:
@@ -580,14 +555,14 @@ def extract_projections(trace: ScanTrace, ancilla_bins_occupied) -> list[Project
     """Projection estimates from one trace, at the lags of reading_lags, so
     a single-bin ancilla's scan feeds two projections."""
     lags = reading_lags(ancilla_bins_occupied)
-    (n0,), (dips,) = read_dips([trace], lags)
+    n0, dips = read_dips(trace, lags)
     p_hat = np.clip(1.0 - dips / n0, 0.0, 1.0)
     return [ProjectionReading(lag=lag, p_hat=float(p)) for lag, p in zip(lags, p_hat)]
 
 
 def estimate_visibility(trace: ScanTrace) -> float:
     """1 - R_hat(0); calibrates v from a scan of two identical states."""
-    (n0,), ((dip,),) = read_dips([trace], (0,))
+    n0, (dip,) = read_dips(trace, (0,))
     return float(np.clip(1.0 - dip / n0, 0.0, 1.0))
 
 

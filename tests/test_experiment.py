@@ -1,6 +1,7 @@
 """Synthetic scan sampling and estimation: Poisson counts, baselines,
 projection readings, visibility calibration, determinism."""
 
+import re
 import sys
 import threading
 
@@ -14,7 +15,6 @@ from poltime.experiment import (
     ScanTrace,
     compact_delay_grid,
     default_delay_grid,
-    derive_seed,
     derive_seeds,
     estimate_baseline,
     estimate_visibility,
@@ -23,8 +23,8 @@ from poltime.experiment import (
     point_rng,
     read_dips,
     reading_lags,
+    sample_block,
     sample_scan,
-    sample_scans,
     write_trace_csv,
 )
 
@@ -79,6 +79,14 @@ def test_default_grid_names_a_non_finite_argument():
             default_delay_grid(**args)
 
 
+def test_default_grid_needs_a_positive_tau():
+    """tau = 0 was refused as a step too coarse to snap the dip lags, and a
+    negative tau returned a grid."""
+    for tau in (0.0, -TAU):
+        with pytest.raises(ValueError, match=re.escape(f"tau must be positive, got {tau}")):
+            default_delay_grid(tau)
+
+
 def test_compact_grid_has_baseline_wings():
     grid = compact_delay_grid(TAU, SIGMA, baseline_points=40)
     for lag in (-TAU, 0.0, TAU):
@@ -100,24 +108,31 @@ def test_scan_config_validation():
         ScanConfig(delays=np.linspace(-1, 1, 5), baseline_counts=10, seed=-1)
 
 
+@pytest.mark.parametrize("baseline", [np.inf, np.nan, 0.0, -5.0])
+def test_scan_config_needs_a_positive_finite_baseline(baseline):
+    """An infinite baseline was accepted, and a noiseless scan then read
+    inf / inf, NaN, at every dip."""
+    with pytest.raises(ValueError, match="^baseline_counts must be positive and finite$"):
+        ScanConfig(compact_delay_grid(TAU, SIGMA), baseline, 0)
+
+
 @pytest.mark.parametrize("noiseless", [False, True])
 @pytest.mark.parametrize("bad_seed", [-1, 2**64])
-def test_sample_scans_checks_every_seed(lattice, packet, noiseless, bad_seed):
+def test_scan_jobs_check_their_seed_noisy_or_noiseless(lattice, packet, tset, noiseless, bad_seed):
+    """A noiseless scan draws nothing, yet it refuses a bad seed as a noisy
+    one does: one scan through its ScanConfig, a run through its master
+    seed."""
     phi = hilbert.named_state("phi_plus", lattice, packet)
     delays = compact_delay_grid(TAU, SIGMA)
-    with pytest.raises(ValueError, match="seed"):
-        sample_scans(phi, [phi, phi], [0, bad_seed], delays, 100.0, noiseless=noiseless)
-
-
-@pytest.mark.parametrize("noiseless", [False, True])
-@pytest.mark.parametrize("ancillas, seeds", [(2, 1), (1, 2), (0, 0), (0, 1)])
-def test_sample_scans_need_one_ancilla_per_seed(lattice, packet, noiseless, ancillas, seeds):
-    """Unequal lists, or no ancilla at all, raise a ValueError that names
-    both lengths, instead of dropping scans or failing inside the draw."""
-    phi = hilbert.named_state("phi_plus", lattice, packet)
-    delays = compact_delay_grid(TAU, SIGMA)
-    with pytest.raises(ValueError, match=f"got {ancillas} ancillas and {seeds} seeds"):
-        sample_scans(phi, [phi] * ancillas, range(seeds), delays, 100.0, noiseless=noiseless)
+    calls = [
+        lambda: sample_scan(phi, phi, ScanConfig(delays, 100.0, bad_seed), noiseless=noiseless),
+        lambda: tomography.simulate_counts(
+            phi, tset, 100.0, master_seed=bad_seed, delays=delays, noiseless=noiseless
+        ),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="seed"):
+            call()
 
 
 def test_scan_traces_need_an_ancilla(lattice, packet):
@@ -145,14 +160,14 @@ OUT_OF_RANGE = "seed must fit in an unsigned 64-bit integer"
 def test_seeds_must_be_integers_in_range(lattice, packet, tset, bad, message):
     """A seed that is not an integral number is refused, never truncated:
     seed=1.7 used to be kept on the config but drawn and recorded as 1, and
-    derive_seed(3.9, 1) equalled derive_seed(3, 1).  Out-of-range seeds keep
+    derive_seeds(3.9, [1]) equalled derive_seeds(3, [1]).  Out-of-range seeds keep
     their message."""
     phi = hilbert.named_state("phi_plus", lattice, packet)
     delays = compact_delay_grid(TAU, SIGMA)
     calls = [
         lambda: ScanConfig(delays=delays, baseline_counts=100.0, seed=bad),
-        lambda: sample_scans(phi, [phi], [bad], delays, 100.0),
-        lambda: derive_seed(bad, 1),
+        lambda: sample_scan(phi, phi, ScanConfig(delays, 100.0, bad)),
+        lambda: derive_seeds(bad, [1]),
         lambda: tomography.simulate_counts(phi, tset, 100.0, master_seed=bad, delays=delays),
         lambda: tomography.bootstrap_errors(None, tset, 1.0, phi, replicas=2, seed=bad),
     ]
@@ -169,10 +184,10 @@ def test_seeds_must_be_integers_in_range(lattice, packet, tset, bad, message):
     ids=repr,
 )
 def test_stream_indices_must_be_integers_in_range(stream, message):
-    """A stream index passes the seeds' check: derive_seed(3, 1.5) used to
-    equal derive_seed(3, 1), and True was taken as stream 1.  Streams from
+    """A stream index passes the seeds' check: derive_seeds(3, [1.5]) used to
+    equal derive_seeds(3, [1]), and True was taken as stream 1.  Streams from
     2**64 on, which SeedSequence took, raise too."""
-    for call in (lambda: derive_seed(3, stream), lambda: derive_seeds(3, [0, stream])):
+    for call in (lambda: derive_seeds(3, [stream]), lambda: derive_seeds(3, [0, stream])):
         with pytest.raises(ValueError) as raised:
             call()
         assert str(raised.value).startswith(message)
@@ -192,7 +207,7 @@ def test_derived_seeds_equal_seed_sequence(master):
     ]
     got = derive_seeds(master, SEED_STREAMS)
     assert got.dtype == np.uint64 and got.tolist() == want
-    assert [derive_seed(master, s) for s in SEED_STREAMS] == want
+    assert [int(derive_seeds(master, [s])[0]) for s in SEED_STREAMS] == want
     assert derive_seeds(master, []).shape == (0,)
 
 
@@ -219,17 +234,17 @@ def test_stream_ranges_are_checked_by_their_ends(streams):
 def test_integral_seeds_are_accepted_as_ints(seed):
     assert experiment._check_seed(seed) == int(seed)
     assert type(experiment._check_seed(seed)) is int
-    assert derive_seed(seed, 1) == derive_seed(int(seed), 1)
+    assert derive_seeds(seed, [1]).tolist() == derive_seeds(int(seed), [1]).tolist()
 
 
 @pytest.mark.parametrize("encoded_bins", [2, 3])
-def test_sample_scans_refuse_ancillas_on_mixed_lattices(lattice, packet, encoded_bins):
+def test_sample_block_refuses_ancillas_on_mixed_lattices(lattice, packet, encoded_bins):
     wide = hilbert.TimeBinLattice(3, TAU)
     encoded = hilbert.named_state("phi_plus", lattice if encoded_bins == 2 else wide, packet)
     ancillas = [hilbert.named_state("p+", lattice, packet), hilbert.named_state("rx", wide, packet)]
     delays = compact_delay_grid(TAU, SIGMA, n_bins=3)
     with pytest.raises(ValueError, match="share one bin count"):
-        sample_scans(encoded, ancillas, [0, 1], delays, 100.0)
+        sample_block(encoded, ancillas, [0, 1], delays, 100.0, 1.0, False)
     with pytest.raises(ValueError, match="share one bin count"):
         hom.scan_traces(encoded, ancillas, delays)
 
@@ -243,7 +258,7 @@ def test_sample_scan_requires_baseline_reach(lattice, packet):
         sample_scan(phi, phi, narrow)
 
 
-def test_sample_scans_reach_is_the_plateau_of_read_dips(lattice, packet):
+def test_scan_reach_is_the_plateau_of_read_dips(lattice, packet):
     """A two-bin grid must reach past tau + 12 sigma_t, where read_dips'
     plateau starts: just past it the scan runs and has baseline points; at
     it, no grid point is on the plateau and the scan is refused."""
@@ -251,11 +266,12 @@ def test_sample_scans_reach_is_the_plateau_of_read_dips(lattice, packet):
     reach = experiment.plateau_reach(TAU, SIGMA, 2)
     assert reach == TAU + 12 * SIGMA
     grid = np.array([-reach - 1e-14, -TAU, 0.0, TAU, reach + 1e-14])
-    (trace,) = sample_scans(phi, [phi], [0], grid, 1000.0, noiseless=True)
-    baselines, _ = experiment.read_dips([trace], (0,))
-    assert baselines[0] == pytest.approx(1000.0, rel=1e-6)
+    trace = sample_scan(phi, phi, ScanConfig(grid, 1000.0, 0), noiseless=True)
+    baseline, _ = read_dips(trace, (0,))
+    assert baseline == pytest.approx(1000.0, rel=1e-6)
+    at_reach = ScanConfig(np.array([-reach, -TAU, 0.0, TAU, reach]), 1000.0, 0)
     with pytest.raises(ValueError, match="reach past"):
-        sample_scans(phi, [phi], [0], np.array([-reach, -TAU, 0.0, TAU, reach]), 1000.0)
+        sample_scan(phi, phi, at_reach)
 
 
 @pytest.mark.parametrize("n_bins", [2, 3, 4, 5])
@@ -264,7 +280,7 @@ def test_compact_grid_reaches_the_plateau_for_any_bin_count(packet, n_bins):
     3-bin grids keep their wings at 2 tau + 12 sigma_t + step."""
     grid = compact_delay_grid(TAU, SIGMA, n_bins=n_bins)
     state = hilbert.basis_state("h", n_bins - 1, hilbert.TimeBinLattice(n_bins, TAU), packet)
-    (trace,) = sample_scans(state, [state], [0], grid, 1000.0, noiseless=True)
+    trace = sample_scan(state, state, ScanConfig(grid, 1000.0, 0), noiseless=True)
     np.testing.assert_array_equal(trace.delays, grid)
     if n_bins <= 3:
         wings = [2 * TAU + 12 * SIGMA + 5e-14 + i * 5e-14 for i in range(20)]
@@ -374,6 +390,27 @@ def test_estimate_baseline_needs_plateau_points():
         estimate_baseline(trace)
 
 
+def test_scan_trace_keeps_the_float_arrays_it_checks(tmp_path):
+    """Delays and counts given as lists are kept as the float arrays that
+    were checked, so the trace reads and writes as a sampled one does; list
+    counts used to make write_trace_csv raise TypeError.  float64 arrays
+    are kept as they are."""
+    delays = compact_delay_grid(TAU, SIGMA, baseline_points=8)
+    counts = np.full(delays.size, 100.0)
+    fields = dict(expected=counts, seed=0, tau=TAU, sigma_t=SIGMA, n_bins=2, noiseless=False)
+    listed = ScanTrace(delays=delays.tolist(), counts=[100] * delays.size, **fields)
+    for name in ("delays", "counts"):
+        value = getattr(listed, name)
+        assert type(value) is np.ndarray and value.dtype == np.float64
+    np.testing.assert_array_equal(listed.delays, delays)
+    np.testing.assert_array_equal(listed.counts, counts)
+    write_trace_csv(listed, tmp_path / "listed.csv")
+    arrays = ScanTrace(delays=delays, counts=counts, **fields)
+    assert arrays.delays is delays and arrays.counts is counts
+    write_trace_csv(arrays, tmp_path / "arrays.csv")
+    assert (tmp_path / "listed.csv").read_bytes() == (tmp_path / "arrays.csv").read_bytes()
+
+
 def test_visibility_estimates(lattice, packet):
     phi = hilbert.named_state("phi_plus", lattice, packet)
     exact = sample_scan(phi, phi, make_config(), noiseless=True)
@@ -464,7 +501,7 @@ def test_requested_lag_must_sit_on_grid(lattice, packet):
 def test_ratio_at_lag_reads_dip_structure(lattice, packet):
     phi = hilbert.named_state("phi_plus", lattice, packet)
     trace = sample_scan(phi, phi, make_config(), noiseless=True)
-    (n0,), (dips,) = read_dips([trace], (-1, 0, 1))
+    n0, dips = read_dips(trace, (-1, 0, 1))
     np.testing.assert_allclose(dips / n0, [1.0, 0.0, 1.0], atol=1e-6)
     assert dips[1] / n0 == pytest.approx(0.0, abs=1e-9)
 
@@ -478,19 +515,20 @@ def test_reading_lags():
 
 
 def test_read_dips_of_many_scans_equals_one_scan_reads(lattice, packet, tset):
-    """One read of S traces gives, bit for bit, each trace's own read, the
-    one-scan readers, and the counts at the grid points on the lags, column
-    by position in `lags`."""
+    """One _read of S traces' stacked counts at read_points' points gives,
+    bit for bit, each trace's own read, the one-scan readers, and the counts
+    at the grid points on the lags, column by position in `lags`."""
     phi = hilbert.named_state("phi_plus", lattice, packet)
     ancillas = tset.states()[:6]
     delays = make_config().delays
-    traces = sample_scans(phi, ancillas, range(6), delays, 1000.0, 0.94)
+    traces = sample_block(phi, ancillas, range(6), delays, 1000.0, 0.94, False)
     lags = (1, -1, 0)
-    baselines, dips = read_dips(traces, lags)
+    points = experiment.read_points(delays, TAU, packet.sigma_t, 2, lags)
+    baselines, dips = experiment._read(np.array([trace.counts for trace in traces]), *points)
     assert baselines.shape == (6,) and dips.shape == (6, 3)
     columns = [int(np.argmin(np.abs(delays - lag * TAU))) for lag in lags]
     for trace, n0, row, ancilla in zip(traces, baselines, dips, ancillas):
-        (one_n0,), (one_row,) = read_dips([trace], lags)
+        one_n0, one_row = read_dips(trace, lags)
         assert n0 == one_n0 and np.array_equal(row, one_row)
         assert np.array_equal(row, trace.counts[columns])
         assert n0 == estimate_baseline(trace)
@@ -501,41 +539,33 @@ def test_read_dips_of_many_scans_equals_one_scan_reads(lattice, packet, tset):
 
 
 def self_scan_on(phi, delays):
-    return sample_scans(phi, [phi], [0], delays, 1000.0, noiseless=True)[0]
+    return sample_scan(phi, phi, ScanConfig(delays, 1000.0, 0), noiseless=True)
 
 
-def test_read_dips_refuses_traces_on_another_grid(lattice, packet):
-    """A trace on a grid shifted by one point would be read at the first
-    trace's plateau and lag columns: its dip at lag 0 reads 172 counts,
-    though alone it reads 4e-13."""
+@pytest.mark.parametrize("shifted", [False, True])
+def test_read_dips_reads_a_trace_on_its_own_grid(lattice, packet, shifted):
+    """A trace on a grid shifted by one point is read at its own plateau
+    and lag columns: its noiseless self-scan dips to zero at lag 0, as the
+    unshifted one does."""
     phi = hilbert.named_state("phi_plus", lattice, packet)
     grid = default_delay_grid(TAU, step=2e-13)
-    shifted = np.concatenate([[2 * grid[0] - grid[1]], grid[:-1]])
-    first, second = self_scan_on(phi, grid), self_scan_on(phi, shifted)
-    (alone,), ((dip,),) = read_dips([second], (0,))
-    assert dip / alone < 1e-9
-    with pytest.raises(ValueError, match="share the first trace's delays"):
-        read_dips([first, second], (0,))
+    if shifted:
+        grid = np.concatenate([[2 * grid[0] - grid[1]], grid[:-1]])
+    baseline, (dip,) = read_dips(self_scan_on(phi, grid), (0,))
+    assert baseline == pytest.approx(1000.0, rel=1e-6)
+    assert dip / baseline < 1e-9
 
 
-def test_read_dips_refuses_an_empty_trace_list():
-    """No traces is refused as sample_scans refuses no ancillas, with a
-    ValueError that names the empty list."""
-    for traces in ([], ()):
-        with pytest.raises(ValueError, match="empty trace list"):
-            read_dips(traces, (0,))
-
-
-def test_read_dips_refuses_traces_of_another_sigma_t(lattice):
-    """The plateau is cut at 12 sigma_t of the first trace, so a trace of
-    another sigma_t would be read on the wrong plateau."""
-    grid = default_delay_grid(TAU, step=2e-13)
-    traces = [
-        self_scan_on(hilbert.named_state("phi_plus", lattice, hilbert.Wavepacket(sigma_t)), grid)
-        for sigma_t in (SIGMA, SIGMA / 2)
-    ]
-    with pytest.raises(ValueError, match="share the first trace's sigma_t"):
-        read_dips(traces, (0,))
+@pytest.mark.parametrize("sigma_t", [SIGMA, SIGMA / 2])
+def test_read_dips_reads_a_trace_at_its_own_sigma_t(lattice, sigma_t):
+    """The plateau is cut at 12 sigma_t of the trace read, so a trace of a
+    narrower packet is read on its own plateau and dips."""
+    phi = hilbert.named_state("phi_plus", lattice, hilbert.Wavepacket(sigma_t))
+    trace = self_scan_on(phi, default_delay_grid(TAU, step=2e-13))
+    assert trace.sigma_t == sigma_t
+    baseline, dips = read_dips(trace, (-1, 0, 1))
+    assert baseline == pytest.approx(1000.0, rel=1e-6)
+    np.testing.assert_allclose(dips / baseline, [1.0, 0.0, 1.0], atol=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -550,8 +580,8 @@ def test_occupied_bins(lattice, packet):
 
 
 def test_seed_derivation_is_stable_and_distinct():
-    assert derive_seed(1, 2) == derive_seed(1, 2)
-    seeds = {derive_seed(0, i) for i in range(100)}
+    assert derive_seeds(1, [2]).tolist() == derive_seeds(1, [2]).tolist()
+    seeds = set(derive_seeds(0, range(100)).tolist())
     assert len(seeds) == 100
     a = point_rng(3, 4).poisson(100.0, size=5)
     b = point_rng(3, 4).poisson(100.0, size=5)
@@ -592,7 +622,7 @@ def test_keyed_poisson_equals_point_rng_draw_for_draw(rows, points):
         means = np.exp(rng.uniform(np.log(60.0), np.log(1e4), size=(len(seeds), points)))
         means[:, ::3] = np.resize(fixed, means[:, ::3].size).reshape(len(seeds), -1)
     else:
-        seeds = [derive_seed(points, r) for r in range(rows)]
+        seeds = derive_seeds(points, range(rows)).tolist()
         means = np.exp(rng.uniform(np.log(60.0), np.log(1e3), size=(rows, points)))
     got = experiment._keyed_poisson(seeds, means)
     want = [

@@ -1,8 +1,11 @@
-"""Every module-level import of the package is read in its module.
+"""Every module-level import of the package is read in its module, and
+every public name it defines is read by the program.
 
 No linter ships with the test toolchain, so this walks each source file's
 syntax tree: a name bound by a top-level import must be loaded somewhere
-in the module or listed in its `__all__`.
+in the module or listed in its `__all__`, and a public top-level function
+or class, or a public method, must be read somewhere in the package,
+`scripts/` or `perfbench/`.
 """
 
 import ast
@@ -12,7 +15,18 @@ from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "poltime").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "poltime").glob("*.py"))
+PROGRAM = [*SOURCES, *sorted(ROOT.glob("scripts/*.py")), *sorted(ROOT.glob("perfbench/*.py"))]
+# Public names no program reads, each kept for the reason given.
+UNREAD_PUBLIC = {
+    "hilbert.inner_product": "tests/test_acceptance.py checks states with it",
+    "hilbert.to_density": "tests/test_acceptance.py checks states with it",
+    "hilbert.partial_trace_time": "tests/test_acceptance.py checks states with it",
+    "optics.OpticalPipeline.to_json": "tests/test_compile_reference.py pins 284 plans by it",
+    "hom.envelope_overlap": "tests check bin overlaps with it (ROADMAP item 7)",
+    "hom.shifted_ancilla_vector": "tests pin the scan model by it (ROADMAP items 1, 7)",
+}
 
 
 def unread_imports(tree: ast.Module) -> list[str]:
@@ -51,6 +65,72 @@ def test_unread_imports_are_found():
         "print(pi)\n"
     )
     assert unread_imports(tree) == ["os (line 2)", "j (line 2)"]
+
+
+def public_definitions(module: str, tree: ast.Module) -> list[tuple[str, str]]:
+    """(qualified name, name) of the module's public top-level functions and
+    classes and of its classes' public methods."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            found.append((f"{module}.{node.name}", node.name))
+            if isinstance(node, ast.ClassDef):
+                found += [
+                    (f"{module}.{node.name}.{item.name}", item.name)
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
+                ]
+    return found
+
+
+def names_read(tree: ast.Module) -> set[str]:
+    """Names the tree loads, attributes it loads, and identifier strings,
+    which covers `__all__` and tables of names such as perfbench's LAYERS."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if node.value.isidentifier():
+                read.add(node.value)
+    return read
+
+
+def unread_public(modules: dict[str, ast.Module], readers: list[ast.Module]) -> list[str]:
+    read = set().union(*map(names_read, readers))
+    return [
+        qualified
+        for module, tree in modules.items()
+        for qualified, name in public_definitions(module, tree)
+        if name not in read
+    ]
+
+
+def test_every_public_name_has_a_program_reader():
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in PROGRAM}
+    modules = {path.stem: trees[path] for path in SOURCES}
+    assert sorted(unread_public(modules, list(trees.values()))) == sorted(UNREAD_PUBLIC)
+
+
+def test_unread_public_names_are_found():
+    module = ast.parse(
+        "def used(): pass\n"
+        "def unused(): pass\n"
+        "def _private(): pass\n"
+        "def listed(): pass\n"
+        "class Kept:\n"
+        "    def method(self): pass\n"
+        "    def idle(self): pass\n"
+        "    def __len__(self): return 0\n"
+        "class Gone: pass\n"
+        "__all__ = ['listed']\n"
+    )
+    reader = ast.parse("used()\nk = m.Kept()\nk.method()\nunused = 1\nk.idle = 2\n")
+    assert unread_public({"m": module}, [module, reader]) == [
+        "m.unused", "m.Kept.idle", "m.Gone"
+    ]
 
 
 def test_optics_loads_on_first_use(tmp_path):

@@ -6,8 +6,8 @@ as np.mean's own sum and division, and the lag columns by argmin along the
 points; it is copied verbatim but for its name.  Those changes keep every
 arithmetic operation, so the current reader must return its baselines and
 dips bit for bit and raise its three errors with the same messages, both
-from a list of traces (read_dips) and from stacked counts (_read at
-read_points' points).
+from one trace (read_dips, against the parent on a one-trace list) and
+from stacked counts (_read at read_points' points).
 """
 
 import numpy as np
@@ -80,6 +80,13 @@ def grid_of(name, n_bins):
     return compact_delay_grid(TAU, SIGMA, n_bins=n_bins)
 
 
+def read_one(traces, lags):
+    """read_dips of a one-trace list, as the parent's one-row arrays."""
+    (trace,) = traces
+    baseline, dips = read_dips(trace, lags)
+    return np.array([baseline]), dips[None]
+
+
 def read_as_block(traces, lags):
     """_read of the traces' stacked counts at read_points' points of the first's grid."""
     first = traces[0]
@@ -88,13 +95,10 @@ def read_as_block(traces, lags):
     return experiment._read(counts, *points)
 
 
-READERS = (read_dips, read_as_block)
-
-
 def assert_reads_identical(traces, lags):
-    want = parent_read_dips(traces, lags)
-    for read in READERS:
-        got = read(traces, lags)
+    cases = [(read_as_block, traces), *((read_one, [trace]) for trace in traces)]
+    for read, group in cases:
+        want, got = parent_read_dips(group, lags), read(group, lags)
         for w, g in zip(want, got):
             assert g.dtype == w.dtype and g.shape == w.shape
             assert g.tobytes() == w.tobytes()
@@ -112,11 +116,11 @@ def test_read_dips_matches_parent_bit_for_bit(grid, n_bins, lags, noiseless):
 
 
 def test_read_dips_matches_parent_on_the_cli_grid(lattice, packet):
-    """Scans drawn by sample_scans on the default CLI grid, one block."""
+    """Scans drawn by sample_block on the default CLI grid, one block."""
     phi = hilbert.named_state("phi_plus", lattice, packet)
     ancillas = [hilbert.named_state(n, lattice, packet) for n in ("h0", "vt", "p+", "rl_bell")]
-    traces = experiment.sample_scans(
-        phi, ancillas, [3, 5, 7, 11], default_delay_grid(TAU), 1000.0, 0.94
+    traces = experiment.sample_block(
+        phi, ancillas, [3, 5, 7, 11], default_delay_grid(TAU), 1000.0, 0.94, False
     )
     for lags in LAGS:
         assert_reads_identical(traces, lags)
@@ -146,8 +150,9 @@ def test_read_dips_errors_match_parent():
         (empty, (0,), "no counts on the baseline plateau"),
         (coarse, (0, 2), "delay grid does not contain the lag"),
     ]
+    # Each case's faulty trace is its last.
     for traces, lags, start in cases:
         want = raised_message(parent_read_dips, traces, lags)
         assert want.startswith(start)
-        for read in READERS:
-            assert raised_message(read, traces, lags) == want
+        assert raised_message(read_as_block, traces, lags) == want
+        assert raised_message(read_one, traces[-1:], lags) == want

@@ -57,7 +57,7 @@ def reference_simulate_counts(encoded, tset, baseline_counts, visibility, master
     runs += [(tset.members[a][1], j + 1) for j, a in enumerate(tset.scans)]
     traces = []
     for ancilla, stream in runs:
-        seed = experiment.derive_seed(master_seed, stream)
+        seed = int(experiment.derive_seeds(master_seed, [stream])[0])
         expected = baseline_counts * reference_scan_trace(encoded, ancilla, delays, visibility)
         counts = expected.copy() if noiseless else np.array([
             float(experiment.point_rng(seed, i).poisson(m)) for i, m in enumerate(expected)
@@ -132,8 +132,8 @@ def test_sampled_scans_equal_per_scan_reference_bit_for_bit():
     encoded = hilbert.named_state("rl_bell", lattice, packet)
     ancillas = tset.states()
     delays = experiment.compact_delay_grid(TAU, packet.sigma_t)
-    seeds = [experiment.derive_seed(5, j) for j in range(len(ancillas))]
-    traces = experiment.sample_scans(encoded, ancillas, seeds, delays, 1000.0, 0.94)
+    seeds = experiment.derive_seeds(5, range(len(ancillas))).tolist()
+    traces = experiment.sample_block(encoded, ancillas, seeds, delays, 1000.0, 0.94, False)
     for ancilla, seed, trace in zip(ancillas, seeds, traces):
         expected = 1000.0 * reference_scan_trace(encoded, ancilla, delays, 0.94)
         assert np.array_equal(trace.expected, expected)

@@ -821,7 +821,7 @@ def test_simulated_counts_equal_per_scan_samples(set_name, encoded_kind, calibra
         cfg = experiment.ScanConfig(
             delays=delays,
             baseline_counts=1000.0,
-            seed=experiment.derive_seed(master, stream),
+            seed=experiment.derive_seeds(master, [stream])[0],
             visibility=0.94,
         )
         return experiment.sample_scan(enc, ancilla, cfg)
@@ -857,7 +857,7 @@ def test_simulated_counts_build_no_per_scan_objects(monkeypatch, lattice, packet
     states = tset.states()
     assert len(bundle.traces) == len(tset.scans) and bundle.traces is bundle.traces
     for j, ancilla in enumerate(tset.scans):
-        seed = experiment.derive_seed(6, j + 1)
+        seed = experiment.derive_seeds(6, [j + 1])[0]
         cfg = experiment.ScanConfig(compact_delays(), 1000.0, seed, 0.94)
         alone = experiment.sample_scan(enc, states[ancilla], cfg)
         for field in dataclasses.fields(alone):
@@ -906,7 +906,7 @@ def test_simulated_counts_model_and_draw_only_read_points(
     assert modelled == drawn == [read, delays.size]
     assert len(traces) == len(tset.scans)
     for j, ancilla in enumerate(tset.scans):
-        cfg = experiment.ScanConfig(delays, 1000.0, experiment.derive_seed(6, j + 1), 0.94)
+        cfg = experiment.ScanConfig(delays, 1000.0, experiment.derive_seeds(6, [j + 1])[0], 0.94)
         alone = experiment.sample_scan(enc, tset.states()[ancilla], cfg)
         for field in dataclasses.fields(alone):
             got, want = getattr(traces[j], field.name), getattr(alone, field.name)
@@ -1040,6 +1040,14 @@ def test_scan_model_memo_checks_inputs_before_it_is_read(lattice, packet, tset, 
         simulate_counts(enc, tset, **args)
     assert str(warm.value) == str(cold.value)
     assert len(tomography._scan_models) == 1
+
+
+def test_simulated_counts_refuse_an_infinite_baseline(lattice, packet, tset):
+    """A noiseless run at an infinite baseline read inf / inf: a
+    RuntimeWarning, and a NaN visibility_hat where warnings pass."""
+    enc = hilbert.named_state("phi_plus", lattice, packet)
+    with pytest.raises(ValueError, match="^baseline_counts must be positive and finite$"):
+        simulate_counts(enc, tset, np.inf, delays=compact_delays(), noiseless=True)
 
 
 def test_scan_model_memo_stores_nothing_when_a_model_fails(lattice, packet, tset):
