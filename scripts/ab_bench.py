@@ -22,6 +22,8 @@ pairs, whether every op's digest, the bytes its check says the RNG fixes,
 agreed between the sides, and whether every op's record did: the fidelity
 on seed_sweep, and the fidelity, its bootstrap std and the dropped replicas
 on tomography_run, so a fit that moves shows even where the counts do not.
+Where records differ, it also prints the largest |difference| of each
+numeric record field over the differing ops, such as `fidelity 3.8e-08`.
 Exits 1 if a digest differs or an op fails its check; a record that differs
 is reported but does not fail the run, so a change that moves fits within
 their tolerance can still be timed.  BLAS is held to one thread, as in
@@ -118,6 +120,18 @@ def report(seconds: np.ndarray) -> None:
     print(f"ratio this tree / parent: median {ratio:.3f}, 95% interval [{low:.3f}, {high:.3f}]")
 
 
+def largest_moves(pairs: list[tuple[dict, dict]]) -> str:
+    """The largest |difference| of each numeric field over pairs of records,
+    as "field 3.8e-08, ..." in the fields' order; bools are not numbers."""
+    moves: dict[str, float] = {}
+    for old, new in pairs:
+        for key, value in old.items():
+            pair = (value, new[key])
+            if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in pair):
+                moves[key] = max(moves.get(key, 0.0), abs(new[key] - value))
+    return ", ".join(f"{key} {move:.2g}" for key, move in moves.items())
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", type=Path, required=True, help="the other checkout")
@@ -141,7 +155,7 @@ def main(argv=None) -> int:
         return 0
     trees = (load_tree(args.parent.resolve(), "ab_parent"), load_tree(ROOT, "ab_child"))
     seconds = np.empty((args.ops, 2))
-    differ, moved, problems = [], [], []
+    differ, moved, moved_records, problems = [], [], [], []
     with tempfile.TemporaryDirectory() as work:
         sides = [
             workloads.WORKLOADS[args.workload](pt, args.seed, Path(work) / str(k), False)
@@ -158,6 +172,7 @@ def main(argv=None) -> int:
                 differ.append(i)
             if records[0] != records[1]:
                 moved.append(i)
+                moved_records.append(records)
     print(f"workload {args.workload}, {args.ops} ABBA pairs, seed {args.seed}, one BLAS thread")
     report(seconds)
     for name, ops in (("digests", differ), ("records", moved)):
@@ -165,6 +180,8 @@ def main(argv=None) -> int:
             print(f"{name}: {len(ops)} of {args.ops} ops differ, first op {ops[0]}")
         else:
             print(f"{name}: all {args.ops} ops agree")
+    if moved:
+        print(f"largest record moves: {largest_moves(moved_records)}")
     for line in problems:
         print(line)
     return int(bool(differ or problems))

@@ -10,9 +10,9 @@ so zero-count dips appear at small N0 and for pure truths at V = 1.  All
 rows of one set, N0 and fitted visibility are fitted as one stack.
 
 For every N0 it prints the rows that the solver reports converged, each to
-its own count-scaled duality-gap tolerance, and the median and largest
-numbers of Newton passes among them.  The script exits 1 if any row did not
-converge:
+its own count-scaled duality-gap tolerance, and the mean, median and largest
+numbers of Newton passes among them; the total line gives the mean over all
+converged rows.  The script exits 1 if any row did not converge:
 
     PYTHONPATH=src python scripts/check_fit_stress.py
 """
@@ -87,14 +87,19 @@ def main() -> int:
         row[1].extend(fit.iterations[fit.converged])
     dt = time.perf_counter() - t0
 
-    print(f"{'N0':>8} {'rows':>5} {'converged':>9} {'median passes':>13} {'max passes':>10}")
+    print(
+        f"{'N0':>8} {'rows':>5} {'converged':>9} {'mean passes':>11} {'median passes':>13}"
+        f" {'max passes':>10}"
+    )
     for n0, (rows, passes) in table.items():
-        median, most = (np.median(passes), max(passes)) if passes else (0, 0)
-        print(f"{n0:8.0e} {rows:5d} {len(passes):9d} {median:13.1f} {most:10d}")
+        stats = (np.mean(passes), np.median(passes), max(passes)) if passes else (0, 0, 0)
+        mean, median, most = stats
+        print(f"{n0:8.0e} {rows:5d} {len(passes):9d} {mean:11.2f} {median:13.1f} {most:10d}")
     total = sum(row[0] for row in table.values())
-    converged = sum(len(row[1]) for row in table.values())
-    print(f"{converged} of {total} rows converged ({dt:.1f} s)")
-    return 0 if converged == total else 1
+    passes = [k for row in table.values() for k in row[1]]
+    mean = np.mean(passes) if passes else 0.0
+    print(f"{len(passes)} of {total} rows converged, mean passes {mean:.2f} ({dt:.1f} s)")
+    return 0 if len(passes) == total else 1
 
 
 if __name__ == "__main__":

@@ -31,6 +31,7 @@ reads; a single-bin ancilla's scan yields two projections.
 
 from __future__ import annotations
 
+import numbers
 import threading
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -342,11 +343,20 @@ class ScanConfig:
         delays = delays.copy()
         delays.setflags(write=False)
         object.__setattr__(self, "delays", delays)
+        _check_real("baseline_counts", self.baseline_counts)
         if not 0 < self.baseline_counts < np.inf:
             raise ValueError("baseline_counts must be positive and finite")
         _check_seed(self.seed)
+        _check_real("visibility", self.visibility)
         if not 0.0 <= self.visibility <= 1.0:
             raise ValueError("visibility must lie in [0, 1]")
+
+
+def _check_real(name: str, value) -> None:
+    """Raises ValueError naming `name` unless value is a real number: a bool,
+    Python's or numpy's, a string or an array is not one."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
 
 
 def _check_seed(seed) -> int:

@@ -116,6 +116,22 @@ def test_scan_config_needs_a_positive_finite_baseline(baseline):
         ScanConfig(compact_delay_grid(TAU, SIGMA), baseline, 0)
 
 
+@pytest.mark.parametrize("value", [True, np.True_, np.False_, "0.9", None, np.array(0.5)])
+@pytest.mark.parametrize("name", ["baseline_counts", "visibility"])
+def test_scan_config_refuses_booleans_and_non_numbers(name, value):
+    """True ran as a baseline of 1 count or as V = 1, and a string failed in
+    a bare comparison; both are now ValueErrors that name the parameter."""
+    args = {"baseline_counts": 100.0, "visibility": 0.9, name: value}
+    with pytest.raises(ValueError, match=f"^{name} must be a real number, got "):
+        ScanConfig(compact_delay_grid(TAU, SIGMA), seed=0, **args)
+
+
+@pytest.mark.parametrize("value", [np.float64(0.9), np.int64(1), 1, np.float32(0.5)])
+def test_scan_config_takes_numpy_numbers(value):
+    cfg = ScanConfig(compact_delay_grid(TAU, SIGMA), value * 100, 0, value)
+    assert cfg.visibility == value
+
+
 @pytest.mark.parametrize("noiseless", [False, True])
 @pytest.mark.parametrize("bad_seed", [-1, 2**64])
 def test_scan_jobs_check_their_seed_noisy_or_noiseless(lattice, packet, tset, noiseless, bad_seed):

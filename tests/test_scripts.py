@@ -55,8 +55,12 @@ def test_fit_stress_check_runs():
     the gap tolerance is count-scaled."""
     proc = run_script("check_fit_stress.py")
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "648 of 648 rows converged (" in proc.stdout
-    assert "median passes" in proc.stdout
+    assert "648 of 648 rows converged, mean passes " in proc.stdout
+    header, *rows = proc.stdout.splitlines()[:10]
+    assert header.split()[3:5] == ["mean", "passes"]
+    for line in rows:
+        n0, count, converged, mean, median, most = line.split()
+        assert 1.0 <= float(mean) <= int(most) and int(converged) == int(count)
 
 
 def test_ab_bench_reads_its_own_tree_as_equal():
@@ -106,3 +110,5 @@ def test_ab_bench_reports_moved_fits_without_failing(tmp_path):
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "digests: all 4 ops agree" in proc.stdout
     assert re.search(r"records: [1-4] of 4 ops differ, first op \d", proc.stdout), proc.stdout
+    moves = re.search(r"^largest record moves: seed 0, fidelity (\S+)$", proc.stdout, re.M)
+    assert moves and 0.0 < float(moves.group(1)) < 1.0, proc.stdout

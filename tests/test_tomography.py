@@ -519,7 +519,7 @@ def test_bootstrap_stacks_converge_in_few_passes_and_turn_the_range(name, lattic
     """11-row stacks as bootstrap_errors fits them (the observed counts and
     10 replicas) of calibrated default-grid runs at V = 0.94 and N0 = 1000,
     20 seeds: every row converges, a stack's slowest row takes at most 12
-    passes in the median (measured 7, 8 and 8), and many optima put weight
+    passes in the median (measured 6, 7 and 6), and many optima put weight
     outside the range of the projected linear inversion the fit starts from,
     which no step held to the start's range could reach."""
     state = hilbert.named_state(name, lattice, packet)
@@ -1048,6 +1048,38 @@ def test_simulated_counts_refuse_an_infinite_baseline(lattice, packet, tset):
     enc = hilbert.named_state("phi_plus", lattice, packet)
     with pytest.raises(ValueError, match="^baseline_counts must be positive and finite$"):
         simulate_counts(enc, tset, np.inf, delays=compact_delays(), noiseless=True)
+
+
+@pytest.mark.parametrize("value", [True, np.True_, "0.9", None, np.array(0.9)])
+def test_fits_refuse_a_boolean_or_non_number_visibility(lattice, packet, tset, value):
+    """np.True_ failed inside the fit on numpy's boolean negative, "0.9" in a
+    bare comparison, and True was fitted as V = 1; the fits, the bootstrap
+    and the scans now refuse each with a ValueError naming visibility."""
+    enc = hilbert.named_state("phi_plus", lattice, packet)
+    counts = simulate_counts(enc, tset, 1000.0, 0.9, delays=compact_delays()).counts
+    calls = [
+        lambda: mle_reconstruct(counts, tset, value),
+        lambda: bootstrap_errors(counts, tset, value, enc, replicas=2),
+        lambda: simulate_counts(enc, tset, 1000.0, visibility=value, delays=compact_delays()),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="^visibility must be a real number, got "):
+            call()
+
+
+@pytest.mark.parametrize("value", [True, np.True_, "1000"])
+def test_simulated_counts_refuse_a_boolean_or_non_number_baseline(lattice, packet, tset, value):
+    enc = hilbert.named_state("phi_plus", lattice, packet)
+    with pytest.raises(ValueError, match="^baseline_counts must be a real number, got "):
+        simulate_counts(enc, tset, value, delays=compact_delays())
+
+
+@pytest.mark.parametrize("visibility", [np.float64(0.9), np.int64(1)])
+def test_fits_take_numpy_visibilities(lattice, packet, tset, visibility):
+    enc = hilbert.named_state("phi_plus", lattice, packet)
+    counts = simulate_counts(enc, tset, 1000.0, 0.9, delays=compact_delays()).counts
+    expected = mle_reconstruct(counts, tset, float(visibility)).rho_hat
+    assert np.array_equal(mle_reconstruct(counts, tset, visibility).rho_hat, expected)
 
 
 def test_scan_model_memo_stores_nothing_when_a_model_fails(lattice, packet, tset):
