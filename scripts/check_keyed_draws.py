@@ -2,13 +2,13 @@
 """Check the array Poisson draws against their definition, draw for draw.
 
 Every scan count is defined as `experiment.point_rng(seed, i).poisson(mean)`;
-`experiment._keyed_poisson` computes the same counts in array code and
-leaves the rest to numpy's sampler (`experiment._reset_draws`).  This script
-draws N counts both ways and exits 1 on any mismatch.  The means cover every
-regime of numpy's sampler: 0, the multiplication method below 10, both sides
-of the switch at 10, transformed rejection from 10 to 60 and from 60 to 1e4
-(each drawn log-uniformly) and 1e7.  The rows' seeds include 0 and
-2**64 - 1.
+`experiment._draw_counts` of the means' `experiment._draw_plan`, the draw
+every run makes, computes the same counts in array code and leaves the rest
+to numpy's sampler (`experiment._reset_draws`).  This script draws N counts
+both ways and exits 1 on any mismatch.  The means cover every regime of
+numpy's sampler: 0, the multiplication method below 10, both sides of the
+switch at 10, transformed rejection from 10 to 60 and from 60 to 1e4 (each
+drawn log-uniformly) and 1e7.  The rows' seeds include 0 and 2**64 - 1.
 
 A run draws only the grid points it reads, each keyed by its grid index,
 so the script also draws every STRIDE-th point of each row, from point
@@ -49,6 +49,13 @@ def row_means(rng: np.random.Generator, points: int) -> np.ndarray:
     means[1::2] = np.exp(rng.uniform(np.log(10.0), np.log(60.0), size=means[1::2].size))
     means[::4] = np.resize(np.array(FIXED_MEANS), means[::4].size)
     return means
+
+
+def keyed_draws(seed: int, means: np.ndarray, points=None) -> np.ndarray:
+    """The draws of one row of means at one scan seed, as a run draws them:
+    _draw_counts of their _draw_plan, points the columns' grid indices."""
+    plan = experiment._draw_plan(means[None], points)
+    return experiment._draw_counts(plan, np.array([seed], dtype=np.uint64))[0]
 
 
 def count_fallback() -> list:
@@ -99,9 +106,9 @@ def main() -> int:
     # One row per call keeps the arrays at O(points).
     for seed in seeds:
         means = row_means(rng, points)
-        got = experiment._keyed_poisson([seed], means[None])[0]
+        got = keyed_draws(seed, means)
         subset = np.arange(STRIDE // 2, points, STRIDE)
-        part = experiment._keyed_poisson([seed], means[None, subset], subset)[0]
+        part = keyed_draws(seed, means[subset], subset)
         ptrs_points += int(np.count_nonzero(means >= 10.0))
         ptrs_points += int(np.count_nonzero(means[subset] >= 10.0))
         subset_draws += subset.size

@@ -2,13 +2,16 @@
 """Generate the four canonical dip-scan traces side by side.
 
 Writes one CSV per panel (encoded vs ancilla pairing) plus a small JSON
-summary of the dip depths at lags 0 and +-1.  Noiseless by default so the
-dip structure is exact; pass --counts to sample Poisson data instead.
+summary of the dip depths at lags 0 and +-1, each 1 - n / N0 clipped to
+[0, 1] as `poltime scan` reports it.  Noiseless by default so the dip
+structure is exact; pass --counts to sample Poisson data instead.
 """
 
 import argparse
 import json
 from pathlib import Path
+
+import numpy as np
 
 from poltime import experiment, hilbert
 
@@ -54,7 +57,8 @@ def main() -> None:
         experiment.write_trace_csv(trace, out / f"{stem}.csv")
         n0, dips = experiment.read_dips(trace, LAGS)
         summary[f"{enc_name} vs {anc_name}"] = {
-            str(lag): round(1.0 - float(n / n0), 6) for lag, n in zip(LAGS, dips)
+            str(lag): round(float(np.clip(1.0 - n / n0, 0.0, 1.0)), 6)
+            for lag, n in zip(LAGS, dips)
         }
 
     (out / "dip_depths.json").write_text(json.dumps(summary, indent=2) + "\n")

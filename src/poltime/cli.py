@@ -41,6 +41,7 @@ DEFAULT_REPLICAS = 100
 # means above about 9.2e18; noiseless runs draw too, in the bootstrap.
 MAX_GRID_POINTS = 100_001
 MAX_REPLICAS = 10_000
+MAX_TRIPLES = 10_000  # oracle-check triples, one Fock enumeration each
 MAX_BINS = 8
 # tau_s / sigma_t: far beyond any physical filter, and far below an overflow.
 MAX_TAU_OVER_SIGMA = 1e6
@@ -445,6 +446,8 @@ def cmd_oracle_check(cfg: ExperimentConfig, triples: int) -> int:
     """Compare the closed-form coincidence ratio with the Fock enumeration."""
     if triples < 1:
         raise ConfigError("--triples: must be at least 1")
+    if triples > MAX_TRIPLES:
+        raise ConfigError(f"--triples: must be at most {MAX_TRIPLES}")
     rng = np.random.default_rng(cfg.seed)
     worst = 0.0
     for k in range(triples):

@@ -31,7 +31,6 @@ reads; a single-bin ancilla's scan yields two projections.
 
 from __future__ import annotations
 
-import numbers
 import threading
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -39,7 +38,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import hom
-from .hilbert import PhotonState
+from .hilbert import PhotonState, _check_real
 
 BASELINE_EXCLUSION_SIGMAS = 12.0
 GRID_MATCH_RTOL = 1e-6
@@ -276,31 +275,17 @@ def _ptrs_settle(plan: _DrawPlan, words) -> tuple:
 
 
 def _draw_counts(plan: _DrawPlan, seeds: np.ndarray) -> np.ndarray:
-    """_keyed_poisson's draws from the plan of its means at uint64 seeds."""
-    out = np.empty(plan.means.shape)
-    flat = out.reshape(-1)
-    k, accept = _ptrs_settle(plan, _philox_first_block(seeds[plan.rows], plan.keys))
-    flat[plan.flat[accept]] = k[accept]
-    left = np.flatnonzero(~accept)
-    at = np.concatenate([plan.fixed, plan.flat[left]])  # fixed first: bad means raise in order
-    if at.size:
-        rows = at // out.shape[1]
-        keys = zip(seeds[rows].tolist(), plan.fixed_keys.tolist() + plan.keys[left].tolist())
-        flat[at] = _reset_draws(keys, plan.means.take(at).tolist())
-    return out
-
-
-def _keyed_poisson(seeds, means, points=None) -> np.ndarray:
-    """Poisson draws keyed by (seed of the row, grid index): with points[i]
-    the grid index of column i, i by default, column i of row r equals,
+    """Poisson draws of the plan's (rows, points) means at uint64 seeds,
+    keyed by (seed of the row, grid index): with points[i] the grid index
+    of column i given to _draw_plan, column i of row r equals
 
         float(point_rng(seeds[r], points[i]).poisson(means[r, i]))
 
-    It is _draw_counts of the means' seed-free _draw_plan.  numpy draws
-    Poisson(lam >= 10) by transformed rejection, PTRS (Hoermann, 1993),
-    whose candidates take the stream's doubles two at a time; the first
-    Philox block of every key, computed here in exact uint64 array code,
-    holds the first two candidates.  Each point takes one of two routes:
+    numpy draws Poisson(lam >= 10) by transformed rejection, PTRS
+    (Hoermann, 1993), whose candidates take the stream's doubles two at a
+    time; the first Philox block of every key, computed here in exact
+    uint64 array code, holds the first two candidates.  Each point takes one
+    of two routes:
 
     1. array code, one pass over both candidates of every point
        (_ptrs_settle): numpy's quick test, which accepts about 3/4 of
@@ -318,11 +303,17 @@ def _keyed_poisson(seeds, means, points=None) -> np.ndarray:
     scripts/check_keyed_draws.py compares the two over 10^6 draws; numpy
     does not promise stable Generator streams, so rerun it after an upgrade.
     """
-    means = np.asarray(means, dtype=float)
-    seeds = np.array([int(s) for s in seeds], dtype=_U64)
-    if means.ndim != 2 or means.shape[0] != seeds.size:
-        raise ValueError("means must be (rows, points) with one seed per row")
-    return _draw_counts(_draw_plan(means, points), seeds)
+    out = np.empty(plan.means.shape)
+    flat = out.reshape(-1)
+    k, accept = _ptrs_settle(plan, _philox_first_block(seeds[plan.rows], plan.keys))
+    flat[plan.flat[accept]] = k[accept]
+    left = np.flatnonzero(~accept)
+    at = np.concatenate([plan.fixed, plan.flat[left]])  # fixed first: bad means raise in order
+    if at.size:
+        rows = at // out.shape[1]
+        keys = zip(seeds[rows].tolist(), plan.fixed_keys.tolist() + plan.keys[left].tolist())
+        flat[at] = _reset_draws(keys, plan.means.take(at).tolist())
+    return out
 
 
 @dataclass(frozen=True)
@@ -350,13 +341,6 @@ class ScanConfig:
         _check_real("visibility", self.visibility)
         if not 0.0 <= self.visibility <= 1.0:
             raise ValueError("visibility must lie in [0, 1]")
-
-
-def _check_real(name: str, value) -> None:
-    """Raises ValueError naming `name` unless value is a real number: a bool,
-    Python's or numpy's, a string or an array is not one."""
-    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{name} must be a real number, got {value!r}")
 
 
 def _check_seed(seed) -> int:

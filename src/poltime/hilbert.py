@@ -21,6 +21,7 @@ so a valid state costs one vdot.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 
@@ -64,6 +65,13 @@ class StateAnnihilatedError(ValueError):
 
 class ResolvabilityWarning(UserWarning):
     """Wavepacket too wide for the bin spacing; bins are no longer resolvable."""
+
+
+def _check_real(name: str, value) -> None:
+    """Raises ValueError naming `name` unless value is a real number: a bool,
+    Python's or numpy's, a string or an array is not one."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -299,11 +307,7 @@ def product_state(
     bvec = BIN_VECTORS[bin_part] if isinstance(bin_part, str) else np.asarray(bin_part, dtype=complex)
     if pvec.shape != (2,) or bvec.shape != (2,):
         raise ValueError("polarization and bin parts must be length-2 vectors")
-    n = lattice.bin_count
-    amps = np.zeros(2 * n, dtype=complex)
-    for p in range(2):
-        amps[p * n : p * n + 2] = pvec[p] * bvec
-    return PhotonState(amps, lattice, packet)
+    return from_logical(np.kron(pvec, bvec), lattice, packet)
 
 
 def from_logical(vec, lattice: TimeBinLattice, packet: Wavepacket) -> PhotonState:
@@ -319,16 +323,11 @@ def from_logical(vec, lattice: TimeBinLattice, packet: Wavepacket) -> PhotonStat
 
 
 def _logical_registry() -> dict[str, np.ndarray]:
-    reg: dict[str, np.ndarray] = {}
-    for pk in POLARIZATION_VECTORS:
-        for bk in BIN_VECTORS:
-            vec = np.concatenate(
-                [
-                    POLARIZATION_VECTORS[pk][0] * BIN_VECTORS[bk],
-                    POLARIZATION_VECTORS[pk][1] * BIN_VECTORS[bk],
-                ]
-            )
-            reg[pk + bk] = vec
+    reg = {
+        pk + bk: np.kron(pvec, bvec)
+        for pk, pvec in POLARIZATION_VECTORS.items()
+        for bk, bvec in BIN_VECTORS.items()
+    }
     reg["phi_plus"] = np.array([1, 0, 0, 1], dtype=complex) / _SQRT2
     reg["phi_minus"] = np.array([1, 0, 0, -1], dtype=complex) / _SQRT2
     # Maximally entangled state pairing circular polarizations with bins:

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .hilbert import DensityMatrix, PhotonState, Wavepacket
+from .hilbert import DensityMatrix, PhotonState, Wavepacket, _check_real
 
 _MODE_CAP = 32
 
@@ -85,6 +85,7 @@ def shifted_ancilla_vector(ancilla: PhotonState, delay, target_bin_count: int) -
 
 
 def _check_visibility(vis) -> float:
+    _check_real("visibility", vis)
     v = float(vis)
     if not 0.0 <= v <= 1.0:
         raise ValueError(f"visibility must lie in [0, 1], got {v}")
@@ -110,8 +111,8 @@ def scan_traces(encoded, ancillas, delays, vis: float = 1.0) -> np.ndarray:
         raise ValueError("ancillas of one scan block must share one bin count")
     v = _check_visibility(vis)
     grid = np.asarray(delays, dtype=float)
-    if grid.ndim != 1 or grid.size == 0:
-        raise ValueError("delay grid must be a non-empty 1-d array")
+    if grid.ndim != 1 or grid.size == 0 or np.isnan(grid).any():
+        raise ValueError("delay grid must be a non-empty 1-d array with no NaN")
     g = _shifted_vectors(ancillas, grid, encoded.bin_count)
     g = g.reshape(-1, g.shape[-1])
     if isinstance(encoded, DensityMatrix):

@@ -50,11 +50,18 @@ def _wrap_angle(theta: float) -> float:
 
 
 @dataclass(frozen=True)
-class HalfWavePlate:
+class _Plate:
+    """Wave plate or polarizer at angle theta, wrapped into [0, pi)."""
+
     theta: float
 
     def __post_init__(self):
         object.__setattr__(self, "theta", _wrap_angle(self.theta))
+
+
+@dataclass(frozen=True)
+class HalfWavePlate(_Plate):
+    kind = "HWP"
 
     def jones(self) -> np.ndarray:
         c2, s2 = math.cos(2 * self.theta), math.sin(2 * self.theta)
@@ -62,11 +69,8 @@ class HalfWavePlate:
 
 
 @dataclass(frozen=True)
-class QuarterWavePlate:
-    theta: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "theta", _wrap_angle(self.theta))
+class QuarterWavePlate(_Plate):
+    kind = "QWP"
 
     def jones(self) -> np.ndarray:
         c, s = math.cos(self.theta), math.sin(self.theta)
@@ -75,11 +79,8 @@ class QuarterWavePlate:
 
 
 @dataclass(frozen=True)
-class Polarizer:
-    theta: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "theta", _wrap_angle(self.theta))
+class Polarizer(_Plate):
+    kind = "POL"
 
     def jones(self) -> np.ndarray:
         c, s = math.cos(self.theta), math.sin(self.theta)
@@ -90,6 +91,7 @@ class Polarizer:
 class BirefringentCrystal:
     """Walk-off crystal: V is delayed by length * delta_n / c relative to H."""
 
+    kind = "CRYSTAL"
     length: float
     delta_n: float
 
@@ -122,13 +124,6 @@ def crystal_with_delay(
 
 
 OpticalElement = HalfWavePlate | QuarterWavePlate | Polarizer | BirefringentCrystal
-
-_KIND_BY_TYPE = {
-    HalfWavePlate: "HWP",
-    QuarterWavePlate: "QWP",
-    Polarizer: "POL",
-    BirefringentCrystal: "CRYSTAL",
-}
 
 
 def element_action(element: OpticalElement, state: PhotonState) -> PhotonState:
@@ -175,11 +170,10 @@ class OpticalPipeline:
     def to_json_dict(self) -> dict:
         out = []
         for el in self.elements:
-            kind = _KIND_BY_TYPE[type(el)]
-            if kind == "CRYSTAL":
-                out.append({"kind": kind, "L_m": el.length, "dn": el.delta_n})
+            if isinstance(el, BirefringentCrystal):
+                out.append({"kind": el.kind, "L_m": el.length, "dn": el.delta_n})
             else:
-                out.append({"kind": kind, "theta_rad": el.theta})
+                out.append({"kind": el.kind, "theta_rad": el.theta})
         return {"elements": out}
 
     def to_json(self) -> str:
@@ -272,12 +266,7 @@ def _plates_from_linear_post(chi: np.ndarray, psi: float = 0.0) -> list[OpticalE
 
 
 def _angle_budget(elements) -> float:
-    total = 0.0
-    for el in elements:
-        if isinstance(el, BirefringentCrystal):
-            continue
-        total += min(el.theta, np.pi - el.theta)
-    return total
+    return sum(min(el.theta, np.pi - el.theta) for el in elements if isinstance(el, _Plate))
 
 
 @dataclass(frozen=True)

@@ -442,6 +442,15 @@ def test_oracle_check_needs_a_triple(capsys, triples):
     assert captured.out == ""
 
 
+def test_oracle_check_caps_its_triples(capsys):
+    """One past the cap is a config error, raised before any comparison."""
+    assert cli.MAX_TRIPLES == 10_000
+    assert cli.main(["oracle-check", "--triples", "10001"]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "config error: --triples: must be at most 10000" in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("command", ["prepare", "scan", "tomography"])
 def test_seeds_past_64_bits_are_config_errors(tmp_path, capsys, command):
     target = [[1, 0], [0.7, 0], [0, 0], [0.7141, 0.01]]
@@ -658,6 +667,78 @@ def test_prepare_best_effort_exit(tmp_path, capsys):
     plan = json.loads((out / "plan.json").read_text())
     assert plan["exactly_encodable"] is False
     assert plan["predicted_fidelity"] < 1.0 - 1e-9
+
+
+# SHA-256 of plan.json from `prepare --no-timestamp` at the default config:
+# every named state, each exactly encodable (exit 0), and four explicit
+# targets that no bench plan reaches (exit 2).
+PLAN_SHA256 = {
+    "h+": "f82ce1d64d2fe79da234495e2bdf5c0c5a097a0b31f75089eb2d417b486cfce6",
+    "h-": "385febef207f25c3980068814a984ae33554768f43c5fcb5542c3902dcc74449",
+    "h0": "7837c0a135e6d425d81227d216a3c4d710722ecbab8d990ba7eb3007424bd680",
+    "hd": "4e0012ac7b21674faf0bdf1cf8865c610205450b8fa3fb9c70a0501c60d28765",
+    "ht": "da2d120584179a1f8917ebc077a242c0fa3d6b98bea48e9165521ed1ce89b3c5",
+    "hx": "855de1f957fdf82e5991a557b7f2b990426f754f03ac69bedcd41ddd68fea551",
+    "l+": "f987c70c927b9bdf4585ad743a7362ef8f18f38d0b1ed7fb3055a53dfaf3d145",
+    "l-": "65dc475c3d3b6704d3ad39de23e7f629eaea92a5ad405f7d00871f009e73268e",
+    "l0": "0eea4b19026dbc64149116c84b4ccf050f2e57660310507c86bbe05ef8f51aea",
+    "ld": "8c8be3612a6ee5a1e822af7fe3397a22ca3ed8c8d204b4a30fb65188781506db",
+    "lt": "b7b325a5abdf12376d83dab0461741c6e210331489276fc3520e50a15ea6982b",
+    "lx": "a41ba8801dc9e4f0201886021af34f5e918c714601f4d995240455d3e99b2643",
+    "m+": "01a461339f5f8553671315412df300b0850fde7767711ed43316531d484180d6",
+    "m-": "6b39463cc72d961f0016fb21a566821af6be61ac90b2a940750030eeac8cdf09",
+    "m0": "9580aae0a690673a911ebf4cc1c6890470d24e066a98629721d46875dd1462b8",
+    "md": "5aecba3ef94e739154b4e479647064427fa0ddb9f92a3dd58f81d3d41b9a29da",
+    "mt": "6a4ca48ae53a95534eb580980f2b8005e4180305427f58197fa04755538a5a16",
+    "mx": "2b95ad5437d2bdf4f14e9874528dcd4162f830b271d7b629fcd66706ef8722e5",
+    "p+": "7f877f08d8d4e6cd23c90938b261c857bb39380952b4076e3be44a2abc42c713",
+    "p-": "9c6a89276f0257f47f41da0c435e03c8d9868e197bea5bf293fa8bdbe563220a",
+    "p0": "1fec928326fe3995f105f82312616195c006e86830681521932ce6b965092b2e",
+    "p_plus": "62a5949a84e8336760b9d0fdc0e8686ae2125f06b6429ef63c89cdb82b3fbced",
+    "pd": "c77035cfdc6bdb0cecefd054987c39949245b70aa221c2af74498d72acf88f37",
+    "phi_minus": "1ccff1f7151a53c22afeab4681bfe115de37cf1789319cc0b9cdc143123f0e49",
+    "phi_plus": "3b00181fd8f2b2c55204cdf31fad283a510901468d01df11d4cef6eea2a5f2de",
+    "pt": "ad7042e96a4c9c7147c333e2fe7e2f4846454827dcd861a8ccfcdf100628c1c3",
+    "px": "85fc01045b07e1bc653356e3c7db656a2494b1807cbed8d91efb7b3913b926cb",
+    "r+": "dcdb167dc1b9226db930d61772c03dab86651c5d84adb6fd0cc345a5b253ed9c",
+    "r-": "e369fd77e93e098b1bf97ccdd8ab55c1bc29d1b70683be781a04dc086b321b94",
+    "r0": "824d2f1a9dbab4625e3bf31b594ce8e9f72f67a007f510a28bad68353b857678",
+    "rd": "bfb69e23e15d31402d68d716f75eca849df96768dc361bcacfd6fdb70d0352f0",
+    "rl_bell": "f1e8840959745de9db21d9c6978732fae52510172b1bafd0df661fe0f3c1f96f",
+    "rt": "a51ef2944572b974608ca85bf014f91695f096761f365ef21c4ff41ed27a381b",
+    "rx": "d0b582b0be126346bff2c6e682383431a86b38cf0f656bc18544bc1a1ca4dfd4",
+    "v+": "7d0a73b01163f915d5ae8ebc25e523e4cca5b3d4c77bca6923c6801bc47a7608",
+    "v-": "1cf6a109a7fcaf7a247da5d432b8bc20f2d41d7dc10a47d7229e099933128a5e",
+    "v0": "14853bc29d0fa0c4634b8cb053ad4311653f8f75eb5ec3410742009f41532a63",
+    "vd": "c06a3193c65047a2ee0176a5dc5fdfc032267d0a1d6286b32f4c7bbdea3bfd87",
+    "vt": "e9f15956f7300e5c65268595712b92039bcbe9dab214193f35f8c55881911013",
+    "vx": "4652c1a6c1169e78387e304ae8bd8de778934551ad90319ad86f65e64fa34841",
+}
+BEST_EFFORT_PLAN_SHA256 = [
+    ([[1, 0], [0.7, 0], [0, 0], [0.7141, 0.01]], "293d1113d5c2829bedca415ebbf0c2b9589ba9f294c2165ebbda6045eef41e17"),
+    ([[1, 0], [1, 0], [1, 0], [0, 0]], "51f819f2e88fbac52ff45b66af1dd2ba1d492ce607adefe73ddffe8187387c76"),
+    ([[0.3, 0.1], [0.5, -0.2], [-0.4, 0.6], [0.2, 0.3]], "bbb730c5d855c8d5c44b6f87594642798e3e87d98fe8cd62d0a46051da00d01d"),
+    ([[1, 0], [0, 0.5], [0, 0], [0.25, 0]], "1aae6b326e43d120d39a6db904233a2d2b48603cf221827a2169fed1fdecf94d"),
+]
+
+
+@pytest.mark.parametrize(
+    "target, code, digest",
+    [pytest.param(name, EXIT_OK, digest, id=name) for name, digest in PLAN_SHA256.items()]
+    + [
+        pytest.param(target, EXIT_BEST_EFFORT, digest, id=f"explicit{k}")
+        for k, (target, digest) in enumerate(BEST_EFFORT_PLAN_SHA256)
+    ],
+)
+def test_prepare_keeps_its_recorded_bytes(tmp_path, target, code, digest):
+    path = write_config(tmp_path, encoded_target=target)
+    out = tmp_path / "out"
+    assert cli.main(["prepare", "--config", path, "--out", str(out), "--no-timestamp"]) == code
+    assert hashlib.sha256((out / "plan.json").read_bytes()).hexdigest() == digest
+
+
+def test_prepare_pins_cover_every_named_state():
+    assert sorted(PLAN_SHA256) == sorted(hilbert.NAMED_STATES)
 
 
 # ---------------------------------------------------------------------------

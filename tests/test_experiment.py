@@ -623,6 +623,13 @@ def test_counts_follow_the_keyed_point_streams(lattice, packet, baseline, visibi
     assert np.array_equal(trace.counts, np.array(reference, dtype=float))
 
 
+def keyed_draws(seeds, means, points=None):
+    """The program's keyed draw: _draw_counts of the means' _draw_plan, one
+    seed per row, points the columns' grid indices."""
+    plan = experiment._draw_plan(np.asarray(means, dtype=float), points)
+    return experiment._draw_counts(plan, np.array([int(s) for s in seeds], dtype=np.uint64))
+
+
 @pytest.mark.parametrize("rows, points", [(10, 2000), (1, 321), (18, 43), (19, 321)])
 def test_keyed_poisson_equals_point_rng_draw_for_draw(rows, points):
     """The array draws against their definition.  The 10 x 2000 block has
@@ -640,7 +647,7 @@ def test_keyed_poisson_equals_point_rng_draw_for_draw(rows, points):
     else:
         seeds = derive_seeds(points, range(rows)).tolist()
         means = np.exp(rng.uniform(np.log(60.0), np.log(1e3), size=(rows, points)))
-    got = experiment._keyed_poisson(seeds, means)
+    got = keyed_draws(seeds, means)
     want = [
         [point_rng(seed, i).poisson(mu) for i, mu in enumerate(row)]
         for seed, row in zip(seeds, means)
@@ -688,7 +695,7 @@ def test_keyed_poisson_routes_equal_point_rng(monkeypatch):
     for band in (shipped, 0.0, np.inf):
         monkeypatch.setattr(experiment, "_LOG_TEST_BAND", band)
         reached = spy_on_reset_draws(monkeypatch)
-        assert np.array_equal(experiment._keyed_poisson(seeds, means), want)
+        assert np.array_equal(keyed_draws(seeds, means), want)
         fallback[band] = len(reached)
         monkeypatch.undo()
     assert fallback[0.0] <= fallback[shipped] < fallback[np.inf]
@@ -766,7 +773,7 @@ def test_keyed_poisson_without_fallback_points_builds_no_generator(monkeypatch):
     seeds = [5, 2**64 - 1]
     means = np.exp(rng.uniform(np.log(10.0), np.log(1e6), size=(2, 200)))
     reached = spy_on_reset_draws(monkeypatch)
-    experiment._keyed_poisson(seeds, means)
+    keyed_draws(seeds, means)
     width = min(index for _, index in reached)
     assert width > 0
 
@@ -775,7 +782,7 @@ def test_keyed_poisson_without_fallback_points_builds_no_generator(monkeypatch):
 
     monkeypatch.setattr(experiment, "_reset_draws", unreachable)
     block = means[:, :width]
-    assert np.array_equal(experiment._keyed_poisson(seeds, block), point_rng_draws(seeds, block))
+    assert np.array_equal(keyed_draws(seeds, block), point_rng_draws(seeds, block))
 
 
 def test_keyed_poisson_keys_columns_by_their_grid_index():
@@ -794,16 +801,16 @@ def test_keyed_poisson_keys_columns_by_their_grid_index():
         [point_rng(seed, int(p)).poisson(m) for p, m in zip(points, row)]
         for seed, row in zip(seeds, means)
     ]
-    assert np.array_equal(experiment._keyed_poisson(seeds, means, points), want)
+    assert np.array_equal(keyed_draws(seeds, means, points), want)
     grid = np.exp(rng.uniform(np.log(1.0), np.log(1e4), size=(len(seeds), 2000)))
     subset = np.arange(3, 2000, 7)
-    whole = experiment._keyed_poisson(seeds, grid)
-    assert np.array_equal(experiment._keyed_poisson(seeds, grid[:, subset], subset), whole[:, subset])
+    whole = keyed_draws(seeds, grid)
+    assert np.array_equal(keyed_draws(seeds, grid[:, subset], subset), whole[:, subset])
     means[1, 3] = np.nan
     with pytest.raises(ValueError) as theirs:
         point_rng(seeds[1], int(points[3])).poisson(np.nan)
     with pytest.raises(ValueError) as ours:
-        experiment._keyed_poisson(seeds, means, points)
+        keyed_draws(seeds, means, points)
     assert str(ours.value) == str(theirs.value)
 
 
@@ -852,7 +859,7 @@ def test_keyed_poisson_raises_numpys_errors(bad):
     with pytest.raises(ValueError) as theirs:
         point_rng(7, 20).poisson(bad)
     with pytest.raises(ValueError) as ours:
-        experiment._keyed_poisson([3, 7], means)
+        keyed_draws([3, 7], means)
     assert str(ours.value) == str(theirs.value)
 
 

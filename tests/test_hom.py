@@ -374,3 +374,22 @@ def test_oracle_gap_stays_small_for_broad_envelopes():
         slow = fock_oracle_ratio(enc, anc, delay, 1.0)
         worst = max(worst, abs(fast - slow))
     assert worst <= 1e-5
+
+
+def test_scan_traces_refuse_a_nan_delay(lattice, packet):
+    """A NaN delay raises instead of reading a NaN ratio, on every path."""
+    phi = hilbert.named_state("phi_plus", lattice, packet)
+    with pytest.raises(ValueError, match="no NaN"):
+        hom.coincidence_ratio(phi, phi, float("nan"))
+    with pytest.raises(ValueError, match="no NaN"):
+        hom.scan_traces(phi, [phi, phi], [-TAU, np.nan, TAU])
+
+
+@pytest.mark.parametrize("vis", [np.float64(0.5), np.int64(1), 1, 0, 0.25])
+def test_interference_takes_numpy_and_integer_visibilities(lattice, packet, vis):
+    phi = hilbert.named_state("phi_plus", lattice, packet)
+    delays = np.array([-TAU, 0.0, TAU])
+    want = hom.scan_trace(phi, phi, delays, float(vis))
+    assert np.array_equal(hom.scan_trace(phi, phi, delays, vis), want)
+    assert hom.coincidence_ratio(phi, phi, 0.0, vis) == want[1]
+    assert hom.fock_oracle_ratio(phi, phi, 0.0, vis) == pytest.approx(want[1], abs=1e-9)

@@ -41,6 +41,19 @@ def test_dip_scan_script_writes_its_traces(tmp_path):
     assert len(list(tmp_path.glob("*.csv"))) == 4
 
 
+def test_dip_scan_script_clips_sampled_depths(tmp_path):
+    """Sampled depths are read as `poltime scan` reads them, 1 - n / N0
+    clipped to [0, 1]; at seed 5 a count above the baseline at lag -1 of
+    phi_plus vs phi_plus would otherwise read -0.067437."""
+    proc = run_script("run_dip_scans.py", "--out", str(tmp_path), "--counts", "--seed", "5")
+    assert proc.returncode == 0, proc.stderr
+    summary = json.loads((tmp_path / "dip_depths.json").read_text())
+    depths = [depth for pairing in summary.values() for depth in pairing.values()]
+    assert len(depths) == 12
+    assert all(0.0 <= depth <= 1.0 for depth in depths)
+    assert summary["phi_plus vs phi_plus"]["-1"] == 0.0
+
+
 def test_keyed_draw_check_passes():
     proc = run_script("check_keyed_draws.py", "--draws", "20000")
     assert proc.returncode == 0, proc.stdout + proc.stderr

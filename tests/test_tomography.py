@@ -1067,6 +1067,37 @@ def test_fits_refuse_a_boolean_or_non_number_visibility(lattice, packet, tset, v
             call()
 
 
+VISIBILITY_ENTRIES = [
+    "ScanConfig", "simulate_counts", "mle_reconstruct", "bootstrap_errors",
+    "scan_traces", "scan_trace", "coincidence_ratio", "fock_oracle_ratio",
+]
+
+
+@pytest.mark.parametrize("value", [True, np.True_, "0.5", None])
+@pytest.mark.parametrize("entry", VISIBILITY_ENTRIES)
+def test_every_visibility_entry_refuses_a_boolean_or_non_number(lattice, packet, tset, entry, value):
+    """Every public entry that takes a visibility refuses one that is not a
+    real number through the library's one check: the interference model
+    took True as V = 1 and "0.5" as 0.5, and failed on None with a bare
+    TypeError."""
+    enc = hilbert.named_state("phi_plus", lattice, packet)
+    v = hilbert.logical_vector(enc)
+    counts = exact_counts(np.outer(v, v.conj()), tset)
+    delays = compact_delays()
+    calls = {
+        "ScanConfig": lambda: experiment.ScanConfig(delays, 1000.0, 0, value),
+        "simulate_counts": lambda: simulate_counts(enc, tset, 1000.0, value, delays=delays),
+        "mle_reconstruct": lambda: mle_reconstruct(counts, tset, value),
+        "bootstrap_errors": lambda: bootstrap_errors(counts, tset, value, enc, replicas=2),
+        "scan_traces": lambda: hom.scan_traces(enc, [enc], delays, value),
+        "scan_trace": lambda: hom.scan_trace(enc, enc, delays, value),
+        "coincidence_ratio": lambda: hom.coincidence_ratio(enc, enc, 0.0, value),
+        "fock_oracle_ratio": lambda: hom.fock_oracle_ratio(enc, enc, 0.0, value),
+    }
+    with pytest.raises(ValueError, match="^visibility must be a real number, got "):
+        calls[entry]()
+
+
 @pytest.mark.parametrize("value", [True, np.True_, "1000"])
 def test_simulated_counts_refuse_a_boolean_or_non_number_baseline(lattice, packet, tset, value):
     enc = hilbert.named_state("phi_plus", lattice, packet)
