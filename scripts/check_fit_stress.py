@@ -12,7 +12,8 @@ rows of one set, N0 and fitted visibility are fitted as one stack.
 For every N0 it prints the rows that the solver reports converged, each to
 its own count-scaled duality-gap tolerance, and the mean, median and largest
 numbers of Newton passes among them; the total line gives the mean over all
-converged rows.  The script exits 1 if any row did not converge:
+converged rows, and the last line how many of all rows' steps the solver
+rejected.  The script exits 1 if any row did not converge:
 
     PYTHONPATH=src python scripts/check_fit_stress.py
 """
@@ -79,12 +80,15 @@ def main() -> int:
         ap.error("--truths must be at least 1 and --max-exponent at least 0")
 
     table: dict[float, list] = {}
+    steps, rejected = 0, 0
     t0 = time.perf_counter()
     for n0, v_fit, n, baseline, projs in stacks(args.truths, args.max_exponent):
         fit = tomography._fit(n, baseline, tomography._fit_tables(projs), v_fit)
         row = table.setdefault(n0, [0, []])
         row[0] += len(n)
         row[1].extend(fit.iterations[fit.converged])
+        steps += fit.iterations.sum()
+        rejected += fit.rejected.sum()
     dt = time.perf_counter() - t0
 
     print(
@@ -99,6 +103,7 @@ def main() -> int:
     passes = [k for row in table.values() for k in row[1]]
     mean = np.mean(passes) if passes else 0.0
     print(f"{len(passes)} of {total} rows converged, mean passes {mean:.2f} ({dt:.1f} s)")
+    print(f"{rejected} of {steps} steps rejected")
     return 0 if len(passes) == total else 1
 
 

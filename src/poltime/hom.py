@@ -29,6 +29,7 @@ import numpy as np
 from .hilbert import DensityMatrix, PhotonState, Wavepacket, _check_real
 
 _MODE_CAP = 32
+_FAR_SIGMAS = 1e150
 
 
 def envelope_overlap(packet: Wavepacket, dt: float) -> float:
@@ -92,6 +93,21 @@ def _check_visibility(vis) -> float:
     return v
 
 
+def _delay_grid(delays, sigma_t: float) -> np.ndarray:
+    """The delays as a float grid, with those beyond _FAR_SIGMAS sigma_t
+    clipped to it: no envelope reaches that far, so no ratio changes, and
+    (delay / sigma_t)^2 stays finite.  Raises ValueError unless the grid is
+    a non-empty 1-d array with no NaN."""
+    grid = np.asarray(delays, dtype=float)
+    far = _FAR_SIGMAS * sigma_t
+    reach = np.abs(grid).max() if grid.ndim == 1 and grid.size else np.nan
+    if reach <= far:
+        return grid
+    if np.isnan(reach):
+        raise ValueError("delay grid must be a non-empty 1-d array with no NaN")
+    return np.clip(grid, -far, far)
+
+
 def scan_traces(encoded, ancillas, delays, vis: float = 1.0) -> np.ndarray:
     """Dip ratios R(delta) of a pure or mixed encoded input against each of a
     stack of prepared ancillas on one lattice, (ancillas, delays) in grid
@@ -110,9 +126,7 @@ def scan_traces(encoded, ancillas, delays, vis: float = 1.0) -> np.ndarray:
     if len({ancilla.bin_count for ancilla in ancillas}) > 1:
         raise ValueError("ancillas of one scan block must share one bin count")
     v = _check_visibility(vis)
-    grid = np.asarray(delays, dtype=float)
-    if grid.ndim != 1 or grid.size == 0 or np.isnan(grid).any():
-        raise ValueError("delay grid must be a non-empty 1-d array with no NaN")
+    grid = _delay_grid(delays, encoded.packet.sigma_t)
     g = _shifted_vectors(ancillas, grid, encoded.bin_count)
     g = g.reshape(-1, g.shape[-1])
     if isinstance(encoded, DensityMatrix):
@@ -157,10 +171,12 @@ def fock_oracle_ratio(
     two-photon Fock amplitudes over (port, mode) to get the coincidence
     probability.  Imperfect visibility enters as an extra ancilla mode
     component orthogonal to everything, with weight 1 - v.  The result is
-    normalized by the distinguishable-photon limit 1/2.
+    normalized by the distinguishable-photon limit 1/2.  The delay is
+    checked and clipped as in coincidence_ratio.
     """
     _require_shared_envelope(encoded, ancilla)
     v = _check_visibility(vis)
+    delay = float(_delay_grid([delay], encoded.packet.sigma_t)[0])
     for state in (encoded, ancilla):
         if 2 * state.bin_count > _MODE_CAP:
             raise ValueError(

@@ -5,6 +5,8 @@ quadrature; the closed-form coincidence ratio is cross-checked against the
 brute-force two-photon Fock enumeration.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -383,6 +385,22 @@ def test_scan_traces_refuse_a_nan_delay(lattice, packet):
         hom.coincidence_ratio(phi, phi, float("nan"))
     with pytest.raises(ValueError, match="no NaN"):
         hom.scan_traces(phi, [phi, phi], [-TAU, np.nan, TAU])
+
+
+@pytest.mark.parametrize("delay", [np.nan, np.inf, -np.inf, 1e300, -1e300])
+@pytest.mark.parametrize("ratio", [hom.coincidence_ratio, hom.fock_oracle_ratio])
+def test_ratios_at_non_finite_and_huge_delays(ratio, delay, lattice, packet):
+    """The closed form and the oracle both refuse a NaN delay, and read no
+    interference, without a warning, where the ancilla is infinitely or
+    1e300 s away."""
+    phi = hilbert.named_state("phi_plus", lattice, packet)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if np.isnan(delay):
+            with pytest.raises(ValueError, match="no NaN"):
+                ratio(phi, phi, delay, 0.9)
+        else:
+            assert ratio(phi, phi, delay, 0.9) == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("vis", [np.float64(0.5), np.int64(1), 1, 0, 0.25])

@@ -65,10 +65,11 @@ def test_keyed_draw_check_passes():
 
 def test_fit_stress_check_runs():
     """Every row of the full default grid converges, up to N0 = 1e8 where
-    the gap tolerance is count-scaled."""
+    the gap tolerance is count-scaled, and the rejected steps are reported."""
     proc = run_script("check_fit_stress.py")
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "648 of 648 rows converged, mean passes " in proc.stdout
+    assert re.search(r"^\d+ of \d+ steps rejected$", proc.stdout, re.MULTILINE)
     header, *rows = proc.stdout.splitlines()[:10]
     assert header.split()[3:5] == ["mean", "passes"]
     for line in rows:
