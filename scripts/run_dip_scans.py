@@ -3,15 +3,14 @@
 
 Writes one CSV per panel (encoded vs ancilla pairing) plus a small JSON
 summary of the dip depths at lags 0 and +-1, each 1 - n / N0 clipped to
-[0, 1] as `poltime scan` reports it.  Noiseless by default so the dip
-structure is exact; pass --counts to sample Poisson data instead.
+[0, 1] by `experiment.dip_depths` as `poltime scan` reports it.  Noiseless
+by default so the dip structure is exact; pass --counts to sample Poisson
+data instead.
 """
 
 import argparse
 import json
 from pathlib import Path
-
-import numpy as np
 
 from poltime import experiment, hilbert
 
@@ -55,10 +54,9 @@ def main() -> None:
         trace = experiment.sample_scan(enc, anc, cfg, noiseless=not args.counts)
         stem = f"{enc_name}_vs_{anc_name}".replace("+", "plus").replace("-", "minus")
         experiment.write_trace_csv(trace, out / f"{stem}.csv")
-        n0, dips = experiment.read_dips(trace, LAGS)
+        depths = experiment.dip_depths(*experiment.read_dips(trace, LAGS))
         summary[f"{enc_name} vs {anc_name}"] = {
-            str(lag): round(float(np.clip(1.0 - n / n0, 0.0, 1.0)), 6)
-            for lag, n in zip(LAGS, dips)
+            str(lag): round(float(d), 6) for lag, d in zip(LAGS, depths)
         }
 
     (out / "dip_depths.json").write_text(json.dumps(summary, indent=2) + "\n")

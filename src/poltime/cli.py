@@ -131,7 +131,7 @@ class ExperimentConfig:
             "bandwidth_nm": self.bandwidth_nm,
             "wavelength_nm": self.wavelength_nm,
             "encoded_target": self.encoded_label,
-            "encoded_amps": _amps_json(self.encoded),
+            "encoded_amps": hilbert._json_pairs(hilbert.logical_vector(self.encoded)),
             "ancilla": self.ancilla_label,
             "visibility": self.visibility,
             "baseline_counts": self.baseline_counts,
@@ -139,11 +139,6 @@ class ExperimentConfig:
             "seed": self.seed,
             "replicas": self.replicas,
         }
-
-
-def _amps_json(state: PhotonState) -> list[list[float]]:
-    vec = hilbert.logical_vector(state)
-    return [[float(a.real), float(a.imag)] for a in vec]
 
 
 def _resolve_state(value, lattice, packet, field, problems) -> tuple[str, PhotonState | None]:
@@ -335,10 +330,6 @@ def _write_json(path: Path, payload: dict, timestamp: bool) -> None:
     path.write_text(text + "\n")
 
 
-def _complex_matrix_json(mat: np.ndarray) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in mat]
-
-
 def _write_matrix_csv(path: Path, mat: np.ndarray) -> None:
     lines = [",".join(f"{x:.17g}" for x in row) for row in np.asarray(mat, dtype=float)]
     path.write_text("\n".join(lines) + "\n")
@@ -374,11 +365,11 @@ def cmd_scan(cfg: ExperimentConfig, out_dir: Path, timestamp: bool, noiseless: b
 
     lags = (-1, 0, 1)
     baseline, dips = experiment.read_dips(trace, lags)
-    ratio = dips / baseline
-    dip_depths = {str(lag): float(np.clip(1.0 - r, 0.0, 1.0)) for lag, r in zip(lags, ratio)}
+    depths = experiment.dip_depths(baseline, dips)
+    dip_depths = {str(lag): float(d) for lag, d in zip(lags, depths)}
     summary = {
         "baseline": float(baseline),
-        "r_hat_zero": float(ratio[1]),
+        "r_hat_zero": float(dips[1] / baseline),
         "visibility_hat": dip_depths["0"],
         "dip_depths": dip_depths,
         "noiseless": noiseless,
@@ -416,7 +407,7 @@ def cmd_tomography(cfg: ExperimentConfig, out_dir: Path, timestamp: bool, noisel
     rho = result.rho_hat
 
     payload = {
-        "rho": _complex_matrix_json(rho),
+        "rho": [hilbert._json_pairs(row) for row in rho],
         "fidelity": result.fidelity_vs_target,
         "fidelity_std": boot.fidelity_std,
         "nll": result.nll,
@@ -433,7 +424,7 @@ def cmd_tomography(cfg: ExperimentConfig, out_dir: Path, timestamp: bool, noisel
     _write_matrix_csv(out_dir / "rho_real.csv", rho.real)
     _write_matrix_csv(out_dir / "rho_imag.csv", rho.imag)
 
-    p_hat = np.clip(1.0 - bundle.counts[:, 0] / bundle.counts[:, 1], 0.0, 1.0)
+    p_hat = experiment.dip_depths(bundle.counts[:, 1], bundle.counts[:, 0])
     rows = ["label,p_hat,dip_counts,baseline_counts"]
     labels = tset.labels()
     for member, (n_i, big_n), p in zip(tset.reading_columns[1], bundle.counts, p_hat):

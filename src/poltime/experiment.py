@@ -25,8 +25,9 @@ draws the rest.  Each count is the one point_rng gives, bit for bit.
 sample_scan is its one-scan case, at a ScanConfig's checked grid and
 seed.  read_dips reads one trace, and _read (scans, points) counts, at the
 points read_points gives: each scan's baseline N0, the long-delay plateau
-mean, and its counts at lags * tau.  reading_lags says which lags a scan
-reads; a single-bin ancilla's scan yields two projections.
+mean, and its counts at lags * tau; dip_depths is the one reading of them,
+1 - n / N0 clipped to [0, 1].  reading_lags says which lags a scan reads;
+a single-bin ancilla's scan yields two projections.
 """
 
 from __future__ import annotations
@@ -337,10 +338,8 @@ class ScanConfig:
         _check_real("baseline_counts", self.baseline_counts)
         if not 0 < self.baseline_counts < np.inf:
             raise ValueError("baseline_counts must be positive and finite")
-        _check_seed(self.seed)
-        _check_real("visibility", self.visibility)
-        if not 0.0 <= self.visibility <= 1.0:
-            raise ValueError("visibility must lie in [0, 1]")
+        object.__setattr__(self, "seed", _check_seed(self.seed))
+        hom._check_visibility(self.visibility)
 
 
 def _check_seed(seed) -> int:
@@ -486,7 +485,7 @@ def sample_scan(encoded, ancilla, config: ScanConfig, noiseless: bool = False) -
     """Run one scan of the encoded state against the ancilla: the one-scan
     case of sample_block, on the grid the config has checked."""
     return sample_block(
-        encoded, [ancilla], [_check_seed(config.seed)], config.delays,
+        encoded, [ancilla], [config.seed], config.delays,
         config.baseline_counts, config.visibility, noiseless,
     )[0]
 
@@ -530,6 +529,12 @@ def _read(counts, plateau, columns) -> tuple[np.ndarray, np.ndarray]:
     return baselines, counts[:, columns]
 
 
+def dip_depths(baselines, dips) -> np.ndarray:
+    """Dip depths 1 - n / N0 clipped to [0, 1], dips over their baselines,
+    in read_dips' order: dip_depths(*read_dips(trace, lags))."""
+    return np.clip(1.0 - dips / baselines, 0.0, 1.0)
+
+
 def estimate_baseline(trace: ScanTrace) -> float:
     """Mean counts over the long-delay plateau of one trace; estimates N0."""
     return float(read_dips(trace, ())[0])
@@ -549,15 +554,13 @@ def extract_projections(trace: ScanTrace, ancilla_bins_occupied) -> list[Project
     """Projection estimates from one trace, at the lags of reading_lags, so
     a single-bin ancilla's scan feeds two projections."""
     lags = reading_lags(ancilla_bins_occupied)
-    n0, dips = read_dips(trace, lags)
-    p_hat = np.clip(1.0 - dips / n0, 0.0, 1.0)
+    p_hat = dip_depths(*read_dips(trace, lags))
     return [ProjectionReading(lag=lag, p_hat=float(p)) for lag, p in zip(lags, p_hat)]
 
 
 def estimate_visibility(trace: ScanTrace) -> float:
     """1 - R_hat(0); calibrates v from a scan of two identical states."""
-    n0, (dip,) = read_dips(trace, (0,))
-    return float(np.clip(1.0 - dip / n0, 0.0, 1.0))
+    return float(dip_depths(*read_dips(trace, (0,)))[0])
 
 
 def occupied_bins(state: PhotonState) -> frozenset[int]:

@@ -123,6 +123,11 @@ def _equal_states(a, b, array: str):
     return same and np.array_equal(getattr(a, array), getattr(b, array))
 
 
+def _json_pairs(values) -> list[list[float]]:
+    """Complex values as JSON's [re, im] float pairs."""
+    return [[float(z.real), float(z.imag)] for z in values]
+
+
 @dataclass(frozen=True)
 class PhotonState:
     """Pure single-photon state with amplitudes over (polarization, bin).
@@ -177,7 +182,7 @@ class PhotonState:
             "bins": self.bin_count,
             "tau_s": self.tau,
             "sigma_t_s": self.packet.sigma_t,
-            "amps": [[float(a.real), float(a.imag)] for a in self.amplitudes],
+            "amps": _json_pairs(self.amplitudes),
         }
 
 

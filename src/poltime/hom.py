@@ -81,8 +81,10 @@ def shifted_ancilla_vector(ancilla: PhotonState, delay, target_bin_count: int) -
     on the same grid.  The bin counts of the two photons may differ.  A
     scalar delay gives a vector of length 2 * target_bin_count; an array of
     delays gives one such vector per delay, stacked along a leading axis.
-    """
-    return _shifted_vectors([ancilla], delay, target_bin_count)[0]
+    The delays are checked and clipped as scan_traces' grid is."""
+    d = np.asarray(delay, dtype=float)
+    grid = _delay_grid(d.reshape(-1), ancilla.packet.sigma_t).reshape(d.shape)
+    return _shifted_vectors([ancilla], grid, target_bin_count)[0]
 
 
 def _check_visibility(vis) -> float:
@@ -166,13 +168,15 @@ def fock_oracle_ratio(
     """Coincidence ratio from an explicit two-photon Fock computation.
 
     Builds the exact Gram matrix of every Gaussian temporal mode involved
-    (encoded bins at j tau, ancilla bins at k tau + delay), orthonormalizes
-    it, sends each photon through a balanced beam splitter, and enumerates
-    two-photon Fock amplitudes over (port, mode) to get the coincidence
-    probability.  Imperfect visibility enters as an extra ancilla mode
-    component orthogonal to everything, with weight 1 - v.  The result is
-    normalized by the distinguishable-photon limit 1/2.  The delay is
-    checked and clipped as in coincidence_ratio.
+    (encoded bins at j tau, ancilla bins at k tau + delay), its modes in
+    amplitude order, encoded photon first, so each photon's amplitude vector
+    projects onto them as it is stored; orthonormalizes it, sends each
+    photon through a balanced beam splitter, and enumerates two-photon Fock
+    amplitudes over (port, mode) to get the coincidence probability.
+    Imperfect visibility enters as an extra ancilla mode component
+    orthogonal to everything, with weight 1 - v.  The result is normalized
+    by the distinguishable-photon limit 1/2.  The delay is checked and
+    clipped as in coincidence_ratio.
     """
     _require_shared_envelope(encoded, ancilla)
     v = _check_visibility(vis)
@@ -183,35 +187,24 @@ def fock_oracle_ratio(
                 f"state needs {2 * state.bin_count} modes, above the cap {_MODE_CAP}"
             )
 
-    tau = encoded.lattice.tau
-    sigma = encoded.packet.sigma_t
-    # (polarization, arrival time) of every temporal mode, encoded arm first.
-    pols = []
-    times = []
-    for p in range(2):
-        for j in range(encoded.bin_count):
-            pols.append(p)
-            times.append(j * tau)
-    n_enc = len(pols)
-    for p in range(2):
-        for k in range(ancilla.bin_count):
-            pols.append(p)
-            times.append(k * tau + delay)
-    pols_arr = np.array(pols)
-    times_arr = np.array(times)
+    tau, sigma = encoded.lattice.tau, encoded.packet.sigma_t
+    n_enc, n_anc = encoded.bin_count, ancilla.bin_count
+    # (polarization, arrival time) of every temporal mode, in amplitude order.
+    pols = np.repeat([0, 1, 0, 1], [n_enc, n_enc, n_anc, n_anc])
+    times = np.concatenate(
+        [np.tile(np.arange(n_enc) * tau, 2), np.tile(np.arange(n_anc) * tau + delay, 2)]
+    )
 
-    same_pol = pols_arr[:, None] == pols_arr[None, :]
-    dt = times_arr[:, None] - times_arr[None, :]
+    same_pol = pols[:, None] == pols[None, :]
+    dt = times[:, None] - times[None, :]
     gram = same_pol * np.exp(-0.125 * (dt / sigma) ** 2)
 
     evals, evecs = np.linalg.eigh(gram)
     keep = evals > 1e-12 * evals.max()
     coords = (np.sqrt(evals[keep])[:, None]) * evecs[:, keep].conj().T
 
-    e_full = np.concatenate([encoded.as_matrix()[0], encoded.as_matrix()[1]])
-    a_full = np.concatenate([ancilla.as_matrix()[0], ancilla.as_matrix()[1]])
-    phi = coords[:, :n_enc] @ e_full
-    chi = coords[:, n_enc:] @ a_full
+    phi = coords[:, : 2 * n_enc] @ encoded.amplitudes
+    chi = coords[:, 2 * n_enc :] @ ancilla.amplitudes
     phi = phi / np.linalg.norm(phi)
     chi = chi / np.linalg.norm(chi)
 

@@ -277,8 +277,8 @@ class _Candidate:
     success: float = 0.0
 
 
-def _evaluate(cand: _Candidate, source: PhotonState, target_vec: np.ndarray) -> _Candidate:
-    """cand pruned and scored against the target in one walk from the source.
+def _evaluate(cand: _Candidate, source: PhotonState, target: np.ndarray) -> _Candidate:
+    """cand pruned and scored against the logical 2x2 target in one walk from the source.
 
     An element is kept only if its action on the running state is more than
     a global phase; the walk's last state is the plan's output.  A plan that
@@ -300,8 +300,7 @@ def _evaluate(cand: _Candidate, source: PhotonState, target_vec: np.ndarray) -> 
     success = state.norm_squared
     amps = state.amplitudes / np.sqrt(success)
     padded = np.zeros_like(amps).reshape(2, -1)
-    tgt = target_vec.reshape(2, -1)
-    padded[:, : tgt.shape[1]] = tgt
+    padded[:, :2] = target
     fidelity = float(abs(np.vdot(padded.reshape(-1), amps)) ** 2)
     return _Candidate(kept, cand.target_class, fidelity, success)
 
@@ -400,19 +399,15 @@ def compile_preparation(target: PhotonState) -> PreparationPlan:
     if abs(target.norm_squared - 1.0) > hilbert.NORM_TOL:
         raise ValueError("compile_preparation expects a unit-norm target")
 
-    logical = hilbert.logical_vector(target)  # raises on support outside bins 0, 1
-    lattice, packet = target.lattice, target.packet
-    source = hilbert.basis_state("h", 0, lattice, packet)
-    crystal = crystal_with_delay(lattice.tau)
-    mat = logical.reshape(2, 2)
-    target_vec = np.zeros(2 * lattice.bin_count, dtype=complex)
-    target_vec.reshape(2, -1)[:, :2] = mat
+    mat = hilbert.logical_vector(target).reshape(2, 2)  # raises on support outside bins 0, 1
+    source = hilbert.basis_state("h", 0, target.lattice, target.packet)
+    crystal = crystal_with_delay(target.lattice.tau)
 
-    candidates = [_evaluate(c, source, target_vec) for c in _class_candidates(mat, crystal)]
+    candidates = [_evaluate(c, source, mat) for c in _class_candidates(mat, crystal)]
     if max((c.fidelity for c in candidates), default=0.0) < 1.0 - EXACT_PLAN_TOL:
         for nearest in _nearest_encodable(mat):
             for c in _class_candidates(nearest, crystal):
-                candidates.append(_evaluate(_Candidate(c.elements, "general"), source, target_vec))
+                candidates.append(_evaluate(_Candidate(c.elements, "general"), source, mat))
 
     best = max(c.fidelity for c in candidates)
     contenders = [c for c in candidates if c.fidelity >= best - EXACT_PLAN_TOL]

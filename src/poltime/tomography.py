@@ -457,7 +457,7 @@ def _fit(n: np.ndarray, baseline: np.ndarray, tables: tuple, visibility: float) 
     # a row's rounding `slack` tie, and a tie keeps rho0^(1/2): where the two
     # agree that closely, rho0's small eigenvalues may be real, and squaring
     # them away left rows that took up to 11 more passes to grow them back.
-    p_hat = np.clip((1.0 - n / baseline) / visibility, 0.0, 1.0)
+    p_hat = np.clip(experiment.dip_depths(baseline, n) / visibility, 0.0, 1.0)
     root = _project(_hermitian(p_hat @ inverse.T), 0.5)
     starts = np.concatenate((root, root @ root)).reshape(2 * len(n), -1).view(float)
     both = value(starts @ _HERM_FLAT.T, np.concatenate((n, n)), np.concatenate((baseline,) * 2))
@@ -724,7 +724,7 @@ def simulate_counts(
     baselines, dips = experiment._read(drawn, plateau, columns)
     v_hat = visibility
     if cal:
-        v_hat = float(np.clip(1.0 - dips[0, column[-1]] / baselines[0], 0.0, 1.0))
+        v_hat = float(experiment.dip_depths(baselines[0], dips[0, column[-1]]))
     counts = np.stack((dips[scan + cal, column[:-1]], baselines[scan + cal]), axis=1)
     scans = (encoded, ancillas[cal:], seeds[cal:], grid, baseline_counts, visibility, noiseless)
     return CountsBundle(counts, v_hat, scans)

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from poltime import cli, hilbert, tomography
+from poltime import cli, experiment, hilbert, tomography
 from poltime.cli import (
     EXIT_BEST_EFFORT,
     EXIT_CONFIG,
@@ -790,6 +790,26 @@ def test_scan_recovers_injected_visibility(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert 0.92 <= summary["visibility_hat"] <= 0.96
     assert summary["resolved_config"]["visibility"] == 0.94
+
+
+def test_every_dip_reading_is_dip_depths_of_read_dips(tmp_path):
+    """On a low-count trace whose lag-tau count lies above its baseline,
+    the scan summary, extract_projections and estimate_visibility all read
+    experiment.dip_depths of read_dips, the clipped 0 included."""
+    raw = {"encoded_target": "phi_plus", "ancilla": "h0", "baseline_counts": 20, "seed": 0}
+    code, out = run_scan(tmp_path, **raw)
+    assert code == EXIT_OK
+    summary = json.loads((out / "summary.json").read_text())
+    cfg = resolve_config(raw)
+    scan = experiment.ScanConfig(cfg.delays(), cfg.baseline_counts, cfg.seed, cfg.visibility)
+    trace = experiment.sample_scan(cfg.encoded, cfg.ancilla, scan)
+    baseline, dips = experiment.read_dips(trace, (-1, 0, 1))
+    depths = experiment.dip_depths(baseline, dips)
+    assert dips[2] > baseline and depths[2] == 0.0 < depths[1]
+    assert summary["dip_depths"] == {"-1": depths[0], "0": depths[1], "1": depths[2]}
+    assert summary["visibility_hat"] == depths[1] == experiment.estimate_visibility(trace)
+    readings = experiment.extract_projections(trace, experiment.occupied_bins(cfg.ancilla))
+    assert [(r.lag, r.p_hat) for r in readings] == [(0, depths[1]), (1, depths[2])]
 
 
 def test_scan_rejects_tomography_ancilla(tmp_path, capsys):

@@ -16,6 +16,7 @@ from poltime.experiment import (
     compact_delay_grid,
     default_delay_grid,
     derive_seeds,
+    dip_depths,
     estimate_baseline,
     estimate_visibility,
     extract_projections,
@@ -487,6 +488,15 @@ def test_projection_clamped_to_unit_interval():
     )
     readings = extract_projections(trace, frozenset({0, 1}))
     assert readings[0].p_hat == 0.0
+
+
+def test_dip_depths_clip_and_broadcast():
+    """A count above its baseline reads 0 and a zero count 1; one baseline
+    broadcasts over a row of dips, and (dips, baselines) columns, as the
+    tomography run's projections.csv takes them, read row by row."""
+    assert dip_depths(100.0, np.array([103.0, 0.0, 25.0])).tolist() == [0.0, 1.0, 0.75]
+    counts = np.array([[103.0, 100.0], [0.0, 50.0], [30.0, 40.0]])
+    assert dip_depths(counts[:, 1], counts[:, 0]).tolist() == [0.0, 1.0, 0.25]
 
 
 def test_noiseless_projections_match_state_overlaps(lattice, packet, tset, rng):

@@ -387,6 +387,24 @@ def test_scan_traces_refuse_a_nan_delay(lattice, packet):
         hom.scan_traces(phi, [phi, phi], [-TAU, np.nan, TAU])
 
 
+def test_shifted_vector_refuses_a_nan_delay(lattice, packet):
+    phi = hilbert.named_state("phi_plus", lattice, packet)
+    with pytest.raises(ValueError, match="no NaN"):
+        hom.shifted_ancilla_vector(phi, np.nan, 2)
+
+
+@pytest.mark.parametrize("delay", [1e300, -1e300, [[1e300], [-1e300]]])
+def test_shifted_vector_at_huge_delays_is_zero_without_a_warning(delay, lattice, packet):
+    """Delays no envelope reaches are clipped as in scan_traces, in the
+    shape they were given."""
+    phi = hilbert.named_state("phi_plus", lattice, packet)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g = hom.shifted_ancilla_vector(phi, delay, 3)
+    assert g.shape == np.shape(delay) + (6,)
+    assert not g.any()
+
+
 @pytest.mark.parametrize("delay", [np.nan, np.inf, -np.inf, 1e300, -1e300])
 @pytest.mark.parametrize("ratio", [hom.coincidence_ratio, hom.fock_oracle_ratio])
 def test_ratios_at_non_finite_and_huge_delays(ratio, delay, lattice, packet):
