@@ -18,10 +18,14 @@ untimed.
 
 Prints each side's median op time in raw milliseconds, the median of the
 per-pair ratios (this tree / parent) with a 95% bootstrap interval over the
-pairs, whether every op's digest, the bytes its check says the RNG fixes,
-agreed between the sides, and whether every op's record did: the fidelity
-on seed_sweep, and the fidelity, its bootstrap std and the dropped replicas
-on tomography_run, so a fit that moves shows even where the counts do not.
+pairs, and the median ratio of each of four consecutive blocks of pairs.
+The interval covers only the noise within one run: the host drifts between
+runs too, which it does not see, so repeat a run before trusting a ratio;
+blocks that disagree show the drift within this one.  Then it prints
+whether every op's digest, the bytes its check says the RNG fixes, agreed
+between the sides, and whether every op's record did: the fidelity on
+seed_sweep, and the fidelity, its bootstrap std and the dropped replicas on
+tomography_run, so a fit that moves shows even where the counts do not.
 Where records differ, it also prints the largest |difference| of each
 numeric record field over the differing ops, such as `fidelity 3.8e-08`.
 Exits 1 if a digest differs or an op fails its check; a record that differs
@@ -33,7 +37,7 @@ With --cold N it times N ABBA pairs of cold starts instead, perfbench's
 setup_s: each start is a fresh interpreter running this tree's
 `perfbench/setup_probe.py` on `perfbench/run.py`'s SETUP_CONFIG, with its
 side's `src` on PYTHONPATH, timed by its wall time.  It prints the same
-medians and ratio, and exits 1 if a start fails.
+medians, ratio and blocks, and exits 1 if a start fails.
 """
 
 import os
@@ -113,11 +117,16 @@ def cold_start(tree: Path) -> float:
 
 
 def report(seconds: np.ndarray) -> None:
-    """Each side's median and the median pair ratio with its interval."""
-    ratio, low, high = median_interval(seconds[:, 1] / seconds[:, 0])
+    """Each side's median, the median pair ratio with its interval, and the
+    median ratio of each of four consecutive blocks of pairs (one block per
+    pair below four pairs), which shows the host's drift within the run."""
+    ratios = seconds[:, 1] / seconds[:, 0]
+    ratio, low, high = median_interval(ratios)
+    blocks = [np.median(block) for block in np.array_split(ratios, min(4, len(ratios)))]
     for k, label in enumerate(("parent", "this tree")):
         print(f"{label:>9}: median {1e3 * np.median(seconds[:, k]):.3f} ms")
     print(f"ratio this tree / parent: median {ratio:.3f}, 95% interval [{low:.3f}, {high:.3f}]")
+    print("block medians, in run order: " + ", ".join(f"{b:.3f}" for b in blocks))
 
 
 def largest_moves(pairs: list[tuple[dict, dict]]) -> str:

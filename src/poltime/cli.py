@@ -380,28 +380,9 @@ def cmd_scan(cfg: ExperimentConfig, out_dir: Path, timestamp: bool, noiseless: b
 
 
 def cmd_tomography(cfg: ExperimentConfig, out_dir: Path, timestamp: bool, noiseless: bool) -> int:
-    tset = tomography.default_tomography_set(cfg.lattice, cfg.packet)
-    bundle = tomography.simulate_counts(
-        cfg.encoded,
-        tset,
-        baseline_counts=cfg.baseline_counts,
-        visibility=cfg.visibility,
-        master_seed=cfg.seed,
-        delays=cfg.delays(),
-        noiseless=noiseless,
-    )
-    if not bundle.visibility_hat > 0:
-        raise ConfigError(
-            "visibility_hat: the calibration scan shows no dip; "
-            "raise visibility or baseline_counts"
-        )
-    boot = tomography.bootstrap_errors(
-        bundle.counts,
-        tset,
-        bundle.visibility_hat,
-        cfg.encoded,
-        replicas=cfg.replicas,
-        seed=cfg.seed,
+    tset, bundle, boot = tomography.run(
+        cfg.encoded, cfg.delays(), cfg.baseline_counts, cfg.visibility, cfg.seed, cfg.replicas,
+        noiseless,
     )
     result = boot.estimate
     rho = result.rho_hat

@@ -37,10 +37,15 @@ def envelope_overlap(packet: Wavepacket, dt: float) -> float:
 
     For the amplitude profile f(t) proportional to exp(-t^2 / (4 sigma_t^2))
     the normalized overlap integral is exp(-dt^2 / (8 sigma_t^2)): equal to 1
-    at dt = 0, symmetric, and monotone decreasing in |dt|.
+    at dt = 0, symmetric, and monotone decreasing in |dt|.  The delay is
+    checked and clipped as scan_traces' grid is.
     """
-    x = dt / packet.sigma_t
-    return float(np.exp(-0.125 * x * x))
+    return float(_envelope(_delay_grid([dt], packet.sigma_t), packet.sigma_t)[0])
+
+
+def _envelope(dt, sigma_t: float) -> np.ndarray:
+    """envelope_overlap of sigma_t's packet at each of an array of delays."""
+    return np.exp(-0.125 * (dt / sigma_t) ** 2)
 
 
 def _require_shared_envelope(encoded, ancilla) -> None:
@@ -62,7 +67,7 @@ def _shifted_vectors(ancillas, delay, target_bin_count: int) -> np.ndarray:
     d = np.asarray(delay, dtype=float)
     k = np.arange(bins)[:, None, None]
     dt = d.reshape(-1, 1) + (k - np.arange(target_bin_count)) * first.lattice.tau
-    env = np.exp(-0.125 * (dt / first.packet.sigma_t) ** 2)
+    env = _envelope(dt, first.packet.sigma_t)
     amps = np.array([ancilla.as_matrix() for ancilla in ancillas])
     rows = np.concatenate([amps.real, amps.imag], axis=1).reshape(-1, bins)
     # (ancillas, re/im, polarization, delays, target bins)
@@ -197,7 +202,7 @@ def fock_oracle_ratio(
 
     same_pol = pols[:, None] == pols[None, :]
     dt = times[:, None] - times[None, :]
-    gram = same_pol * np.exp(-0.125 * (dt / sigma) ** 2)
+    gram = same_pol * _envelope(dt, sigma)
 
     evals, evecs = np.linalg.eigh(gram)
     keep = evals > 1e-12 * evals.max()

@@ -27,6 +27,7 @@ can turn the estimate's range, so a rank-deficient start costs few passes.
 bootstrap replicas and returns that row as the point estimate, so a run
 with error bars is one solve; `mle_reconstruct` fits one count set alone.
 Linear inversion is kept as the unconstrained baseline and as the start.
+`run` is the whole sequence of `poltime tomography`, from set to errors.
 """
 
 from __future__ import annotations
@@ -728,6 +729,25 @@ def simulate_counts(
     counts = np.stack((dips[scan + cal, column[:-1]], baselines[scan + cal]), axis=1)
     scans = (encoded, ancillas[cal:], seeds[cal:], grid, baseline_counts, visibility, noiseless)
     return CountsBundle(counts, v_hat, scans)
+
+
+def run(encoded, delays, baseline_counts, visibility, seed, replicas, noiseless=False) -> tuple:
+    """One full tomography run, (tset, bundle, errors): the default set on
+    the encoded state's geometry, its self-calibrated `simulate_counts` and
+    `bootstrap_errors` at the calibrated visibility, with the encoded state
+    as target and the same seed.  Raises ValueError, naming visibility_hat,
+    when the calibration scan shows no dip."""
+    tset = default_tomography_set(encoded.lattice, encoded.packet)
+    bundle = simulate_counts(
+        encoded, tset, baseline_counts, visibility, seed, delays=delays, noiseless=noiseless
+    )
+    if not bundle.visibility_hat > 0:
+        raise ValueError(
+            "visibility_hat: the calibration scan shows no dip; "
+            "raise visibility or baseline_counts"
+        )
+    errors = bootstrap_errors(bundle.counts, tset, bundle.visibility_hat, encoded, replicas, seed)
+    return tset, bundle, errors
 
 
 # Sweeps cycle a few targets; the bound caps what a sweep over fresh states keeps.

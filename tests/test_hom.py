@@ -79,6 +79,29 @@ def test_envelope_overlap_monotone_in_displacement(packet):
     assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
+@pytest.mark.parametrize("dt", [np.nan, np.inf, -np.inf, np.float64(1e300), -1e300])
+def test_envelope_overlap_at_non_finite_and_huge_delays(packet, dt):
+    """A NaN displacement raises, as on every other delay path; beyond
+    1e150 sigma_t the overlap reads 0 without a warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if np.isnan(dt):
+            with pytest.raises(ValueError, match="no NaN"):
+                envelope_overlap(packet, dt)
+        else:
+            assert envelope_overlap(packet, dt) == 0.0
+
+
+def test_envelope_overlap_is_the_scan_tables_entry(lattice, packet):
+    """envelope_overlap and the shifted vectors' table read one envelope,
+    bit for bit: h0's vector holds the table's row for its one bin."""
+    h0 = hilbert.named_state("h0", lattice, packet)
+    delays = np.linspace(-3.0 * TAU, 3.0 * TAU, 101)
+    g = shifted_ancilla_vector(h0, delays, 2)
+    want = [[envelope_overlap(packet, d - j * TAU) for j in range(2)] for d in delays]
+    assert np.array_equal(g[:, :2].real, want)
+
+
 # ---------------------------------------------------------------------------
 # State overlap at delay
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ def test_tomography_benchmark_script_runs():
     proc = run_script("run_tomography_benchmark.py", "--seeds", "2", "--replicas", "2")
     assert proc.returncode == 0, proc.stderr
     assert "median F" in proc.stdout
+    assert "median bootstrap std" in proc.stdout
 
 
 def test_dip_scan_script_writes_its_traces(tmp_path):
@@ -84,6 +85,8 @@ def test_ab_bench_reads_its_own_tree_as_equal():
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "workload seed_sweep, 4 ABBA pairs" in proc.stdout
     assert "ratio this tree / parent: median " in proc.stdout
+    blocks = r"^block medians, in run order: (\d\.\d{3}, ){3}\d\.\d{3}$"
+    assert re.search(blocks, proc.stdout, re.M), proc.stdout
     assert "digests: all 4 ops agree" in proc.stdout
 
 

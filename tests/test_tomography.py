@@ -1211,3 +1211,33 @@ def test_end_to_end_noisy_reconstruction_regime(lattice, packet, tset):
     assert result.fidelity_vs_target > 0.85
     assert result.iterations > 0
 
+
+
+@pytest.mark.parametrize("name, visibility, seed, noiseless", [
+    ("phi_plus", 0.94, 3, False),
+    ("rl_bell", 1.0, 0, True),
+])
+def test_run_is_the_explicit_sequence_bit_for_bit(
+    lattice, packet, name, visibility, seed, noiseless
+):
+    """tomography.run is default_tomography_set, the self-calibrated
+    simulate_counts and bootstrap_errors at visibility_hat, bit for bit."""
+    enc = hilbert.named_state(name, lattice, packet)
+    delays = compact_delays()
+    tset, bundle, boot = tomography.run(enc, delays, 1000.0, visibility, seed, 5, noiseless)
+    want_tset = default_tomography_set(lattice, packet)
+    want = simulate_counts(
+        enc, want_tset, 1000.0, visibility, seed, delays=delays, noiseless=noiseless
+    )
+    want_boot = bootstrap_errors(want.counts, want_tset, want.visibility_hat, enc, 5, seed)
+    assert tset is want_tset
+    assert bundle.counts.tobytes() == want.counts.tobytes()
+    assert bundle.visibility_hat == want.visibility_hat
+    assert boot.estimate.rho_hat.tobytes() == want_boot.estimate.rho_hat.tobytes()
+    assert boot.fidelity_std == want_boot.fidelity_std
+
+
+def test_run_refuses_a_calibration_scan_with_no_dip(lattice, packet):
+    enc = hilbert.named_state("phi_plus", lattice, packet)
+    with pytest.raises(ValueError, match=r"^visibility_hat: .* shows no dip"):
+        tomography.run(enc, compact_delays(), 1000.0, 0.0, 0, 5, noiseless=True)
