@@ -381,8 +381,8 @@ class ScanTrace:
         delays, counts = self.delays, self.counts
         if counts.shape != delays.shape:
             raise ValueError("counts and delays must have matching shapes")
-        if (counts < 0).any():
-            raise ValueError("counts must be nonnegative")
+        if not ((counts >= 0) & (counts < np.inf)).all():  # NaN fails both comparisons
+            raise ValueError("counts must be nonnegative and finite")
         if not self.noiseless and (counts != counts.round()).any():
             raise ValueError("sampled counts must be integers")
 

@@ -268,19 +268,24 @@ def partial_trace_time(rho: DensityMatrix) -> np.ndarray:
     return np.einsum("akbk->ab", blocks)
 
 
-def logical_vector(state: PhotonState) -> np.ndarray:
-    """Amplitudes on the two-bin logical subspace, order (h0, ht, v0, vt).
+def logical_vector(state: PhotonState | DensityMatrix) -> np.ndarray:
+    """Amplitudes on the two-bin logical subspace, order (h0, ht, v0, vt); of
+    a DensityMatrix, its (4, 4) block there, in that order.
 
-    Raises if the state leaks outside bins 0 and 1.
+    Raises if the state leaks outside bins 0 and 1: an amplitude there, or
+    an entry of a row there, above SUPPORT_TOL.  A density matrix is
+    Hermitian, so its rows there also cover its columns there.
     """
-    mat = state.as_matrix()
+    dense = isinstance(state, DensityMatrix)
+    mat = state.matrix.reshape(2, state.bin_count, -1) if dense else state.as_matrix()
     if state.bin_count > 2:
         leak = np.abs(mat[:, 2:]).max()
         if leak > SUPPORT_TOL:
             raise ValueError(
                 f"state has amplitude {leak:.3e} outside the two-bin logical subspace"
             )
-    return np.concatenate([mat[0, :2], mat[1, :2]])
+    out = np.concatenate([mat[0, :2], mat[1, :2]])
+    return out.reshape(4, 2, -1)[:, :, :2].reshape(4, 4) if dense else out
 
 
 # ---------------------------------------------------------------------------

@@ -265,51 +265,51 @@ def _hermitian(coords: np.ndarray) -> np.ndarray:
     return 0.5 * (mats + mats.conj().transpose(0, 2, 1))
 
 
-def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
-    evals, evecs = np.linalg.eigh(mat)
-    evals = np.clip(evals, 0.0, None)
-    return (evecs * np.sqrt(evals)) @ evecs.conj().T
+def _read_target(target, dim: int = _DIM) -> np.ndarray:
+    """A target as `_fidelities` reads it: a PhotonState as its logical
+    vector, a DensityMatrix as its logical block, an array as given.  A pure
+    target must be a finite, nonzero vector of length dim and a mixed one a
+    finite (dim, dim) matrix, or ValueError names the target."""
+    if isinstance(target, (PhotonState, DensityMatrix)):
+        target = hilbert.logical_vector(target)
+    sigma = np.asarray(target, dtype=complex)
+    if sigma.ndim == 1:
+        if sigma.shape != (dim,) or not 0.0 < float(np.vdot(sigma, sigma).real) < np.inf:
+            raise ValueError(
+                f"target: a pure target must be a finite, nonzero vector of length {dim}"
+            )
+    elif sigma.shape != (dim, dim):
+        raise ValueError(
+            f"target of shape {sigma.shape} does not match the estimate's {(dim, dim)}"
+        )
+    elif not np.isfinite(sigma).all():
+        raise ValueError("target: a mixed target must be finite")
+    return sigma
 
 
-def _coerce_matrix(state) -> np.ndarray:
-    return state.matrix if isinstance(state, DensityMatrix) else np.asarray(state, dtype=complex)
-
-
-def _pure_fidelities(rhos: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """<v|rho|v> / |v|^2 of each rho of a (k, d, d) stack, in one stacked product."""
-    mid = np.matmul(rhos, v[:, None])
-    return np.matmul(v.conj()[None, None, :], mid)[:, 0, 0].real / float(np.vdot(v, v).real)
+def _fidelities(rhos: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """Fidelity of each rho of a (k, d, d) stack to a `_read_target` target:
+    <v|rho|v> / |v|^2 for a vector v, (tr sqrt(sqrt(rho) sigma sqrt(rho)))^2
+    for a matrix sigma (Jozsa, J. Mod. Opt. 41, 2315, 1994)."""
+    if sigma.ndim == 1:
+        mid = np.matmul(rhos, sigma[:, None])
+        norm2 = float(np.vdot(sigma, sigma).real)
+        return np.matmul(sigma.conj()[None, None, :], mid)[:, 0, 0].real / norm2
+    evals, vecs = np.linalg.eigh(rhos)
+    roots = (vecs * np.sqrt(np.clip(evals, 0.0, None))[:, None]) @ vecs.conj().transpose(0, 2, 1)
+    trace = np.sqrt(np.clip(np.linalg.eigvalsh(roots @ sigma @ roots), 0.0, None)).sum(axis=1)
+    # libm's pow, as a float's ** 2; an array's ** 2, x * x, can differ in the last bit.
+    return np.float_power(trace, 2.0)
 
 
 def fidelity(rho, target) -> float:
-    """State fidelity of a reconstruction against a pure or mixed target.
-
-    Pure target (a PhotonState or a vector): <psi|rho|psi>.  Mixed target
-    (a DensityMatrix or a matrix of rho's shape): (tr sqrt(sqrt(rho) sigma
-    sqrt(rho)))^2, symmetric in its arguments.  A pure target must be a
-    finite, nonzero vector of rho's dimension and a mixed one finite, or
-    ValueError names the target.
-    """
-    rho_m = _coerce_matrix(rho)
-    if isinstance(target, PhotonState):
-        target = hilbert.logical_vector(target)
-    sigma = _coerce_matrix(target)
-    if sigma.ndim == 1:
-        n2 = float(np.vdot(sigma, sigma).real)
-        if sigma.shape != rho_m.shape[:1] or not 0.0 < n2 < np.inf:
-            raise ValueError(
-                f"target: a pure target must be a finite, nonzero vector of length {len(rho_m)}"
-            )
-        return float(_pure_fidelities(rho_m[None], sigma)[0])
-    if sigma.shape != rho_m.shape:
-        raise ValueError(
-            f"target of shape {sigma.shape} does not match the estimate's {rho_m.shape}"
-        )
-    if not np.isfinite(sigma).all():
-        raise ValueError("target: a mixed target must be finite")
-    sr = _psd_sqrt(rho_m)
-    evals = np.linalg.eigvalsh(sr @ sigma @ sr)
-    return float(np.sum(np.sqrt(np.clip(evals, 0.0, None))) ** 2)
+    """State fidelity of rho, a matrix or a DensityMatrix read on its
+    logical block, to a pure target (a PhotonState or a vector) or a mixed
+    one (a DensityMatrix or a matrix), read by `_read_target`: the one-row
+    case of `_fidelities`, symmetric in its arguments when mixed."""
+    rho = hilbert.logical_vector(rho) if isinstance(rho, DensityMatrix) else rho
+    rho_m = np.asarray(rho, dtype=complex)
+    return float(_fidelities(rho_m[None], _read_target(target, len(rho_m)))[0])
 
 
 def random_density_matrix(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -559,17 +559,19 @@ def mle_reconstruct(
     counts per baseline on the unbiased set.  ReconstructionError, naming the
     gap and its tolerance, is raised if the pass cap comes first.  A
     visibility outside (0, 1], a bool or any other value that is not a real
-    number raises ValueError.  The fit has no random element; `seed` is
-    accepted for compatibility and is not used.
+    number raises ValueError, as does a target `_read_target` refuses, read
+    before the fit.  The fit has no random element; `seed` is accepted for
+    compatibility and is not used.
     """
     n, baseline = _unpack_counts(counts, tset, visibility)
+    sigma = None if target is None else _read_target(target)
     fit = _fit(n[None], baseline[None], tset.fit_tables, visibility)
-    return _result(n, fit, target)
+    return _result(n, fit, sigma)
 
 
-def _result(n: np.ndarray, fit: _Fit, target) -> TomographyResult:
-    """The TomographyResult of row 0 of a _fit of the counts n; raises
-    ReconstructionError if that row did not converge."""
+def _result(n: np.ndarray, fit: _Fit, sigma) -> TomographyResult:
+    """Row 0 of a _fit of the counts n as a TomographyResult, with its fidelity
+    to sigma (read, or None); raises ReconstructionError if it did not converge."""
     # sum(mu - n log mu) = deviance + sum(n - n log n)
     nll = float(fit.deviance[0] + np.sum(n - n * np.log(np.where(n > 0, n, 1.0))))
     if not fit.converged[0]:
@@ -578,10 +580,9 @@ def _result(n: np.ndarray, fit: _Fit, target) -> TomographyResult:
             f"which misses its tolerance {fit.tolerance[0]:.3g}",
             best_nll=nll,
         )
-    rho = fit.rho[0]
-    fid = None if target is None else fidelity(rho, target)
+    fid = None if sigma is None else float(_fidelities(fit.rho[:1], sigma)[0])
     return TomographyResult(
-        rho_hat=0.5 * (rho + rho.conj().T),
+        rho_hat=0.5 * (fit.rho[0] + fit.rho[0].conj().T),
         nll=nll,
         iterations=int(fit.iterations[0]),
         fidelity_vs_target=fid,
@@ -624,10 +625,11 @@ def bootstrap_errors(
     solver's one stop rule, and the stack's Newton passes run until its
     slowest row stops.  Replicas the solver reports unconverged are
     dropped; more than 10 percent of them failing is an error, checked
-    first.  With no target, as in `mle_reconstruct`, `fidelities` is empty
-    and `fidelity_std` is None.  A `replicas` that is not an integer (a
-    bool, a float or a string) or is below 2 raises ValueError, as does a
-    seed the scan seeds' check refuses.
+    first.  The target is read before the fit, as in `mle_reconstruct`, and
+    row 0's and the replicas' fidelities come from `_fidelities`; with no
+    target, `fidelities` is empty and `fidelity_std` is None.  A `replicas`
+    that is not an integer (a bool, a float or a string) or is below 2
+    raises ValueError, as does a seed the scan seeds' check refuses.
     """
     if isinstance(replicas, bool) or not isinstance(replicas, (int, np.integer)):
         raise ValueError(f"replicas must be an integer, got {replicas!r}")
@@ -635,6 +637,7 @@ def bootstrap_errors(
         raise ValueError("bootstrap needs at least 2 replicas")
     seed = experiment._check_seed(seed)
     n, baseline = _unpack_counts(counts, tset, visibility)
+    sigma = None if target is None else _read_target(target)
     keys = ((seed, r) for r in range(replicas))
     n_star = experiment._reset_draws(keys, itertools.repeat(n, replicas))
     stack = np.array([n, *n_star], dtype=float)
@@ -646,16 +649,11 @@ def bootstrap_errors(
         raise ReconstructionError(
             f"{dropped} of {replicas} bootstrap replicas failed to converge"
         )
-    estimate = _result(n, fit, target)
-    if target is None:
-        fids = np.empty(0)
-    elif isinstance(target, PhotonState):
-        fids = _pure_fidelities(rhos, hilbert.logical_vector(target))
-    else:
-        fids = np.array([fidelity(rho, target) for rho in rhos])
+    estimate = _result(n, fit, sigma)
+    fids = np.empty(0) if sigma is None else _fidelities(rhos, sigma)
     return BootstrapResult(
         estimate=estimate,
-        fidelity_std=None if target is None else float(np.std(fids, ddof=1)),
+        fidelity_std=None if sigma is None else float(np.std(fids, ddof=1)),
         rho_real_std=np.std(rhos.real, axis=0, ddof=1),
         rho_imag_std=np.std(rhos.imag, axis=0, ddof=1),
         replicas_used=len(rhos),

@@ -9,7 +9,6 @@ import json
 import time
 
 import numpy as np
-import pytest
 
 from poltime import cli, experiment, hilbert, hom, optics, tomography
 from poltime.hilbert import (

@@ -10,7 +10,6 @@ import pytest
 
 from poltime import experiment, hilbert, hom, tomography
 from poltime.experiment import (
-    ProjectionReading,
     ScanConfig,
     ScanTrace,
     compact_delay_grid,
@@ -426,6 +425,20 @@ def test_scan_trace_keeps_the_float_arrays_it_checks(tmp_path):
     assert arrays.delays is delays and arrays.counts is counts
     write_trace_csv(arrays, tmp_path / "arrays.csv")
     assert (tmp_path / "listed.csv").read_bytes() == (tmp_path / "arrays.csv").read_bytes()
+
+
+@pytest.mark.parametrize("noiseless", [True, False])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0])
+def test_scan_trace_refuses_counts_that_are_negative_or_not_finite(bad, noiseless):
+    """A NaN or infinite count is refused as a negative one is, noiseless or
+    sampled; a NaN or infinite count used to pass and read as a NaN dip or
+    an infinite baseline."""
+    delays = compact_delay_grid(TAU, SIGMA, baseline_points=8)
+    counts = np.full(delays.size, 100.0)
+    counts[3] = bad
+    fields = dict(expected=counts, seed=0, tau=TAU, sigma_t=SIGMA, n_bins=2, noiseless=noiseless)
+    with pytest.raises(ValueError, match="^counts must be nonnegative and finite$"):
+        ScanTrace(delays=delays, counts=counts, **fields)
 
 
 def test_visibility_estimates(lattice, packet):

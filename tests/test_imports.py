@@ -2,12 +2,12 @@
 every public name it defines is read by the program.
 
 No linter ships with the test toolchain, so this walks each source file's
-syntax tree: a name bound by a top-level import of the package or of
-`scripts/` must be loaded somewhere in the module or listed in its
-`__all__`, and a public top-level function or class, or a public method,
-must be read somewhere in the package, `scripts/` or `perfbench/`.  The
-package's `__init__.py` re-exports names without reading them, so it does
-not count as a reader.
+syntax tree: a name bound by a top-level import of the package, `scripts/`,
+`perfbench/` or `tests/` must be loaded somewhere in the module or listed
+in its `__all__`, and a public top-level function or class, or a public
+method, must be read somewhere in the package, `scripts/` or `perfbench/`.
+The package's `__init__.py` re-exports names without reading them, so it
+does not count as a reader.
 """
 
 import ast
@@ -20,7 +20,8 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "poltime").glob("*.py"))
 SCRIPTS = sorted(ROOT.glob("scripts/*.py"))
-PROGRAM = [*SOURCES, *SCRIPTS, *sorted(ROOT.glob("perfbench/*.py"))]
+PERFBENCH = sorted(ROOT.glob("perfbench/*.py"))
+PROGRAM = [*SOURCES, *SCRIPTS, *PERFBENCH]
 # Public names no program reads, each kept for the reason given.
 UNREAD_PUBLIC = {
     "hilbert.inner_product": "tests/test_acceptance.py checks states with it",
@@ -56,7 +57,9 @@ def unread_imports(tree: ast.Module) -> list[str]:
     return [f"{name} (line {line})" for name, line in bound.items() if name not in read | exported]
 
 
-@pytest.mark.parametrize("path", [*SOURCES, *SCRIPTS], ids=lambda path: path.name)
+@pytest.mark.parametrize(
+    "path", [*PROGRAM, *sorted(ROOT.glob("tests/*.py"))], ids=lambda path: path.name
+)
 def test_every_module_level_import_is_read(path):
     assert unread_imports(ast.parse(path.read_text(), str(path))) == []
 

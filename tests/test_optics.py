@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from poltime import hilbert, optics
+from poltime import hilbert
 from poltime.hilbert import PhotonState, StateAnnihilatedError, TimeBinLattice, Wavepacket
 from poltime.optics import (
     BirefringentCrystal,

@@ -325,7 +325,7 @@ def test_fidelity_takes_density_matrix_targets(lattice, packet, rng):
     )
     assert fidelity(rho, sigma) == fidelity(rho, sigma.matrix)
     wide = TimeBinLattice(bin_count=3, tau=TAU)
-    with pytest.raises(ValueError, match=r"\(6, 6\).*\(4, 4\)"):
+    with pytest.raises(ValueError, match="outside the two-bin logical subspace"):
         fidelity(rho, DensityMatrix(np.eye(6) / 6, wide, packet))
 
 
@@ -354,6 +354,88 @@ def test_reconstructions_pass_bad_target_errors_through(case, tset):
         mle_reconstruct(counts, tset, target=target)
     with pytest.raises(ValueError, match=message):
         bootstrap_errors(counts, tset, 1.0, target, replicas=2)
+
+
+LATE_TARGETS = {
+    **BAD_TARGETS,
+    "wide matrix": (
+        np.eye(6) / 6, r"^target of shape \(6, 6\) does not match the estimate's \(4, 4\)$"
+    ),
+    "leaking state": (
+        DensityMatrix(np.eye(6) / 6, TimeBinLattice(bin_count=3, tau=TAU), Wavepacket(SIGMA)),
+        "outside the two-bin logical subspace",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", LATE_TARGETS)
+def test_fits_read_the_target_before_fitting(case, tset, monkeypatch):
+    """A target either fit refuses is refused before the solver runs, not
+    after a whole bootstrap stack has been fitted."""
+
+    def no_fit(*args):
+        raise AssertionError("the fit ran before the target was read")
+
+    monkeypatch.setattr(tomography, "_fit", no_fit)
+    target, message = LATE_TARGETS[case]
+    counts = np.column_stack([np.full(len(tset.readings), 250.0), np.full(len(tset.readings), 1e3)])
+    with pytest.raises(ValueError, match=message):
+        mle_reconstruct(counts, tset, target=target)
+    with pytest.raises(ValueError, match=message):
+        bootstrap_errors(counts, tset, 1.0, target, replicas=2)
+
+
+def test_wide_lattice_density_matrix_is_read_on_its_logical_block(lattice, packet, tset):
+    """A DensityMatrix on a 3-bin lattice that lives in bins 0 and 1 is read
+    on its (4, 4) logical block: as a target or as the estimate it gives the
+    2-bin state's fidelities bit for bit, both fits take it as a target, and
+    a run on it completes."""
+    wide = TimeBinLattice(bin_count=3, tau=TAU)
+    narrow_phi = hilbert.to_density(hilbert.named_state("phi_plus", lattice, packet))
+    wide_phi = hilbert.to_density(hilbert.named_state("phi_plus", wide, packet))
+    np.testing.assert_array_equal(hilbert.logical_vector(wide_phi), narrow_phi.matrix)
+    rho = random_density_matrix(4, np.random.default_rng(5))
+    assert fidelity(rho, wide_phi) == fidelity(rho, narrow_phi)
+    assert fidelity(wide_phi, rho) == fidelity(narrow_phi, rho)
+    counts = simulate_counts(
+        narrow_phi, tset, 1000.0, visibility=0.94, master_seed=2, delays=compact_delays()
+    ).counts
+    by_wide = mle_reconstruct(counts, tset, 0.94, target=wide_phi)
+    by_narrow = mle_reconstruct(counts, tset, 0.94, target=narrow_phi)
+    assert by_wide.fidelity_vs_target == by_narrow.fidelity_vs_target
+    boot_wide = bootstrap_errors(counts, tset, 0.94, wide_phi, replicas=5, seed=2)
+    boot_narrow = bootstrap_errors(counts, tset, 0.94, narrow_phi, replicas=5, seed=2)
+    assert boot_wide.fidelities.tobytes() == boot_narrow.fidelities.tobytes()
+    assert boot_wide.estimate.fidelity_vs_target == boot_narrow.estimate.fidelity_vs_target
+    _, _, errors = tomography.run(wide_phi, compact_delays(), 1000.0, 0.94, 3, 10)
+    assert errors.replicas_used == 10 and errors.fidelities.shape == (10,)
+    assert 0.9 < errors.estimate.fidelity_vs_target <= 1.0
+
+
+def uhlmann_fidelity(rho, sigma):
+    """The mixed fidelity of one pair as a per-matrix loop takes it: the PSD
+    square root of rho, then the float (sum of root eigenvalues) ** 2."""
+    evals, evecs = np.linalg.eigh(rho)
+    root = (evecs * np.sqrt(np.clip(evals, 0.0, None))) @ evecs.conj().T
+    evals = np.linalg.eigvalsh(root @ sigma @ root)
+    return float(np.sum(np.sqrt(np.clip(evals, 0.0, None))) ** 2)
+
+
+def test_stacked_mixed_fidelities_equal_the_per_matrix_rule():
+    """The stacked mixed fidelity is the per-matrix rule bit for bit, over
+    6000 states of rank 1, 2 and 4.  A float's ** 2 is libm's pow, while an
+    array's is x * x; the two differ in the last bit on about 0.08% of
+    values, so squaring the stack with ** 2 fails here."""
+    rng = np.random.default_rng(11)
+    g = rng.normal(size=(6000, 4, 4)) + 1j * rng.normal(size=(6000, 4, 4))
+    g[::3, :, 1:] = 0.0
+    g[1::3, :, 2:] = 0.0
+    rhos = g @ g.conj().transpose(0, 2, 1)
+    rhos /= np.trace(rhos, axis1=1, axis2=2).real[:, None, None]
+    sigma = random_density_matrix(4, rng)
+    expected = [uhlmann_fidelity(rho, sigma) for rho in rhos]
+    assert tomography._fidelities(rhos, sigma).tolist() == expected
+    assert [fidelity(rho, sigma) for rho in rhos[:50]] == expected[:50]
 
 
 def test_random_density_matrices_are_states(rng):
@@ -642,10 +724,11 @@ def test_bootstrap_estimate_matches_mle_reconstruct(lattice, packet, tset):
         )
 
 
-@pytest.mark.parametrize("name", ["phi_plus", "p_plus", "rl_bell", "h0"])
+@pytest.mark.parametrize("name", ["phi_plus", "p_plus", "rl_bell", "h0", "ginibre 0", "ginibre 1"])
 def test_bootstrap_fidelities_equal_per_replica_fidelity(name, lattice, packet, tset, monkeypatch):
-    """A pure target's replica fidelities, taken in one stacked product, are
-    the values `fidelity` gives each replica, bit for bit."""
+    """A target's replica fidelities, pure or a Ginibre-mixed DensityMatrix,
+    taken in one stacked pass, are the values `fidelity` gives each replica,
+    bit for bit."""
     fits, fit = [], tomography._fit
 
     def recording_fit(*args):
@@ -653,7 +736,11 @@ def test_bootstrap_fidelities_equal_per_replica_fidelity(name, lattice, packet, 
         return fits[-1]
 
     monkeypatch.setattr(tomography, "_fit", recording_fit)
-    target = hilbert.named_state(name, lattice, packet)
+    if name.startswith("ginibre"):
+        rng = np.random.default_rng(int(name[-1]))
+        target = DensityMatrix(random_density_matrix(4, rng), lattice, packet)
+    else:
+        target = hilbert.named_state(name, lattice, packet)
     for seed in range(4):
         counts = simulate_counts(
             target, tset, 1000.0, visibility=0.94, master_seed=seed, delays=compact_delays()
@@ -663,6 +750,7 @@ def test_bootstrap_fidelities_equal_per_replica_fidelity(name, lattice, packet, 
         expected = [fidelity(rho, target) for rho in rhos]
         assert boot.fidelities.tolist() == expected
         assert boot.fidelity_std == float(np.std(expected, ddof=1))
+        assert boot.estimate.fidelity_vs_target == fidelity(fits[-1].rho[0], target)
 
 
 def test_fits_take_density_matrix_targets(lattice, packet, tset, rng):
