@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Paired A/B timing of one benchmark workload on a parent tree and this tree.
 
-    python scripts/ab_bench.py --parent DIR [--workload W] [--ops N] [--seed S]
-    python scripts/ab_bench.py --parent DIR --cold N
+    python scripts/ab_bench.py --parent DIR [--workload W] [--ops N] [--seed S] [--runs K]
+    python scripts/ab_bench.py --parent DIR --cold N [--runs K]
 
 DIR is another checkout of the repository, say the commit before a change.
 Both trees' `src/poltime` are loaded side by side in this one process, under
@@ -38,6 +38,12 @@ setup_s: each start is a fresh interpreter running this tree's
 `perfbench/setup_probe.py` on `perfbench/run.py`'s SETUP_CONFIG, with its
 side's `src` on PYTHONPATH, timed by its wall time.  It prints the same
 medians, ratio and blocks, and exits 1 if a start fails.
+
+With --runs K (1 by default) it repeats the whole paired timing in K fresh
+interpreters, one after another, and prints each run's report under a
+`run k of K` header.  Its last line gives the median and the range of the K
+run medians, the spread between runs that one run's interval does not see.
+It exits with the worst run's exit code.
 """
 
 import os
@@ -49,6 +55,7 @@ import argparse  # noqa: E402
 import importlib  # noqa: E402
 import importlib.util  # noqa: E402
 import json  # noqa: E402
+import re  # noqa: E402
 import subprocess  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
@@ -141,6 +148,30 @@ def largest_moves(pairs: list[tuple[dict, dict]]) -> str:
     return ", ".join(f"{key} {move:.2g}" for key, move in moves.items())
 
 
+def repeat(args, runs: int) -> int:
+    """Runs this script on args, less --runs, `runs` times, each in a fresh
+    interpreter; prints each report and the spread of the run medians."""
+    argv = [sys.executable, __file__, "--parent", str(args.parent), "--workload", args.workload]
+    argv += ["--ops", str(args.ops), "--seed", str(args.seed)]
+    argv += [] if args.cold is None else ["--cold", str(args.cold)]
+    medians, worst = [], 0
+    for k in range(runs):
+        proc = subprocess.run(argv, capture_output=True, text=True)
+        print(f"run {k + 1} of {runs}, exit {proc.returncode}:")
+        print(proc.stdout + proc.stderr, end="", flush=True)
+        found = re.search(r"^ratio this tree / parent: median (\S+),", proc.stdout, re.M)
+        medians += [float(found.group(1))] if found else []
+        worst = max(worst, proc.returncode)
+    if medians:
+        print(
+            f"{len(medians)} run medians: median {np.median(medians):.3f}, "
+            f"range [{min(medians):.3f}, {max(medians):.3f}]"
+        )
+    else:
+        print("no run printed a ratio")
+    return worst
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", type=Path, required=True, help="the other checkout")
@@ -148,9 +179,14 @@ def main(argv=None) -> int:
     ap.add_argument("--ops", type=int, default=200, help="pairs of ops to time")
     ap.add_argument("--seed", type=int, default=0, help="workload seed, which fixes every op's inputs")
     ap.add_argument("--cold", type=int, metavar="N", help="time N pairs of cold starts instead")
+    ap.add_argument("--runs", type=int, default=1, metavar="K", help="repeat in K fresh interpreters")
     args = ap.parse_args(argv)
     if args.ops < 2:
         ap.error("--ops must be at least 2")
+    if args.runs < 1:
+        ap.error("--runs must be at least 1")
+    if args.runs > 1:
+        return repeat(args, args.runs)
     if args.cold is not None:
         if args.cold < 2:
             ap.error("--cold must be at least 2")

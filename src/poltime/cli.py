@@ -6,6 +6,8 @@ reconstruction from the mutually unbiased projection set, with bootstrap
 errors), `oracle-check` (self-test of the interference model against the
 Fock-space oracle).
 
+Every config value that is a number, an integer or an amplitude must be a
+JSON number: a JSON string or boolean is a config error, never read as one.
 Everything is deterministic for a fixed config and seed; pass
 `--no-timestamp` when byte-identical reruns matter.
 """
@@ -76,11 +78,9 @@ def bandwidth_to_sigma(bandwidth_nm: float, wavelength_nm: float) -> float:
     """
     if bandwidth_nm <= 0 or wavelength_nm <= 0:
         raise ValueError("bandwidth and wavelength must be positive")
-    try:
-        dnu = hilbert.SPEED_OF_LIGHT * (bandwidth_nm * 1e-9) / (wavelength_nm * 1e-9) ** 2
-    except (ZeroDivisionError, OverflowError):  # the squared wavelength under- or overflows
-        dnu = np.nan
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
+        wavelength_m = np.float64(wavelength_nm) * 1e-9  # its square may under- or overflow
+        dnu = hilbert.SPEED_OF_LIGHT * (bandwidth_nm * 1e-9) / wavelength_m**2
         sigma = (2.0 * np.log(2.0) / np.pi) / dnu / _FWHM_TO_SIGMA
     if not 0 < sigma < np.inf:
         raise ValueError(
@@ -149,14 +149,16 @@ def _resolve_state(value, lattice, packet, field, problems) -> tuple[str, Photon
             problems.append(f"{field}: unknown state name {value!r}")
             return value, None
     try:
-        pairs = [complex(float(re), float(im)) for re, im in value]
-    except (TypeError, ValueError):
+        parts = [part for re, im in value for part in (re, im)]
+        for part in parts:
+            hilbert._check_real(field, part)
+        vec = np.array(parts, dtype=float).view(complex)
+    except (TypeError, ValueError, OverflowError):  # float() overflows past 1.8e308
         problems.append(f"{field}: expected a state name or a list of [re, im] pairs")
         return "custom", None
-    if len(pairs) != 4:
+    if len(vec) != 4:
         problems.append(f"{field}: explicit amplitudes need 4 logical entries")
         return "custom", None
-    vec = np.array(pairs)
     with np.errstate(over="ignore"):
         norm = np.linalg.norm(vec)
     if not np.all(np.isfinite(vec)):
@@ -184,56 +186,53 @@ def load_config(path: str | None, seed_override: int | None = None) -> Experimen
     return resolve_config(raw, seed_override)
 
 
-def _number(val) -> float | None:
-    """The float value of a config number, or None.  JSON true and false
-    are not numbers, although Python's bool is an int."""
-    if isinstance(val, bool):
-        return None
-    try:
-        return float(val)
-    except (TypeError, ValueError):
-        return None
-
-
 # The keys resolve_config reads; any other key is a config error.
 _KEYS = {"tau_s", "bins", "sigma_t_s", "bandwidth_nm", "wavelength_nm", "visibility", "seed"}
 _KEYS |= {"baseline_counts", "grid", "replicas", "encoded_target", "ancilla"}
 _GRID_KEYS = {"half_span_s", "step_s"}
 
 
-def _is_int(val) -> bool:
-    return isinstance(val, int) and not isinstance(val, bool)
-
-
 def resolve_config(raw: dict, seed_override: int | None = None) -> ExperimentConfig:
+    """The run a JSON config describes, or a ConfigError listing every problem."""
     problems = [f"{key}: unknown config key" for key in raw if key not in _KEYS]
 
-    def positive(key, default, source=raw):
-        val = _number(source.get(key, default))
-        if val is None:
+    def number(key, default, source=raw, inside=lambda v: 0 < v < np.inf,
+               rule="must be positive and finite"):
+        val = source.get(key, default)
+        try:
+            hilbert._check_real(key, val)
+            val = float(val)
+        except (ValueError, OverflowError):  # float() overflows past 1.8e308
             problems.append(f"{key}: must be a number")
             return default
-        if not 0 < val < np.inf:
-            problems.append(f"{key}: must be positive and finite")
+        if not inside(val):
+            problems.append(f"{key}: {rule}")
             return default
         return val
 
-    tau = positive("tau_s", DEFAULT_TAU_S)
-    bins = raw.get("bins", DEFAULT_BINS)
-    if not _is_int(bins) or not 2 <= bins <= MAX_BINS:
-        problems.append(f"bins: must be an integer from 2 to {MAX_BINS}")
-        bins = DEFAULT_BINS
+    def integer(key, default, low, high, source=raw, high_text=None):
+        val = source.get(key, default)
+        try:
+            hilbert._check_real(key, val)
+        except ValueError:
+            val = None
+        if not isinstance(val, int) or not low <= val <= high:
+            problems.append(f"{key}: must be an integer from {low} to {high_text or high}")
+            return default
+        return val
+
+    tau = number("tau_s", DEFAULT_TAU_S)
+    bins = integer("bins", DEFAULT_BINS, 2, MAX_BINS)
 
     has_sigma = "sigma_t_s" in raw
-    has_band = "bandwidth_nm" in raw or "wavelength_nm" in raw
     bandwidth = wavelength = sigma_t = None
-    if has_sigma and has_band:
+    if has_sigma and {"bandwidth_nm", "wavelength_nm"} & raw.keys():
         problems.append("give either sigma_t_s or bandwidth_nm+wavelength_nm, not both")
     if has_sigma:
-        sigma_t = positive("sigma_t_s", None)
+        sigma_t = number("sigma_t_s", None)
     else:
-        bandwidth = positive("bandwidth_nm", DEFAULT_BANDWIDTH_NM)
-        wavelength = positive("wavelength_nm", DEFAULT_WAVELENGTH_NM)
+        bandwidth = number("bandwidth_nm", DEFAULT_BANDWIDTH_NM)
+        wavelength = number("wavelength_nm", DEFAULT_WAVELENGTH_NM)
         try:
             sigma_t = bandwidth_to_sigma(bandwidth, wavelength)
         except ValueError as exc:
@@ -242,14 +241,10 @@ def resolve_config(raw: dict, seed_override: int | None = None) -> ExperimentCon
     if sigma_t is not None and not tau / float(sigma_t) <= MAX_TAU_OVER_SIGMA:
         problems.append(f"tau_s: must be at most {MAX_TAU_OVER_SIGMA:g} sigma_t ({sigma_t:.4g} s)")
 
-    visibility = _number(raw.get("visibility", DEFAULT_VISIBILITY))
-    if visibility is None:
-        problems.append("visibility: must be a number")
-        visibility = DEFAULT_VISIBILITY
-    elif not 0.0 <= visibility <= 1.0:
-        problems.append("visibility: must lie in [0, 1]")
-
-    baseline = positive("baseline_counts", DEFAULT_BASELINE_COUNTS)
+    visibility = number(
+        "visibility", DEFAULT_VISIBILITY, inside=lambda v: 0 <= v <= 1, rule="must lie in [0, 1]"
+    )
+    baseline = number("baseline_counts", DEFAULT_BASELINE_COUNTS)
     if baseline > MAX_BASELINE_COUNTS:
         problems.append(f"baseline_counts: must be at most {MAX_BASELINE_COUNTS:g}")
     grid = raw.get("grid", {})
@@ -257,22 +252,15 @@ def resolve_config(raw: dict, seed_override: int | None = None) -> ExperimentCon
         problems.append("grid: must be an object with half_span_s / step_s")
         grid = {}
     problems += [f"grid.{key}: unknown config key" for key in grid if key not in _GRID_KEYS]
-    half_span = positive("half_span_s", DEFAULT_HALF_SPAN_S, grid)
-    step = positive("step_s", DEFAULT_STEP_S, grid)
+    half_span = number("half_span_s", DEFAULT_HALF_SPAN_S, grid)
+    step = number("step_s", DEFAULT_STEP_S, grid)
     if not 2 * np.round(half_span / step) + 1 <= MAX_GRID_POINTS:
         problems.append(f"grid: more than {MAX_GRID_POINTS} delay points")
 
-    seed = raw.get("seed", 0)
-    if seed_override is not None:
-        seed = seed_override
     # Seeds key Philox generators, whose keys are unsigned 64-bit words.
-    if not _is_int(seed) or not 0 <= seed < 2**64:
-        problems.append("seed: must be an integer from 0 to 2**64 - 1")
-        seed = 0
-    replicas = raw.get("replicas", DEFAULT_REPLICAS)
-    if not _is_int(replicas) or not 2 <= replicas <= MAX_REPLICAS:
-        problems.append(f"replicas: must be an integer from 2 to {MAX_REPLICAS}")
-        replicas = DEFAULT_REPLICAS
+    seeds = raw if seed_override is None else {"seed": seed_override}
+    seed = integer("seed", 0, 0, 2**64 - 1, seeds, "2**64 - 1")
+    replicas = integer("replicas", DEFAULT_REPLICAS, 2, MAX_REPLICAS)
 
     if problems:
         raise ConfigError(problems)
@@ -510,16 +498,13 @@ def main(argv=None) -> int:
             return cmd_scan(cfg, out_dir, timestamp, args.noiseless)
         if args.command == "tomography":
             return cmd_tomography(cfg, out_dir, timestamp, args.noiseless)
-    except ConfigError as exc:
-        for problem in exc.problems:
-            print(f"config error: {problem}", file=sys.stderr)
-        return EXIT_CONFIG
     except (ReconstructionError, StateAnnihilatedError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ValueError as exc:
-        # Grid/geometry problems surface as ValueError from the model layer.
-        print(f"config error: {exc}", file=sys.stderr)
+        # A ConfigError lists its problems; the model layer raises grid/geometry ones.
+        for problem in exc.problems if isinstance(exc, ConfigError) else [exc]:
+            print(f"config error: {problem}", file=sys.stderr)
         return EXIT_CONFIG
     raise AssertionError("unreachable")
 

@@ -84,6 +84,7 @@ class TimeBinLattice:
     def __post_init__(self):
         if not isinstance(self.bin_count, (int, np.integer)) or self.bin_count < 2:
             raise ValueError("bin_count must be an integer >= 2")
+        _check_real("tau", self.tau)
         if not np.isfinite(self.tau) or self.tau <= 0.0:
             raise ValueError("tau must be a positive finite number of seconds")
 
@@ -100,6 +101,7 @@ class Wavepacket:
     sigma_t: float
 
     def __post_init__(self):
+        _check_real("sigma_t", self.sigma_t)
         if not np.isfinite(self.sigma_t) or self.sigma_t <= 0.0:
             raise ValueError("sigma_t must be a positive finite number of seconds")
 

@@ -181,16 +181,16 @@ def fock_oracle_ratio(
     Imperfect visibility enters as an extra ancilla mode component
     orthogonal to everything, with weight 1 - v.  The result is normalized
     by the distinguishable-photon limit 1/2.  The delay is checked and
-    clipped as in coincidence_ratio.
+    clipped as in coincidence_ratio; a mixed input raises TypeError.
     """
+    for state in (encoded, ancilla):
+        if not isinstance(state, PhotonState):
+            raise TypeError(f"fock_oracle_ratio expects a PhotonState, got {type(state).__name__}")
+        if 2 * state.bin_count > _MODE_CAP:
+            raise ValueError(f"state needs {2 * state.bin_count} modes, above the cap {_MODE_CAP}")
     _require_shared_envelope(encoded, ancilla)
     v = _check_visibility(vis)
     delay = float(_delay_grid([delay], encoded.packet.sigma_t)[0])
-    for state in (encoded, ancilla):
-        if 2 * state.bin_count > _MODE_CAP:
-            raise ValueError(
-                f"state needs {2 * state.bin_count} modes, above the cap {_MODE_CAP}"
-            )
 
     tau, sigma = encoded.lattice.tau, encoded.packet.sigma_t
     n_enc, n_anc = encoded.bin_count, ancilla.bin_count

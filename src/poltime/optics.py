@@ -96,6 +96,8 @@ class BirefringentCrystal:
     delta_n: float
 
     def __post_init__(self):
+        hilbert._check_real("length", self.length)
+        hilbert._check_real("delta_n", self.delta_n)
         if not (0 < self.length < math.inf and 0 < self.delta_n < math.inf):
             raise ValueError("crystal length and index contrast must be positive and finite")
 

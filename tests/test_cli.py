@@ -522,6 +522,23 @@ def test_tau_far_above_the_envelope_width_is_a_config_error(tmp_path):
         ({"grid": {"step_s": True}}, "step_s"),
         ({"bins": True}, "bins"),
         ({"replicas": True}, "replicas"),
+        # JSON strings are not numbers either, although float() reads them.
+        ({"seed": "0"}, "seed"),
+        ({"visibility": "0.9"}, "visibility"),
+        ({"tau_s": "2.3e-12"}, "tau_s"),
+        ({"sigma_t_s": "1e-13"}, "sigma_t_s"),
+        ({"bandwidth_nm": "3"}, "bandwidth_nm"),
+        ({"wavelength_nm": "1_000"}, "wavelength_nm"),
+        ({"baseline_counts": "1000"}, "baseline_counts"),
+        ({"grid": {"half_span_s": "8e-12"}}, "half_span_s"),
+        ({"grid": {"step_s": "5e-14"}}, "step_s"),
+        ({"bins": "2"}, "bins"),
+        ({"replicas": "2"}, "replicas"),
+        # Nor are they amplitudes.
+        ({"encoded_target": [[True, 0], [0, 0], [0, 0], [0, 0]]}, "encoded_target"),
+        ({"encoded_target": [["0.5", 0], [0.5, 0], [0.5, 0], [0.5, 0]]}, "encoded_target"),
+        ({"ancilla": [[1, False], [0, 0], [0, 0], [0, 0]]}, "ancilla"),
+        ({"ancilla": [[0, 0], [0, 0], [0, 0], [0, "1"]]}, "ancilla"),
     ],
 )
 def test_json_booleans_are_not_numbers(tmp_path, capsys, overrides, key):
@@ -530,6 +547,22 @@ def test_json_booleans_are_not_numbers(tmp_path, capsys, overrides, key):
     assert cli.main(argv) == EXIT_CONFIG
     assert f"config error: {key}:" in capsys.readouterr().err
     assert not (tmp_path / "result.json").exists()
+
+
+@pytest.mark.parametrize(
+    "raw, problem",
+    [
+        ({"tau_s": 10**400}, "tau_s: must be a number"),
+        ({"grid": {"step_s": -(10**400)}}, "step_s: must be a number"),
+        ({"ancilla": [[10**400, 0], [0, 0], [0, 0], [0, 0]]}, "ancilla: expected a state name"),
+    ],
+)
+def test_integers_past_the_float_range_are_config_errors(raw, problem):
+    """JSON reads a long integer literal as a Python int, which float()
+    cannot convert: a config error naming its key, not an OverflowError."""
+    with pytest.raises(ConfigError) as info:
+        resolve_config(raw)
+    assert [p[: len(problem)] for p in info.value.problems] == [problem]
 
 
 @settings(max_examples=60, deadline=None)

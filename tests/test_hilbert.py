@@ -42,6 +42,13 @@ def test_lattice_validation():
         TimeBinLattice(bin_count=2, tau=-1e-12)
     with pytest.raises(ValueError):
         Wavepacket(sigma_t=0.0)
+    # A bool is not a number of seconds, although Python's bool is an int.
+    for tau in (True, np.True_, "1e-12"):
+        with pytest.raises(ValueError, match="^tau must be a real number"):
+            TimeBinLattice(bin_count=2, tau=tau)
+    for sigma_t in (True, np.True_, "1e-13"):
+        with pytest.raises(ValueError, match="^sigma_t must be a real number"):
+            Wavepacket(sigma_t=sigma_t)
 
 
 @pytest.mark.parametrize(

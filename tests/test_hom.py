@@ -357,6 +357,19 @@ def test_oracle_orthogonal_states_never_bunch(lattice, packet):
     assert fock_oracle_ratio(h0, v0, 0.0, 1.0) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_oracle_refuses_mixed_states(lattice, packet):
+    """coincidence_ratio takes a DensityMatrix; the Fock oracle enumerates
+    pure states only and says so, whichever photon is mixed."""
+    phi = hilbert.named_state("phi_plus", lattice, packet)
+    mixed = to_density(phi)
+    assert coincidence_ratio(mixed, phi, 0.0, 1.0) == pytest.approx(0.0, abs=1e-12)
+    for encoded, ancilla in ((mixed, phi), (phi, mixed)):
+        with pytest.raises(TypeError, match="expects a PhotonState, got DensityMatrix"):
+            fock_oracle_ratio(encoded, ancilla, 0.0, 1.0)
+    with pytest.raises(TypeError, match="got NoneType"):
+        fock_oracle_ratio(phi, None, 0.0, 1.0)
+
+
 def test_oracle_mode_cap(packet):
     lattice = TimeBinLattice(20, TAU)
     big = hilbert.basis_state("h", 0, lattice, packet)

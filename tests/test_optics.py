@@ -115,10 +115,14 @@ def test_crystal_delay_must_sit_on_lattice(lattice, packet):
     [
         (0.0, 0.17), (-1.0, 0.17), (np.nan, 0.17), (np.inf, 0.17),
         (4e-3, 0.0), (4e-3, -0.1), (4e-3, np.nan), (4e-3, np.inf),
+        (True, True), (np.True_, 0.17), (4e-3, True), (4e-3, "0.17"),
     ],
 )
 def test_crystal_needs_positive_finite_length_and_contrast(length, delta_n):
-    with pytest.raises(ValueError, match="must be positive and finite"):
+    # A bool or a string is refused before the range check: it is not a number.
+    numbers = all(isinstance(x, float) for x in (length, delta_n))
+    message = "must be positive and finite" if numbers else "^(length|delta_n) must be a real number"
+    with pytest.raises(ValueError, match=message):
         BirefringentCrystal(length, delta_n)
 
 

@@ -129,3 +129,18 @@ def test_ab_bench_reports_moved_fits_without_failing(tmp_path):
     assert re.search(r"records: [1-4] of 4 ops differ, first op \d", proc.stdout), proc.stdout
     moves = re.search(r"^largest record moves: seed 0, fidelity (\S+)$", proc.stdout, re.M)
     assert moves and 0.0 < float(moves.group(1)) < 1.0, proc.stdout
+
+
+def test_ab_bench_repeats_its_timing_in_fresh_interpreters():
+    """--runs K gives K reports, then the median and range of their medians."""
+    args = ["--parent", str(ROOT), "--workload", "seed_sweep", "--ops", "2", "--runs", "2"]
+    proc = run_script("ab_bench.py", *args)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.count("workload seed_sweep, 2 ABBA pairs") == 2
+    assert "run 1 of 2, exit 0:" in proc.stdout and "run 2 of 2, exit 0:" in proc.stdout
+    assert proc.stdout.count("digests: all 2 ops agree") == 2
+    medians = re.findall(r"^ratio this tree / parent: median (\d\.\d{3}),", proc.stdout, re.M)
+    last = proc.stdout.splitlines()[-1]
+    found = re.fullmatch(r"2 run medians: median (\d\.\d{3}), range \[(\S+), (\S+)\]", last)
+    assert len(medians) == 2 and found, proc.stdout
+    assert found.group(2, 3) == tuple(sorted(medians, key=float))
