@@ -70,6 +70,8 @@ class ResolvabilityWarning(UserWarning):
 def _check_real(name: str, value) -> None:
     """Raises ValueError naming `name` unless value is a real number: a bool,
     Python's or numpy's, a string or an array is not one."""
+    if isinstance(value, float) or type(value) is int:  # skips the slow ABC check
+        return
     if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a real number, got {value!r}")
 
@@ -300,6 +302,8 @@ def basis_state(
 ) -> PhotonState:
     """Photon in a definite polarization and a definite bin."""
     p = POLARIZATIONS.index(pol)
+    if isinstance(bin_index, bool) or not isinstance(bin_index, (int, np.integer)):
+        raise ValueError(f"bin_index must be an integer, got {bin_index!r}")
     if not 0 <= bin_index < lattice.bin_count:
         raise ValueError(f"bin index {bin_index} outside lattice")
     amps = np.zeros(2 * lattice.bin_count, dtype=complex)

@@ -9,7 +9,8 @@ an interference visibility v the dip ratio is
 
 where psi_a(delta) is the ancilla delayed by delta, including the Gaussian
 envelope overlap factors between displaced bins.  Positive delta delays the
-ancilla.
+ancilla.  Only the encoded photon may be mixed: every closed-form path
+raises TypeError on an ancilla that is not a PhotonState.
 
 scan_traces evaluates R for a stack of ancillas over a whole delay grid in
 one array pass: one envelope table for the grid, one real product for every
@@ -62,6 +63,9 @@ def _shifted_vectors(ancillas, delay, target_bin_count: int) -> np.ndarray:
     rows of all the ancillas in one real product, bit for bit one ancilla's
     complex amps @ env: both run BLAS's multiply-add chain over the bins,
     which an elementwise sum over them does not reproduce."""
+    for ancilla in ancillas:
+        if not isinstance(ancilla, PhotonState):
+            raise TypeError(f"an ancilla must be a PhotonState, got {type(ancilla).__name__}")
     first = ancillas[0]
     bins = first.bin_count
     d = np.asarray(delay, dtype=float)

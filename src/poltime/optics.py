@@ -41,22 +41,21 @@ _CLASS_TOL = 1e-9
 ANNIHILATION_RTOL = 1e-24
 
 
-def _wrap_angle(theta: float) -> float:
-    """Normalize a plate angle into [0, pi); all plate actions are pi-periodic."""
-    t = float(theta) % np.pi
-    if t >= np.pi:  # guard against rounding at the boundary
-        t -= np.pi
-    return t
-
-
 @dataclass(frozen=True)
 class _Plate:
-    """Wave plate or polarizer at angle theta, wrapped into [0, pi)."""
+    """Wave plate or polarizer at angle theta, wrapped into [0, pi): all plate
+    actions are pi-periodic.  Raises ValueError unless theta is a finite
+    real number."""
 
     theta: float
 
     def __post_init__(self):
-        object.__setattr__(self, "theta", _wrap_angle(self.theta))
+        hilbert._check_real("theta", self.theta)
+        t = float(self.theta) % np.pi  # NaN for an infinite angle
+        if math.isnan(t):
+            raise ValueError(f"theta must be finite, got {self.theta!r}")
+        # Guard against rounding at the boundary.
+        object.__setattr__(self, "theta", t - np.pi if t >= np.pi else t)
 
 
 @dataclass(frozen=True)
@@ -120,6 +119,7 @@ def crystal_with_delay(
     delay: float, length: float = DEFAULT_CRYSTAL_LENGTH
 ) -> BirefringentCrystal:
     """Crystal of the given physical length tuned to the requested delay."""
+    hilbert._check_real("delay", delay)
     if delay <= 0:
         raise ValueError("delay must be positive")
     return BirefringentCrystal(length, delay * SPEED_OF_LIGHT / length)
@@ -271,25 +271,19 @@ def _angle_budget(elements) -> float:
     return sum(min(el.theta, np.pi - el.theta) for el in elements if isinstance(el, _Plate))
 
 
-@dataclass(frozen=True)
-class _Candidate:
-    elements: list
-    target_class: str
-    fidelity: float = 0.0
-    success: float = 0.0
-
-
-def _evaluate(cand: _Candidate, source: PhotonState, target: np.ndarray) -> _Candidate:
-    """cand pruned and scored against the logical 2x2 target in one walk from the source.
+def _evaluate(elements, target_class, source: PhotonState, target: np.ndarray) -> PreparationPlan:
+    """The plan of one candidate, pruned and scored against the logical 2x2
+    target in one walk from the source.
 
     An element is kept only if its action on the running state is more than
     a global phase; the walk's last state is the plan's output.  A plan that
-    annihilates the photon scores fidelity and success 0.
+    annihilates the photon keeps every element and scores fidelity and
+    success 0.
     """
     kept: list[OpticalElement] = []
     state, n_a = source, np.sqrt(source.norm_squared)
     try:
-        for el in cand.elements:
+        for el in elements:
             nxt = element_action(el, state)
             n_b = np.sqrt(nxt.norm_squared)
             if nxt.lattice == state.lattice and abs(n_a - n_b) < _PRUNE_TOL:
@@ -298,20 +292,20 @@ def _evaluate(cand: _Candidate, source: PhotonState, target: np.ndarray) -> _Can
             kept.append(el)
             state, n_a = nxt, n_b
     except StateAnnihilatedError:
-        return _Candidate(cand.elements, cand.target_class)
-    success = state.norm_squared
-    amps = state.amplitudes / np.sqrt(success)
-    padded = np.zeros_like(amps).reshape(2, -1)
-    padded[:, :2] = target
-    fidelity = float(abs(np.vdot(padded.reshape(-1), amps)) ** 2)
-    return _Candidate(kept, cand.target_class, fidelity, success)
+        kept, fidelity, success = elements, 0.0, 0.0
+    else:
+        success = state.norm_squared
+        amps = state.amplitudes / np.sqrt(success)
+        padded = np.zeros_like(amps).reshape(2, -1)
+        padded[:, :2] = target
+        fidelity = float(abs(np.vdot(padded.reshape(-1), amps)) ** 2)
+    exact = fidelity >= 1.0 - EXACT_PLAN_TOL
+    return PreparationPlan(OpticalPipeline(kept), source, fidelity, success, exact, target_class)
 
 
 def _orthogonal_class_elements(
-    c0: np.ndarray, c1: np.ndarray, crystal: BirefringentCrystal
+    chi0: np.ndarray, chi1: np.ndarray, n0: float, n1: float, crystal: BirefringentCrystal
 ) -> list[OpticalElement]:
-    n0, n1 = np.linalg.norm(c0), np.linalg.norm(c1)
-    chi0, chi1 = c0 / n0, c1 / n1
     post = _plates_from_linear_post(chi0, 0.0)
     v_mat = post[1].jones() @ post[0].jones()
     mu = np.angle(np.vdot(chi0, v_mat[:, 0]))
@@ -321,11 +315,8 @@ def _orthogonal_class_elements(
 
 
 def _equal_pol_class_elements(
-    c0: np.ndarray, c1: np.ndarray, crystal: BirefringentCrystal
+    chi: np.ndarray, a: float, c1: np.ndarray, crystal: BirefringentCrystal
 ) -> list[OpticalElement]:
-    n0 = np.linalg.norm(c0)
-    chi = c0 / n0
-    a = n0
     b = complex(np.vdot(chi, c1))
     # Polarizer angle maximizing the heralding probability 1 / (|a| + |b|)^2.
     theta_p = np.arctan(np.sqrt(abs(b) / abs(a)))
@@ -335,38 +326,35 @@ def _equal_pol_class_elements(
     return _plates_to_state_pre(xi) + [crystal, Polarizer(theta_p)] + post
 
 
-def _class_candidates(mat: np.ndarray, crystal: BirefringentCrystal) -> list[_Candidate]:
-    """Closed-form plans for each encodable class the unit-norm logical state
-    [c0 c1] (polarization x bin) is in; none when it is in no class."""
+def _class_candidates(mat: np.ndarray, crystal: BirefringentCrystal) -> list[tuple[list, str]]:
+    """(elements, class) of the closed-form plan for each encodable class the
+    unit-norm logical state [c0 c1] (polarization x bin) is in; none when it
+    is in no class."""
     c0, c1 = mat[:, 0], mat[:, 1]
     n0, n1 = np.linalg.norm(c0), np.linalg.norm(c1)
 
     # A unit-norm state has amplitude in at least one of the two bins.
     if n1 <= _CLASS_TOL:
-        return [_Candidate(_plates_to_state_pre(c0 / n0), "single_bin")]
+        return [(_plates_to_state_pre(c0 / n0), "single_bin")]
     if n0 <= _CLASS_TOL:
         els = (
             _plates_to_state_pre(np.array([0.0, 1.0], dtype=complex))
             + [crystal]
             + _plates_from_linear_post(c1 / n1, np.pi / 2)
         )
-        return [_Candidate(els, "single_bin")]
+        return [(els, "single_bin")]
 
-    candidates: list[_Candidate] = []
+    candidates: list[tuple[list, str]] = []
     chi0, chi1 = c0 / n0, c1 / n1
     cross = abs(np.vdot(chi0, chi1))
     if abs(c0[1]) <= _CLASS_TOL and abs(c1[0]) <= _CLASS_TOL:
         # Already of the form a|h,0> + b|v,tau>: pre plates plus crystal.
         xi = np.array([c0[0], c1[1]])
-        candidates.append(_Candidate(_plates_to_state_pre(xi) + [crystal], "orthogonal"))
+        candidates.append((_plates_to_state_pre(xi) + [crystal], "orthogonal"))
     if cross <= _CLASS_TOL:
-        candidates.append(
-            _Candidate(_orthogonal_class_elements(c0, c1, crystal), "orthogonal")
-        )
+        candidates.append((_orthogonal_class_elements(chi0, chi1, n0, n1, crystal), "orthogonal"))
     if cross >= 1.0 - _CLASS_TOL:
-        candidates.append(
-            _Candidate(_equal_pol_class_elements(c0, c1, crystal), "equal_polarization")
-        )
+        candidates.append((_equal_pol_class_elements(chi0, n0, c1, crystal), "equal_polarization"))
     return candidates
 
 
@@ -398,6 +386,8 @@ def compile_preparation(target: PhotonState) -> PreparationPlan:
     Among plans of equal fidelity the one with fewer elements wins, then the
     one with the smaller total plate angle.
     """
+    if not isinstance(target, PhotonState):
+        raise TypeError(f"compile_preparation expects a PhotonState, got {type(target).__name__}")
     if abs(target.norm_squared - 1.0) > hilbert.NORM_TOL:
         raise ValueError("compile_preparation expects a unit-norm target")
 
@@ -405,23 +395,14 @@ def compile_preparation(target: PhotonState) -> PreparationPlan:
     source = hilbert.basis_state("h", 0, target.lattice, target.packet)
     crystal = crystal_with_delay(target.lattice.tau)
 
-    candidates = [_evaluate(c, source, mat) for c in _class_candidates(mat, crystal)]
-    if max((c.fidelity for c in candidates), default=0.0) < 1.0 - EXACT_PLAN_TOL:
+    plans = [_evaluate(els, cls, source, mat) for els, cls in _class_candidates(mat, crystal)]
+    if max((p.predicted_fidelity for p in plans), default=0.0) < 1.0 - EXACT_PLAN_TOL:
         for nearest in _nearest_encodable(mat):
-            for c in _class_candidates(nearest, crystal):
-                candidates.append(_evaluate(_Candidate(c.elements, "general"), source, mat))
+            for elements, _ in _class_candidates(nearest, crystal):
+                plans.append(_evaluate(elements, "general", source, mat))
 
-    best = max(c.fidelity for c in candidates)
-    contenders = [c for c in candidates if c.fidelity >= best - EXACT_PLAN_TOL]
-    chosen = min(
-        contenders, key=lambda c: (len(c.elements), _angle_budget(c.elements))
-    )
-
-    return PreparationPlan(
-        pipeline=OpticalPipeline(tuple(chosen.elements)),
-        input_state=source,
-        predicted_fidelity=chosen.fidelity,
-        success_probability=chosen.success,
-        exactly_encodable=chosen.fidelity >= 1.0 - EXACT_PLAN_TOL,
-        target_class=chosen.target_class,
+    best = max(p.predicted_fidelity for p in plans)
+    return min(
+        (p for p in plans if p.predicted_fidelity >= best - EXACT_PLAN_TOL),
+        key=lambda p: (len(p.pipeline), _angle_budget(p.pipeline.elements)),
     )

@@ -74,8 +74,8 @@ def reference_evaluate(cand, source, target_vec):
 
 def reference_class_candidates(mat, crystal):
     return [
-        ReferenceCandidate(list(c.elements), c.target_class)
-        for c in optics._class_candidates(mat, crystal)
+        ReferenceCandidate(list(elements), target_class)
+        for elements, target_class in optics._class_candidates(mat, crystal)
     ]
 
 
@@ -139,6 +139,7 @@ def plan_fields(plan):
         plan.success_probability,
         plan.target_class,
         plan.exactly_encodable,
+        plan.input_state.amplitudes.tobytes(),
     )
 
 
@@ -166,7 +167,7 @@ def test_compile_applies_each_built_element_once(name, lattice, packet, monkeypa
 
     def recording_class_candidates(mat, crystal):
         out = class_candidates(mat, crystal)
-        built.extend(len(c.elements) for c in out)
+        built.extend(len(elements) for elements, _ in out)
         return out
 
     def counting_element_action(element, state):
@@ -183,8 +184,11 @@ def test_compile_applies_each_built_element_once(name, lattice, packet, monkeypa
 def test_annihilating_candidate_scores_zero(lattice, packet):
     source = hilbert.basis_state("h", 0, lattice, packet)
     target_vec = hilbert.named_state("v0", lattice, packet).amplitudes
-    cand = optics._Candidate([optics.Polarizer(np.pi / 2)], "x")
-    scored = optics._evaluate(cand, source, target_vec)
-    assert scored.fidelity == 0.0
-    assert scored.success == 0.0
+    elements = [optics.Polarizer(np.pi / 2)]
+    scored = optics._evaluate(elements, "x", source, target_vec)
+    assert scored.predicted_fidelity == 0.0
+    assert scored.success_probability == 0.0
     assert scored.target_class == "x"
+    assert scored.exactly_encodable is False
+    assert scored.pipeline.elements == tuple(elements)
+    assert scored.input_state is source

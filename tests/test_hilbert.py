@@ -1,6 +1,7 @@
 """State container behavior: norms, inner products, densities, partial trace."""
 
 import dataclasses
+import enum
 
 import numpy as np
 import pytest
@@ -49,6 +50,41 @@ def test_lattice_validation():
     for sigma_t in (True, np.True_, "1e-13"):
         with pytest.raises(ValueError, match="^sigma_t must be a real number"):
             Wavepacket(sigma_t=sigma_t)
+
+
+class _Float(float):
+    pass
+
+
+@pytest.mark.parametrize(
+    "value", [0.5, _Float(0.5), np.float64(0.5), np.float32(0.5), 3, np.int64(3),
+              enum.IntEnum("Level", "LOW").LOW, np.uint8(7)],
+)
+def test_check_real_accepts_real_numbers(value):
+    """Both sides of the fast path: a float (subclass) or a plain int returns
+    at once, any other numbers.Real goes through the ABC check."""
+    hilbert._check_real("x", value)
+
+
+@pytest.mark.parametrize(
+    "value", [True, False, np.True_, np.bool_(False), "0.5", np.array(0.5), 1j, None],
+)
+def test_check_real_refuses_what_is_not_a_real_number(value):
+    with pytest.raises(ValueError, match="^x must be a real number"):
+        hilbert._check_real("x", value)
+
+
+@pytest.mark.parametrize("bin_index", [True, np.True_, 0.5, 0.0, "0", None])
+def test_basis_state_bin_index_must_be_an_integer(bin_index, lattice, packet):
+    """True is not bin 1, and a fractional index is a ValueError, not an IndexError."""
+    with pytest.raises(ValueError, match="^bin_index must be an integer"):
+        hilbert.basis_state("h", bin_index, lattice, packet)
+
+
+def test_basis_state_takes_numpy_integers(lattice, packet):
+    assert hilbert.basis_state("v", np.int64(1), lattice, packet) == hilbert.basis_state(
+        "v", 1, lattice, packet
+    )
 
 
 @pytest.mark.parametrize(

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from poltime import hilbert, hom
+from poltime import experiment, hilbert, hom, optics
 from poltime.hilbert import PhotonState, TimeBinLattice, Wavepacket, to_density
 from poltime.hom import (
     coincidence_ratio,
@@ -368,6 +368,30 @@ def test_oracle_refuses_mixed_states(lattice, packet):
             fock_oracle_ratio(encoded, ancilla, 0.0, 1.0)
     with pytest.raises(TypeError, match="got NoneType"):
         fock_oracle_ratio(phi, None, 0.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda phi, rho: coincidence_ratio(phi, rho, 0.0, 1.0),
+        lambda phi, rho: scan_trace(phi, rho, [0.0, TAU]),
+        lambda phi, rho: hom.scan_traces(phi, [phi, rho], [0.0, TAU]),
+        lambda phi, rho: shifted_ancilla_vector(rho, 0.0, 2),
+        lambda phi, rho: experiment.sample_scan(
+            phi, rho, experiment.ScanConfig(experiment.default_delay_grid(TAU), 100.0, 0)
+        ),
+        lambda phi, rho: optics.compile_preparation(rho),
+    ],
+    ids=["coincidence_ratio", "scan_trace", "scan_traces", "shifted_ancilla_vector",
+         "sample_scan", "compile_preparation"],
+)
+def test_a_mixed_ancilla_or_compile_target_is_a_type_error(entry, lattice, packet):
+    """Only the encoded photon may be mixed: an ancilla or a compile target
+    given as a DensityMatrix raises TypeError naming its type, not an
+    AttributeError from deep inside the closed form."""
+    phi = hilbert.named_state("phi_plus", lattice, packet)
+    with pytest.raises(TypeError, match="PhotonState, got DensityMatrix"):
+        entry(phi, to_density(phi))
 
 
 def test_oracle_mode_cap(packet):

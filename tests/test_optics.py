@@ -71,6 +71,22 @@ def test_angles_wrap_into_half_turn():
     assert Polarizer(-0.1).theta == pytest.approx(np.pi - 0.1)
 
 
+@pytest.mark.parametrize("plate", [HalfWavePlate, QuarterWavePlate, Polarizer])
+@pytest.mark.parametrize(
+    "theta, message",
+    [
+        ("1", "real number"), (True, "real number"), (np.True_, "real number"),
+        (np.array(0.3), "real number"), (np.inf, "finite"), (-np.inf, "finite"),
+        (np.nan, "finite"),
+    ],
+)
+def test_plate_angle_must_be_a_finite_real_number(plate, theta, message):
+    """A string or a bool is not an angle, and an infinite angle has no
+    place in the half turn."""
+    with pytest.raises(ValueError, match=f"^theta must be (a )?{message}"):
+        plate(theta)
+
+
 # ---------------------------------------------------------------------------
 # Crystal
 # ---------------------------------------------------------------------------
@@ -124,6 +140,13 @@ def test_crystal_needs_positive_finite_length_and_contrast(length, delta_n):
     message = "must be positive and finite" if numbers else "^(length|delta_n) must be a real number"
     with pytest.raises(ValueError, match=message):
         BirefringentCrystal(length, delta_n)
+
+
+@pytest.mark.parametrize("delay", [True, np.True_, "1e-12", np.array(1e-12)])
+def test_crystal_delay_must_be_a_real_number(delay):
+    """True is not a delay of 1 s."""
+    with pytest.raises(ValueError, match="^delay must be a real number"):
+        crystal_with_delay(delay, 1.0)
 
 
 def test_polarizer_can_annihilate(lattice, packet):
