@@ -149,11 +149,9 @@ def _resolve_state(value, lattice, packet, field, problems) -> tuple[str, Photon
             problems.append(f"{field}: unknown state name {value!r}")
             return value, None
     try:
-        parts = [part for re, im in value for part in (re, im)]
-        for part in parts:
-            hilbert._check_real(field, part)
-        vec = np.array(parts, dtype=float).view(complex)
-    except (TypeError, ValueError, OverflowError):  # float() overflows past 1.8e308
+        parts = [hilbert._check_real(field, part) for re, im in value for part in (re, im)]
+        vec = np.array(parts).view(complex)
+    except (TypeError, ValueError):
         problems.append(f"{field}: expected a state name or a list of [re, im] pairs")
         return "custom", None
     if len(vec) != 4:
@@ -200,9 +198,8 @@ def resolve_config(raw: dict, seed_override: int | None = None) -> ExperimentCon
                rule="must be positive and finite"):
         val = source.get(key, default)
         try:
-            hilbert._check_real(key, val)
-            val = float(val)
-        except (ValueError, OverflowError):  # float() overflows past 1.8e308
+            val = hilbert._check_real(key, val)
+        except ValueError:
             problems.append(f"{key}: must be a number")
             return default
         if not inside(val):
@@ -212,11 +209,7 @@ def resolve_config(raw: dict, seed_override: int | None = None) -> ExperimentCon
 
     def integer(key, default, low, high, source=raw, high_text=None):
         val = source.get(key, default)
-        try:
-            hilbert._check_real(key, val)
-        except ValueError:
-            val = None
-        if not isinstance(val, int) or not low <= val <= high:
+        if isinstance(val, bool) or not isinstance(val, int) or not low <= val <= high:
             problems.append(f"{key}: must be an integer from {low} to {high_text or high}")
             return default
         return val

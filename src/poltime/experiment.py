@@ -32,6 +32,7 @@ a single-bin ancilla's scan yields two projections.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -39,7 +40,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import hom
-from .hilbert import PhotonState, _check_real
+from .hilbert import PhotonState, _check_pure, _check_real
 
 BASELINE_EXCLUSION_SIGMAS = 12.0
 GRID_MATCH_RTOL = 1e-6
@@ -335,8 +336,7 @@ class ScanConfig:
         delays = delays.copy()
         delays.setflags(write=False)
         object.__setattr__(self, "delays", delays)
-        _check_real("baseline_counts", self.baseline_counts)
-        if not 0 < self.baseline_counts < np.inf:
+        if not 0 < _check_real("baseline_counts", self.baseline_counts) < np.inf:
             raise ValueError("baseline_counts must be positive and finite")
         object.__setattr__(self, "seed", _check_seed(self.seed))
         hom._check_visibility(self.visibility)
@@ -401,14 +401,17 @@ def default_delay_grid(
     """Uniform grid over [-half_span, half_span] containing 0 and +-tau.
 
     The points nearest to the required lags are snapped onto them exactly so
-    dip readings never interpolate.  Raises ValueError if step is not
-    positive, an argument is not finite, tau is not positive, half_span
-    does not exceed tau, or two lags are nearest to one point.
+    dip readings never interpolate.  Raises ValueError if an argument is not
+    a real number (hilbert._check_real) or not finite, step is not positive,
+    tau is not positive, half_span does not exceed tau, or two lags are
+    nearest to one point.
     """
+    args = {"tau": tau, "half_span": half_span, "step": step}
+    tau, half_span, step = (_check_real(name, value) for name, value in args.items())
     if not step > 0:
         raise ValueError("grid step must be positive")
-    for name, value in (("tau", tau), ("half_span", half_span), ("step", step)):
-        if not np.isfinite(value):
+    for name, value in zip(args, (tau, half_span, step)):
+        if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
     if not tau > 0:
         raise ValueError(f"tau must be positive, got {tau}")
@@ -565,6 +568,7 @@ def estimate_visibility(trace: ScanTrace) -> float:
 
 def occupied_bins(state: PhotonState) -> frozenset[int]:
     """Bins holding any amplitude, for scheduling shifted readings."""
+    _check_pure("experiment.occupied_bins", state)
     mat = state.as_matrix()
     col_norms = np.linalg.norm(mat, axis=0)
     return frozenset(int(i) for i in np.nonzero(col_norms > _OCCUPIED_TOL)[0])

@@ -67,13 +67,24 @@ class ResolvabilityWarning(UserWarning):
     """Wavepacket too wide for the bin spacing; bins are no longer resolvable."""
 
 
-def _check_real(name: str, value) -> None:
-    """Raises ValueError naming `name` unless value is a real number: a bool,
-    Python's or numpy's, a string or an array is not one."""
-    if isinstance(value, float) or type(value) is int:  # skips the slow ABC check
-        return
-    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{name} must be a real number, got {value!r}")
+def _check_real(name: str, value) -> float:
+    """float(value), or a ValueError naming `name` unless value is a real
+    number a float holds: a bool, Python's or numpy's, a string, an array or
+    an integer past the float range is not one."""
+    if not (isinstance(value, float) or type(value) is int):  # skips the slow ABC check
+        if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
+            raise ValueError(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # an integer past the float range; no digits in the message
+        raise ValueError(f"{name} must be a real number within the float range") from None
+
+
+def _check_pure(who: str, *states) -> None:
+    """Raises TypeError naming `who` unless every state is a pure PhotonState."""
+    for state in states:
+        if not isinstance(state, PhotonState):
+            raise TypeError(f"{who} expects a PhotonState, got {type(state).__name__}")
 
 
 @dataclass(frozen=True)
@@ -86,8 +97,7 @@ class TimeBinLattice:
     def __post_init__(self):
         if not isinstance(self.bin_count, (int, np.integer)) or self.bin_count < 2:
             raise ValueError("bin_count must be an integer >= 2")
-        _check_real("tau", self.tau)
-        if not np.isfinite(self.tau) or self.tau <= 0.0:
+        if not 0.0 < _check_real("tau", self.tau) < math.inf:
             raise ValueError("tau must be a positive finite number of seconds")
 
     def grown(self, extra_bins: int) -> "TimeBinLattice":
@@ -103,8 +113,7 @@ class Wavepacket:
     sigma_t: float
 
     def __post_init__(self):
-        _check_real("sigma_t", self.sigma_t)
-        if not np.isfinite(self.sigma_t) or self.sigma_t <= 0.0:
+        if not 0.0 < _check_real("sigma_t", self.sigma_t) < math.inf:
             raise ValueError("sigma_t must be a positive finite number of seconds")
 
 
@@ -245,16 +254,14 @@ def _require_same_arena(a, b) -> None:
 
 def inner_product(a: PhotonState, b: PhotonState) -> complex:
     """<a|b> with the conjugate on the first argument."""
+    _check_pure("hilbert.inner_product", a, b)
     _require_same_arena(a, b)
     return complex(np.vdot(a.amplitudes, b.amplitudes))
 
 
 def to_density(state: PhotonState) -> DensityMatrix:
     """Rank-1 density matrix |psi><psi| of a unit-norm pure state."""
-    if isinstance(state, DensityMatrix):
-        raise TypeError("to_density expects a pure PhotonState, not a DensityMatrix")
-    if not isinstance(state, PhotonState):
-        raise TypeError(f"to_density expects a PhotonState, got {type(state).__name__}")
+    _check_pure("hilbert.to_density", state)
     if abs(state.norm_squared - 1.0) > NORM_TOL:
         raise ValueError(
             f"state must be normalized before to_density (norm^2 = {state.norm_squared})"

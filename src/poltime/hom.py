@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .hilbert import DensityMatrix, PhotonState, Wavepacket, _check_real
+from .hilbert import DensityMatrix, PhotonState, Wavepacket, _check_pure, _check_real
 
 _MODE_CAP = 32
 _FAR_SIGMAS = 1e150
@@ -63,9 +63,7 @@ def _shifted_vectors(ancillas, delay, target_bin_count: int) -> np.ndarray:
     rows of all the ancillas in one real product, bit for bit one ancilla's
     complex amps @ env: both run BLAS's multiply-add chain over the bins,
     which an elementwise sum over them does not reproduce."""
-    for ancilla in ancillas:
-        if not isinstance(ancilla, PhotonState):
-            raise TypeError(f"an ancilla must be a PhotonState, got {type(ancilla).__name__}")
+    _check_pure("a scan's ancilla", *ancillas)
     first = ancillas[0]
     bins = first.bin_count
     d = np.asarray(delay, dtype=float)
@@ -97,8 +95,7 @@ def shifted_ancilla_vector(ancilla: PhotonState, delay, target_bin_count: int) -
 
 
 def _check_visibility(vis) -> float:
-    _check_real("visibility", vis)
-    v = float(vis)
+    v = _check_real("visibility", vis)
     if not 0.0 <= v <= 1.0:
         raise ValueError(f"visibility must lie in [0, 1], got {v}")
     return v
@@ -188,8 +185,7 @@ def fock_oracle_ratio(
     clipped as in coincidence_ratio; a mixed input raises TypeError.
     """
     for state in (encoded, ancilla):
-        if not isinstance(state, PhotonState):
-            raise TypeError(f"fock_oracle_ratio expects a PhotonState, got {type(state).__name__}")
+        _check_pure("hom.fock_oracle_ratio", state)
         if 2 * state.bin_count > _MODE_CAP:
             raise ValueError(f"state needs {2 * state.bin_count} modes, above the cap {_MODE_CAP}")
     _require_shared_envelope(encoded, ancilla)

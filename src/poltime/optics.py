@@ -50,8 +50,7 @@ class _Plate:
     theta: float
 
     def __post_init__(self):
-        hilbert._check_real("theta", self.theta)
-        t = float(self.theta) % np.pi  # NaN for an infinite angle
+        t = hilbert._check_real("theta", self.theta) % np.pi  # NaN for an infinite angle
         if math.isnan(t):
             raise ValueError(f"theta must be finite, got {self.theta!r}")
         # Guard against rounding at the boundary.
@@ -95,9 +94,9 @@ class BirefringentCrystal:
     delta_n: float
 
     def __post_init__(self):
-        hilbert._check_real("length", self.length)
-        hilbert._check_real("delta_n", self.delta_n)
-        if not (0 < self.length < math.inf and 0 < self.delta_n < math.inf):
+        length = hilbert._check_real("length", self.length)
+        delta_n = hilbert._check_real("delta_n", self.delta_n)
+        if not (0 < length < math.inf and 0 < delta_n < math.inf):
             raise ValueError("crystal length and index contrast must be positive and finite")
 
     @property
@@ -119,7 +118,7 @@ def crystal_with_delay(
     delay: float, length: float = DEFAULT_CRYSTAL_LENGTH
 ) -> BirefringentCrystal:
     """Crystal of the given physical length tuned to the requested delay."""
-    hilbert._check_real("delay", delay)
+    delay = hilbert._check_real("delay", delay)
     if delay <= 0:
         raise ValueError("delay must be positive")
     return BirefringentCrystal(length, delay * SPEED_OF_LIGHT / length)
@@ -131,6 +130,7 @@ OpticalElement = HalfWavePlate | QuarterWavePlate | Polarizer | BirefringentCrys
 def element_action(element: OpticalElement, state: PhotonState) -> PhotonState:
     """Apply one element.  Polarizers may annihilate the photon; crystals
     may grow the lattice."""
+    hilbert._check_pure("optics.element_action", state)
     if isinstance(element, BirefringentCrystal):
         shift = element.bin_shift(state.lattice)
         mat = state.as_matrix()
@@ -386,8 +386,7 @@ def compile_preparation(target: PhotonState) -> PreparationPlan:
     Among plans of equal fidelity the one with fewer elements wins, then the
     one with the smaller total plate angle.
     """
-    if not isinstance(target, PhotonState):
-        raise TypeError(f"compile_preparation expects a PhotonState, got {type(target).__name__}")
+    hilbert._check_pure("optics.compile_preparation", target)
     if abs(target.norm_squared - 1.0) > hilbert.NORM_TOL:
         raise ValueError("compile_preparation expects a unit-norm target")
 

@@ -526,8 +526,7 @@ def _unpack_counts(counts, tset: TomographySet, visibility: float) -> tuple[np.n
         raise ValueError("counts must be nonnegative and baselines positive")
     if n.shape != (len(tset.readings),):
         raise ValueError(f"expected counts for {len(tset.readings)} readings")
-    hilbert._check_real("visibility", visibility)
-    if not 0.0 < visibility <= 1.0:
+    if not 0.0 < hilbert._check_real("visibility", visibility) <= 1.0:
         raise ValueError("visibility must lie in (0, 1]")
     return n, baseline
 

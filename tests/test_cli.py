@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from poltime import cli, experiment, hilbert, tomography
+from poltime import cli, experiment, hilbert, hom, tomography
 from poltime.cli import (
     EXIT_BEST_EFFORT,
     EXIT_CONFIG,
@@ -405,6 +405,41 @@ def test_malformed_json_is_a_config_error(tmp_path, capsys):
     path.write_text("{not json")
     assert cli.main(["scan", "--config", str(path)]) == EXIT_CONFIG
     assert "config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, problem",
+    [
+        (None, "cannot read config: "),
+        ("[1, 2]", "config root must be a JSON object"),
+        ('{"grid": 5}', "grid: must be an object with half_span_s / step_s"),
+    ],
+    ids=["unreadable", "root", "grid"],
+)
+def test_config_of_the_wrong_shape_is_a_config_error(tmp_path, capsys, text, problem):
+    """A missing file, a JSON root that is not an object and a grid that is
+    not one each end in exit 1 with one config error line, writing nothing."""
+    path = tmp_path / "config.json"
+    if text is not None:
+        path.write_text(text)
+    out = tmp_path / "out"
+    assert cli.main(["scan", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+    assert f"config error: {problem}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_oracle_check_reports_a_deviation(monkeypatch, capsys):
+    """The default config passes; a closed form off by 1e-6 fails the 1e-9
+    tolerance with exit 3 and says so on stderr."""
+    argv = ["oracle-check", "--triples", "2"]
+    assert cli.main(argv) == EXIT_OK
+    exact = hom.coincidence_ratio
+    monkeypatch.setattr(hom, "coincidence_ratio", lambda *args: exact(*args) + 1e-6)
+    capsys.readouterr()
+    assert cli.main(argv) == EXIT_NUMERICAL
+    captured = capsys.readouterr()
+    assert "oracle check FAILED (tolerance 1e-9)" in captured.err
+    assert "max |deviation| = 1.000e-06" in captured.out
 
 
 @pytest.mark.parametrize(

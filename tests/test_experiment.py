@@ -441,6 +441,19 @@ def test_scan_trace_refuses_counts_that_are_negative_or_not_finite(bad, noiseles
         ScanTrace(delays=delays, counts=counts, **fields)
 
 
+def test_scan_trace_refuses_misshapen_or_fractional_sampled_counts():
+    """Counts must match the delays point for point, and sampled counts are
+    whole numbers; a noiseless trace may hold expected, fractional counts."""
+    delays = compact_delay_grid(TAU, SIGMA, baseline_points=8)
+    counts = np.full(delays.size, 100.5)
+    fields = dict(expected=counts, seed=0, tau=TAU, sigma_t=SIGMA, n_bins=2)
+    with pytest.raises(ValueError, match="^counts and delays must have matching shapes$"):
+        ScanTrace(delays=delays, counts=counts[1:], noiseless=True, **fields)
+    with pytest.raises(ValueError, match="^sampled counts must be integers$"):
+        ScanTrace(delays=delays, counts=counts, noiseless=False, **fields)
+    ScanTrace(delays=delays, counts=counts, noiseless=True, **fields)
+
+
 def test_visibility_estimates(lattice, packet):
     phi = hilbert.named_state("phi_plus", lattice, packet)
     exact = sample_scan(phi, phi, make_config(), noiseless=True)

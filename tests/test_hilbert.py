@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from poltime import hilbert, tomography
+from poltime import experiment, hilbert, hom, optics, tomography
 from poltime.hilbert import (
     DensityMatrix,
     PhotonState,
@@ -61,17 +61,79 @@ class _Float(float):
               enum.IntEnum("Level", "LOW").LOW, np.uint8(7)],
 )
 def test_check_real_accepts_real_numbers(value):
-    """Both sides of the fast path: a float (subclass) or a plain int returns
-    at once, any other numbers.Real goes through the ABC check."""
-    hilbert._check_real("x", value)
+    """Both sides of the fast path: a float (subclass) or a plain int skips
+    the ABC check, any other numbers.Real goes through it.  Either way the
+    value comes back as the float that was checked."""
+    checked = hilbert._check_real("x", value)
+    assert type(checked) is float and checked == value
 
 
 @pytest.mark.parametrize(
-    "value", [True, False, np.True_, np.bool_(False), "0.5", np.array(0.5), 1j, None],
+    "value",
+    [True, False, np.True_, np.bool_(False), "0.5", np.array(0.5), 1j, None, 10**400, -(10**400)],
 )
 def test_check_real_refuses_what_is_not_a_real_number(value):
-    with pytest.raises(ValueError, match="^x must be a real number"):
+    """An integer no float holds is refused too, without its 400 digits."""
+    with pytest.raises(ValueError, match="^x must be a real number") as info:
         hilbert._check_real("x", value)
+    assert "0" * 20 not in str(info.value)
+
+
+_GRID = experiment.compact_delay_grid(2.3e-12, 2.3e-13)
+_NUMBER_ENTRIES = {
+    "HalfWavePlate": ("theta", lambda v, phi, tset: optics.HalfWavePlate(v)),
+    "QuarterWavePlate": ("theta", lambda v, phi, tset: optics.QuarterWavePlate(v)),
+    "Polarizer": ("theta", lambda v, phi, tset: optics.Polarizer(v)),
+    "crystal-length": ("length", lambda v, phi, tset: optics.BirefringentCrystal(v, 1.0)),
+    "crystal-delta_n": ("delta_n", lambda v, phi, tset: optics.BirefringentCrystal(4e-3, v)),
+    "crystal_with_delay": ("delay", lambda v, phi, tset: optics.crystal_with_delay(v)),
+    "scan_traces": ("visibility", lambda v, phi, tset: hom.scan_traces(phi, [phi], [0.0], v)),
+    "scan_trace": ("visibility", lambda v, phi, tset: hom.scan_trace(phi, phi, [0.0], v)),
+    "coincidence_ratio": (
+        "visibility", lambda v, phi, tset: hom.coincidence_ratio(phi, phi, 0.0, v)
+    ),
+    "fock_oracle_ratio": (
+        "visibility", lambda v, phi, tset: hom.fock_oracle_ratio(phi, phi, 0.0, v)
+    ),
+    "TimeBinLattice": ("tau", lambda v, phi, tset: TimeBinLattice(2, v)),
+    "Wavepacket": ("sigma_t", lambda v, phi, tset: Wavepacket(v)),
+    "ScanConfig-baseline": (
+        "baseline_counts", lambda v, phi, tset: experiment.ScanConfig(_GRID, v, 0)
+    ),
+    "ScanConfig-visibility": (
+        "visibility", lambda v, phi, tset: experiment.ScanConfig(_GRID, 1e3, 0, v)
+    ),
+    "mle_reconstruct": (
+        "visibility",
+        lambda v, phi, tset: tomography.mle_reconstruct(np.ones((len(tset.readings), 2)), tset, v),
+    ),
+    "grid-tau": ("tau", lambda v, phi, tset: experiment.default_delay_grid(v)),
+    "grid-half_span": ("half_span", lambda v, phi, tset: experiment.default_delay_grid(2.3e-12, v)),
+    "grid-step": ("step", lambda v, phi, tset: experiment.default_delay_grid(2.3e-12, 8e-12, v)),
+}
+
+
+@pytest.mark.parametrize(
+    "entry, value",
+    [
+        *(pytest.param(entry, sign * 10**400, id=f"{entry}-{sign:+d}e400")
+          for entry in _NUMBER_ENTRIES for sign in (1, -1)),
+        pytest.param("grid-tau", "1e-12", id="grid-tau-string"),
+        pytest.param("grid-tau", True, id="grid-tau-bool"),
+    ],
+)
+def test_every_number_entry_refuses_what_no_float_holds(entry, value, lattice, packet, tset):
+    """Each entry reads its number through hilbert._check_real: an integer
+    past the float range was an OverflowError, a TypeError from np.isfinite,
+    or accepted and an OverflowError later; a string or a bool tau reached
+    default_delay_grid's comparisons.  Each is now a ValueError naming the
+    argument.  The CLI's config errors for such integers are pinned in
+    tests/test_cli.py."""
+    name, call = _NUMBER_ENTRIES[entry]
+    phi = named_state("phi_plus", lattice, packet)
+    with pytest.raises(ValueError, match=f"^{name} must be a real number") as info:
+        call(value, phi, tset)
+    assert "0" * 20 not in str(info.value)
 
 
 @pytest.mark.parametrize("bin_index", [True, np.True_, 0.5, 0.0, "0", None])
@@ -327,3 +389,38 @@ def test_logical_vector_rejects_leakage(packet):
 def test_json_record_keys(lattice, packet):
     record = named_state("rl_bell", lattice, packet).to_json_dict()
     assert set(record) == {"bins", "tau_s", "sigma_t_s", "amps"}
+
+
+# ---------------------------------------------------------------------------
+# Documented refusals
+# ---------------------------------------------------------------------------
+
+
+def _h0(lattice, packet):
+    return hilbert.basis_state("h", 0, lattice, packet)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        pytest.param(lambda lat, pk: lat.grown(-1), ValueError, "^cannot shrink a lattice$",
+                     id="grown"),
+        pytest.param(lambda lat, pk: DensityMatrix(np.eye(3) / 3, lat, pk), ValueError,
+                     r"^density matrix must have shape \(4, 4\), got \(3, 3\)$", id="rho-shape"),
+        pytest.param(lambda lat, pk: DensityMatrix(np.diag([np.nan, 0, 0, 0]), lat, pk),
+                     ValueError, "^density matrix entries must be finite$", id="rho-finite"),
+        pytest.param(lambda lat, pk: inner_product(_h0(lat, pk), _h0(lat, Wavepacket(2e-13))),
+                     ValueError, "^wavepacket mismatch", id="inner_product-packets"),
+        pytest.param(lambda lat, pk: partial_trace_time(_h0(lat, pk)), TypeError,
+                     "^partial_trace_time expects a DensityMatrix$", id="partial_trace_time"),
+        pytest.param(lambda lat, pk: hilbert.basis_state("h", 2, lat, pk), ValueError,
+                     "^bin index 2 outside lattice$", id="basis_state-bin"),
+        pytest.param(lambda lat, pk: hilbert.product_state([1, 0, 0], "0", lat, pk), ValueError,
+                     "^polarization and bin parts must be length-2 vectors$", id="product_state"),
+        pytest.param(lambda lat, pk: hilbert.from_logical([1, 0, 0], lat, pk), ValueError,
+                     "^logical vector must have length 4$", id="from_logical"),
+    ],
+)
+def test_documented_refusals_raise_their_messages(call, error, message, lattice, packet):
+    with pytest.raises(error, match=message):
+        call(lattice, packet)

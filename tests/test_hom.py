@@ -394,6 +394,34 @@ def test_a_mixed_ancilla_or_compile_target_is_a_type_error(entry, lattice, packe
         entry(phi, to_density(phi))
 
 
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda phi, rho: experiment.occupied_bins(rho),
+        lambda phi, rho: hilbert.inner_product(phi, rho),
+        lambda phi, rho: optics.element_action(optics.HalfWavePlate(0.1), rho),
+        lambda phi, rho: optics.apply_pipeline(
+            optics.OpticalPipeline([optics.HalfWavePlate(0.1)]), rho
+        ),
+    ],
+    ids=["occupied_bins", "inner_product", "element_action", "apply_pipeline"],
+)
+def test_pure_state_entries_refuse_a_density_matrix(entry, lattice, packet):
+    """These read amplitudes a DensityMatrix does not have: each raised
+    AttributeError from deep inside and now raises TypeError naming the type."""
+    phi = hilbert.named_state("phi_plus", lattice, packet)
+    with pytest.raises(TypeError, match="expects a PhotonState, got DensityMatrix"):
+        entry(phi, to_density(phi))
+
+
+def test_encoded_and_ancilla_share_tau(lattice, packet):
+    phi = hilbert.named_state("phi_plus", lattice, packet)
+    other = hilbert.named_state("phi_plus", TimeBinLattice(2, 2 * TAU), packet)
+    message = "^encoded and ancilla must share the lattice spacing tau$"
+    with pytest.raises(ValueError, match=message):
+        coincidence_ratio(phi, other, 0.0)
+
+
 def test_oracle_mode_cap(packet):
     lattice = TimeBinLattice(20, TAU)
     big = hilbert.basis_state("h", 0, lattice, packet)

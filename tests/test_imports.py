@@ -150,6 +150,76 @@ def test_unread_public_names_are_found():
     assert unread_public({"m": module}, readers(trees)) == ["m.unused", "m.Kept.idle", "m.Gone"]
 
 
+# Each input rule has one home, the one function that may handle its error:
+# an integer past the float range, and a mixed state where a pure one fits.
+RULE_HOMES = {
+    ("except OverflowError", "hilbert._check_real"),
+    ("except OverflowError", "experiment._check_seed"),
+    ("raise TypeError naming PhotonState", "hilbert._check_pure"),
+}
+
+
+def rule_sites(module: str, tree: ast.Module) -> list[tuple[str, str]]:
+    """(rule, qualified enclosing function) of each `except` clause that
+    names OverflowError and each `raise TypeError(...)` whose message names
+    PhotonState."""
+    found = []
+
+    def walk(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                walk(child, f"{where}.{child.name}")
+                continue
+            if isinstance(child, ast.ExceptHandler) and child.type is not None:
+                if any(isinstance(n, ast.Name) and n.id == "OverflowError"
+                       for n in ast.walk(child.type)):
+                    found.append(("except OverflowError", where))
+            elif (
+                isinstance(child, ast.Raise)
+                and isinstance(child.exc, ast.Call)
+                and isinstance(child.exc.func, ast.Name)
+                and child.exc.func.id == "TypeError"
+                and any(isinstance(n, ast.Constant) and "PhotonState" in str(n.value)
+                        for n in ast.walk(child.exc))
+            ):
+                found.append(("raise TypeError naming PhotonState", where))
+            walk(child, where)
+
+    walk(tree, module)
+    return found
+
+
+def test_each_input_rule_has_one_home():
+    """An OverflowError handled, or a pure-state TypeError raised, outside
+    its home is a second copy of a rule that `hilbert._check_real`,
+    `experiment._check_seed` or `hilbert._check_pure` already keeps."""
+    sites = [
+        site for path in SOURCES for site in rule_sites(path.stem, ast.parse(path.read_text()))
+    ]
+    assert sorted(set(sites)) == sorted(RULE_HOMES)
+
+
+def test_rule_sites_are_found():
+    tree = ast.parse(
+        "def read(x):\n"
+        "    try:\n"
+        "        return float(x)\n"
+        "    except (TypeError, OverflowError):\n"
+        "        raise TypeError(f'read expects a PhotonState, got {x}')\n"
+        "class Plate:\n"
+        "    def check(self):\n"
+        "        try:\n"
+        "            raise TypeError('not a number')\n"
+        "        except OverflowError:\n"
+        "            raise ValueError('PhotonState')\n"
+    )
+    assert rule_sites("m", tree) == [
+        ("except OverflowError", "m.read"),
+        ("raise TypeError naming PhotonState", "m.read"),
+        ("except OverflowError", "m.Plate.check"),
+    ]
+
+
 def test_optics_loads_on_first_use(tmp_path):
     """`import poltime`, `import poltime.cli` and a `poltime tomography` run
     leave `optics` unloaded, and `poltime prepare` loads it; in a fresh

@@ -149,6 +149,12 @@ def test_crystal_delay_must_be_a_real_number(delay):
         crystal_with_delay(delay, 1.0)
 
 
+@pytest.mark.parametrize("delay", [0.0, -1e-12])
+def test_crystal_delay_must_be_positive(delay):
+    with pytest.raises(ValueError, match="^delay must be positive$"):
+        crystal_with_delay(delay)
+
+
 def test_polarizer_can_annihilate(lattice, packet):
     h0 = hilbert.basis_state("h", 0, lattice, packet)
     with pytest.raises(StateAnnihilatedError):

@@ -527,6 +527,12 @@ def test_mle_input_validation(tset):
         mle_reconstruct(bad, tset)
 
 
+def test_mle_needs_count_pairs(tset):
+    """A (20, 3) array is not one (n_i, N_i) pair per reading."""
+    with pytest.raises(ValueError, match=r"^counts must be a sequence of \(n_i, N_i\) pairs$"):
+        mle_reconstruct(np.ones((len(tset.readings), 3)), tset)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 @pytest.mark.parametrize("column, name", [(0, "dip counts"), (1, "baselines")])
 def test_mle_rejects_non_finite_counts(tset, bad, column, name):
